@@ -55,6 +55,7 @@ from .rcc import (
     RccReport,
     average_coherence,
     average_coherence_bound,
+    average_coherences,
     average_rcc,
     factorization_check,
     find_creating_operation,

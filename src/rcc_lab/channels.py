@@ -18,6 +18,9 @@ from .linalg import (
     as_complex_matrix,
     complete_orthonormal_basis,
     hermitian_eig,
+    json_positive_int,
+    matrix_from_json,
+    matrix_to_json,
 )
 from .states import BipartitePureState, reduced_a, schmidt_decompose
 
@@ -273,8 +276,6 @@ def inert_operation(psi: BipartitePureState, n_values) -> KrausOperation:
 
 def kraus_operation_to_json(op: KrausOperation) -> dict:
     """JSON-ready dict {"dim_b", "label", "kraus"} in the matrix format."""
-    from .linalg import matrix_to_json
-
     return {
         "dim_b": op.dim_b,
         "label": op.label,
@@ -289,16 +290,12 @@ def ensemble_to_json(ensemble: ChannelEnsemble) -> dict:
 
 def kraus_operation_from_json(obj) -> KrausOperation:
     """Inverse of kraus_operation_to_json with field-named errors."""
-    from .linalg import matrix_from_json
-
     if not isinstance(obj, dict):
         raise ValueError("channel value must be a JSON object")
     for key in ("dim_b", "kraus"):
         if key not in obj:
             raise ValueError(f"channel object is missing field '{key}'")
-    dim_b = obj["dim_b"]
-    if not isinstance(dim_b, int) or dim_b < 1:
-        raise ValueError(f"field 'dim_b' must be a positive integer, got {dim_b!r}")
+    dim_b = json_positive_int(obj, "dim_b")
     mats = obj["kraus"]
     if not isinstance(mats, list) or not mats:
         raise ValueError("field 'kraus' must be a non-empty list of matrices")

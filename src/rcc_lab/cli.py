@@ -3,7 +3,7 @@
 Subcommands: ``fig1`` (the phase-damping scatter experiment), ``verify``
 (property sweeps), and ``compute`` (one report for a state/channel pair).
 Exit codes: 0 success or all-pass, 1 property violation, 2 usage or parse
-error.
+error, 3 unexpected error (a crash; the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from .channels import channel_from_json
 from .errors import RccLabError
@@ -145,6 +146,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        # A crash must not read as a violation (1) or a bad input (2).
+        traceback.print_exc()
+        return 3
     raise AssertionError("unreachable")
 
 

@@ -8,8 +8,6 @@ report violations instead of raising.
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,34 +22,27 @@ from .channels import (
 )
 from .coherence import l1_coherence
 from .errors import SearchExhausted, ZeroProbability
-from .linalg import SeededRng, matrix_to_json, partial_trace, tensor_product
+from .linalg import SeededRng, matrix_to_json, partial_trace, tensor_product, unitary_from_ginibre
 from .sampling import (
     random_channel_ensemble,
     random_density_matrix,
     random_incoherent_quantum_state,
     random_kraus_operation,
     random_noncq_state,
-    random_schmidt_parts,
     random_schmidt_state,
     random_tp_channel,
 )
-from .states import BipartitePureState, concurrence, state_to_json
+from .states import batch_concurrence, concurrence, schmidt_coefficients, state_to_json, unit_amplitudes
 
 CSV_HEADER = "sample,seed,r,omega0,entanglement,avg_rcc,avg_rcc_maxent,ratio"
 
 VERIFY_SUITES = ("theorem1", "theorem2", "lemma1", "theorem3", "theorem4", "nosignal")
 
 
-def worker_count() -> int:
-    """Worker cap from the RCC_LAB_THREADS environment variable (default 1)."""
-    raw = os.environ.get("RCC_LAB_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"RCC_LAB_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, n)
+# Samples drawn and evaluated together by run_fig1. Memory per block grows
+# with FIG1_BLOCK x rates, never with --samples; 256 already amortizes the
+# per-block numpy call overhead to about a microsecond per sample.
+FIG1_BLOCK = 256
 
 
 def _fmt(x) -> str:
@@ -131,85 +122,86 @@ class Fig1Summary:
     plot_path: str | None
 
 
-def _fig1_sample(sample: int, seed: int, rates, channels):
-    rng = SeededRng(seed, stream_id=sample)
-    weights, basis = random_schmidt_parts(2, 2, rng)
-    psi = BipartitePureState.from_schmidt(weights, basis)
-    partner = rcc.maximally_entangled_partner(psi)
-    ent = concurrence(psi)
-    rows = []
-    stats = []
-    for rate, channel in zip(rates, channels):
-        avg = rcc.average_coherence(psi, channel)
-        maxent = rcc.average_coherence(partner, channel)
-        if maxent > rcc.RATIO_DENOMINATOR_CUTOFF:
-            ratio = avg / maxent
-            ratio_txt = _fmt(ratio)
-        else:
-            ratio = None
-            ratio_txt = ""
-        rows.append(
-            f"{sample},{seed},{_fmt(rate)},{_fmt(weights[0])},{_fmt(ent)},"
-            f"{_fmt(avg)},{_fmt(maxent)},{ratio_txt}"
-        )
-        stats.append((rate, ent, avg, ratio))
-    return rows, stats
+def _fig1_draw(seed: int, samples: range) -> tuple[np.ndarray, np.ndarray]:
+    # One stream per sample, drawn as random_schmidt_parts(2, 2, .) draws:
+    # the first weight, then the real and imaginary Ginibre parts of
+    # haar_random_unitary (one (2, 2, 2) draw yields the same numbers).
+    first = np.empty(len(samples))
+    gauss = np.empty((len(samples), 2, 2, 2))
+    for j, sample in enumerate(samples):
+        g = SeededRng(seed, stream_id=sample).generator
+        first[j] = g.random()
+        gauss[j] = g.standard_normal((2, 2, 2))
+    return first, (gauss[:, 0] + 1j * gauss[:, 1]) / np.sqrt(2.0)
+
+
+def _fig1_block(first: np.ndarray, ginibre: np.ndarray, channels):
+    """Entanglement, state average and partner average of one block of samples.
+
+    Row i of the coefficient matrix W is sqrt(w_i) beta_i, so the partner's
+    rows are the beta_i / sqrt(2), the transposed Haar basis over sqrt(2).
+    The averages have shape (samples, channels).
+    """
+    basis = unitary_from_ginibre(ginibre)
+    w = schmidt_coefficients(np.stack([first, 1.0 - first], axis=1), basis)
+    partner = basis.swapaxes(1, 2) / np.sqrt(2.0)
+    both = unit_amplitudes(np.concatenate([w, partner]).reshape(-1, 4)).reshape(-1, 2, 2)
+    averages = rcc.average_coherences(both, channels)
+    n = len(first)
+    return batch_concurrence(both[:n]), averages[:n], averages[n:]
 
 
 def run_fig1(config: ExperimentConfig) -> Fig1Summary:
     """Run the phase-damping scatter and write one CSV row per (sample, rate).
 
-    Output bytes depend only on the config and seed: samples are processed in
-    index order with one RNG stream per sample, whatever the worker count.
+    Output bytes depend only on the config and seed: sample k draws from its
+    own RNG stream k, and samples are evaluated in blocks of FIG1_BLOCK in
+    index order.
     """
     config.validate()
     if tuple(int(d) for d in config.dims) != (2, 2):
         raise ValueError("field 'dims': the phase damping experiment is defined for dims = (2, 2)")
     rates = [float(r) for r in config.damping_rates]
     channels = [phase_damping(r) for r in rates]
+    rate_txts = [_fmt(r) for r in rates]
     seed = int(config.seed)
     samples = int(config.samples)
 
     plot_stride = max(1, samples // 4000)
     blue_points = []
     red_points = []
-    rate_sums = {r: 0.0 for r in rates}
+    rate_sums = np.zeros(len(rates))
     max_dev = 0.0
     rows_with_ratio = 0
-    rows_written = 0
 
-    def job(sample: int):
-        return _fig1_sample(sample, seed, rates, channels)
-
-    workers = worker_count()
     with open(config.output_path, "w", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        if workers > 1:
-            pool = concurrent.futures.ThreadPoolExecutor(max_workers=workers)
-            stream = pool.map(job, range(samples), chunksize=64)
-        else:
-            pool = None
-            stream = map(job, range(samples))
-        try:
-            for sample, (rows, stats) in enumerate(stream):
-                for line in rows:
-                    fh.write(line + "\n")
-                rows_written += len(rows)
-                keep_for_plot = sample % plot_stride == 0
-                for rate, ent, avg, ratio in stats:
-                    rate_sums[rate] += avg
-                    if ratio is not None:
-                        rows_with_ratio += 1
-                        max_dev = max(max_dev, abs(ratio - ent))
-                    if keep_for_plot:
-                        blue_points.append((ent, avg, rate))
-                        if ratio is not None:
-                            red_points.append((ent, ratio))
-        finally:
-            if pool is not None:
-                pool.shutdown()
+        for start in range(0, samples, FIG1_BLOCK):
+            block = range(start, min(start + FIG1_BLOCK, samples))
+            first, ginibre = _fig1_draw(seed, block)
+            ent, avg, maxent = _fig1_block(first, ginibre, channels)
+            has_ratio = maxent > rcc.RATIO_DENOMINATOR_CUTOFF
+            ratio = np.divide(avg, maxent, out=np.zeros_like(avg), where=has_ratio)
+            rate_sums += avg.sum(axis=0)
+            rows_with_ratio += int(has_ratio.sum())
+            if has_ratio.any():
+                max_dev = max(max_dev, float(np.abs(ratio - ent[:, None])[has_ratio].max()))
+            lines = []
+            for sample, w0, e, avgs, maxents, ratios, defined in zip(
+                block, first.tolist(), ent.tolist(), avg.tolist(), maxent.tolist(), ratio.tolist(), has_ratio.tolist()
+            ):
+                head = f"{sample},{seed},"
+                tail = f",{_fmt(w0)},{_fmt(e)},"
+                for rate_txt, a, m, q, ok in zip(rate_txts, avgs, maxents, ratios, defined):
+                    lines.append(f"{head}{rate_txt}{tail}{_fmt(a)},{_fmt(m)},{_fmt(q) if ok else ''}\n")
+                if sample % plot_stride == 0:
+                    for rate, a, q, ok in zip(rates, avgs, ratios, defined):
+                        blue_points.append((e, a, rate))
+                        if ok:
+                            red_points.append((e, q))
+            fh.write("".join(lines))
 
-    means = {r: rate_sums[r] / samples for r in rates}
+    means = {r: float(total) / samples for r, total in zip(rates, rate_sums)}
     ordered = [means[r] for r in sorted(means)]
     monotone = all(b > a - 1e-12 for a, b in zip(ordered, ordered[1:]))
 
@@ -219,7 +211,7 @@ def run_fig1(config: ExperimentConfig) -> Fig1Summary:
             fh.write(svg)
 
     return Fig1Summary(
-        rows=rows_written,
+        rows=samples * len(rates),
         rows_with_ratio=rows_with_ratio,
         max_ratio_deviation=max_dev,
         mean_average_by_rate=means,

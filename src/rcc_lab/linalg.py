@@ -182,11 +182,20 @@ def haar_random_unitary(d: int, rng: SeededRng) -> np.ndarray:
         raise ValueError("dimension must be at least 1")
     g = rng.generator
     z = (g.standard_normal((d, d)) + 1j * g.standard_normal((d, d))) / np.sqrt(2.0)
+    return unitary_from_ginibre(z)
+
+
+def unitary_from_ginibre(z: np.ndarray) -> np.ndarray:
+    """Q of the QR of each matrix on z's last two axes, phase-fixed by diag(R).
+
+    Fed complex Ginibre matrices, this yields Haar unitaries; leading axes
+    are batch axes.
+    """
     q, r = np.linalg.qr(z)
-    diag = np.diag(r).copy()
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
     mods = np.abs(diag)
     phases = np.where(mods > 0, diag / np.where(mods > 0, mods, 1.0), 1.0)
-    return q * phases
+    return q * phases[..., None, :]
 
 
 def random_pure_state(d: int, rng: SeededRng) -> np.ndarray:
@@ -209,6 +218,26 @@ def matrix_to_json(m) -> dict:
     }
 
 
+def json_positive_int(obj: dict, key: str) -> int:
+    """obj[key] as a positive integer; JSON true/false are not integers here."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"field '{key}' must be a positive integer, got {value!r}")
+    return value
+
+
+def complex_from_json_pairs(pairs: list, what: str) -> np.ndarray:
+    """Complex vector from [re, im] pairs; errors name `what` and the index."""
+    data = np.empty(len(pairs), dtype=np.complex128)
+    for k, pair in enumerate(pairs):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ValueError(f"{what} {k} must be a [re, im] pair")
+        if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in pair):
+            raise ValueError(f"{what} {k} must hold two numbers")
+        data[k] = complex(*pair)
+    return data
+
+
 def matrix_from_json(obj) -> np.ndarray:
     """Inverse of matrix_to_json; ValueError messages name the offending field."""
     if not isinstance(obj, dict):
@@ -216,24 +245,14 @@ def matrix_from_json(obj) -> np.ndarray:
     for key in ("rows", "cols", "entries"):
         if key not in obj:
             raise ValueError(f"matrix object is missing field '{key}'")
-    rows, cols = obj["rows"], obj["cols"]
-    if not isinstance(rows, int) or rows < 1:
-        raise ValueError(f"field 'rows' must be a positive integer, got {rows!r}")
-    if not isinstance(cols, int) or cols < 1:
-        raise ValueError(f"field 'cols' must be a positive integer, got {cols!r}")
+    rows = json_positive_int(obj, "rows")
+    cols = json_positive_int(obj, "cols")
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise ValueError(
             f"field 'entries' must list rows*cols = {rows * cols} pairs, got {len(entries) if isinstance(entries, list) else type(entries).__name__}"
         )
-    data = np.empty(rows * cols, dtype=np.complex128)
-    for k, pair in enumerate(entries):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ValueError(f"entry {k} must be a [re, im] pair")
-        re, im = pair
-        if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
-            raise ValueError(f"entry {k} must hold two numbers")
-        data[k] = complex(re, im)
+    data = complex_from_json_pairs(entries, "entry")
     arr = data.reshape(rows, cols)
     if not np.all(np.isfinite(arr)):
         raise ValueError("field 'entries' contains non-finite values")

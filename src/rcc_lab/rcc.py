@@ -27,10 +27,11 @@ from .errors import (
 )
 from .linalg import SeededRng, as_complex_matrix, complete_orthonormal_basis, matrix_to_json, random_pure_state
 from .states import (
+    SCHMIDT_WEIGHT_CUTOFF,
     BipartitePureState,
     DensityMatrix,
     concurrence,
-    schmidt_decompose,
+    marginal_offdiag,
 )
 
 # Branches with probability below this cutoff have no conditional state; in
@@ -78,8 +79,7 @@ def _branch_stack(channel) -> np.ndarray:
     raise TypeError(f"expected KrausOperation or ChannelEnsemble, got {type(channel).__name__}")
 
 
-def _require_premise(psi: BipartitePureState, tol: float = 1e-9) -> None:
-    offdiag = psi.marginal_offdiag()
+def _require_premise(offdiag: float, tol: float = 1e-9) -> None:
     if offdiag >= tol:
         raise PremiseViolated(
             f"subsystem A starts with off-diagonal weight {offdiag:.3e}; "
@@ -87,9 +87,9 @@ def _require_premise(psi: BipartitePureState, tol: float = 1e-9) -> None:
         )
 
 
-def _require_whole_channel(psi: BipartitePureState, channel) -> None:
-    if channel.dim_b != psi.dim_b:
-        raise ValueError(f"channel dimension {channel.dim_b} does not match dim_b={psi.dim_b}")
+def _require_whole_channel(dim_b: int, channel) -> None:
+    if channel.dim_b != dim_b:
+        raise ValueError(f"channel dimension {channel.dim_b} does not match dim_b={dim_b}")
     if isinstance(channel, KrausOperation) and not is_trace_preserving(channel):
         raise NotTracePreserving(
             "averaging needs a trace-preserving channel; wrap post-selected "
@@ -98,14 +98,42 @@ def _require_whole_channel(psi: BipartitePureState, channel) -> None:
 
 
 def _unnormalized_branches(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    # (k, da, da) stack of W N_k^T W^dagger.
-    return np.matmul(np.matmul(w[None, :, :], stack.transpose(0, 2, 1)), w.conj().T[None, :, :])
+    # W N_k^T W^dagger for every state W in w (..., da, db) and every branch
+    # N_k in stack (..., db, db). The result carries w's leading axes, then
+    # the stack's, then (da, da). [W N_1^T | W N_2^T | ...] for all states
+    # is one matrix product, then one batched product per state.
+    da, db = w.shape[-2:]
+    n = w.size // (da * db)
+    p = stack.size // (db * db)
+    states = w.reshape(n, da, db)
+    wn = states.reshape(n * da, db) @ stack.reshape(p * db, db).T
+    out = wn.reshape(n, da * p, db) @ states.conj().swapaxes(1, 2)
+    return out.reshape(n, da, p, da).swapaxes(1, 2).reshape(w.shape[:-2] + stack.shape[:-2] + (da, da))
+
+
+def _branch_average(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    # sum_k p_k C(rho_k) is the off-diagonal modulus sum of the unnormalized
+    # branch states, so vanishing branches contribute zero by themselves.
+    mods = np.abs(_unnormalized_branches(w, stack))
+    return mods.sum(axis=(-3, -2, -1)) - np.einsum("...kii->...", mods)
+
+
+def _schmidt_basis_b(psi: BipartitePureState) -> tuple[np.ndarray, np.ndarray]:
+    # Under the diagonal-marginal premise row i of W is sqrt(w_i) beta_i, so
+    # beta_i = W[i] / sqrt(w_i) is paired with |i> even at equal weights,
+    # where an SVD may return any rotation of the pairs. Returns the beta_i
+    # as columns for the rows above SCHMIDT_WEIGHT_CUTOFF, and that row mask.
+    _require_premise(psi.marginal_offdiag())
+    w = psi.coefficient_matrix
+    weights = np.sum(np.abs(w) ** 2, axis=1)
+    keep = weights > SCHMIDT_WEIGHT_CUTOFF
+    return (w[keep] / np.sqrt(weights[keep])[:, None]).T, keep
 
 
 def _schmidt_branch_elements(psi: BipartitePureState, stack: np.ndarray) -> np.ndarray:
     # G_k[j, i] = <beta_j| N_k |beta_i> over psi's Schmidt B-basis.
-    basis = schmidt_decompose(psi).basis_b
-    return np.matmul(np.matmul(basis.conj().T[None, :, :], stack), basis[None, :, :])
+    basis, _ = _schmidt_basis_b(psi)
+    return basis.conj().T @ stack @ basis
 
 
 def _offdiag_norms(g: np.ndarray) -> np.ndarray:
@@ -126,8 +154,7 @@ def post_operation_state_a(state, op: KrausOperation, dim_a=None, dim_b=None):
     if isinstance(state, BipartitePureState):
         if op.dim_b != state.dim_b:
             raise ValueError(f"operation dimension {op.dim_b} does not match dim_b={state.dim_b}")
-        w = state.coefficient_matrix
-        unnorm = w @ n.T @ w.conj().T
+        unnorm = _unnormalized_branches(state.coefficient_matrix, n)
     else:
         raw = state.matrix if isinstance(state, DensityMatrix) else as_complex_matrix(state)
         if dim_a is None or dim_b is None:
@@ -156,55 +183,64 @@ def average_coherence(psi: BipartitePureState, channel) -> float:
     off-diagonal modulus sum of the unnormalized branch state, vanishing
     branches contribute zero without any special casing.
     """
-    _require_premise(psi)
-    _require_whole_channel(psi, channel)
-    stack = _branch_stack(channel)
-    unnorm = _unnormalized_branches(psi.coefficient_matrix, stack)
-    mods = np.abs(unnorm)
-    return float(mods.sum() - np.einsum("kii->", mods))
+    _require_premise(psi.marginal_offdiag())
+    _require_whole_channel(psi.dim_b, channel)
+    return float(_branch_average(psi.coefficient_matrix, _branch_stack(channel)))
+
+
+def average_coherences(w: np.ndarray, channels) -> np.ndarray:
+    """average_coherence for many states against many channels at once.
+
+    w stacks normalized coefficient matrices, shape (n, dim_a, dim_b); the
+    channels must all have the same number of outcomes. Returns shape
+    (n, len(channels)). The checks and errors are those of average_coherence.
+    """
+    _require_premise(float(marginal_offdiag(w).max(initial=0.0)))
+    for channel in channels:
+        _require_whole_channel(w.shape[-1], channel)
+    stacks = np.stack([_branch_stack(channel) for channel in channels])
+    return _branch_average(w, stacks)
 
 
 def maximally_entangled_partner(psi: BipartitePureState) -> BipartitePureState:
-    """Equal-weight state over psi's Schmidt basis pairs, weights 1/dim_a.
+    """Equal-weight state sum_i |i>|beta_i> / sqrt(dim_a) over psi's Schmidt pairs.
 
-    When the Schmidt rank is below dim_a both local bases are completed
-    deterministically against computational directions, so the partner is
-    always full rank. Its A-marginal is I/d, hence always incoherent.
+    beta_i = W[i] / sqrt(w_i) needs the diagonal-marginal premise
+    (PremiseViolated otherwise). Rows with a weight at or below
+    SCHMIDT_WEIGHT_CUTOFF take the next vectors of a deterministic completion
+    of the B-basis, so the partner is always full rank. Its A-marginal is
+    I/d, hence always incoherent.
     """
     d = psi.dim_a
     if psi.dim_b < d:
         raise WrongDimension(f"partner needs dim_b >= dim_a, got {psi.dim_b} < {d}")
-    form = schmidt_decompose(psi)
-    basis_a = complete_orthonormal_basis(form.basis_a, d)
-    basis_b = complete_orthonormal_basis(form.basis_b, psi.dim_b)[:, :d]
-    amp = np.zeros(d * psi.dim_b, dtype=np.complex128)
-    for k in range(d):
-        amp += np.kron(basis_a[:, k], basis_b[:, k])
-    return BipartitePureState(psi.dim_a, psi.dim_b, amp / np.sqrt(d))
+    basis, keep = _schmidt_basis_b(psi)
+    rows = np.empty((d, psi.dim_b), dtype=np.complex128)
+    rows[keep] = basis.T
+    rows[~keep] = complete_orthonormal_basis(basis, psi.dim_b)[:, basis.shape[1] : d].T
+    return BipartitePureState(d, psi.dim_b, rows.reshape(-1) / np.sqrt(d))
 
 
 def outcome_coherence_bound(psi: BipartitePureState, op: KrausOperation) -> float:
     """Upper bound (E / p') sqrt(sum_{j<i} |N_ji|^2) on one branch's coherence.
 
-    N_ji is evaluated in psi's Schmidt B-basis. The bound covers the achieved
-    coherence whenever A's marginal starts diagonal.
+    N_ji is evaluated in psi's Schmidt B-basis, which needs A's marginal to
+    start diagonal (PremiseViolated otherwise).
     """
     if op.dim_b != psi.dim_b:
         raise ValueError(f"operation dimension {op.dim_b} does not match dim_b={psi.dim_b}")
-    w = psi.coefficient_matrix
     n = op.n_operator()
-    prob = float(np.trace(w @ n.T @ w.conj().T).real)
+    prob = float(np.trace(_unnormalized_branches(psi.coefficient_matrix, n)).real)
     if prob < ZERO_PROBABILITY_CUTOFF:
         raise ZeroProbability(f"branch probability {prob:.3e} is below {ZERO_PROBABILITY_CUTOFF}")
-    g = _schmidt_branch_elements(psi, n[None, :, :])[0]
-    offdiag = float(np.sqrt(np.sum(np.abs(np.triu(g, 1)) ** 2)))
+    offdiag = float(_offdiag_norms(_schmidt_branch_elements(psi, n[None, :, :]))[0])
     return concurrence(psi) / prob * offdiag
 
 
 def average_coherence_bound(psi: BipartitePureState, channel) -> float:
     """Average bound (dim_a / 2) * E * average_coherence of the partner."""
-    _require_premise(psi)
-    _require_whole_channel(psi, channel)
+    _require_premise(psi.marginal_offdiag())
+    _require_whole_channel(psi.dim_b, channel)
     partner = maximally_entangled_partner(psi)
     return float(psi.dim_a / 2 * concurrence(psi) * average_coherence(partner, channel))
 
@@ -215,8 +251,8 @@ def tight_average_bound(psi: BipartitePureState, channel) -> float:
     Never exceeds average_coherence_bound (up to rounding) and both dominate
     the achieved average.
     """
-    _require_premise(psi)
-    _require_whole_channel(psi, channel)
+    _require_premise(psi.marginal_offdiag())
+    _require_whole_channel(psi.dim_b, channel)
     stack = _branch_stack(channel)
     g = _schmidt_branch_elements(psi, stack)
     return float(concurrence(psi) * _offdiag_norms(g).sum())
@@ -228,11 +264,10 @@ def average_rcc(psi: BipartitePureState, channel) -> RccReport:
     Zero-probability branches are kept in the outcome list, flagged, and
     contribute zero to the average and to the bound list.
     """
-    _require_premise(psi)
-    _require_whole_channel(psi, channel)
+    _require_premise(psi.marginal_offdiag())
+    _require_whole_channel(psi.dim_b, channel)
     stack = _branch_stack(channel)
-    w = psi.coefficient_matrix
-    unnorm = _unnormalized_branches(w, stack)
+    unnorm = _unnormalized_branches(psi.coefficient_matrix, stack)
     ent = concurrence(psi)
     g = _schmidt_branch_elements(psi, stack)
     offdiag = _offdiag_norms(g)

@@ -13,7 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadTrace, NotHermitian, NotPositive
-from .linalg import VALIDITY_ATOL, as_complex_matrix, partial_trace, svd
+from .linalg import (
+    VALIDITY_ATOL,
+    as_complex_matrix,
+    complex_from_json_pairs,
+    json_positive_int,
+    partial_trace,
+    svd,
+)
 
 # Schmidt weights below this are treated as exact zeros and dropped, so the
 # normalized B-side vectors never divide by a vanishing weight.
@@ -80,12 +87,7 @@ class BipartitePureState:
             raise ValueError(
                 f"amplitudes must have dim_a*dim_b = {dim_a * dim_b} entries, got {amp.size}"
             )
-        if not np.all(np.isfinite(amp)):
-            raise ValueError("amplitudes contain non-finite entries")
-        norm = float(np.linalg.norm(amp))
-        if abs(norm - 1.0) > VALIDITY_ATOL:
-            raise ValueError(f"amplitude norm {norm:.12g} deviates from 1 beyond {VALIDITY_ATOL}")
-        amp /= norm
+        amp = unit_amplitudes(amp)
         amp.setflags(write=False)
         self.dim_a = int(dim_a)
         self.dim_b = int(dim_b)
@@ -96,10 +98,7 @@ class BipartitePureState:
     def marginal_offdiag(self) -> float:
         """Largest off-diagonal modulus of A's marginal (cached)."""
         if self._marginal_offdiag is None:
-            w = self.coefficient_matrix
-            marginal = w @ w.conj().T
-            np.fill_diagonal(marginal, 0.0)
-            self._marginal_offdiag = float(np.abs(marginal).max(initial=0.0))
+            self._marginal_offdiag = float(marginal_offdiag(self.coefficient_matrix))
         return self._marginal_offdiag
 
     @property
@@ -118,22 +117,47 @@ class BipartitePureState:
         weights are normalized to unit sum; basis_b supplies one orthonormal
         column per weight (extra columns are ignored).
         """
-        w = np.asarray(weights, dtype=float).reshape(-1)
-        if w.size < 1 or np.any(w < 0):
-            raise ValueError("weights must be non-negative and non-empty")
-        total = float(w.sum())
-        if total <= 0:
-            raise ValueError("weights must have positive sum")
-        w = w / total
-        basis = as_complex_matrix(basis_b)
-        if basis.shape[1] < w.size:
-            raise ValueError(f"need {w.size} basis columns, got {basis.shape[1]}")
-        cols = basis[:, : w.size]
-        gram_dev = float(np.max(np.abs(cols.conj().T @ cols - np.eye(w.size))))
-        if gram_dev > VALIDITY_ATOL:
-            raise ValueError(f"basis columns deviate from orthonormal by {gram_dev:.3e}")
-        coeff = np.sqrt(w)[:, None] * cols.T
-        return cls(w.size, basis.shape[0], coeff.reshape(-1))
+        coeff = schmidt_coefficients(np.asarray(weights, dtype=float).reshape(-1), as_complex_matrix(basis_b))
+        return cls(*coeff.shape, coeff.reshape(-1))
+
+
+def unit_amplitudes(amp: np.ndarray) -> np.ndarray:
+    """Amplitude vectors (last axis) divided by their norms.
+
+    Rejects non-finite entries and any vector whose norm is off 1 by more
+    than VALIDITY_ATOL.
+    """
+    if not np.all(np.isfinite(amp)):
+        raise ValueError("amplitudes contain non-finite entries")
+    norm = np.linalg.norm(amp, axis=-1, keepdims=True)
+    worst = float(norm.flat[np.argmax(np.abs(norm - 1.0))])
+    if abs(worst - 1.0) > VALIDITY_ATOL:
+        raise ValueError(f"amplitude norm {worst:.12g} deviates from 1 beyond {VALIDITY_ATOL}")
+    return amp / norm
+
+
+def schmidt_coefficients(weights: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Coefficient matrices sqrt(w_i) beta_i^T of sum_i sqrt(w_i) |i>|beta_i>.
+
+    weights (..., k) are normalized to unit sum; basis (..., dim_b, m) holds
+    one orthonormal column per weight (extra columns are ignored). Leading
+    axes are batch axes. The result is not normalized as a vector.
+    """
+    if weights.shape[-1] < 1 or np.any(weights < 0):
+        raise ValueError("weights must be non-negative and non-empty")
+    total = weights.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0):
+        raise ValueError("weights must have positive sum")
+    k = weights.shape[-1]
+    if basis.shape[-1] < k:
+        raise ValueError(f"need {k} basis columns, got {basis.shape[-1]}")
+    if not np.all(np.isfinite(basis)):
+        raise ValueError("matrix contains non-finite entries")
+    cols = basis[..., :k]
+    gram_dev = float(np.max(np.abs(cols.conj().swapaxes(-1, -2) @ cols - np.eye(k))))
+    if gram_dev > VALIDITY_ATOL:
+        raise ValueError(f"basis columns deviate from orthonormal by {gram_dev:.3e}")
+    return np.sqrt(weights / total)[..., None] * cols.swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -175,10 +199,22 @@ def schmidt_decompose(psi: BipartitePureState) -> SchmidtForm:
 
 def concurrence(psi: BipartitePureState) -> float:
     """Pure-state concurrence sqrt(2 (1 - tr(rho_A^2)))."""
-    w = psi.coefficient_matrix
-    rho_a = w @ w.conj().T
-    purity = float(np.trace(rho_a @ rho_a).real)
-    return float(np.sqrt(max(0.0, 2.0 * (1.0 - purity))))
+    return float(batch_concurrence(psi.coefficient_matrix))
+
+
+def batch_concurrence(w: np.ndarray) -> np.ndarray:
+    """concurrence of normalized coefficient matrices stacked on leading axes."""
+    rho_a = w @ w.conj().swapaxes(-1, -2)
+    purity = np.einsum("...ii->...", rho_a @ rho_a).real
+    return np.sqrt(np.maximum(0.0, 2.0 * (1.0 - purity)))
+
+
+def marginal_offdiag(w: np.ndarray) -> np.ndarray:
+    """Largest off-diagonal modulus of W W^dagger, A's marginal, per leading index."""
+    marginal = np.abs(w @ w.conj().swapaxes(-1, -2))
+    diag = np.arange(marginal.shape[-1])
+    marginal[..., diag, diag] = 0.0
+    return marginal.max(axis=(-2, -1), initial=0.0)
 
 
 def reduced_a(state, dim_a: int | None = None, dim_b: int | None = None) -> DensityMatrix:
@@ -215,20 +251,10 @@ def state_from_json(obj) -> BipartitePureState:
     for key in ("dim_a", "dim_b", "amplitudes"):
         if key not in obj:
             raise ValueError(f"state object is missing field '{key}'")
-    dim_a, dim_b = obj["dim_a"], obj["dim_b"]
-    if not isinstance(dim_a, int) or dim_a < 1:
-        raise ValueError(f"field 'dim_a' must be a positive integer, got {dim_a!r}")
-    if not isinstance(dim_b, int) or dim_b < 1:
-        raise ValueError(f"field 'dim_b' must be a positive integer, got {dim_b!r}")
+    dim_a = json_positive_int(obj, "dim_a")
+    dim_b = json_positive_int(obj, "dim_b")
     pairs = obj["amplitudes"]
     if not isinstance(pairs, list) or len(pairs) != dim_a * dim_b:
         raise ValueError(f"field 'amplitudes' must list dim_a*dim_b = {dim_a * dim_b} pairs")
-    amp = np.empty(dim_a * dim_b, dtype=np.complex128)
-    for k, pair in enumerate(pairs):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ValueError(f"amplitude {k} must be a [re, im] pair")
-        re, im = pair
-        if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
-            raise ValueError(f"amplitude {k} must hold two numbers")
-        amp[k] = complex(re, im)
+    amp = complex_from_json_pairs(pairs, "amplitude")
     return BipartitePureState(dim_a, dim_b, amp)

@@ -4,9 +4,15 @@ import json
 import numpy as np
 import pytest
 
-from rcc_lab.channels import ensemble_to_json, kraus_operation_to_json, projective_measurement
+from rcc_lab import cli
+from rcc_lab.channels import (
+    KrausOperation,
+    ensemble_to_json,
+    kraus_operation_to_json,
+    projective_measurement,
+)
 from rcc_lab.cli import main
-from rcc_lab.experiments import CSV_HEADER, ExperimentConfig, run_fig1, run_verify
+from rcc_lab.experiments import CSV_HEADER, FIG1_BLOCK, ExperimentConfig, run_fig1, run_verify
 from rcc_lab.states import BipartitePureState, state_to_json
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -48,14 +54,19 @@ class TestFig1Command:
         assert main(args + ["--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
-    def test_thread_fanout_keeps_bytes(self, tmp_path, monkeypatch):
-        args = ["fig1", "--samples", "8", "--rates", "0.3,0.7", "--seed", "5"]
-        serial = tmp_path / "serial.csv"
-        threaded = tmp_path / "threaded.csv"
-        assert main(args + ["--out", str(serial)]) == 0
-        monkeypatch.setenv("RCC_LAB_THREADS", "4")
-        assert main(args + ["--out", str(threaded)]) == 0
-        assert serial.read_bytes() == threaded.read_bytes()
+    def test_block_boundary_keeps_bytes(self, tmp_path):
+        # Each sample draws from its own stream, so where the blocks split a
+        # run cannot change the rows: a longer run extends a shorter one.
+        args = ["fig1", "--rates", "0.3,0.7", "--seed", "5"]
+        outputs = {}
+        for samples in (5, FIG1_BLOCK - 1, FIG1_BLOCK + 7):
+            path = tmp_path / f"{samples}.csv"
+            assert main(args + ["--samples", str(samples), "--out", str(path)]) == 0
+            outputs[samples] = path.read_bytes()
+        longest = outputs[FIG1_BLOCK + 7]
+        assert longest.startswith(outputs[5])
+        assert longest.startswith(outputs[FIG1_BLOCK - 1])
+        assert len(longest.splitlines()) == 1 + 2 * (FIG1_BLOCK + 7)
 
     def test_ratio_column_tracks_entanglement(self, tmp_path):
         out = tmp_path / "rows.csv"
@@ -114,6 +125,25 @@ class TestFig1Command:
         config = write_json(tmp_path / "config.json", {"sample_count": 3})
         assert main(["fig1", "--config", config]) == 2
         assert "unknown config fields" in capsys.readouterr().err
+
+
+class TestUnexpectedErrors:
+    def test_crash_exits_3_with_traceback(self, monkeypatch, capsys):
+        def crash(*args):
+            raise RuntimeError("could not draw a non-block-diagonal state")
+
+        monkeypatch.setattr(cli, "run_verify", crash)
+        assert main(["verify", "theorem1", "--samples", "1"]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RuntimeError" in err
+
+    def test_keyboard_interrupt_propagates(self, monkeypatch):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "run_verify", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["verify", "theorem1", "--samples", "1"])
 
 
 class TestVerifyCommand:
@@ -175,6 +205,41 @@ class TestComputeCommand:
         assert code == 2
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "target, field, value",
+        [
+            ("state", "dim_a", True),
+            ("state", "dim_b", True),
+            ("state", "amplitudes", [[True, 0.0], [0, 0], [0, 0], [1, 0]]),
+            ("channel", "dim_b", True),
+            ("channel", "rows", True),
+            ("channel", "cols", True),
+            ("channel", "entries", [[1, False], [0, 0], [0, 0], [0, 0]]),
+        ],
+    )
+    def test_json_booleans_are_not_numbers(self, tmp_path, capsys, target, field, value):
+        state = state_to_json(BipartitePureState(2, 2, np.array([1, 0, 0, 1]) / np.sqrt(2)))
+        channel = kraus_operation_to_json(KrausOperation([np.eye(2)]))
+        if target == "state":
+            state[field] = value
+        elif field == "dim_b":
+            channel[field] = value
+        else:
+            channel["kraus"][0][field] = value
+        code = main(
+            [
+                "compute",
+                "--state",
+                write_json(tmp_path / "state.json", state),
+                "--channel",
+                write_json(tmp_path / "channel.json", channel),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        named = {"amplitudes": "amplitude 0", "entries": "entry 0"}.get(field, f"'{field}'")
+        assert named in err
+
     def test_premise_violation_surfaces(self, tmp_path, capsys):
         coherent = BipartitePureState(2, 2, np.array([1, 0, 1, 0]) / np.sqrt(2))
         state = write_json(tmp_path / "coherent.json", state_to_json(coherent))
@@ -183,8 +248,6 @@ class TestComputeCommand:
         assert "diagonal A-marginal" in capsys.readouterr().err
 
     def test_non_trace_preserving_channel_rejected(self, tmp_path, capsys):
-        from rcc_lab.channels import KrausOperation
-
         proj = KrausOperation([np.outer(HADAMARD[:, 0], HADAMARD[:, 0].conj())])
         channel = write_json(tmp_path / "proj.json", kraus_operation_to_json(proj))
         code = main(["compute", "--state", bell_file(tmp_path), "--channel", channel])

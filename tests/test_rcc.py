@@ -17,7 +17,7 @@ from rcc_lab.errors import (
     WrongDimension,
     ZeroProbability,
 )
-from rcc_lab.linalg import SeededRng, random_pure_state, tensor_product
+from rcc_lab.linalg import SeededRng, haar_random_unitary, random_pure_state, tensor_product
 from rcc_lab.rcc import (
     average_coherence,
     average_coherence_bound,
@@ -303,6 +303,29 @@ class TestBounds:
                 partner_bound = average_coherence_bound(psi, channel)
                 assert average <= tight + 1e-10
                 assert tight <= partner_bound + 1e-10
+
+    @pytest.mark.parametrize("dim_b", [3, 4])
+    def test_haar_rotated_maximally_entangled_state(self, dim_b):
+        # At equal weights an SVD may return any rotation of the Schmidt
+        # pairs; Lemma 1 and the Theorem 3 ordering need the B-vectors paired
+        # with A's computational basis.
+        rng = SeededRng(82)
+        for _ in range(40):
+            psi = BipartitePureState.from_schmidt(np.ones(3), haar_random_unitary(dim_b, rng))
+            op = random_kraus_operation(dim_b, rng)
+            state_a, _ = post_operation_state_a(psi, op)
+            assert l1_coherence(state_a) <= outcome_coherence_bound(psi, op) + 1e-10
+            channel = random_tp_channel(dim_b, rng)
+            tight = tight_average_bound(psi, channel)
+            assert average_coherence(psi, channel) <= tight + 1e-10
+            assert tight <= average_coherence_bound(psi, channel) + 1e-10
+
+    def test_bound_and_partner_need_diagonal_marginal(self):
+        coherent = BipartitePureState(2, 2, np.array([1, 0, 1, 0]) / np.sqrt(2))
+        with pytest.raises(PremiseViolated):
+            outcome_coherence_bound(coherent, plus_projector())
+        with pytest.raises(PremiseViolated):
+            maximally_entangled_partner(coherent)
 
     def test_product_state_bounds_vanish(self):
         product = BipartitePureState(2, 2, [1, 0, 0, 0])
