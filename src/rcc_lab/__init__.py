@@ -20,7 +20,6 @@ from .channels import (
     is_trace_preserving,
     kraus_operation_from_json,
     kraus_operation_to_json,
-    n_operator,
     phase_damping,
     phase_flip,
     projective_measurement,
@@ -74,7 +73,6 @@ from .states import (
     schmidt_decompose,
     state_from_json,
     state_to_json,
-    validate_density,
 )
 
 __version__ = "0.1.0"

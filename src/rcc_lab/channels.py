@@ -137,11 +137,6 @@ class ChannelEnsemble:
         return f"ChannelEnsemble(dim_b={self.dim_b}, members={len(self.operations)})"
 
 
-def n_operator(op: KrausOperation) -> np.ndarray:
-    """Summary operator N = sum_n F_n^dagger F_n of an operation."""
-    return op.n_operator()
-
-
 def is_trace_preserving(op: KrausOperation, tol: float = VALIDITY_ATOL) -> bool:
     """True when the summary operator equals the identity within tol."""
     return op.identity_deviation() < tol

@@ -27,13 +27,6 @@ def _parse_rates(text: str):
         raise ValueError(f"--rates must be a comma-separated float list, got {text!r}") from exc
 
 
-def _parse_dims(text: str):
-    parts = [part for part in text.split(",") if part.strip()]
-    if len(parts) != 2:
-        raise ValueError(f"--dims must be 'dim_a,dim_b', got {text!r}")
-    return int(parts[0]), int(parts[1])
-
-
 def _load_json_file(path: str, kind: str):
     try:
         with open(path) as fh:
@@ -59,7 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fig1.add_argument("--seed", type=int, default=None, help="base seed; sample k uses stream k")
     fig1.add_argument("--out", type=str, default=None, help="CSV output path")
     fig1.add_argument("--plot", type=str, default=None, help="optional SVG output path")
-    fig1.add_argument("--dims", type=str, default=None, help="subsystem dimensions, e.g. 2,2")
     fig1.add_argument("--config", type=str, default=None, help="JSON config file; flags override it")
 
     verify = sub.add_parser("verify", help="run a property sweep and report violations")
@@ -89,8 +81,6 @@ def _cmd_fig1(args) -> int:
         config.output_path = args.out
     if args.plot is not None:
         config.plot_path = args.plot
-    if args.dims is not None:
-        config.dims = _parse_dims(args.dims)
 
     summary = run_fig1(config)
     print(f"wrote {summary.rows} rows to {summary.csv_path}")
@@ -140,10 +130,7 @@ def main(argv=None) -> int:
             return _cmd_verify(args)
         if args.command == "compute":
             return _cmd_compute(args)
-    except (ValueError, RccLabError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, RccLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -20,7 +20,7 @@ from .channels import (
     creates_coherence,
     phase_damping,
 )
-from .coherence import l1_coherence
+from .coherence import l1_coherence, l1_coherences
 from .errors import SearchExhausted, ZeroProbability
 from .linalg import SeededRng, matrix_to_json, partial_trace, tensor_product, unitary_from_ginibre
 from .sampling import (
@@ -39,6 +39,12 @@ CSV_HEADER = "sample,seed,r,omega0,entanglement,avg_rcc,avg_rcc_maxent,ratio"
 VERIFY_SUITES = ("theorem1", "theorem2", "lemma1", "theorem3", "theorem4", "nosignal")
 
 
+# Verify thresholds; the README "Tolerances" table lists them with the others.
+FORWARD_COHERENCE_ATOL = 1e-8  # theorem1: forward coherence at or above it violates
+AMBIGUITY_BAND = (1e-9, 1e-6)  # theorem2: excluded inside, created above
+BOUND_ATOL = 1e-10  # lemma1, theorem3: allowed excess over a bound
+NOSIGNAL_ATOL = 1e-10  # nosignal: allowed entry change of A's marginal
+
 # Samples drawn and evaluated together by run_fig1. Memory per block grows
 # with FIG1_BLOCK x rates, never with --samples; 256 already amortizes the
 # per-block numpy call overhead to about a microsecond per sample.
@@ -54,15 +60,13 @@ def _fmt(x) -> str:
 class ExperimentConfig:
     """Settings for the scatter experiment.
 
-    damping_rates must lie in [0, 1]; dims fixes (dim_a, dim_b) and must stay
-    (2, 2) because the experiment's channel acts on a qubit; a plot_path
-    turns on SVG emission next to the CSV.
+    damping_rates must lie in [0, 1]; a plot_path turns on SVG emission next
+    to the CSV. The states and the channel are two-qubit by definition.
     """
 
     samples: int = 200_000
     damping_rates: tuple = (0.1, 0.3, 0.5, 0.7, 0.9)
     seed: int = 0
-    dims: tuple = (2, 2)
     output_path: str = "fig1.csv"
     plot_path: str | None = None
 
@@ -80,8 +84,6 @@ class ExperimentConfig:
                 raise ValueError(f"field 'damping_rates': rate {r} lies outside [0, 1]")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError(f"field 'seed': must fit in unsigned 64 bits, got {self.seed}")
-        if len(self.dims) != 2 or any(int(d) < 1 for d in self.dims):
-            raise ValueError(f"field 'dims': must be two positive integers, got {self.dims}")
         if not self.output_path:
             raise ValueError("field 'output_path': must be a non-empty path")
 
@@ -94,7 +96,6 @@ class ExperimentConfig:
             "samples",
             "damping_rates",
             "seed",
-            "dims",
             "output_path",
             "plot_path",
         }
@@ -104,8 +105,6 @@ class ExperimentConfig:
         kwargs = dict(obj)
         if "damping_rates" in kwargs:
             kwargs["damping_rates"] = tuple(float(r) for r in kwargs["damping_rates"])
-        if "dims" in kwargs:
-            kwargs["dims"] = tuple(int(d) for d in kwargs["dims"])
         return cls(**kwargs)
 
 
@@ -159,8 +158,6 @@ def run_fig1(config: ExperimentConfig) -> Fig1Summary:
     index order.
     """
     config.validate()
-    if tuple(int(d) for d in config.dims) != (2, 2):
-        raise ValueError("field 'dims': the phase damping experiment is defined for dims = (2, 2)")
     rates = [float(r) for r in config.damping_rates]
     channels = [phase_damping(r) for r in rates]
     rate_txts = [_fmt(r) for r in rates]
@@ -335,9 +332,10 @@ def verify_theorem1(samples: int, seed: int, operations_per_state: int = 100) ->
     """Block-diagonal states never hand A coherence; all others can.
 
     Forward: random block-diagonal states against random operations must keep
-    A's post-operation coherence below 1e-8. Converse: random states failing
-    the block test must admit a coherence-creating projector within the
-    search budget.
+    A's post-operation coherence below FORWARD_COHERENCE_ATOL; each state
+    meets all operations in one stacked contraction. Converse: random states
+    failing the block test must admit a coherence-creating projector within
+    the search budget.
     """
     rng = SeededRng(seed, 0)
     dim_a = dim_b = 2
@@ -346,27 +344,26 @@ def verify_theorem1(samples: int, seed: int, operations_per_state: int = 100) ->
     worst = None
     forward_worst = 0.0
     ops = [random_kraus_operation(dim_b, rng) for _ in range(operations_per_state)]
+    stack = np.array([op.n_operator() for op in ops], dtype=np.complex128).reshape(-1, dim_b, dim_b)
     for _ in range(samples):
         state = random_incoherent_quantum_state(dim_a, dim_b, rng)
-        for op in ops:
-            checked += 1
-            try:
-                state_a, _ = rcc.post_operation_state_a(state, op, dim_a, dim_b)
-            except ZeroProbability:
-                excluded += 1
-                continue
-            achieved = l1_coherence(state_a)
-            forward_worst = max(forward_worst, achieved)
-            if achieved >= 1e-8:
-                violations += 1
-                if achieved > max_violation:
-                    max_violation = achieved
-                    worst = {
-                        "direction": "forward",
-                        "state": matrix_to_json(state.matrix),
-                        "channel": kraus_operation_to_json(op),
-                        "post_coherence": achieved,
-                    }
+        unnorm = rcc._mixed_branches(state.matrix.reshape(dim_a, dim_b, dim_a, dim_b), stack)
+        _, zero, states_a = rcc._conditional_states(unnorm)
+        achieved = l1_coherences(states_a)
+        kept_ops = np.flatnonzero(~zero)
+        checked += len(ops)
+        excluded += len(ops) - len(kept_ops)
+        forward_worst = max(forward_worst, float(achieved.max(initial=0.0)))
+        for j in np.flatnonzero(achieved >= FORWARD_COHERENCE_ATOL):
+            violations += 1
+            if achieved[j] > max_violation:
+                max_violation = float(achieved[j])
+                worst = {
+                    "direction": "forward",
+                    "state": matrix_to_json(state.matrix),
+                    "channel": kraus_operation_to_json(ops[kept_ops[j]]),
+                    "post_coherence": max_violation,
+                }
     exhausted = 0
     converse_ok = 0
     for _ in range(samples):
@@ -400,10 +397,11 @@ def verify_theorem1(samples: int, seed: int, operations_per_state: int = 100) ->
 def verify_theorem2(samples: int, seed: int) -> SuiteReport:
     """Commutator criterion agrees with directly computed post-coherence.
 
-    Instances whose achieved coherence falls inside the ambiguity band
-    [1e-9, 1e-6] are excluded and counted; everything else must classify
-    identically on both routes.
+    Instances whose achieved coherence falls inside AMBIGUITY_BAND are
+    excluded and counted; everything else must classify identically on both
+    routes.
     """
+    low, high = AMBIGUITY_BAND
     rng = SeededRng(seed, 0)
     checked = violations = excluded = 0
     max_violation = 0.0
@@ -420,11 +418,11 @@ def verify_theorem2(samples: int, seed: int) -> SuiteReport:
                 excluded += 1
                 continue
             achieved = l1_coherence(state_a)
-            if 1e-9 <= achieved <= 1e-6:
+            if low <= achieved <= high:
                 excluded += 1
                 continue
             predicted, _ = creates_coherence(psi, op)
-            if predicted != (achieved > 1e-6):
+            if predicted != (achieved > high):
                 violations += 1
                 if achieved > max_violation:
                     max_violation = achieved
@@ -440,7 +438,7 @@ def verify_theorem2(samples: int, seed: int) -> SuiteReport:
 
 
 def verify_lemma1(samples: int, seed: int) -> SuiteReport:
-    """Per-outcome coherence never exceeds its Cauchy bound (tolerance 1e-10)."""
+    """Per-outcome coherence never exceeds its Cauchy bound (tolerance BOUND_ATOL)."""
     rng = SeededRng(seed, 0)
     checked = violations = excluded = 0
     max_violation = 0.0
@@ -457,7 +455,7 @@ def verify_lemma1(samples: int, seed: int) -> SuiteReport:
                 excluded += 1
                 continue
             gap = l1_coherence(state_a) - bound
-            if gap > 1e-10:
+            if gap > BOUND_ATOL:
                 violations += 1
                 if gap > max_violation:
                     max_violation = gap
@@ -489,7 +487,7 @@ def verify_theorem3(samples: int, seed: int) -> SuiteReport:
             tight = rcc.tight_average_bound(psi, channel)
             partner_bound = rcc.average_coherence_bound(psi, channel)
             gap = max(average - tight, tight - partner_bound)
-            if gap > 1e-10:
+            if gap > BOUND_ATOL:
                 violations += 1
                 if gap > max_violation:
                     max_violation = gap
@@ -515,7 +513,7 @@ def verify_theorem4(samples: int, seed: int) -> SuiteReport:
         ent = concurrence(psi)
         maxent = rcc.average_coherence(rcc.maximally_entangled_partner(psi), channel)
         dev = abs(average - ent * maxent)
-        if dev >= 1e-9:
+        if dev >= rcc.FACTORIZATION_ATOL:
             violations += 1
             if dev > max_violation:
                 max_violation = dev
@@ -541,7 +539,7 @@ def verify_nosignal(samples: int, seed: int) -> SuiteReport:
         before = partial_trace(rho.matrix, dim, dim, "A")
         after = _marginal_after_channel(rho.matrix, dim, dim, channel)
         dev = float(np.max(np.abs(after - before)))
-        if dev >= 1e-10:
+        if dev >= NOSIGNAL_ATOL:
             violations += 1
             if dev > max_violation:
                 max_violation = dev

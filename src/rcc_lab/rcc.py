@@ -30,6 +30,7 @@ from .states import (
     SCHMIDT_WEIGHT_CUTOFF,
     BipartitePureState,
     DensityMatrix,
+    check_densities,
     concurrence,
     marginal_offdiag,
 )
@@ -111,6 +112,27 @@ def _unnormalized_branches(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return out.reshape(n, da, p, da).swapaxes(1, 2).reshape(w.shape[:-2] + stack.shape[:-2] + (da, da))
 
 
+def _mixed_branches(r4: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    # tr_B[(I (x) N_p) rho] for joint states r4 (..., da, db, da, db) and
+    # branches N_p in stack (p, db, db); the result has shape (..., p, da, da).
+    return np.einsum("...ijkl,plj->...pik", r4, stack)
+
+
+def _conditional_states(unnorm: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Probabilities and zero-probability mask, shape (...), of branches unnorm (..., d, d).
+
+    Also returns the conditional states (kept, d, d) of the branches at or above
+    ZERO_PROBABILITY_CUTOFF, in order: divided by their probability, symmetrized,
+    validated (check_densities) and renormalized to unit trace, as DensityMatrix does.
+    """
+    probs = unnorm.trace(axis1=-2, axis2=-1).real
+    zero = probs < ZERO_PROBABILITY_CUTOFF
+    kept = ~zero
+    states = unnorm[kept] / probs[kept][:, None, None]
+    states = (states + states.conj().swapaxes(-1, -2)) / 2
+    return probs, zero, states / check_densities(states).real[:, None, None]
+
+
 def _branch_average(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
     # sum_k p_k C(rho_k) is the off-diagonal modulus sum of the unnormalized
     # branch states, so vanishing branches contribute zero by themselves.
@@ -150,7 +172,7 @@ def post_operation_state_a(state, op: KrausOperation, dim_a=None, dim_b=None):
     with N directly. Raises ZeroProbability when the branch has essentially
     no support on the state.
     """
-    n = op.n_operator()
+    n = op.n_operator()[None]
     if isinstance(state, BipartitePureState):
         if op.dim_b != state.dim_b:
             raise ValueError(f"operation dimension {op.dim_b} does not match dim_b={state.dim_b}")
@@ -165,14 +187,12 @@ def post_operation_state_a(state, op: KrausOperation, dim_a=None, dim_b=None):
             )
         if op.dim_b != dim_b:
             raise ValueError(f"operation dimension {op.dim_b} does not match dim_b={dim_b}")
-        r4 = raw.reshape(dim_a, dim_b, dim_a, dim_b)
-        unnorm = np.einsum("ijkl,lj->ik", r4, n)
-    prob = float(np.trace(unnorm).real)
-    if prob < ZERO_PROBABILITY_CUTOFF:
+        unnorm = _mixed_branches(raw.reshape(dim_a, dim_b, dim_a, dim_b), n)
+    probs, zero, states = _conditional_states(unnorm)
+    prob = float(probs[0])
+    if zero[0]:
         raise ZeroProbability(f"branch probability {prob:.3e} is below {ZERO_PROBABILITY_CUTOFF}")
-    conditional = unnorm / prob
-    conditional = (conditional + conditional.conj().T) / 2
-    return DensityMatrix(conditional), prob
+    return DensityMatrix(states[0], validate=False), prob
 
 
 def average_coherence(psi: BipartitePureState, channel) -> float:
@@ -267,24 +287,22 @@ def average_rcc(psi: BipartitePureState, channel) -> RccReport:
     _require_premise(psi.marginal_offdiag())
     _require_whole_channel(psi.dim_b, channel)
     stack = _branch_stack(channel)
-    unnorm = _unnormalized_branches(psi.coefficient_matrix, stack)
+    probs, zero, states = _conditional_states(_unnormalized_branches(psi.coefficient_matrix, stack))
     ent = concurrence(psi)
     g = _schmidt_branch_elements(psi, stack)
     offdiag = _offdiag_norms(g)
 
     outcomes: list[OutcomeRecord] = []
     bounds: list[float] = []
-    for k in range(stack.shape[0]):
-        prob = float(np.trace(unnorm[k]).real)
-        if prob < ZERO_PROBABILITY_CUTOFF:
+    kept_states = iter(states)
+    for prob, flagged, branch_offdiag in zip(probs.tolist(), zero.tolist(), offdiag):
+        if flagged:
             outcomes.append(OutcomeRecord(prob, None, 0.0, zero_probability=True))
             bounds.append(0.0)
             continue
-        conditional = unnorm[k] / prob
-        conditional = (conditional + conditional.conj().T) / 2
-        state_a = DensityMatrix(conditional)
+        state_a = DensityMatrix(next(kept_states), validate=False)
         outcomes.append(OutcomeRecord(prob, state_a, l1_coherence(state_a)))
-        bounds.append(float(ent / prob * offdiag[k]))
+        bounds.append(float(ent / prob * branch_offdiag))
 
     average = float(sum(o.probability * o.coherence for o in outcomes))
     partner = maximally_entangled_partner(psi)

@@ -28,7 +28,10 @@ SCHMIDT_WEIGHT_CUTOFF = 1e-12
 
 
 class DensityMatrix:
-    """Hermitian, unit-trace, positive semidefinite operator."""
+    """Hermitian, unit-trace, positive semidefinite operator.
+
+    validate runs check_densities, then rescales the trace to exactly one.
+    """
 
     __slots__ = ("dim", "matrix")
 
@@ -37,18 +40,7 @@ class DensityMatrix:
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
         if validate:
-            herm = float(np.max(np.abs(m - m.conj().T)))
-            if herm > VALIDITY_ATOL:
-                raise NotHermitian(
-                    f"max |m - m^dagger| = {herm:.3e} exceeds tolerance {VALIDITY_ATOL}"
-                )
-            tr = complex(np.trace(m))
-            if abs(tr - 1.0) > VALIDITY_ATOL:
-                raise BadTrace(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-            low = float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2)))
-            if low < -VALIDITY_ATOL:
-                raise NotPositive(f"minimum eigenvalue {low:.3e} is below -{VALIDITY_ATOL}")
-            m = m / np.trace(m).real
+            m = m / check_densities(m).real
         else:
             m = m.copy()
         m.setflags(write=False)
@@ -59,14 +51,25 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim})"
 
 
-def validate_density(m) -> DensityMatrix:
-    """Check Hermiticity, positivity and trace, returning the typed state.
+def check_densities(m: np.ndarray) -> np.ndarray:
+    """Check Hermiticity, unit trace and positivity of matrices stacked on leading axes.
 
-    The trace is renormalized exactly when within 1e-9 of one; anything
-    worse raises BadTrace. The other violations raise NotHermitian or
-    NotPositive with the measured deviation.
+    Raises NotHermitian, BadTrace or NotPositive, in that order of checks,
+    with the worst deviation over the stack; each tolerance is VALIDITY_ATOL.
+    Returns the traces.
     """
-    return DensityMatrix(m)
+    mh = m.conj().swapaxes(-1, -2)
+    herm = float(np.abs(m - mh).max(initial=0.0))
+    if herm > VALIDITY_ATOL:
+        raise NotHermitian(f"max |m - m^dagger| = {herm:.3e} exceeds tolerance {VALIDITY_ATOL}")
+    traces = m.trace(axis1=-2, axis2=-1)
+    trace_dev = float(np.abs(traces - 1.0).max(initial=0.0))
+    if trace_dev > VALIDITY_ATOL:
+        raise BadTrace(f"trace deviates from 1 by {trace_dev:.3e}")
+    low = float(np.linalg.eigvalsh((m + mh) / 2).min(initial=np.inf))
+    if low < -VALIDITY_ATOL:
+        raise NotPositive(f"minimum eigenvalue {low:.3e} is below -{VALIDITY_ATOL}")
+    return traces
 
 
 class BipartitePureState:

@@ -15,7 +15,6 @@ from rcc_lab.channels import (
     is_trace_preserving,
     kraus_operation_from_json,
     kraus_operation_to_json,
-    n_operator,
     phase_damping,
     phase_flip,
     projective_measurement,
@@ -42,16 +41,16 @@ def hadamard_correlated():
 class TestKrausOperation:
     def test_unitary_summary_is_identity(self):
         u = haar_random_unitary(3, SeededRng(61))
-        np.testing.assert_allclose(n_operator(KrausOperation([u])), np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(KrausOperation([u]).n_operator(), np.eye(3), atol=1e-12)
 
     def test_phase_damping_summary(self):
-        np.testing.assert_allclose(n_operator(phase_damping(0.3)), np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(phase_damping(0.3).n_operator(), np.eye(2), atol=1e-12)
 
     def test_single_branch_summary(self):
         # F1^dagger F1 = diag(1, 1-r) by hand
         r = 0.3
         branch = KrausOperation([phase_damping(r).kraus[0]])
-        np.testing.assert_allclose(n_operator(branch), np.diag([1.0, 1.0 - r]), atol=1e-12)
+        np.testing.assert_allclose(branch.n_operator(), np.diag([1.0, 1.0 - r]), atol=1e-12)
 
     def test_rejects_oversized_summary(self):
         with pytest.raises(ValueError, match="N <= I"):
@@ -182,14 +181,14 @@ class TestInertOperation:
 
     def test_bell_diagonal_summary(self):
         op = inert_operation(bell(), [1.0, 0.3])
-        np.testing.assert_allclose(n_operator(op), np.diag([1.0, 0.3]), atol=1e-12)
+        np.testing.assert_allclose(op.n_operator(), np.diag([1.0, 0.3]), atol=1e-12)
         state_a, _ = post_operation_state_a(bell(), op)
         assert l1_coherence(state_a) < 1e-9
 
     def test_uniform_values_give_scaled_identity(self):
         psi = random_schmidt_state(2, 2, SeededRng(63))
         op = inert_operation(psi, [0.4, 0.4])
-        np.testing.assert_allclose(n_operator(op), 0.4 * np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(op.n_operator(), 0.4 * np.eye(2), atol=1e-12)
 
     def test_never_creates(self):
         rng = SeededRng(64)
@@ -220,7 +219,7 @@ class TestRandomKrausSampling:
         rng = SeededRng(65)
         for _ in range(100):
             op = random_kraus_operation(3, rng)
-            evals = np.linalg.eigvalsh(n_operator(op))
+            evals = np.linalg.eigvalsh(op.n_operator())
             assert evals.min() > -1e-9
             assert abs(evals.max() - 1.0) < 1e-9
 

@@ -109,12 +109,19 @@ class TestFig1Command:
         assert code == 2
         assert "damping_rates" in capsys.readouterr().err
 
-    def test_invalid_dims_is_usage_error(self, tmp_path, capsys):
-        code = main(
-            ["fig1", "--samples", "1", "--dims", "3,3", "--out", str(tmp_path / "x.csv")]
+    def test_dims_flag_is_rejected(self, tmp_path, capsys):
+        # The experiment is two-qubit by definition; there is no --dims.
+        with pytest.raises(SystemExit) as exc:
+            main(["fig1", "--samples", "1", "--dims", "3,3", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "--dims" in capsys.readouterr().err
+
+    def test_dims_config_field_is_unknown(self, tmp_path, capsys):
+        config = write_json(
+            tmp_path / "config.json", {"samples": 1, "dims": [2, 2], "output_path": str(tmp_path / "x.csv")}
         )
-        assert code == 2
-        assert "dims" in capsys.readouterr().err
+        assert main(["fig1", "--config", config]) == 2
+        assert "unknown config fields: ['dims']" in capsys.readouterr().err
 
     def test_unwritable_output_path(self, tmp_path, capsys):
         code = main(["fig1", "--samples", "1", "--out", str(tmp_path / "missing" / "x.csv")])

@@ -3,7 +3,7 @@ import pytest
 
 from rcc_lab.coherence import is_incoherent, is_incoherent_quantum, l1_coherence
 from rcc_lab.linalg import SeededRng, tensor_product
-from rcc_lab.sampling import random_density_matrix
+from rcc_lab.sampling import random_density_matrix, random_incoherent_quantum_state
 
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 
@@ -97,3 +97,38 @@ class TestIsIncoherentQuantum:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="side"):
             is_incoherent_quantum(np.eye(4) / 4, 2, 3)
+
+    def test_rejects_bad_tol(self):
+        with pytest.raises(ValueError, match="tol"):
+            is_incoherent_quantum(np.eye(4) / 4, 2, 2, 0.0)
+
+    @pytest.mark.parametrize("dim_a, dim_b", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_matches_block_loop(self, dim_a, dim_b):
+        # Entries placed exactly at tol, just below it and far above it, in
+        # every off-diagonal block position, agree with the block-by-block loop.
+        rng = SeededRng(55)
+        tol = 1e-9
+        side = dim_a * dim_b
+        base = random_incoherent_quantum_state(dim_a, dim_b, rng).matrix
+        for value in (tol, np.nextafter(tol, 0.0), 1e-3):
+            for row in range(side):
+                for col in range(side):
+                    rho = base.copy()
+                    rho[row, col] = value
+                    expected = block_loop_incoherent_quantum(rho, dim_a, dim_b, tol)
+                    assert is_incoherent_quantum(rho, dim_a, dim_b, tol) == expected
+                    if row // dim_b != col // dim_b:
+                        assert expected == (value < tol)
+        dense = random_density_matrix(side, rng).matrix
+        assert is_incoherent_quantum(dense, dim_a, dim_b) == block_loop_incoherent_quantum(dense, dim_a, dim_b, 1e-9)
+
+
+def block_loop_incoherent_quantum(m, dim_a, dim_b, tol):
+    # The block-by-block loop the vectorised test replaced.
+    r4 = m.reshape(dim_a, dim_b, dim_a, dim_b)
+    worst = 0.0
+    for i in range(dim_a):
+        for k in range(dim_a):
+            if i != k:
+                worst = max(worst, float(np.abs(r4[i, :, k, :]).max(initial=0.0)))
+    return worst < tol

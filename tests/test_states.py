@@ -5,12 +5,12 @@ from rcc_lab.errors import BadTrace, NotHermitian, NotPositive
 from rcc_lab.linalg import SeededRng, haar_random_unitary, random_pure_state, tensor_product
 from rcc_lab.states import (
     BipartitePureState,
+    DensityMatrix,
     concurrence,
     reduced_a,
     schmidt_decompose,
     state_from_json,
     state_to_json,
-    validate_density,
 )
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -167,32 +167,32 @@ class TestReducedA:
 
 class TestValidateDensity:
     def test_accepts_maximally_mixed(self):
-        dm = validate_density(np.eye(2) / 2)
+        dm = DensityMatrix(np.eye(2) / 2)
         assert dm.dim == 2
 
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(NotPositive):
-            validate_density(np.diag([1.5, -0.5]))
+            DensityMatrix(np.diag([1.5, -0.5]))
 
     def test_rejects_hand_computed_indefinite(self):
         # eigenvalues 1.1 and -0.1
         with pytest.raises(NotPositive, match="-1.000e-01"):
-            validate_density(np.array([[0.5, 0.6], [0.6, 0.5]]))
+            DensityMatrix(np.array([[0.5, 0.6], [0.6, 0.5]]))
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
-            validate_density(np.array([[0.5, 0.5], [0.0, 0.5]]))
+            DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
 
     def test_rejects_bad_trace(self):
         with pytest.raises(BadTrace):
-            validate_density(np.diag([0.6, 0.3]))
+            DensityMatrix(np.diag([0.6, 0.3]))
 
     def test_renormalizes_tiny_trace_drift(self):
-        dm = validate_density(np.diag([0.5 + 4e-10, 0.5]))
+        dm = DensityMatrix(np.diag([0.5 + 4e-10, 0.5]))
         assert abs(np.trace(dm.matrix) - 1.0) < 1e-15
 
     def test_matrix_read_only(self):
-        dm = validate_density(np.eye(2) / 2)
+        dm = DensityMatrix(np.eye(2) / 2)
         with pytest.raises(ValueError):
             dm.matrix[0, 0] = 5.0
 
