@@ -41,7 +41,6 @@ from .linalg import (
     commutator,
     complete_orthonormal_basis,
     haar_random_unitary,
-    hermitian_eig,
     matrix_from_json,
     matrix_to_json,
     partial_trace,

@@ -11,18 +11,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coherence import is_incoherent, l1_coherence
-from .errors import NotTracePreserving, PremiseViolated
+from .errors import NotTracePreserving
 from .linalg import (
     VALIDITY_ATOL,
     as_complex_matrix,
     complete_orthonormal_basis,
-    hermitian_eig,
     json_positive_int,
     matrix_from_json,
     matrix_to_json,
 )
-from .states import BipartitePureState, reduced_a, schmidt_decompose
+from .states import BipartitePureState, require_premise, schmidt_pairs
 
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -214,23 +212,22 @@ def creates_coherence(
 ) -> tuple[bool, int | None]:
     """Decide whether op can hand subsystem A nonzero coherence.
 
-    Requires A's marginal to start incoherent (PremiseViolated otherwise).
-    The test commutes N against each unnormalized B-side block
-    (<i| (x) I)|psi><psi|(|i> (x) I); the operation creates coherence exactly
-    when some block fails to commute. Returns (creates, witness) with witness
-    the smallest failing computational index, or None when inert.
+    Requires A's marginal to start incoherent, off-diagonal weight below tol
+    (PremiseViolated otherwise). The test commutes P N P, N compressed to the
+    support of B's marginal by its projector P, against each unnormalized
+    B-side block (<i| (x) I)|psi><psi|(|i> (x) I); the operation creates
+    coherence exactly when some block fails to commute (P = I when dim_b is
+    the Schmidt rank). Returns (creates, witness) with witness the smallest
+    failing computational index, or None when inert.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if op.dim_b != psi.dim_b:
         raise ValueError(f"operation dimension {op.dim_b} does not match dim_b={psi.dim_b}")
-    marginal = reduced_a(psi)
-    if not is_incoherent(marginal, tol):
-        raise PremiseViolated(
-            f"subsystem A starts with coherence {l1_coherence(marginal):.3e}; "
-            "the criterion requires a diagonal A-marginal"
-        )
-    n = op.n_operator()
+    require_premise(psi.marginal_offdiag(), tol)
+    basis, _ = schmidt_pairs(psi)
+    proj = basis @ basis.conj().T
+    n = proj @ op.n_operator() @ proj
     w = psi.coefficient_matrix
     for i in range(psi.dim_a):
         block = np.outer(w[i], w[i].conj())
@@ -244,28 +241,30 @@ def inert_operation(psi: BipartitePureState, n_values) -> KrausOperation:
     """Single-Kraus operation diagonal in psi's Schmidt B-basis.
 
     Builds N = sum_i n_i |b_i><b_i| with the b_i running over the Schmidt
-    vectors (descending weight) and then a deterministic completion of the
-    basis; n_values must cover at least the Schmidt rank and any directions
-    beyond the provided values get coefficient 0. The Kraus operator is the
-    PSD square root of N, so the operation never creates coherence on A for
-    this state.
+    vectors (descending weight, stable among equal weights) and then a
+    deterministic completion of the basis; n_values must cover at least the
+    Schmidt rank and any directions beyond the provided values get
+    coefficient 0. The Kraus operator is the PSD square root of N, so the
+    operation never creates coherence on A for this state. Like
+    creates_coherence it requires a diagonal A-marginal (PremiseViolated
+    otherwise).
     """
     vals = np.asarray(n_values, dtype=float).reshape(-1)
     if vals.size == 0:
         raise ValueError("n_values must not be empty")
     if float(vals.min()) < 0.0 or float(vals.max()) > 1.0:
         raise ValueError(f"all values must lie in [0, 1], got range [{vals.min()}, {vals.max()}]")
-    form = schmidt_decompose(psi)
-    if vals.size < form.rank:
-        raise ValueError(f"need at least {form.rank} values (the Schmidt rank), got {vals.size}")
+    require_premise(psi.marginal_offdiag())
+    pairs, keep = schmidt_pairs(psi)
+    weights = np.sum(np.abs(psi.coefficient_matrix[keep]) ** 2, axis=1)
+    if vals.size < pairs.shape[1]:
+        raise ValueError(f"need at least {pairs.shape[1]} values (the Schmidt rank), got {vals.size}")
     if vals.size > psi.dim_b:
         raise ValueError(f"at most dim_b = {psi.dim_b} values are meaningful, got {vals.size}")
-    basis = complete_orthonormal_basis(form.basis_b, psi.dim_b)
+    basis = complete_orthonormal_basis(pairs[:, np.argsort(-weights, kind="stable")], psi.dim_b)
     coeffs = np.zeros(psi.dim_b)
     coeffs[: vals.size] = vals
-    n = (basis * coeffs) @ basis.conj().T
-    evals, evecs = hermitian_eig(n)
-    root = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
+    root = (basis * np.sqrt(coeffs)) @ basis.conj().T
     return KrausOperation([root], label="inert")
 
 

@@ -2,8 +2,8 @@
 
 Operators are plain 2-D complex128 numpy arrays in row-major layout. The
 helpers here pin down the conventions the rest of the package relies on:
-descending singular/eigenvalue order, a deterministic phase gauge for
-decomposition vectors, and reproducible random sampling keyed by explicit
+descending singular-value order, a deterministic phase gauge for
+singular vectors, and reproducible random sampling keyed by explicit
 (seed, stream) pairs.
 """
 
@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import NotHermitian
 
 # Absolute tolerance for validity checks (Hermiticity, unitarity, trace).
 VALIDITY_ATOL = 1e-9
@@ -70,7 +68,7 @@ def commutator(a, b) -> np.ndarray:
     return a @ b - b @ a
 
 
-def _fix_column_phases(vectors: np.ndarray, partners: np.ndarray | None = None) -> None:
+def _fix_column_phases(vectors: np.ndarray, partners: np.ndarray) -> None:
     # Gauge choice: rotate each column so its largest-modulus entry is real
     # positive; exact ties resolve to the lowest row index through argmax.
     for k in range(vectors.shape[1]):
@@ -81,8 +79,7 @@ def _fix_column_phases(vectors: np.ndarray, partners: np.ndarray | None = None) 
             continue
         phase = np.conj(col[idx] / mod)
         vectors[:, k] *= phase
-        if partners is not None:
-            partners[:, k] *= phase
+        partners[:, k] *= phase
 
 
 def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -98,26 +95,6 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     u = u.copy()
     _fix_column_phases(u, v)
     return u, s, v
-
-
-def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
-
-    Eigenvectors are returned as orthonormal columns in the same gauge as
-    svd. Raises NotHermitian when the input deviates beyond tolerance.
-    """
-    arr = as_complex_matrix(m)
-    if arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got {arr.shape}")
-    dev = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
-    if dev > VALIDITY_ATOL:
-        raise NotHermitian(f"max |m - m^dagger| = {dev:.3e} exceeds {VALIDITY_ATOL}")
-    values, vectors = np.linalg.eigh((arr + arr.conj().T) / 2)
-    order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vectors = vectors[:, order].copy()
-    _fix_column_phases(vectors)
-    return values, vectors
 
 
 def complete_orthonormal_basis(columns, dim: int) -> np.ndarray:

@@ -20,19 +20,19 @@ from .channels import ChannelEnsemble, KrausOperation, is_trace_preserving
 from .coherence import is_incoherent_quantum, l1_coherence
 from .errors import (
     NotTracePreserving,
-    PremiseViolated,
     SearchExhausted,
     WrongDimension,
     ZeroProbability,
 )
 from .linalg import SeededRng, as_complex_matrix, complete_orthonormal_basis, matrix_to_json, random_pure_state
 from .states import (
-    SCHMIDT_WEIGHT_CUTOFF,
     BipartitePureState,
     DensityMatrix,
     check_densities,
     concurrence,
     marginal_offdiag,
+    require_premise,
+    schmidt_pairs,
 )
 
 # Branches with probability below this cutoff have no conditional state; in
@@ -78,14 +78,6 @@ def _branch_stack(channel) -> np.ndarray:
     if isinstance(channel, (KrausOperation, ChannelEnsemble)):
         return channel.branch_n_stack()
     raise TypeError(f"expected KrausOperation or ChannelEnsemble, got {type(channel).__name__}")
-
-
-def _require_premise(offdiag: float, tol: float = 1e-9) -> None:
-    if offdiag >= tol:
-        raise PremiseViolated(
-            f"subsystem A starts with off-diagonal weight {offdiag:.3e}; "
-            "averages are defined for diagonal A-marginals only"
-        )
 
 
 def _require_whole_channel(dim_b: int, channel) -> None:
@@ -140,27 +132,13 @@ def _branch_average(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return mods.sum(axis=(-3, -2, -1)) - np.einsum("...kii->...", mods)
 
 
-def _schmidt_basis_b(psi: BipartitePureState) -> tuple[np.ndarray, np.ndarray]:
-    # Under the diagonal-marginal premise row i of W is sqrt(w_i) beta_i, so
-    # beta_i = W[i] / sqrt(w_i) is paired with |i> even at equal weights,
-    # where an SVD may return any rotation of the pairs. Returns the beta_i
-    # as columns for the rows above SCHMIDT_WEIGHT_CUTOFF, and that row mask.
-    _require_premise(psi.marginal_offdiag())
-    w = psi.coefficient_matrix
-    weights = np.sum(np.abs(w) ** 2, axis=1)
-    keep = weights > SCHMIDT_WEIGHT_CUTOFF
-    return (w[keep] / np.sqrt(weights[keep])[:, None]).T, keep
-
-
-def _schmidt_branch_elements(psi: BipartitePureState, stack: np.ndarray) -> np.ndarray:
-    # G_k[j, i] = <beta_j| N_k |beta_i> over psi's Schmidt B-basis.
-    basis, _ = _schmidt_basis_b(psi)
-    return basis.conj().T @ stack @ basis
-
-
-def _offdiag_norms(g: np.ndarray) -> np.ndarray:
-    # sqrt(sum_{j<i} |G_k[j, i]|^2) per branch; strict upper triangle.
-    tri = np.triu(g, 1)
+def _lemma1_norms(psi: BipartitePureState, stack: np.ndarray) -> np.ndarray:
+    # sqrt(sum_{j<i} |G_k[j, i]|^2) per branch N_k of stack, with the strict
+    # upper triangle of G_k[j, i] = <beta_j| N_k |beta_i> over psi's Schmidt
+    # B-basis, which needs the diagonal-marginal premise.
+    require_premise(psi.marginal_offdiag())
+    basis, _ = schmidt_pairs(psi)
+    tri = np.triu(basis.conj().T @ stack @ basis, 1)
     return np.sqrt(np.sum(np.abs(tri) ** 2, axis=(1, 2)))
 
 
@@ -203,7 +181,7 @@ def average_coherence(psi: BipartitePureState, channel) -> float:
     off-diagonal modulus sum of the unnormalized branch state, vanishing
     branches contribute zero without any special casing.
     """
-    _require_premise(psi.marginal_offdiag())
+    require_premise(psi.marginal_offdiag())
     _require_whole_channel(psi.dim_b, channel)
     return float(_branch_average(psi.coefficient_matrix, _branch_stack(channel)))
 
@@ -215,7 +193,7 @@ def average_coherences(w: np.ndarray, channels) -> np.ndarray:
     channels must all have the same number of outcomes. Returns shape
     (n, len(channels)). The checks and errors are those of average_coherence.
     """
-    _require_premise(float(marginal_offdiag(w).max(initial=0.0)))
+    require_premise(float(marginal_offdiag(w).max(initial=0.0)))
     for channel in channels:
         _require_whole_channel(w.shape[-1], channel)
     stacks = np.stack([_branch_stack(channel) for channel in channels])
@@ -234,7 +212,8 @@ def maximally_entangled_partner(psi: BipartitePureState) -> BipartitePureState:
     d = psi.dim_a
     if psi.dim_b < d:
         raise WrongDimension(f"partner needs dim_b >= dim_a, got {psi.dim_b} < {d}")
-    basis, keep = _schmidt_basis_b(psi)
+    require_premise(psi.marginal_offdiag())
+    basis, keep = schmidt_pairs(psi)
     rows = np.empty((d, psi.dim_b), dtype=np.complex128)
     rows[keep] = basis.T
     rows[~keep] = complete_orthonormal_basis(basis, psi.dim_b)[:, basis.shape[1] : d].T
@@ -253,13 +232,12 @@ def outcome_coherence_bound(psi: BipartitePureState, op: KrausOperation) -> floa
     prob = float(np.trace(_unnormalized_branches(psi.coefficient_matrix, n)).real)
     if prob < ZERO_PROBABILITY_CUTOFF:
         raise ZeroProbability(f"branch probability {prob:.3e} is below {ZERO_PROBABILITY_CUTOFF}")
-    offdiag = float(_offdiag_norms(_schmidt_branch_elements(psi, n[None, :, :]))[0])
-    return concurrence(psi) / prob * offdiag
+    return concurrence(psi) / prob * float(_lemma1_norms(psi, n[None])[0])
 
 
 def average_coherence_bound(psi: BipartitePureState, channel) -> float:
     """Average bound (dim_a / 2) * E * average_coherence of the partner."""
-    _require_premise(psi.marginal_offdiag())
+    require_premise(psi.marginal_offdiag())
     _require_whole_channel(psi.dim_b, channel)
     partner = maximally_entangled_partner(psi)
     return float(psi.dim_a / 2 * concurrence(psi) * average_coherence(partner, channel))
@@ -271,11 +249,9 @@ def tight_average_bound(psi: BipartitePureState, channel) -> float:
     Never exceeds average_coherence_bound (up to rounding) and both dominate
     the achieved average.
     """
-    _require_premise(psi.marginal_offdiag())
+    require_premise(psi.marginal_offdiag())
     _require_whole_channel(psi.dim_b, channel)
-    stack = _branch_stack(channel)
-    g = _schmidt_branch_elements(psi, stack)
-    return float(concurrence(psi) * _offdiag_norms(g).sum())
+    return float(concurrence(psi) * _lemma1_norms(psi, _branch_stack(channel)).sum())
 
 
 def average_rcc(psi: BipartitePureState, channel) -> RccReport:
@@ -284,13 +260,12 @@ def average_rcc(psi: BipartitePureState, channel) -> RccReport:
     Zero-probability branches are kept in the outcome list, flagged, and
     contribute zero to the average and to the bound list.
     """
-    _require_premise(psi.marginal_offdiag())
+    require_premise(psi.marginal_offdiag())
     _require_whole_channel(psi.dim_b, channel)
     stack = _branch_stack(channel)
     probs, zero, states = _conditional_states(_unnormalized_branches(psi.coefficient_matrix, stack))
     ent = concurrence(psi)
-    g = _schmidt_branch_elements(psi, stack)
-    offdiag = _offdiag_norms(g)
+    offdiag = _lemma1_norms(psi, stack)
 
     outcomes: list[OutcomeRecord] = []
     bounds: list[float] = []

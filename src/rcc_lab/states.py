@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadTrace, NotHermitian, NotPositive
+from .errors import BadTrace, NotHermitian, NotPositive, PremiseViolated
 from .linalg import (
     VALIDITY_ATOL,
     as_complex_matrix,
@@ -181,11 +181,11 @@ def schmidt_decompose(psi: BipartitePureState) -> SchmidtForm:
     """Schmidt decomposition with zero weights dropped.
 
     Weights are the squared singular values of the coefficient matrix;
-    values below SCHMIDT_WEIGHT_CUTOFF are discarded. When A's marginal is
-    diagonal the A-side vectors are computational basis vectors (up to the
-    fixed gauge and descending-weight order); in general they are whatever
-    the SVD returns and callers needing the diagonal-marginal premise must
-    check it themselves. The result is cached on the state.
+    values below SCHMIDT_WEIGHT_CUTOFF are discarded. The A-side vectors are
+    whatever the SVD returns, which at equal weights may be any rotation of
+    the computational pairs; under the diagonal-marginal premise use
+    schmidt_pairs, which keeps every beta_i paired with |i>. The result is
+    cached on the state.
     """
     if psi._schmidt is None:
         u, s, v = svd(psi.coefficient_matrix)
@@ -198,6 +198,29 @@ def schmidt_decompose(psi: BipartitePureState) -> SchmidtForm:
             arr.setflags(write=False)
         psi._schmidt = SchmidtForm(w, basis_a, basis_b, int(keep.sum()))
     return psi._schmidt
+
+
+def require_premise(offdiag: float, tol: float = VALIDITY_ATOL) -> None:
+    """Raise PremiseViolated unless A's marginal has off-diagonal weight below tol."""
+    if offdiag >= tol:
+        raise PremiseViolated(
+            f"subsystem A starts with off-diagonal weight {offdiag:.3e}; "
+            "claims 2-5 are stated for a diagonal A-marginal only"
+        )
+
+
+def schmidt_pairs(psi: BipartitePureState) -> tuple[np.ndarray, np.ndarray]:
+    """psi's Schmidt B-vectors as columns, and the mask of the rows they come from.
+
+    Under the diagonal-marginal premise (check it with require_premise) row i
+    of W is sqrt(w_i) beta_i, so beta_i = W[i] / sqrt(w_i) is paired with |i>
+    even at equal weights, where an SVD may return any rotation of the pairs.
+    Only rows with w_i above SCHMIDT_WEIGHT_CUTOFF are kept, in row order.
+    """
+    w = psi.coefficient_matrix
+    weights = np.sum(np.abs(w) ** 2, axis=1)
+    keep = weights > SCHMIDT_WEIGHT_CUTOFF
+    return (w[keep] / np.sqrt(weights[keep])[:, None]).T, keep
 
 
 def concurrence(psi: BipartitePureState) -> float:

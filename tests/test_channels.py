@@ -163,15 +163,27 @@ class TestCreatesCoherence:
 
     def test_agrees_with_direct_computation(self):
         rng = SeededRng(62)
-        for _ in range(300):
-            psi = random_schmidt_state(2, 2, rng)
-            op = random_kraus_operation(2, rng)
-            state_a, _ = post_operation_state_a(psi, op)
-            achieved = l1_coherence(state_a)
-            if 1e-9 <= achieved <= 1e-6:
-                continue
-            predicted, _ = creates_coherence(psi, op)
-            assert predicted == (achieved > 1e-6)
+        for dim_b in (2, 3):
+            for _ in range(300):
+                psi = random_schmidt_state(2, dim_b, rng)
+                op = random_kraus_operation(dim_b, rng)
+                state_a, _ = post_operation_state_a(psi, op)
+                achieved = l1_coherence(state_a)
+                if 1e-9 <= achieved <= 1e-6:
+                    continue
+                predicted, _ = creates_coherence(psi, op)
+                assert predicted == (achieved > 1e-6)
+
+    def test_n_outside_the_support_of_b_is_ignored(self):
+        # With beta = e0, e1 in C^3, N = |v><v| for v = (e0 + e2)/sqrt(2)
+        # fails to commute with |e0><e0| through the e2 direction only, which
+        # psi never populates: <beta_1| N |beta_0> = 0, so nothing is created.
+        psi = BipartitePureState.from_schmidt([0.7, 0.3], np.eye(3)[:, :2])
+        v = np.array([1, 0, 1]) / np.sqrt(2)
+        op = KrausOperation([np.outer(v, v)])
+        state_a, _ = post_operation_state_a(psi, op)
+        assert l1_coherence(state_a) == 0.0
+        assert creates_coherence(psi, op) == (False, None)
 
 
 class TestInertOperation:
@@ -200,6 +212,35 @@ class TestInertOperation:
             assert created is False
             state_a, _ = post_operation_state_a(psi, op)
             assert l1_coherence(state_a) < 1e-9
+
+    def test_equal_and_near_equal_weights_never_create(self):
+        # At (near-)equal weights an SVD may rotate the Schmidt pairs; the
+        # basis must stay paired with A's computational basis.
+        rng = SeededRng(66)
+        for d in (2, 3, 4):
+            for dim_b in (d, d + 1):
+                for gap in (0.0, 1e-14, 1e-12):
+                    for _ in range(10):
+                        weights = np.full(d, 1.0 / d)
+                        weights[0] += gap
+                        weights[1] -= gap
+                        basis = haar_random_unitary(dim_b, rng)[:, :d]
+                        psi = BipartitePureState.from_schmidt(weights, basis)
+                        op = inert_operation(psi, rng.generator.random(dim_b))
+                        created, _ = creates_coherence(psi, op)
+                        assert created is False
+                        state_a, _ = post_operation_state_a(psi, op)
+                        assert l1_coherence(state_a) < 1e-9
+
+    def test_values_follow_descending_weight(self):
+        psi = BipartitePureState.from_schmidt([0.3, 0.7], np.eye(2))
+        op = inert_operation(psi, [1.0, 0.2])
+        np.testing.assert_allclose(op.n_operator(), np.diag([0.2, 1.0]), atol=1e-12)
+
+    def test_premise_enforced(self):
+        coherent = BipartitePureState(2, 2, np.array([1, 0, 1, 0]) / np.sqrt(2))
+        with pytest.raises(PremiseViolated, match="marginal"):
+            inert_operation(coherent, [1.0])
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):

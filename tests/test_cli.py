@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from rcc_lab.channels import (
     projective_measurement,
 )
 from rcc_lab.cli import main
-from rcc_lab.experiments import CSV_HEADER, FIG1_BLOCK, ExperimentConfig, run_fig1, run_verify
+from rcc_lab.experiments import AMBIGUITY_BAND, CSV_HEADER, FIG1_BLOCK, ExperimentConfig, run_fig1, run_verify
 from rcc_lab.states import BipartitePureState, state_to_json
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -167,6 +168,11 @@ class TestVerifyCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "budget exhaustions" in out
+
+    def test_theorem2_note_quotes_the_ambiguity_band(self):
+        note = run_verify("theorem2", 2, 0).notes[0]
+        band = re.search(r"ambiguity band \[([^,\]]+), ([^\]]+)\]", note)
+        assert (float(band.group(1)), float(band.group(2))) == AMBIGUITY_BAND
 
     def test_unknown_suite_rejected_by_parser(self):
         with pytest.raises(SystemExit):

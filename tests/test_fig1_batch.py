@@ -1,6 +1,7 @@
 """The block-evaluated scatter against the per-sample scalar route."""
 
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -73,6 +74,15 @@ def test_batch_matches_scalar_route(tmp_path):
             assert abs(float(row["ratio"]) - ratio) <= COMPUTED_ATOL
     assert summary.rows_with_ratio == sum(1 for r in reference if r[7] is not None)
     assert summary.rows_with_ratio < len(reference)  # r = 0.0 rows have no ratio
+
+
+def test_golden_csv_digest(tmp_path):
+    # 64 samples, seed 20161008, default rates. Every change to the fig1 bytes
+    # must be deliberate: record the new digest together with its cause.
+    out = tmp_path / "golden.csv"
+    run_fig1(ExperimentConfig(samples=64, seed=20161008, output_path=str(out)))
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "11e8b631a20b5bc78c5b3a8ecbcbf7ee0c890923ef4954341c8e159f9473b42c"
 
 
 def test_blocks_bound_the_work_per_step(tmp_path, monkeypatch):

@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
-from rcc_lab.errors import NotHermitian
 from rcc_lab.linalg import (
     SeededRng,
     commutator,
     complete_orthonormal_basis,
     haar_random_unitary,
-    hermitian_eig,
     matrix_from_json,
     matrix_to_json,
     partial_trace,
@@ -140,34 +138,6 @@ class TestSvd:
             np.testing.assert_array_equal(a, b)
 
 
-class TestHermitianEig:
-    def test_diagonal(self):
-        values, vectors = hermitian_eig(np.diag([1.0, 0.4]))
-        np.testing.assert_allclose(values, [1.0, 0.4])
-        np.testing.assert_allclose(np.abs(vectors), np.eye(2), atol=1e-12)
-
-    def test_pauli_x_spectrum(self):
-        values, vectors = hermitian_eig(X)
-        np.testing.assert_allclose(values, [1.0, -1.0], atol=1e-12)
-        plus = np.array([1, 1]) / np.sqrt(2)
-        minus = np.array([1, -1]) / np.sqrt(2)
-        np.testing.assert_allclose(vectors[:, 0], plus, atol=1e-12)
-        np.testing.assert_allclose(vectors[:, 1], minus, atol=1e-12)
-
-    def test_residual_and_orthonormality(self):
-        rng = SeededRng(17)
-        m = random_hermitian(rng, 4)
-        values, vectors = hermitian_eig(m)
-        for k in range(4):
-            assert np.linalg.norm(m @ vectors[:, k] - values[k] * vectors[:, k]) < 1e-10
-        np.testing.assert_allclose(vectors.conj().T @ vectors, np.eye(4), atol=1e-10)
-        assert abs(values.sum() - np.trace(m).real) < 1e-10
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian, match="exceeds"):
-            hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
 class TestCommutator:
     def test_identity_commutes(self):
         rng = SeededRng(18)
@@ -188,7 +158,7 @@ class TestCommutator:
     def test_eigenvector_projector_commutes(self):
         rng = SeededRng(20)
         n = random_hermitian(rng, 3)
-        _, vectors = hermitian_eig(n)
+        _, vectors = np.linalg.eigh(n)
         proj = np.outer(vectors[:, 0], vectors[:, 0].conj())
         assert np.linalg.norm(commutator(n, proj)) < 1e-13
 
