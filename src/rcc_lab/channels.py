@@ -50,13 +50,7 @@ class KrausOperation:
         n = np.zeros((d, d), dtype=np.complex128)
         for f in mats:
             n += f.conj().T @ f
-        n = (n + n.conj().T) / 2
-        evals = np.linalg.eigvalsh(n)
-        if float(evals.min()) < -VALIDITY_ATOL or float(evals.max()) > 1.0 + VALIDITY_ATOL:
-            raise ValueError(
-                "summary operator must satisfy 0 <= N <= I; "
-                f"spectrum spans [{evals.min():.3e}, {evals.max():.6f}]"
-            )
+        n = check_summaries(n)
         for f in mats:
             f.setflags(write=False)
         n.setflags(write=False)
@@ -133,6 +127,22 @@ class ChannelEnsemble:
 
     def __repr__(self) -> str:
         return f"ChannelEnsemble(dim_b={self.dim_b}, members={len(self.operations)})"
+
+
+def check_summaries(n: np.ndarray) -> np.ndarray:
+    """Symmetrize summary operators N stacked on leading axes and check 0 <= N <= I.
+
+    Raises ValueError when an eigenvalue of any N leaves [0, 1] by more
+    than VALIDITY_ATOL. Returns the symmetrized stack.
+    """
+    n = (n + n.conj().swapaxes(-1, -2)) / 2
+    evals = np.linalg.eigvalsh(n)
+    if float(evals.min()) < -VALIDITY_ATOL or float(evals.max()) > 1.0 + VALIDITY_ATOL:
+        raise ValueError(
+            "summary operator must satisfy 0 <= N <= I; "
+            f"spectrum spans [{evals.min():.3e}, {evals.max():.6f}]"
+        )
+    return n
 
 
 def is_trace_preserving(op: KrausOperation, tol: float = VALIDITY_ATOL) -> bool:

@@ -8,6 +8,7 @@ report violations instead of raising.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,15 +25,24 @@ from .coherence import l1_coherence, l1_coherences
 from .errors import SearchExhausted, ZeroProbability
 from .linalg import SeededRng, matrix_to_json, partial_trace, tensor_product, unitary_from_ginibre
 from .sampling import (
-    random_channel_ensemble,
+    branch_stacks_from_parts,
+    coefficient_matrices_from_parts,
+    draw_ensemble_parts,
+    draw_kraus_parts,
+    draw_schmidt_parts,
+    draw_tp_parts,
+    ensemble_from_parts,
+    kraus_operation_from_parts,
     random_density_matrix,
     random_incoherent_quantum_state,
     random_kraus_operation,
     random_noncq_state,
     random_schmidt_state,
     random_tp_channel,
+    summary_operators_from_parts,
+    tp_channel_from_parts,
 )
-from .states import batch_concurrence, concurrence, schmidt_coefficients, state_to_json, unit_amplitudes
+from .states import BipartitePureState, batch_concurrence, schmidt_coefficients, state_to_json, unit_amplitudes
 
 CSV_HEADER = "sample,seed,r,omega0,entanglement,avg_rcc,avg_rcc_maxent,ratio"
 
@@ -44,6 +54,11 @@ FORWARD_COHERENCE_ATOL = 1e-8  # theorem1: forward coherence at or above it viol
 AMBIGUITY_BAND = (1e-9, 1e-6)  # theorem2: excluded inside, created above
 BOUND_ATOL = 1e-10  # lemma1, theorem3: allowed excess over a bound
 NOSIGNAL_ATOL = 1e-10  # nosignal: allowed entry change of A's marginal
+
+# Samples drawn and evaluated together by the lemma1, theorem3 and theorem4
+# sweeps. Each block comes from the suite's one stream, so memory grows with
+# BOUNDS_BLOCK, never with --samples.
+BOUNDS_BLOCK = 256
 
 # Samples drawn and evaluated together by run_fig1. Memory per block grows
 # with FIG1_BLOCK x rates, never with --samples; 256 already amortizes the
@@ -75,17 +90,23 @@ class ExperimentConfig:
         return self.plot_path is not None
 
     def validate(self) -> None:
-        if int(self.samples) < 1:
+        _require_int("field 'samples'", self.samples)
+        if self.samples < 1:
             raise ValueError(f"field 'samples': must be at least 1, got {self.samples}")
         if not self.damping_rates:
             raise ValueError("field 'damping_rates': must not be empty")
         for r in self.damping_rates:
+            if isinstance(r, bool) or not isinstance(r, numbers.Real):
+                raise ValueError(f"field 'damping_rates': rate {r!r} is not a real number")
             if not 0.0 <= float(r) <= 1.0:
                 raise ValueError(f"field 'damping_rates': rate {r} lies outside [0, 1]")
-        if not 0 <= int(self.seed) < 2**64:
+        _require_int("field 'seed'", self.seed)
+        if not 0 <= self.seed < 2**64:
             raise ValueError(f"field 'seed': must fit in unsigned 64 bits, got {self.seed}")
-        if not self.output_path:
-            raise ValueError("field 'output_path': must be a non-empty path")
+        if not isinstance(self.output_path, str) or not self.output_path:
+            raise ValueError(f"field 'output_path': must be a non-empty path string, got {self.output_path!r}")
+        if self.plot_path is not None and not isinstance(self.plot_path, str):
+            raise ValueError(f"field 'plot_path': must be a path string or null, got {self.plot_path!r}")
 
     @classmethod
     def from_mapping(cls, obj: dict) -> "ExperimentConfig":
@@ -104,8 +125,16 @@ class ExperimentConfig:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         kwargs = dict(obj)
         if "damping_rates" in kwargs:
-            kwargs["damping_rates"] = tuple(float(r) for r in kwargs["damping_rates"])
+            if not isinstance(kwargs["damping_rates"], list):
+                raise ValueError("field 'damping_rates': must be a list of numbers")
+            kwargs["damping_rates"] = tuple(kwargs["damping_rates"])
         return cls(**kwargs)
+
+
+def _require_int(name: str, value) -> None:
+    # JSON true/false are ints to Python; neither they nor floats count here.
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -437,92 +466,129 @@ def verify_theorem2(samples: int, seed: int) -> SuiteReport:
     return SuiteReport("theorem2", checked, violations, excluded, max_violation, worst, notes)
 
 
-def verify_lemma1(samples: int, seed: int) -> SuiteReport:
-    """Per-outcome coherence never exceeds its Cauchy bound (tolerance BOUND_ATOL)."""
-    rng = SeededRng(seed, 0)
-    checked = violations = excluded = 0
-    max_violation = 0.0
-    worst = None
-    for dim in (2, 3, 4):
-        for _ in range(samples):
-            psi = random_schmidt_state(dim, dim, rng)
-            op = random_kraus_operation(dim, rng)
-            checked += 1
-            try:
-                state_a, _ = rcc.post_operation_state_a(psi, op)
-                bound = rcc.outcome_coherence_bound(psi, op)
-            except ZeroProbability:
-                excluded += 1
-                continue
-            gap = l1_coherence(state_a) - bound
-            if gap > BOUND_ATOL:
-                violations += 1
-                if gap > max_violation:
-                    max_violation = gap
-                    worst = {
-                        "state": state_to_json(psi),
-                        "channel": kraus_operation_to_json(op),
-                        "excess": gap,
+def _bounds_sweep(suite, samples, seed, dims, draw, evaluate, violates, channel_json, key="excess") -> SuiteReport:
+    """Shared loop of the lemma1, theorem3 and theorem4 sweeps.
+
+    draw(dim, k, g) takes sample k's (state, channel) parts from the suite's
+    one stream, in order. Blocks of BOUNDS_BLOCK samples go to
+    evaluate(dim, draws), which returns the indices of the samples it could
+    evaluate (the rest are excluded) and their excess; violates(excess)
+    flags the violations. The replay dict is built only for a new worst
+    case: the first violation with the largest excess, as a sequential
+    sweep records it.
+    """
+    g = SeededRng(seed, 0).generator
+    report = SuiteReport(suite, 0, 0, 0, 0.0, None)
+    for dim in dims:
+        for start in range(0, samples, BOUNDS_BLOCK):
+            draws = [draw(dim, k, g) for k in range(start, min(start + BOUNDS_BLOCK, samples))]
+            kept, excess = evaluate(dim, draws)
+            flagged = violates(excess)
+            report.checked += len(draws)
+            report.excluded += len(draws) - len(kept)
+            report.violations += int(flagged.sum())
+            if flagged.any():
+                j = np.flatnonzero(flagged)[np.argmax(excess[flagged])]
+                if excess[j] > report.max_violation:
+                    (weights, ginibre), channel = draws[kept[j]]
+                    state = BipartitePureState.from_schmidt(weights, unitary_from_ginibre(ginibre))
+                    report.max_violation = float(excess[j])
+                    report.worst_case = {
+                        "state": state_to_json(state),
+                        "channel": channel_json(channel),
+                        key: report.max_violation,
                     }
-    return SuiteReport("lemma1", checked, violations, excluded, max_violation, worst)
+    return report
+
+
+def _per_channel(measure):
+    # evaluate(dim, draws) for (state, channel) parts: measure(w, stacks) per
+    # group of equal branch count. A zero branch would add 0 to every sum but
+    # change how numpy groups the terms, and at d = 2 the bounds hold with
+    # equality, so their excess is pure rounding.
+    def evaluate(dim, draws):
+        w = coefficient_matrices_from_parts([state for state, _ in draws])
+        stacks = branch_stacks_from_parts([channel for _, channel in draws], dim)
+        out = np.empty(len(draws))
+        for count in set(len(stack) for stack in stacks):
+            idx = np.array([i for i, stack in enumerate(stacks) if len(stack) == count])
+            out[idx] = measure(w[idx], np.array([stacks[i] for i in idx]))
+        return np.arange(len(draws)), out
+
+    return evaluate
+
+
+def _channel_json(parts) -> dict:
+    z, split = parts
+    if split is None:
+        return kraus_operation_to_json(tp_channel_from_parts(z))
+    return ensemble_to_json(ensemble_from_parts(z, split))
+
+
+def verify_lemma1(samples: int, seed: int) -> SuiteReport:
+    """Per-outcome coherence never exceeds its Cauchy bound (tolerance BOUND_ATOL).
+
+    One contraction per (state, operation) pair gives both the conditional
+    state and the probability in the bound.
+    """
+
+    def evaluate(dim, draws):
+        w = coefficient_matrices_from_parts([state for state, _ in draws])
+        n_ops = summary_operators_from_parts([mats for _, mats in draws])
+        probs, zero, states = rcc._conditional_states(rcc._unnormalized_branches(w, n_ops[:, None])[:, 0])
+        kept = np.flatnonzero(~zero)
+        return kept, l1_coherences(states) - rcc.outcome_coherence_bounds(w[kept], n_ops[kept], probs[kept])
+
+    return _bounds_sweep(
+        "lemma1",
+        samples,
+        seed,
+        (2, 3, 4),
+        lambda dim, k, g: (draw_schmidt_parts(dim, dim, g), draw_kraus_parts(dim, g)),
+        evaluate,
+        lambda gaps: gaps > BOUND_ATOL,
+        lambda mats: kraus_operation_to_json(kraus_operation_from_parts(mats)),
+    )
 
 
 def verify_theorem3(samples: int, seed: int) -> SuiteReport:
-    """Average ordering: achieved <= branch-resolved bound <= partner bound."""
-    rng = SeededRng(seed, 0)
-    checked = violations = 0
-    max_violation = 0.0
-    worst = None
-    for dim in (2, 3, 4):
-        for k in range(samples):
-            psi = random_schmidt_state(dim, dim, rng)
-            if k % 2 == 0:
-                channel = random_tp_channel(dim, rng)
-                channel_json = kraus_operation_to_json(channel)
-            else:
-                channel = random_channel_ensemble(dim, rng)
-                channel_json = ensemble_to_json(channel)
-            checked += 1
-            average = rcc.average_coherence(psi, channel)
-            tight = rcc.tight_average_bound(psi, channel)
-            partner_bound = rcc.average_coherence_bound(psi, channel)
-            gap = max(average - tight, tight - partner_bound)
-            if gap > BOUND_ATOL:
-                violations += 1
-                if gap > max_violation:
-                    max_violation = gap
-                    worst = {
-                        "state": state_to_json(psi),
-                        "channel": channel_json,
-                        "excess": gap,
-                    }
-    return SuiteReport("theorem3", checked, violations, 0, max_violation, worst)
+    """Average ordering: achieved <= branch-resolved bound <= partner bound.
+
+    Even samples draw a trace-preserving channel, odd ones an ensemble.
+    """
+
+    def draw(dim, k, g):
+        state = draw_schmidt_parts(dim, dim, g)
+        return state, ((draw_tp_parts(dim, g), None) if k % 2 == 0 else draw_ensemble_parts(dim, g))
+
+    def measure(w, stacks):
+        tight = rcc.tight_average_bounds(w, stacks)
+        return np.maximum(rcc.branch_averages(w, stacks) - tight, tight - rcc.average_coherence_bounds(w, stacks))
+
+    return _bounds_sweep(
+        "theorem3", samples, seed, (2, 3, 4), draw, _per_channel(measure), lambda gaps: gaps > BOUND_ATOL, _channel_json
+    )
 
 
 def verify_theorem4(samples: int, seed: int) -> SuiteReport:
     """Two-qubit factorization: average equals entanglement times partner average."""
-    rng = SeededRng(seed, 0)
-    checked = violations = 0
-    max_violation = 0.0
-    worst = None
-    for _ in range(samples):
-        psi = random_schmidt_state(2, 2, rng)
-        channel = random_tp_channel(2, rng)
-        checked += 1
-        average = rcc.average_coherence(psi, channel)
-        ent = concurrence(psi)
-        maxent = rcc.average_coherence(rcc.maximally_entangled_partner(psi), channel)
-        dev = abs(average - ent * maxent)
-        if dev >= rcc.FACTORIZATION_ATOL:
-            violations += 1
-            if dev > max_violation:
-                max_violation = dev
-                worst = {
-                    "state": state_to_json(psi),
-                    "channel": kraus_operation_to_json(channel),
-                    "deviation": dev,
-                }
-    return SuiteReport("theorem4", checked, violations, 0, max_violation, worst)
+
+    def measure(w, stacks):
+        # For two qubits the Theorem 3 bound (d / 2) E <C>_maxent is exactly
+        # E <C>_maxent, the law's right-hand side.
+        return np.abs(rcc.branch_averages(w, stacks) - rcc.average_coherence_bounds(w, stacks))
+
+    return _bounds_sweep(
+        "theorem4",
+        samples,
+        seed,
+        (2,),
+        lambda dim, k, g: (draw_schmidt_parts(2, 2, g), (draw_tp_parts(2, g), None)),
+        _per_channel(measure),
+        lambda devs: devs >= rcc.FACTORIZATION_ATOL,
+        _channel_json,
+        key="deviation",
+    )
 
 
 def verify_nosignal(samples: int, seed: int) -> SuiteReport:
@@ -565,6 +631,8 @@ def run_verify(suite: str, samples: int, seed: int) -> SuiteReport:
     """Run one named verification sweep."""
     if suite not in _SUITE_RUNNERS:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(VERIFY_SUITES)}")
+    _require_int("samples", samples)
+    _require_int("seed", seed)
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     return _SUITE_RUNNERS[suite](samples, seed)

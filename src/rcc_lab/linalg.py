@@ -157,9 +157,15 @@ def haar_random_unitary(d: int, rng: SeededRng) -> np.ndarray:
     """Haar-distributed d x d unitary: complex Ginibre, QR, phase fix."""
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    g = rng.generator
-    z = (g.standard_normal((d, d)) + 1j * g.standard_normal((d, d))) / np.sqrt(2.0)
-    return unitary_from_ginibre(z)
+    return unitary_from_ginibre(complex_ginibre(rng.generator, (d, d)))
+
+
+def complex_ginibre(g: np.random.Generator, shape) -> np.ndarray:
+    """Complex Ginibre array of the given shape, entries of unit variance.
+
+    All real parts are drawn first, then all imaginary parts.
+    """
+    return (g.standard_normal(shape) + 1j * g.standard_normal(shape)) / np.sqrt(2.0)
 
 
 def unitary_from_ginibre(z: np.ndarray) -> np.ndarray:

@@ -24,15 +24,24 @@ from .errors import (
     WrongDimension,
     ZeroProbability,
 )
-from .linalg import SeededRng, as_complex_matrix, complete_orthonormal_basis, matrix_to_json, random_pure_state
+from .linalg import (
+    VALIDITY_ATOL,
+    SeededRng,
+    as_complex_matrix,
+    complete_orthonormal_basis,
+    matrix_to_json,
+    random_pure_state,
+)
 from .states import (
     BipartitePureState,
     DensityMatrix,
+    batch_concurrence,
     check_densities,
     concurrence,
     marginal_offdiag,
     require_premise,
-    schmidt_pairs,
+    schmidt_rows,
+    unit_amplitudes,
 )
 
 # Branches with probability below this cutoff have no conditional state; in
@@ -43,6 +52,11 @@ ZERO_PROBABILITY_CUTOFF = 1e-14
 RATIO_DENOMINATOR_CUTOFF = 1e-12
 
 FACTORIZATION_ATOL = 1e-9
+
+_NOT_WHOLE = (
+    "averaging needs a trace-preserving channel; wrap post-selected "
+    "operations into a ChannelEnsemble instead"
+)
 
 
 @dataclass(frozen=True)
@@ -84,24 +98,46 @@ def _require_whole_channel(dim_b: int, channel) -> None:
     if channel.dim_b != dim_b:
         raise ValueError(f"channel dimension {channel.dim_b} does not match dim_b={dim_b}")
     if isinstance(channel, KrausOperation) and not is_trace_preserving(channel):
-        raise NotTracePreserving(
-            "averaging needs a trace-preserving channel; wrap post-selected "
-            "operations into a ChannelEnsemble instead"
-        )
+        raise NotTracePreserving(_NOT_WHOLE)
+
+
+def _one_pair(psi: BipartitePureState, channel) -> tuple[np.ndarray, np.ndarray]:
+    # psi's coefficient matrix and the channel's branch stack as one-element
+    # stacks, the input of the stacked routines.
+    if channel.dim_b != psi.dim_b:
+        raise ValueError(f"channel dimension {channel.dim_b} does not match dim_b={psi.dim_b}")
+    return psi.coefficient_matrix[None], _branch_stack(channel)[None]
+
+
+def _require_premises(w: np.ndarray) -> None:
+    require_premise(float(marginal_offdiag(w).max(initial=0.0)))
+
+
+def _require_trace_preserving(stacks: np.ndarray) -> None:
+    # The branches of each whole channel, stacks (..., K, db, db), add up to I.
+    total = stacks.sum(axis=-3)
+    if float(np.abs(total - np.eye(total.shape[-1])).max(initial=0.0)) >= VALIDITY_ATOL:
+        raise NotTracePreserving(_NOT_WHOLE)
 
 
 def _unnormalized_branches(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
     # W N_k^T W^dagger for every state W in w (..., da, db) and every branch
-    # N_k in stack (..., db, db). The result carries w's leading axes, then
-    # the stack's, then (da, da). [W N_1^T | W N_2^T | ...] for all states
-    # is one matrix product, then one batched product per state.
+    # N_k of stack. A stack (p, db, db) is shared by all states; a stack
+    # (n, p, db, db) gives each state of w (n, da, db) its own branches. The
+    # result has w's leading axes, then p, then (da, da). [W N_1^T | W N_2^T
+    # | ...] is one matrix product (for all states at once when shared),
+    # then one batched product per state; each state's numbers do not depend
+    # on how many states share the call.
     da, db = w.shape[-2:]
     n = w.size // (da * db)
-    p = stack.size // (db * db)
+    p = stack.shape[-3]
     states = w.reshape(n, da, db)
-    wn = states.reshape(n * da, db) @ stack.reshape(p * db, db).T
+    if stack.ndim == 3:
+        wn = states.reshape(n * da, db) @ stack.reshape(p * db, db).T
+    else:
+        wn = states @ stack.reshape(n, p * db, db).swapaxes(1, 2)
     out = wn.reshape(n, da * p, db) @ states.conj().swapaxes(1, 2)
-    return out.reshape(n, da, p, da).swapaxes(1, 2).reshape(w.shape[:-2] + stack.shape[:-2] + (da, da))
+    return out.reshape(n, da, p, da).swapaxes(1, 2).reshape(w.shape[:-2] + (p, da, da))
 
 
 def _mixed_branches(r4: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -125,21 +161,99 @@ def _conditional_states(unnorm: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return probs, zero, states / check_densities(states).real[:, None, None]
 
 
-def _branch_average(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
+def _offdiag_mass(unnorm: np.ndarray) -> np.ndarray:
     # sum_k p_k C(rho_k) is the off-diagonal modulus sum of the unnormalized
-    # branch states, so vanishing branches contribute zero by themselves.
-    mods = np.abs(_unnormalized_branches(w, stack))
+    # branch states (..., K, d, d), so vanishing branches contribute zero by
+    # themselves.
+    mods = np.abs(unnorm)
     return mods.sum(axis=(-3, -2, -1)) - np.einsum("...kii->...", mods)
 
 
-def _lemma1_norms(psi: BipartitePureState, stack: np.ndarray) -> np.ndarray:
-    # sqrt(sum_{j<i} |G_k[j, i]|^2) per branch N_k of stack, with the strict
-    # upper triangle of G_k[j, i] = <beta_j| N_k |beta_i> over psi's Schmidt
-    # B-basis, which needs the diagonal-marginal premise.
-    require_premise(psi.marginal_offdiag())
-    basis, _ = schmidt_pairs(psi)
-    tri = np.triu(basis.conj().T @ stack @ basis, 1)
-    return np.sqrt(np.sum(np.abs(tri) ** 2, axis=(1, 2)))
+def _lemma1_norms(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
+    # sqrt(sum_{j<i} |G[j, i]|^2) per state of w (n, da, db) and branch N_k
+    # of its stack (n, K, db, db), with G[j, i] = <beta_j| N_k |beta_i> over
+    # the Schmidt B-vectors from the rows of W (states.schmidt_rows), which
+    # need the diagonal-marginal premise. Rows at or below
+    # SCHMIDT_WEIGHT_CUTOFF are zero and add nothing.
+    rows, _ = schmidt_rows(w)
+    g = rows.conj()[:, None] @ stacks @ rows.swapaxes(-1, -2)[:, None]
+    return np.sqrt(np.sum(np.abs(np.triu(g, 1)) ** 2, axis=(-2, -1)))
+
+
+def branch_averages(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
+    """average_coherence of each state of w (n, da, db) under its own channel, shape (n,).
+
+    Each channel is given by its branch stack (n, K, db, db): the per-Kraus
+    F^dagger F of a trace-preserving operation or the member summary
+    operators of an ensemble. Zero branches padding a stack add 0. Raises
+    PremiseViolated and NotTracePreserving as average_coherence does.
+    """
+    _require_premises(w)
+    _require_trace_preserving(stacks)
+    return _offdiag_mass(_unnormalized_branches(w, stacks))
+
+
+def average_coherences(w: np.ndarray, channels) -> np.ndarray:
+    """average_coherence for many states against many channels at once.
+
+    w stacks normalized coefficient matrices, shape (n, dim_a, dim_b); the
+    channels must all have the same number of outcomes. Returns shape
+    (n, len(channels)). The checks and errors are those of average_coherence.
+    """
+    da, db = w.shape[-2:]
+    _require_premises(w)
+    for channel in channels:
+        _require_whole_channel(db, channel)
+    stacks = np.stack([_branch_stack(channel) for channel in channels])
+    unnorm = _unnormalized_branches(w, stacks.reshape(-1, db, db))
+    return _offdiag_mass(unnorm.reshape(w.shape[:-2] + stacks.shape[:2] + (da, da)))
+
+
+def maximally_entangled_partners(w: np.ndarray) -> np.ndarray:
+    """Coefficient matrices of maximally_entangled_partner for states w (n, da, db).
+
+    Row i is beta_i^T / sqrt(da), before the renormalization that
+    BipartitePureState (or states.unit_amplitudes) applies.
+    """
+    n, d, db = w.shape
+    if db < d:
+        raise WrongDimension(f"partner needs dim_b >= dim_a, got {db} < {d}")
+    _require_premises(w)
+    rows, keep = schmidt_rows(w)
+    for i in np.flatnonzero(~keep.all(axis=1)):
+        basis = rows[i, keep[i]].T
+        rows[i, ~keep[i]] = complete_orthonormal_basis(basis, db)[:, basis.shape[1] : d].T
+    return rows / np.sqrt(d)
+
+
+def outcome_coherence_bounds(w: np.ndarray, n_ops: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """outcome_coherence_bound of paired states and operations, shape (n,).
+
+    w (n, da, db) holds the states, n_ops (n, db, db) the summary operators
+    N and probs (n,) the branch probabilities, all at or above
+    ZERO_PROBABILITY_CUTOFF. Raises PremiseViolated as the scalar route does.
+    """
+    _require_premises(w)
+    return batch_concurrence(w) / probs * _lemma1_norms(w, n_ops[:, None])[:, 0]
+
+
+def tight_average_bounds(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
+    """tight_average_bound of each state of w (n, da, db) and its branch stack (n, K, db, db)."""
+    _require_premises(w)
+    _require_trace_preserving(stacks)
+    return batch_concurrence(w) * _lemma1_norms(w, stacks).sum(axis=-1)
+
+
+def average_coherence_bounds(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
+    """average_coherence_bound of each state of w (n, da, db) and its branch stack (n, K, db, db).
+
+    For two qubits this is E times the partner average, the right-hand side
+    of the factorization law.
+    """
+    partners = maximally_entangled_partners(w)
+    _require_trace_preserving(stacks)
+    partners = unit_amplitudes(partners.reshape(len(w), -1)).reshape(w.shape)
+    return w.shape[-2] / 2 * batch_concurrence(w) * _offdiag_mass(_unnormalized_branches(partners, stacks))
 
 
 def post_operation_state_a(state, op: KrausOperation, dim_a=None, dim_b=None):
@@ -183,21 +297,7 @@ def average_coherence(psi: BipartitePureState, channel) -> float:
     """
     require_premise(psi.marginal_offdiag())
     _require_whole_channel(psi.dim_b, channel)
-    return float(_branch_average(psi.coefficient_matrix, _branch_stack(channel)))
-
-
-def average_coherences(w: np.ndarray, channels) -> np.ndarray:
-    """average_coherence for many states against many channels at once.
-
-    w stacks normalized coefficient matrices, shape (n, dim_a, dim_b); the
-    channels must all have the same number of outcomes. Returns shape
-    (n, len(channels)). The checks and errors are those of average_coherence.
-    """
-    require_premise(float(marginal_offdiag(w).max(initial=0.0)))
-    for channel in channels:
-        _require_whole_channel(w.shape[-1], channel)
-    stacks = np.stack([_branch_stack(channel) for channel in channels])
-    return _branch_average(w, stacks)
+    return float(_offdiag_mass(_unnormalized_branches(psi.coefficient_matrix, _branch_stack(channel))))
 
 
 def maximally_entangled_partner(psi: BipartitePureState) -> BipartitePureState:
@@ -209,15 +309,8 @@ def maximally_entangled_partner(psi: BipartitePureState) -> BipartitePureState:
     of the B-basis, so the partner is always full rank. Its A-marginal is
     I/d, hence always incoherent.
     """
-    d = psi.dim_a
-    if psi.dim_b < d:
-        raise WrongDimension(f"partner needs dim_b >= dim_a, got {psi.dim_b} < {d}")
-    require_premise(psi.marginal_offdiag())
-    basis, keep = schmidt_pairs(psi)
-    rows = np.empty((d, psi.dim_b), dtype=np.complex128)
-    rows[keep] = basis.T
-    rows[~keep] = complete_orthonormal_basis(basis, psi.dim_b)[:, basis.shape[1] : d].T
-    return BipartitePureState(d, psi.dim_b, rows.reshape(-1) / np.sqrt(d))
+    rows = maximally_entangled_partners(psi.coefficient_matrix[None])
+    return BipartitePureState(psi.dim_a, psi.dim_b, rows.reshape(-1))
 
 
 def outcome_coherence_bound(psi: BipartitePureState, op: KrausOperation) -> float:
@@ -228,19 +321,17 @@ def outcome_coherence_bound(psi: BipartitePureState, op: KrausOperation) -> floa
     """
     if op.dim_b != psi.dim_b:
         raise ValueError(f"operation dimension {op.dim_b} does not match dim_b={psi.dim_b}")
-    n = op.n_operator()
-    prob = float(np.trace(_unnormalized_branches(psi.coefficient_matrix, n)).real)
-    if prob < ZERO_PROBABILITY_CUTOFF:
-        raise ZeroProbability(f"branch probability {prob:.3e} is below {ZERO_PROBABILITY_CUTOFF}")
-    return concurrence(psi) / prob * float(_lemma1_norms(psi, n[None])[0])
+    w = psi.coefficient_matrix[None]
+    n = op.n_operator()[None]
+    probs = _unnormalized_branches(w, n[:, None])[:, 0].trace(axis1=-2, axis2=-1).real
+    if probs[0] < ZERO_PROBABILITY_CUTOFF:
+        raise ZeroProbability(f"branch probability {probs[0]:.3e} is below {ZERO_PROBABILITY_CUTOFF}")
+    return float(outcome_coherence_bounds(w, n, probs)[0])
 
 
 def average_coherence_bound(psi: BipartitePureState, channel) -> float:
     """Average bound (dim_a / 2) * E * average_coherence of the partner."""
-    require_premise(psi.marginal_offdiag())
-    _require_whole_channel(psi.dim_b, channel)
-    partner = maximally_entangled_partner(psi)
-    return float(psi.dim_a / 2 * concurrence(psi) * average_coherence(partner, channel))
+    return float(average_coherence_bounds(*_one_pair(psi, channel))[0])
 
 
 def tight_average_bound(psi: BipartitePureState, channel) -> float:
@@ -249,9 +340,7 @@ def tight_average_bound(psi: BipartitePureState, channel) -> float:
     Never exceeds average_coherence_bound (up to rounding) and both dominate
     the achieved average.
     """
-    require_premise(psi.marginal_offdiag())
-    _require_whole_channel(psi.dim_b, channel)
-    return float(concurrence(psi) * _lemma1_norms(psi, _branch_stack(channel)).sum())
+    return float(tight_average_bounds(*_one_pair(psi, channel))[0])
 
 
 def average_rcc(psi: BipartitePureState, channel) -> RccReport:
@@ -265,7 +354,7 @@ def average_rcc(psi: BipartitePureState, channel) -> RccReport:
     stack = _branch_stack(channel)
     probs, zero, states = _conditional_states(_unnormalized_branches(psi.coefficient_matrix, stack))
     ent = concurrence(psi)
-    offdiag = _lemma1_norms(psi, stack)
+    offdiag = _lemma1_norms(psi.coefficient_matrix[None], stack[None])[0]
 
     outcomes: list[OutcomeRecord] = []
     bounds: list[float] = []

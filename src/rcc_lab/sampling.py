@@ -1,32 +1,155 @@
-"""Seeded random generators for states, channels, and sweep instances."""
+"""Seeded random generators for states, channels, and sweep instances.
+
+The draw_* helpers take one sample's raw numbers from a generator, in the
+order the random_* samplers draw them; the *_from_parts builders turn those
+parts into objects, or into stacks for many samples at once. The random_*
+samplers are draw then build, so a stream yields the same instances on the
+per-object and the stacked route.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .channels import ChannelEnsemble, KrausOperation
+from .channels import ChannelEnsemble, KrausOperation, check_summaries
 from .coherence import is_incoherent_quantum
-from .linalg import SeededRng, haar_random_unitary
-from .states import BipartitePureState, DensityMatrix
+from .linalg import SeededRng, complex_ginibre, unitary_from_ginibre
+from .states import BipartitePureState, DensityMatrix, schmidt_coefficients, unit_amplitudes
 
 
-def random_schmidt_parts(dim_a: int, dim_b: int, rng: SeededRng):
-    """Draw Schmidt weights and a Haar B-basis for a diagonal-A-marginal state.
+def draw_schmidt_parts(dim_a: int, dim_b: int, g: np.random.Generator):
+    """Schmidt weights and the complex Ginibre matrix of a Haar B-basis.
 
     Two-dimensional A uses a single uniform draw for the first weight; larger
-    A draws weights uniformly on the probability simplex. The basis columns
-    are the first dim_a columns of a Haar unitary on B.
+    A draws weights uniformly on the probability simplex.
     """
     if dim_b < dim_a:
         raise ValueError(f"need dim_b >= dim_a, got {dim_b} < {dim_a}")
-    g = rng.generator
     if dim_a == 2:
         first = float(g.random())
         weights = np.array([first, 1.0 - first])
     else:
         weights = g.dirichlet(np.ones(dim_a))
-    basis = haar_random_unitary(dim_b, rng)[:, :dim_a]
-    return weights, basis
+    return weights, complex_ginibre(g, (dim_b, dim_b))
+
+
+def draw_kraus_parts(dim_b: int, g: np.random.Generator, max_kraus: int = 3) -> np.ndarray:
+    """Unscaled Ginibre Kraus set, shape (count, dim_b, dim_b), count uniform in 1..max_kraus."""
+    count = int(g.integers(1, max_kraus + 1))
+    return np.array([complex_ginibre(g, (dim_b, dim_b)) for _ in range(count)])
+
+
+def draw_tp_parts(dim_b: int, g: np.random.Generator, kraus_count: int | None = None) -> np.ndarray:
+    """Ginibre matrix (count * dim_b, dim_b) whose QR isometry splits into count Kraus blocks."""
+    count = int(kraus_count) if kraus_count else int(g.integers(2, 4))
+    return complex_ginibre(g, (count * dim_b, dim_b))
+
+
+def draw_ensemble_parts(dim_b: int, g: np.random.Generator) -> tuple[np.ndarray, int]:
+    """Isometry parts of 3 or 4 Kraus blocks and the index splitting them into two members."""
+    count = int(g.integers(3, 5))
+    z = draw_tp_parts(dim_b, g, kraus_count=count)
+    return z, int(g.integers(1, count))
+
+
+def scaled_kraus(mats: np.ndarray) -> np.ndarray:
+    """Kraus sets stacked as (..., count, d, d), each scaled so that max eig(N) = 1.
+
+    Zero matrices padding a set change neither its scale nor the rest of it.
+    """
+    n = (mats.conj().swapaxes(-1, -2) @ mats).sum(axis=-3)
+    top = np.linalg.eigvalsh((n + n.conj().swapaxes(-1, -2)) / 2).max(axis=-1)
+    return (1.0 / np.sqrt(top))[..., None, None, None] * mats
+
+
+def isometry_kraus(z: np.ndarray) -> np.ndarray:
+    """Kraus blocks (..., count, d, d) of the QR isometries of z (..., count * d, d)."""
+    q, _ = np.linalg.qr(z)
+    d = z.shape[-1]
+    return q.reshape(z.shape[:-2] + (-1, d, d))
+
+
+def kraus_operation_from_parts(mats: np.ndarray) -> KrausOperation:
+    """The operation random_kraus_operation builds from draw_kraus_parts output."""
+    return KrausOperation(list(scaled_kraus(mats)), label=f"random-kraus[{len(mats)}]")
+
+
+def tp_channel_from_parts(z: np.ndarray) -> KrausOperation:
+    """The channel random_tp_channel builds from draw_tp_parts output."""
+    blocks = isometry_kraus(z)
+    return KrausOperation(list(blocks), label=f"random-tp[{len(blocks)}]")
+
+
+def ensemble_from_parts(z: np.ndarray, split: int) -> ChannelEnsemble:
+    """The ensemble random_channel_ensemble builds from draw_ensemble_parts output."""
+    whole = tp_channel_from_parts(z)
+    first = KrausOperation(whole.kraus[:split], label="ensemble-member[0]")
+    second = KrausOperation(whole.kraus[split:], label="ensemble-member[1]")
+    return ChannelEnsemble([first, second])
+
+
+def coefficient_matrices_from_parts(parts) -> np.ndarray:
+    """Normalized coefficient matrices (n, dim_a, dim_b) of drawn Schmidt states.
+
+    parts lists draw_schmidt_parts outputs (weights, ginibre); row n holds
+    the state random_schmidt_state builds from parts[n]. One batched QR,
+    then from_schmidt's and BipartitePureState's checks over the stack.
+    """
+    basis = unitary_from_ginibre(np.array([ginibre for _, ginibre in parts]))
+    w = schmidt_coefficients(np.array([weights for weights, _ in parts]), basis)
+    return unit_amplitudes(w.reshape(len(w), -1)).reshape(w.shape)
+
+
+def summary_operators_from_parts(kraus_parts) -> np.ndarray:
+    """Summary operators (n, d, d) of drawn sub-normalized operations.
+
+    kraus_parts lists draw_kraus_parts outputs; entry n is the N of the
+    operation random_kraus_operation builds from kraus_parts[n], checked as
+    KrausOperation checks it.
+    """
+    d = kraus_parts[0].shape[-1]
+    mats = np.zeros((len(kraus_parts), max(len(m) for m in kraus_parts), d, d), dtype=np.complex128)
+    for i, m in enumerate(kraus_parts):
+        mats[i, : len(m)] = m
+    kraus = scaled_kraus(mats)
+    return check_summaries((kraus.conj().swapaxes(-1, -2) @ kraus).sum(axis=-3, initial=0))
+
+
+def branch_stacks_from_parts(channel_parts, dim_b: int) -> list[np.ndarray]:
+    """Branch stacks (K_i, dim_b, dim_b) of drawn channels, one per sample.
+
+    channel_parts holds (draw_tp_parts output, None) for a trace-preserving
+    channel, with one branch F^dagger F per Kraus block, and
+    draw_ensemble_parts output for an ensemble, with its two member summary
+    operators. One batched QR per Kraus count; 0 <= N <= I is checked for
+    every whole channel and every member, as KrausOperation checks it.
+    """
+    zs = [z for z, _ in channel_parts]
+    counts = [len(z) // dim_b for z in zs]
+    kraus = np.zeros((len(zs), max(counts), dim_b, dim_b), dtype=np.complex128)
+    for count in set(counts):
+        idx = [i for i, c in enumerate(counts) if c == count]
+        kraus[idx, :count] = isometry_kraus(np.array([zs[i] for i in idx]))
+    ff = kraus.conj().swapaxes(-1, -2) @ kraus
+    check_summaries(ff.sum(axis=-3, initial=0))
+    stacks = [ff[i, :count] for i, count in enumerate(counts)]
+    members = [i for i, (_, split) in enumerate(channel_parts) if split is not None]
+    if members:
+        second = np.arange(kraus.shape[1]) >= np.array([channel_parts[i][1] for i in members])[:, None]
+        masks = np.stack([~second, second], axis=1)[..., None, None]
+        member_ns = check_summaries(np.where(masks, ff[members][:, None], 0).sum(axis=-3, initial=0))
+        for i, stack in zip(members, member_ns):
+            stacks[i] = stack
+    return stacks
+
+
+def random_schmidt_parts(dim_a: int, dim_b: int, rng: SeededRng):
+    """Draw Schmidt weights and a Haar B-basis for a diagonal-A-marginal state.
+
+    The basis columns are the first dim_a columns of a Haar unitary on B.
+    """
+    weights, ginibre = draw_schmidt_parts(dim_a, dim_b, rng.generator)
+    return weights, unitary_from_ginibre(ginibre)[:, :dim_a]
 
 
 def random_schmidt_state(dim_a: int, dim_b: int, rng: SeededRng) -> BipartitePureState:
@@ -37,8 +160,7 @@ def random_schmidt_state(dim_a: int, dim_b: int, rng: SeededRng) -> BipartitePur
 
 def random_density_matrix(dim: int, rng: SeededRng) -> DensityMatrix:
     """Ginibre-induced random density matrix."""
-    g = rng.generator
-    z = (g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim))) / np.sqrt(2.0)
+    z = complex_ginibre(rng.generator, (dim, dim))
     m = z @ z.conj().T
     return DensityMatrix(m / np.trace(m).real, validate=False)
 
@@ -68,39 +190,14 @@ def random_kraus_operation(dim_b: int, rng: SeededRng, max_kraus: int = 3) -> Kr
 
     Covers trace-decreasing and nearly trace-preserving cases alike.
     """
-    g = rng.generator
-    count = int(g.integers(1, max_kraus + 1))
-    mats = [
-        (g.standard_normal((dim_b, dim_b)) + 1j * g.standard_normal((dim_b, dim_b))) / np.sqrt(2.0)
-        for _ in range(count)
-    ]
-    n = np.zeros((dim_b, dim_b), dtype=np.complex128)
-    for f in mats:
-        n += f.conj().T @ f
-    top = float(np.max(np.linalg.eigvalsh((n + n.conj().T) / 2)))
-    scale = 1.0 / np.sqrt(top)
-    return KrausOperation([scale * f for f in mats], label=f"random-kraus[{count}]")
+    return kraus_operation_from_parts(draw_kraus_parts(dim_b, rng.generator, max_kraus))
 
 
 def random_tp_channel(dim_b: int, rng: SeededRng, kraus_count: int | None = None) -> KrausOperation:
     """Random trace-preserving channel from an isometry split into blocks."""
-    g = rng.generator
-    count = int(kraus_count) if kraus_count else int(g.integers(2, 4))
-    z = (
-        g.standard_normal((count * dim_b, dim_b))
-        + 1j * g.standard_normal((count * dim_b, dim_b))
-    ) / np.sqrt(2.0)
-    q, _ = np.linalg.qr(z)
-    blocks = [q[k * dim_b : (k + 1) * dim_b, :] for k in range(count)]
-    return KrausOperation(blocks, label=f"random-tp[{count}]")
+    return tp_channel_from_parts(draw_tp_parts(dim_b, rng.generator, kraus_count))
 
 
 def random_channel_ensemble(dim_b: int, rng: SeededRng) -> ChannelEnsemble:
     """Random ensemble: a trace-preserving Kraus set split into two members."""
-    g = rng.generator
-    count = int(g.integers(3, 5))
-    whole = random_tp_channel(dim_b, rng, kraus_count=count)
-    split = int(g.integers(1, count))
-    first = KrausOperation(whole.kraus[:split], label="ensemble-member[0]")
-    second = KrausOperation(whole.kraus[split:], label="ensemble-member[1]")
-    return ChannelEnsemble([first, second])
+    return ensemble_from_parts(*draw_ensemble_parts(dim_b, rng.generator))

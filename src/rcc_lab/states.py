@@ -209,18 +209,25 @@ def require_premise(offdiag: float, tol: float = VALIDITY_ATOL) -> None:
         )
 
 
-def schmidt_pairs(psi: BipartitePureState) -> tuple[np.ndarray, np.ndarray]:
-    """psi's Schmidt B-vectors as columns, and the mask of the rows they come from.
+def schmidt_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Schmidt B-vectors beta_i^T = W[i] / sqrt(w_i) of coefficient matrices w (..., dim_a, dim_b).
 
     Under the diagonal-marginal premise (check it with require_premise) row i
-    of W is sqrt(w_i) beta_i, so beta_i = W[i] / sqrt(w_i) is paired with |i>
-    even at equal weights, where an SVD may return any rotation of the pairs.
-    Only rows with w_i above SCHMIDT_WEIGHT_CUTOFF are kept, in row order.
+    of W is sqrt(w_i) beta_i, so beta_i is paired with |i> even at equal
+    weights, where an SVD may return any rotation of the pairs. Rows with
+    w_i at or below SCHMIDT_WEIGHT_CUTOFF come back as zeros; the second
+    result, shape (..., dim_a), marks the rows kept.
     """
-    w = psi.coefficient_matrix
-    weights = np.sum(np.abs(w) ** 2, axis=1)
+    weights = np.sum(np.abs(w) ** 2, axis=-1)
     keep = weights > SCHMIDT_WEIGHT_CUTOFF
-    return (w[keep] / np.sqrt(weights[keep])[:, None]).T, keep
+    rows = np.divide(w, np.sqrt(weights)[..., None], out=np.zeros_like(w), where=keep[..., None])
+    return rows, keep
+
+
+def schmidt_pairs(psi: BipartitePureState) -> tuple[np.ndarray, np.ndarray]:
+    """psi's kept Schmidt B-vectors (schmidt_rows) as columns, in row order, and the kept-row mask."""
+    rows, keep = schmidt_rows(psi.coefficient_matrix)
+    return rows[keep].T, keep
 
 
 def concurrence(psi: BipartitePureState) -> float:

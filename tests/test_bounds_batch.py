@@ -1,0 +1,349 @@
+"""The stacked lemma1, theorem3 and theorem4 sweeps against per-sample references.
+
+The reference loops below are the per-sample sweeps: one state and one
+channel object per draw, evaluated through the scalar API. The oracles at
+the end use only np.kron and an explicit partial trace.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from rcc_lab import experiments, rcc
+from rcc_lab.channels import (
+    KrausOperation,
+    ensemble_to_json,
+    kraus_operation_to_json,
+    phase_damping,
+    check_summaries,
+)
+from rcc_lab.coherence import l1_coherence
+from rcc_lab.errors import NotTracePreserving, PremiseViolated, ZeroProbability
+from rcc_lab.experiments import BOUNDS_BLOCK, SuiteReport, run_verify
+from rcc_lab.linalg import SeededRng, haar_random_unitary
+from rcc_lab.sampling import (
+    random_channel_ensemble,
+    random_kraus_operation,
+    random_schmidt_state,
+    random_tp_channel,
+)
+from rcc_lab.states import BipartitePureState, concurrence, state_to_json
+
+SEEDS = (0, 5, 13)
+SIZES = (1, 2, 33, BOUNDS_BLOCK + 5)
+
+
+def scalar_lemma1(samples, seed):
+    rng = SeededRng(seed, 0)
+    checked = violations = excluded = 0
+    max_violation = 0.0
+    worst = None
+    for dim in (2, 3, 4):
+        for _ in range(samples):
+            psi = random_schmidt_state(dim, dim, rng)
+            op = random_kraus_operation(dim, rng)
+            checked += 1
+            try:
+                state_a, _ = rcc.post_operation_state_a(psi, op)
+                bound = rcc.outcome_coherence_bound(psi, op)
+            except ZeroProbability:
+                excluded += 1
+                continue
+            gap = l1_coherence(state_a) - bound
+            if gap > experiments.BOUND_ATOL:
+                violations += 1
+                if gap > max_violation:
+                    max_violation = gap
+                    worst = {"state": state_to_json(psi), "channel": kraus_operation_to_json(op), "excess": gap}
+    return SuiteReport("lemma1", checked, violations, excluded, max_violation, worst)
+
+
+def scalar_theorem3(samples, seed):
+    rng = SeededRng(seed, 0)
+    checked = violations = 0
+    max_violation = 0.0
+    worst = None
+    for dim in (2, 3, 4):
+        for k in range(samples):
+            psi = random_schmidt_state(dim, dim, rng)
+            if k % 2 == 0:
+                channel = random_tp_channel(dim, rng)
+                channel_json = kraus_operation_to_json(channel)
+            else:
+                channel = random_channel_ensemble(dim, rng)
+                channel_json = ensemble_to_json(channel)
+            checked += 1
+            average = rcc.average_coherence(psi, channel)
+            tight = rcc.tight_average_bound(psi, channel)
+            partner_bound = rcc.average_coherence_bound(psi, channel)
+            gap = max(average - tight, tight - partner_bound)
+            if gap > experiments.BOUND_ATOL:
+                violations += 1
+                if gap > max_violation:
+                    max_violation = gap
+                    worst = {"state": state_to_json(psi), "channel": channel_json, "excess": gap}
+    return SuiteReport("theorem3", checked, violations, 0, max_violation, worst)
+
+
+def scalar_theorem4(samples, seed):
+    rng = SeededRng(seed, 0)
+    checked = violations = 0
+    max_violation = 0.0
+    worst = None
+    for _ in range(samples):
+        psi = random_schmidt_state(2, 2, rng)
+        channel = random_tp_channel(2, rng)
+        checked += 1
+        average = rcc.average_coherence(psi, channel)
+        ent = concurrence(psi)
+        maxent = rcc.average_coherence(rcc.maximally_entangled_partner(psi), channel)
+        dev = abs(average - ent * maxent)
+        if dev >= rcc.FACTORIZATION_ATOL:
+            violations += 1
+            if dev > max_violation:
+                max_violation = dev
+                worst = {"state": state_to_json(psi), "channel": kraus_operation_to_json(channel), "deviation": dev}
+    return SuiteReport("theorem4", checked, violations, 0, max_violation, worst)
+
+
+REFERENCES = {"lemma1": scalar_lemma1, "theorem3": scalar_theorem3, "theorem4": scalar_theorem4}
+
+
+def assert_same_report(batched, reference):
+    assert (batched.suite, batched.checked, batched.violations, batched.excluded, batched.notes) == (
+        reference.suite,
+        reference.checked,
+        reference.violations,
+        reference.excluded,
+        reference.notes,
+    )
+    assert abs(batched.max_violation - reference.max_violation) <= 1e-12
+    if reference.worst_case is None:
+        assert batched.worst_case is None
+        return
+    assert batched.worst_case.keys() == reference.worst_case.keys()
+    for key in ("state", "channel"):
+        assert json.dumps(batched.worst_case[key]) == json.dumps(reference.worst_case[key])
+    key = "deviation" if reference.suite == "theorem4" else "excess"
+    assert abs(batched.worst_case[key] - reference.worst_case[key]) <= 1e-12
+
+
+@pytest.mark.parametrize("suite", sorted(REFERENCES))
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("samples", SIZES)
+def test_batched_sweep_equals_the_per_sample_loop(suite, seed, samples):
+    assert_same_report(run_verify(suite, samples, seed), REFERENCES[suite](samples, seed))
+
+
+@pytest.mark.parametrize("suite", sorted(REFERENCES))
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("samples", SIZES)
+def test_forced_violations_pick_the_same_worst_case(monkeypatch, suite, seed, samples):
+    # Every check now violates, so the worst case is the largest excess of
+    # the whole sweep; at d = 2 the bounds hold with equality and that excess
+    # is rounding, which the stacked sweep must reproduce sample by sample.
+    monkeypatch.setattr(experiments, "BOUND_ATOL", -1.0)
+    monkeypatch.setattr(rcc, "FACTORIZATION_ATOL", -1.0)
+    batched = run_verify(suite, samples, seed)
+    assert batched.violations > 0
+    assert_same_report(batched, REFERENCES[suite](samples, seed))
+
+
+def test_lemma1_contracts_each_pair_once(monkeypatch):
+    contracted = []
+    kernel = rcc._unnormalized_branches
+
+    def counting(w, stack):
+        out = kernel(w, stack)
+        contracted.append(int(np.prod(out.shape[:-2])))
+        return out
+
+    monkeypatch.setattr(rcc, "_unnormalized_branches", counting)
+    report = run_verify("lemma1", BOUNDS_BLOCK + 5, 3)
+    assert sum(contracted) == report.checked == 3 * (BOUNDS_BLOCK + 5)
+    # One call per block: two blocks for each of d = 2, 3, 4.
+    assert len(contracted) == 6
+
+
+# -- errors on the stacked routes ----------------------------------------
+
+
+def coherent_state():
+    # |+>|0>: A's marginal has off-diagonal weight 1/2.
+    return BipartitePureState(2, 2, np.array([1, 0, 1, 0]) / np.sqrt(2))
+
+
+def raised(fn, *args):
+    with pytest.raises(Exception) as exc:
+        fn(*args)
+    return type(exc.value), str(exc.value)
+
+
+def test_coherent_marginal_raises_as_on_the_scalar_routes():
+    psi = coherent_state()
+    channel = phase_damping(0.3)
+    w, stacks = psi.coefficient_matrix[None], channel.branch_n_stack()[None]
+    op = KrausOperation([np.diag([1.0, 0.5])])
+    expected = raised(rcc.tight_average_bound, psi, channel)
+    assert expected[0] is PremiseViolated
+    assert raised(rcc.average_coherence, psi, channel) == expected
+    assert raised(rcc.average_coherence_bound, psi, channel) == expected
+    assert raised(rcc.outcome_coherence_bound, psi, op) == expected
+    assert raised(rcc.maximally_entangled_partner, psi) == expected
+    assert raised(rcc.tight_average_bounds, w, stacks) == expected
+    assert raised(rcc.average_coherence_bounds, w, stacks) == expected
+    assert raised(rcc.branch_averages, w, stacks) == expected
+    assert raised(rcc.maximally_entangled_partners, w) == expected
+    assert raised(rcc.outcome_coherence_bounds, w, op.n_operator()[None], np.ones(1)) == expected
+
+
+def test_non_trace_preserving_channel_raises_as_on_the_scalar_routes():
+    psi = random_schmidt_state(2, 2, SeededRng(4))
+    half = KrausOperation([np.sqrt(0.5) * np.eye(2)])
+    w, stacks = psi.coefficient_matrix[None], half.branch_n_stack()[None]
+    expected = raised(rcc.average_coherence, psi, half)
+    assert expected[0] is NotTracePreserving
+    assert raised(rcc.tight_average_bound, psi, half) == expected
+    assert raised(rcc.average_coherence_bound, psi, half) == expected
+    assert raised(rcc.branch_averages, w, stacks) == expected
+    assert raised(rcc.tight_average_bounds, w, stacks) == expected
+    assert raised(rcc.average_coherence_bounds, w, stacks) == expected
+
+
+def test_summary_check_raises_as_kraus_operation_does():
+    big = np.sqrt(1.5) * np.eye(2)
+    expected = raised(KrausOperation, [big])
+    assert expected[0] is ValueError
+    assert raised(check_summaries, (big.conj().T @ big)[None]) == expected
+    # One bad operator anywhere in a stack fails the whole stack.
+    with pytest.raises(ValueError, match="0 <= N <= I"):
+        check_summaries(np.stack([np.eye(2) / 2, big.conj().T @ big]))
+
+
+@pytest.mark.parametrize("suite", ["lemma1", "theorem3", "theorem4"])
+def test_sweeps_check_the_premise_on_the_block(monkeypatch, suite):
+    def coherent_block(parts):
+        return np.repeat(coherent_state().coefficient_matrix[None], len(parts), axis=0)
+
+    monkeypatch.setattr(experiments, "coefficient_matrices_from_parts", coherent_block)
+    with pytest.raises(PremiseViolated):
+        run_verify(suite, 4, 0)
+
+
+@pytest.mark.parametrize("suite", ["theorem3", "theorem4"])
+def test_sweeps_check_that_channels_are_whole(monkeypatch, suite):
+    stacks_of = experiments.branch_stacks_from_parts
+
+    def halved(parts, dim):
+        return [stack / 2 for stack in stacks_of(parts, dim)]
+
+    monkeypatch.setattr(experiments, "branch_stacks_from_parts", halved)
+    with pytest.raises(NotTracePreserving):
+        run_verify(suite, 4, 0)
+
+
+# -- scalar views against a brute-force oracle ----------------------------
+
+
+def oracle_branch(amp, dim_a, dim_b, kraus):
+    # tr_B of sum_F (I (x) F) |psi><psi| (I (x) F)^dagger.
+    rho = np.outer(amp, amp.conj())
+    out = np.zeros((dim_a * dim_b, dim_a * dim_b), dtype=complex)
+    for f in kraus:
+        big = np.kron(np.eye(dim_a), f)
+        out += big @ rho @ big.conj().T
+    return np.einsum("ijkj->ik", out.reshape(dim_a, dim_b, dim_a, dim_b))
+
+
+def oracle_l1(m):
+    return float(np.abs(m).sum() - np.abs(np.diag(m)).sum())
+
+
+def oracle_concurrence(amp, dim_a, dim_b):
+    rho_a = oracle_branch(amp, dim_a, dim_b, [np.eye(dim_b)])
+    return float(np.sqrt(max(0.0, 2.0 * (1.0 - np.trace(rho_a @ rho_a).real))))
+
+
+def oracle_norm(n, betas):
+    g = betas.conj().T @ n @ betas
+    return float(np.sqrt(sum(abs(g[j, i]) ** 2 for i in range(len(g)) for j in range(i))))
+
+
+def oracle_average(amp, dim_a, dim_b, branches):
+    return sum(oracle_l1(oracle_branch(amp, dim_a, dim_b, kraus)) for kraus in branches)
+
+
+def schmidt_amplitudes(weights, basis):
+    # sum_i sqrt(w_i) |i> (x) |beta_i> with the columns of basis as beta_i.
+    return sum(np.sqrt(w) * np.kron(np.eye(len(weights))[i], basis[:, i]) for i, w in enumerate(weights))
+
+
+def hard_inputs():
+    rng = SeededRng(20161008)
+    for d in (2, 3, 4):
+        # Haar-rotated equal weights, dim_b = d.
+        yield np.full(d, 1.0 / d), haar_random_unitary(d, rng)[:, :d]
+        # dim_b = d + 1.
+        yield rng.generator.dirichlet(np.ones(d)), haar_random_unitary(d + 1, rng)[:, :d]
+        if d > 2:
+            # Rank-deficient: weight 0 on row 1, so the partner is completed.
+            # (At d = 2 that is a product state, where E = 0 is ill-conditioned.)
+            weights = rng.generator.dirichlet(np.ones(d))
+            weights[1] = 0.0
+            yield weights / weights.sum(), haar_random_unitary(d + 1, rng)[:, :d]
+
+
+@pytest.mark.parametrize("weights, basis", list(hard_inputs()))
+def test_scalar_views_match_the_oracle(weights, basis):
+    d, dim_b = len(weights), basis.shape[0]
+    rng = SeededRng(d * 10 + dim_b)
+    psi = BipartitePureState.from_schmidt(weights, basis)
+    amp = schmidt_amplitudes(weights, basis)
+    kept = weights > 0
+    betas = basis[:, kept]
+    ent = oracle_concurrence(amp, d, dim_b)
+
+    op = random_kraus_operation(dim_b, rng)
+    branch = oracle_branch(amp, d, dim_b, op.kraus)
+    prob = np.trace(branch).real
+    expected = ent / prob * oracle_norm(sum(f.conj().T @ f for f in op.kraus), betas)
+    assert abs(rcc.outcome_coherence_bound(psi, op) - expected) <= 1e-12
+    assert oracle_l1(branch) / prob <= expected + 1e-10
+
+    partner = rcc.maximally_entangled_partner(psi).coefficient_matrix
+    assert np.max(np.abs(partner[kept] - betas.T / np.sqrt(d))) <= 1e-12
+    assert np.max(np.abs(partner @ partner.conj().T - np.eye(d) / d)) <= 1e-12
+
+    for channel in (random_tp_channel(dim_b, rng), random_channel_ensemble(dim_b, rng)):
+        if isinstance(channel, KrausOperation):
+            branches = [[f] for f in channel.kraus]
+        else:
+            branches = [member.kraus for member in channel.operations]
+        summaries = [sum(f.conj().T @ f for f in kraus) for kraus in branches]
+        tight = ent * sum(oracle_norm(n, betas) for n in summaries)
+        assert abs(rcc.tight_average_bound(psi, channel) - tight) <= 1e-12
+        partner_bound = d / 2 * ent * oracle_average(partner.reshape(-1), d, dim_b, branches)
+        assert abs(rcc.average_coherence_bound(psi, channel) - partner_bound) <= 1e-12
+        average = oracle_average(amp, d, dim_b, branches)
+        assert average <= tight + 1e-10 and tight <= partner_bound + 1e-10
+
+
+def test_scalar_views_are_one_element_stacks():
+    # A state's numbers do not depend on how many states share the call.
+    rng = SeededRng(9)
+    psis = [random_schmidt_state(3, 4, rng) for _ in range(5)]
+    channels = [random_tp_channel(4, rng, kraus_count=2) for _ in psis]
+    w = np.array([psi.coefficient_matrix for psi in psis])
+    stacks = np.array([channel.branch_n_stack() for channel in channels])
+    tight = rcc.tight_average_bounds(w, stacks)
+    bound = rcc.average_coherence_bounds(w, stacks)
+    partners = rcc.maximally_entangled_partners(w)
+    for i, (psi, channel) in enumerate(zip(psis, channels)):
+        assert tight[i] == rcc.tight_average_bound(psi, channel)
+        assert bound[i] == rcc.average_coherence_bound(psi, channel)
+        assert rcc.branch_averages(w, stacks)[i] == rcc.average_coherence(psi, channel)
+        assert np.array_equal(
+            BipartitePureState(3, 4, partners[i].reshape(-1)).amplitudes,
+            rcc.maximally_entangled_partner(psi).amplitudes,
+        )

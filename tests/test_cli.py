@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import re
 
 import numpy as np
@@ -129,6 +130,40 @@ class TestFig1Command:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"samples": 2.7}, "samples"),
+            ({"samples": True}, "samples"),
+            ({"seed": 1.9}, "seed"),
+            ({"seed": True}, "seed"),
+            ({"damping_rates": [True]}, "damping_rates"),
+            ({"damping_rates": ["0.5"]}, "damping_rates"),
+            ({"damping_rates": 0.5}, "damping_rates"),
+            ({"plot_path": ["plot.svg"]}, "plot_path"),
+            ({"output_path": ["x.csv"]}, "output_path"),
+        ],
+    )
+    def test_config_values_of_the_wrong_type_are_usage_errors(self, tmp_path, capsys, fields, name):
+        out = tmp_path / "x.csv"
+        config = write_json(tmp_path / "config.json", {"samples": 1, "output_path": str(out), **fields})
+        assert main(["fig1", "--config", config]) == 2
+        assert f"field '{name}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_output_path_is_not_a_file_descriptor(self, tmp_path, capsys):
+        # open() takes an int as a descriptor: it would write the CSV into it and close it.
+        target = tmp_path / "descriptor.txt"
+        fd = os.open(target, os.O_WRONLY | os.O_CREAT)
+        try:
+            config = write_json(tmp_path / "config.json", {"samples": 1, "output_path": fd})
+            assert main(["fig1", "--config", config]) == 2
+            os.fstat(fd)
+        finally:
+            os.close(fd)
+        assert target.read_bytes() == b""
+        assert "field 'output_path'" in capsys.readouterr().err
+
     def test_unknown_config_field_rejected(self, tmp_path, capsys):
         config = write_json(tmp_path / "config.json", {"sample_count": 3})
         assert main(["fig1", "--config", config]) == 2
@@ -181,6 +216,15 @@ class TestVerifyCommand:
     def test_run_verify_validates_samples(self):
         with pytest.raises(ValueError, match="samples"):
             run_verify("theorem4", 0, 1)
+
+    @pytest.mark.parametrize(
+        "samples, seed, field",
+        [(True, 0, "samples"), (2.0, 0, "samples"), ("2", 0, "samples"), (2, False, "seed"), (2, 1.5, "seed")],
+    )
+    def test_run_verify_rejects_non_integers(self, samples, seed, field):
+        # True would otherwise run one sample, and a float seed would truncate.
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            run_verify("theorem4", samples, seed)
 
 
 class TestComputeCommand:
