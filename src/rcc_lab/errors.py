@@ -34,7 +34,7 @@ class WrongDimension(RccLabError):
 
 
 class SearchExhausted(RccLabError):
-    """Randomized search ran out of attempts before reaching its target."""
+    """The converse witness fell below `CONVERSE_COHERENCE_TARGET`."""
 
     def __init__(self, message, best_value=0.0, attempts=0):
         super().__init__(message)

@@ -362,9 +362,10 @@ def verify_theorem1(samples: int, seed: int, operations_per_state: int = 100) ->
 
     Forward: random block-diagonal states against random operations must keep
     A's post-operation coherence below FORWARD_COHERENCE_ATOL; each state
-    meets all operations in one stacked contraction. Converse: random states
-    failing the block test must admit a coherence-creating projector within
-    the search budget.
+    meets all operations in one stacked contraction. Converse: for random
+    states failing the block test, the converse witness
+    (rcc.find_creating_operation) must create coherence above
+    rcc.CONVERSE_COHERENCE_TARGET.
     """
     rng = SeededRng(seed, 0)
     dim_a = dim_b = 2
@@ -418,7 +419,7 @@ def verify_theorem1(samples: int, seed: int, operations_per_state: int = 100) ->
         converse_ok += 1
     notes = (
         f"forward: max post-coherence {forward_worst:.3e} over {samples * operations_per_state} checks",
-        f"converse: {converse_ok}/{samples} searches succeeded, {exhausted} budget exhaustions",
+        f"converse: {converse_ok}/{samples} witnesses reached the target, {exhausted} below it",
     )
     return SuiteReport("theorem1", checked, violations, excluded, max_violation, worst, notes)
 

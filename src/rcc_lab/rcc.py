@@ -11,7 +11,6 @@ factorization law.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,11 +25,9 @@ from .errors import (
 )
 from .linalg import (
     VALIDITY_ATOL,
-    SeededRng,
     as_complex_matrix,
     complete_orthonormal_basis,
     matrix_to_json,
-    random_pure_state,
 )
 from .states import (
     BipartitePureState,
@@ -52,6 +49,9 @@ ZERO_PROBABILITY_CUTOFF = 1e-14
 RATIO_DENOMINATOR_CUTOFF = 1e-12
 
 FACTORIZATION_ATOL = 1e-9
+
+# A's coherence the converse witness (find_creating_operation) must exceed.
+CONVERSE_COHERENCE_TARGET = 1e-6
 
 _NOT_WHOLE = (
     "averaging needs a trace-preserving channel; wrap post-selected "
@@ -408,52 +408,45 @@ def factorization_check(psi: BipartitePureState, channel) -> tuple[float | None,
     return None, bool(average < FACTORIZATION_ATOL)
 
 
-def _state_seed(matrix: np.ndarray) -> int:
-    rounded = np.round(np.ascontiguousarray(matrix), 12)
-    digest = hashlib.sha256(rounded.tobytes()).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
-def find_creating_operation(
-    rho_ab,
-    dim_a: int,
-    dim_b: int,
-    *,
-    attempts: int = 512,
-    coherence_target: float = 1e-6,
-) -> KrausOperation | None:
-    """Search for a B-side projector that creates coherence on A.
+def find_creating_operation(rho_ab, dim_a: int, dim_b: int) -> KrausOperation | None:
+    """B-side projector that creates coherence on A: the converse of Theorem 1.
 
     Returns None exactly when the state is block-diagonal in A's basis (then
-    no operation can succeed). Otherwise draws random rank-1 projectors on B
-    from a stream seeded by the state itself, so repeated calls replay the
-    same search, and returns the first projector pushing A's coherence past
-    coherence_target. SearchExhausted (carrying the best value seen) signals
-    that the attempt budget ran out, as opposed to provable impossibility.
+    no operation can succeed). Otherwise S = V L^(-1/2) whitens B's marginal
+    on its support, and beta = S v / |S v| for v the eigenvector of largest
+    |eigenvalue| over the Hermitian and anti-Hermitian parts of every
+    S^dagger X_ik S, X_ik = (<i| (x) I) rho (|k> (x) I), i < k: the most
+    coherence per unit branch probability that any one part allows. Raises
+    SearchExhausted (attempts=1) when it stays below CONVERSE_COHERENCE_TARGET.
     """
     dm = rho_ab if isinstance(rho_ab, DensityMatrix) else DensityMatrix(rho_ab)
     if dm.dim != dim_a * dim_b:
         raise ValueError(f"operator side {dm.dim} does not match dim_a*dim_b = {dim_a * dim_b}")
     if is_incoherent_quantum(dm, dim_a, dim_b):
         return None
-    rng = SeededRng(_state_seed(dm.matrix), 0)
-    best = 0.0
-    for k in range(attempts):
-        beta = random_pure_state(dim_b, rng)
-        op = KrausOperation([np.outer(beta, beta.conj())], label=f"projector-search[{k}]")
-        try:
-            state_a, _ = post_operation_state_a(dm, op, dim_a, dim_b)
-        except ZeroProbability:
-            continue
-        achieved = l1_coherence(state_a)
-        if achieved > coherence_target:
-            return op
-        best = max(best, achieved)
+    blocks = dm.matrix.reshape(dim_a, dim_b, dim_a, dim_b).swapaxes(1, 2)
+    weights, basis = np.linalg.eigh(blocks.trace())
+    # Kept weights bound beta's branch probability from below, far above
+    # ZERO_PROBABILITY_CUTOFF; dropped ones are rounding off the support.
+    support = weights > VALIDITY_ATOL * weights[-1]
+    s = basis[:, support] / np.sqrt(weights[support])
+    y = s.conj().T @ blocks[~np.tri(dim_a, dtype=bool)] @ s
+    y_dag = y.conj().swapaxes(-1, -2)
+    # Twice the two parts: same eigenvectors, same order of |eigenvalues|.
+    values, vectors = np.linalg.eigh(np.concatenate([y + y_dag, (y_dag - y) * 1j]))
+    part, j = divmod(int(np.abs(values).argmax()), values.shape[-1])
+    beta = s @ vectors[part, :, j]
+    beta /= np.linalg.norm(beta)
+    op = KrausOperation([np.outer(beta, beta.conj())], label="projector-search[0]")
+    state_a, _ = post_operation_state_a(dm, op, dim_a, dim_b)
+    achieved = l1_coherence(state_a)
+    if achieved > CONVERSE_COHERENCE_TARGET:
+        return op
     raise SearchExhausted(
-        f"no projector reached coherence {coherence_target:g} within {attempts} attempts "
-        f"(best found {best:.3e})",
-        best_value=best,
-        attempts=attempts,
+        f"the converse witness reaches coherence {achieved:.3e}, "
+        f"below {CONVERSE_COHERENCE_TARGET:g}",
+        best_value=achieved,
+        attempts=1,
     )
 
 

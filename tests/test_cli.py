@@ -202,7 +202,7 @@ class TestVerifyCommand:
         code = main(["verify", "theorem1", "--samples", "10", "--seed", "13"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "budget exhaustions" in out
+        assert "converse: 10/10 witnesses reached the target, 0 below it" in out
 
     def test_theorem2_note_quotes_the_ambiguity_band(self):
         note = run_verify("theorem2", 2, 0).notes[0]

@@ -11,9 +11,11 @@ from rcc_lab.channels import (
     projective_measurement,
 )
 from rcc_lab.coherence import l1_coherence
+from rcc_lab import rcc
 from rcc_lab.errors import (
     NotTracePreserving,
     PremiseViolated,
+    SearchExhausted,
     WrongDimension,
     ZeroProbability,
 )
@@ -39,9 +41,10 @@ from rcc_lab.sampling import (
     random_schmidt_state,
     random_tp_channel,
 )
-from rcc_lab.states import BipartitePureState, concurrence, schmidt_decompose
+from rcc_lab.states import BipartitePureState, DensityMatrix, concurrence, schmidt_decompose
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+E01 = np.array([[0, 1], [0, 0]], dtype=complex)
 
 
 def bell():
@@ -77,6 +80,12 @@ def brute_operation_marginal(rho, dim_a, dim_b, op):
     for f in op.kraus:
         total += brute_branch_marginal(rho, dim_a, dim_b, f)
     return total
+
+
+def oracle_coherence(rho, dim_a, dim_b, op):
+    """A's coherence after op post-selects B, through the kron oracle."""
+    marg = brute_operation_marginal(rho, dim_a, dim_b, op)
+    return l1_coherence(marg / np.trace(marg).real)
 
 
 def brute_average(psi, branches):
@@ -391,6 +400,71 @@ class TestFindCreatingOperation:
         first = find_creating_operation(rho, 2, 2)
         second = find_creating_operation(rho, 2, 2)
         np.testing.assert_array_equal(first.kraus[0], second.kraus[0])
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-8, 1e-7, 1e-6, 1e-5])
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_witness_beats_largest_off_block_entry(self, dims, eps, monkeypatch):
+        # Nearly block-diagonal states. With the target at 0 every witness is
+        # returned, and the kron oracle measures what it creates: provably at
+        # least the largest entry of an off-diagonal block.
+        monkeypatch.setattr(rcc, "CONVERSE_COHERENCE_TARGET", 0.0)
+        dim_a, dim_b = dims
+        rng = SeededRng(round(-np.log10(eps)), 10 * dim_a + dim_b)
+        off_block = ~np.eye(dim_a, dtype=bool)[:, None, :, None]
+        for _ in range(25):
+            cq = random_incoherent_quantum_state(dim_a, dim_b, rng).matrix
+            rho = (1 - eps) * cq + eps * random_density_matrix(dim_a * dim_b, rng).matrix
+            r4 = np.abs(rho.reshape(dim_a, dim_b, dim_a, dim_b))
+            largest = float(np.max(r4, where=off_block, initial=0.0))
+            op = find_creating_operation(rho, dim_a, dim_b)
+            if op is None:
+                assert largest < 1e-9
+                continue
+            assert oracle_coherence(rho, dim_a, dim_b, op) >= largest
+
+    def test_anti_hermitian_block(self):
+        # X_01 = i a Z, with Z the Pauli Z in the Hadamard basis of B, has no
+        # Hermitian part; the anti-Hermitian part a Z gives the projector
+        # onto |+> or |->, and A the coherence 4a.
+        a = 0.2
+        z = HADAMARD @ np.diag([1.0, -1.0]) @ HADAMARD
+        rho = np.eye(4, dtype=complex) / 4 + np.kron(E01, 1j * a * z) + np.kron(E01.T, -1j * a * z)
+        op = find_creating_operation(rho, 2, 2)
+        assert oracle_coherence(rho, 2, 2, op) == pytest.approx(4 * a, abs=1e-12)
+
+    def test_whitening_maximizes_coherence_per_probability(self):
+        # X_01 = diag(c0, c1) with c0 > c1, but B's |1> carries far less
+        # probability: per unit probability |1> creates more, 2 c1 / w1.
+        weights, c = np.array([0.98, 0.02]), np.array([0.02, 0.009])
+        rho = np.kron(np.eye(2), np.diag(weights) / 2) + np.kron(E01 + E01.T, np.diag(c))
+        op = find_creating_operation(rho, 2, 2)
+        assert oracle_coherence(rho, 2, 2, op) == pytest.approx(2 * c[1] / weights[1], rel=1e-12)
+
+    def test_rank_deficient_b_marginal(self):
+        # B confined to a 2-dimensional subspace of C^3: whitening on the
+        # support finds the same coherence as on the 2x2 state itself.
+        rng = SeededRng(86, 1)
+        for _ in range(20):
+            rho = random_noncq_state(2, 2, rng).matrix
+            v = haar_random_unitary(3, rng)[:, :2]
+            embed = np.kron(np.eye(2), v)
+            rho3 = DensityMatrix(embed @ rho @ embed.conj().T)
+            op = find_creating_operation(rho3, 2, 3)
+            beta = op.kraus[0][:, 0] / np.linalg.norm(op.kraus[0][:, 0])
+            assert np.linalg.norm(v.conj().T @ beta) == pytest.approx(1.0, abs=1e-9)
+            state3, _ = post_operation_state_a(rho3, op, 2, 3)
+            state2, _ = post_operation_state_a(rho, find_creating_operation(rho, 2, 2), 2, 2)
+            assert l1_coherence(state3) == pytest.approx(l1_coherence(state2), rel=1e-9)
+
+    def test_nearly_block_diagonal_state_raises_with_exact_value(self):
+        # rho_B = I/2; the witness is |0><0| on B and gives A exactly 4 delta.
+        delta = 1e-8
+        e00 = np.diag([1.0, 0.0]).astype(complex)
+        rho = np.eye(4, dtype=complex) / 4 + delta * (np.kron(E01, e00) + np.kron(E01.T, e00))
+        with pytest.raises(SearchExhausted) as info:
+            find_creating_operation(rho, 2, 2)
+        assert info.value.attempts == 1
+        assert info.value.best_value == pytest.approx(4 * delta, rel=1e-6)
 
 
 class TestNoSignaling:

@@ -67,7 +67,7 @@ def scalar_theorem1(samples, seed, operations_per_state, draw_state, draw_op):
         converse_ok += 1
     notes = (
         f"forward: max post-coherence {forward_worst:.3e} over {samples * operations_per_state} checks",
-        f"converse: {converse_ok}/{samples} searches succeeded, {exhausted} budget exhaustions",
+        f"converse: {converse_ok}/{samples} witnesses reached the target, {exhausted} below it",
     )
     return SuiteReport("theorem1", checked, violations, excluded, max_violation, worst, notes)
 
