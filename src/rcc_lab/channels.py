@@ -20,7 +20,7 @@ from .linalg import (
     matrix_from_json,
     matrix_to_json,
 )
-from .states import BipartitePureState, require_premise, schmidt_pairs
+from .states import BipartitePureState, require_premise, require_premises, schmidt_rows
 
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -217,34 +217,35 @@ def projective_measurement(basis) -> ChannelEnsemble:
     return ChannelEnsemble(ops)
 
 
-def creates_coherence(
-    psi: BipartitePureState, op: KrausOperation, tol: float = 1e-9
-) -> tuple[bool, int | None]:
-    """Decide whether op can hand subsystem A nonzero coherence.
+def creation_witnesses(w: np.ndarray, n_ops: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """creates_coherence of states w (n, dim_a, dim_b) under summary operators n_ops (n, dim_b, dim_b).
 
-    Requires A's marginal to start incoherent, off-diagonal weight below tol
-    (PremiseViolated otherwise). The test commutes P N P, N compressed to the
-    support of B's marginal by its projector P, against each unnormalized
-    B-side block (<i| (x) I)|psi><psi|(|i> (x) I); the operation creates
-    coherence exactly when some block fails to commute (P = I when dim_b is
-    the Schmidt rank). Returns (creates, witness) with witness the smallest
-    failing computational index, or None when inert.
+    P = rows^T rows^* projects onto the support of B's marginal (the rows of
+    states.schmidt_rows). Entry n is the smallest row i whose outer product
+    W[i]^T W[i]^* fails to commute with P N P (bracket norm above tol), or
+    -1 when the operation is inert. Raises PremiseViolated unless every
+    A-marginal has off-diagonal weight below tol.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    require_premises(w, tol)
+    rows, _ = schmidt_rows(w)
+    proj = rows.swapaxes(-1, -2) @ rows.conj()
+    n = (proj @ n_ops @ proj)[:, None]
+    blocks = w[..., None] * w.conj()[..., None, :]
+    failing = np.linalg.norm(n @ blocks - blocks @ n, axis=(-2, -1)) > tol
+    return np.where(failing.any(axis=-1), failing.argmax(axis=-1), -1)
+
+
+def creates_coherence(psi: BipartitePureState, op: KrausOperation, tol: float = 1e-9) -> tuple[bool, int | None]:
+    """Decide whether op can hand subsystem A nonzero coherence: creation_witnesses for one pair.
+
+    Returns (True, witness), witness the smallest failing row, or (False, None) when op is inert.
+    """
     if op.dim_b != psi.dim_b:
         raise ValueError(f"operation dimension {op.dim_b} does not match dim_b={psi.dim_b}")
-    require_premise(psi.marginal_offdiag(), tol)
-    basis, _ = schmidt_pairs(psi)
-    proj = basis @ basis.conj().T
-    n = proj @ op.n_operator() @ proj
-    w = psi.coefficient_matrix
-    for i in range(psi.dim_a):
-        block = np.outer(w[i], w[i].conj())
-        bracket = n @ block - block @ n
-        if float(np.linalg.norm(bracket)) > tol:
-            return True, i
-    return False, None
+    witness = int(creation_witnesses(psi.coefficient_matrix[None], op.n_operator()[None], tol)[0])
+    return (True, witness) if witness >= 0 else (False, None)
 
 
 def inert_operation(psi: BipartitePureState, n_values) -> KrausOperation:
@@ -265,7 +266,8 @@ def inert_operation(psi: BipartitePureState, n_values) -> KrausOperation:
     if float(vals.min()) < 0.0 or float(vals.max()) > 1.0:
         raise ValueError(f"all values must lie in [0, 1], got range [{vals.min()}, {vals.max()}]")
     require_premise(psi.marginal_offdiag())
-    pairs, keep = schmidt_pairs(psi)
+    rows, keep = schmidt_rows(psi.coefficient_matrix)
+    pairs = rows[keep].T
     weights = np.sum(np.abs(psi.coefficient_matrix[keep]) ** 2, axis=1)
     if vals.size < pairs.shape[1]:
         raise ValueError(f"need at least {pairs.shape[1]} values (the Schmidt rank), got {vals.size}")

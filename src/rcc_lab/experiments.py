@@ -15,30 +15,29 @@ import numpy as np
 
 from . import rcc
 from .channels import (
-    KrausOperation,
+    check_summaries,
+    creation_witnesses,
     ensemble_to_json,
     kraus_operation_to_json,
-    creates_coherence,
     phase_damping,
 )
-from .coherence import l1_coherence, l1_coherences
-from .errors import SearchExhausted, ZeroProbability
-from .linalg import SeededRng, matrix_to_json, partial_trace, tensor_product, unitary_from_ginibre
+from .coherence import l1_coherences
+from .errors import SearchExhausted
+from .linalg import SeededRng, complex_ginibre, matrix_to_json, unitary_from_ginibre
 from .sampling import (
     branch_stacks_from_parts,
     coefficient_matrices_from_parts,
+    densities_from_parts,
     draw_ensemble_parts,
+    draw_incoherent_quantum_parts,
     draw_kraus_parts,
     draw_schmidt_parts,
     draw_tp_parts,
     ensemble_from_parts,
+    incoherent_quantum_states_from_parts,
+    isometry_kraus,
     kraus_operation_from_parts,
-    random_density_matrix,
-    random_incoherent_quantum_state,
-    random_kraus_operation,
     random_noncq_state,
-    random_schmidt_state,
-    random_tp_channel,
     summary_operators_from_parts,
     tp_channel_from_parts,
 )
@@ -55,10 +54,10 @@ AMBIGUITY_BAND = (1e-9, 1e-6)  # theorem2: excluded inside, created above
 BOUND_ATOL = 1e-10  # lemma1, theorem3: allowed excess over a bound
 NOSIGNAL_ATOL = 1e-10  # nosignal: allowed entry change of A's marginal
 
-# Samples drawn and evaluated together by the lemma1, theorem3 and theorem4
-# sweeps. Each block comes from the suite's one stream, so memory grows with
-# BOUNDS_BLOCK, never with --samples.
-BOUNDS_BLOCK = 256
+# Checks drawn and evaluated together by every verify sweep (theorem1: at least
+# one state, each against all its operations). Each block comes from the suite's
+# one stream, so memory grows with VERIFY_BLOCK, never with --samples.
+VERIFY_BLOCK = 256
 
 # Samples drawn and evaluated together by run_fig1. Memory per block grows
 # with FIG1_BLOCK x rates, never with --samples; 256 already amortizes the
@@ -346,163 +345,149 @@ class SuiteReport:
         return self.violations == 0
 
 
-def _marginal_after_channel(rho: np.ndarray, dim_a: int, dim_b: int, op: KrausOperation) -> np.ndarray:
-    # Brute-force (I (x) F_n) rho (I (x) F_n)^dagger route, kept independent
-    # of the engine's contraction on purpose.
-    eye = np.eye(dim_a, dtype=np.complex128)
-    total = np.zeros((dim_a, dim_a), dtype=np.complex128)
-    for f in op.kraus:
-        big = tensor_product(eye, f)
-        total += partial_trace(big @ rho @ big.conj().T, dim_a, dim_b, "A")
-    return total
-
-
 def verify_theorem1(samples: int, seed: int, operations_per_state: int = 100) -> SuiteReport:
     """Block-diagonal states never hand A coherence; all others can.
 
     Forward: random block-diagonal states against random operations must keep
-    A's post-operation coherence below FORWARD_COHERENCE_ATOL; each state
-    meets all operations in one stacked contraction. Converse: for random
-    states failing the block test, the converse witness
-    (rcc.find_creating_operation) must create coherence above
-    rcc.CONVERSE_COHERENCE_TARGET.
+    A's post-operation coherence below FORWARD_COHERENCE_ATOL; blocks of
+    VERIFY_BLOCK // operations_per_state states (at least one) meet the stack
+    of all operations in one contraction. Converse: for random states failing
+    the block test, the converse witness (rcc.find_creating_operation) must
+    create coherence above rcc.CONVERSE_COHERENCE_TARGET.
     """
     rng = SeededRng(seed, 0)
     dim_a = dim_b = 2
-    checked = violations = excluded = 0
-    max_violation = 0.0
-    worst = None
+    report = SuiteReport("theorem1", 0, 0, 0, 0.0, None)
     forward_worst = 0.0
-    ops = [random_kraus_operation(dim_b, rng) for _ in range(operations_per_state)]
-    stack = np.array([op.n_operator() for op in ops], dtype=np.complex128).reshape(-1, dim_b, dim_b)
-    for _ in range(samples):
-        state = random_incoherent_quantum_state(dim_a, dim_b, rng)
-        unnorm = rcc._mixed_branches(state.matrix.reshape(dim_a, dim_b, dim_a, dim_b), stack)
-        _, zero, states_a = rcc._conditional_states(unnorm)
+    ops = [draw_kraus_parts(dim_b, rng.generator) for _ in range(operations_per_state)]
+    stack = summary_operators_from_parts(ops) if ops else np.zeros((0, dim_b, dim_b))
+    block = max(1, VERIFY_BLOCK // max(1, len(ops)))
+    for start in range(0, samples, block):
+        parts = [draw_incoherent_quantum_parts(dim_a, dim_b, rng.generator) for _ in range(start, min(start + block, samples))]
+        states = incoherent_quantum_states_from_parts(parts)
+        _, zero, states_a = rcc._conditional_states(rcc._mixed_branches(states.reshape(-1, dim_a, dim_b, dim_a, dim_b), stack))
         achieved = l1_coherences(states_a)
-        kept_ops = np.flatnonzero(~zero)
-        checked += len(ops)
-        excluded += len(ops) - len(kept_ops)
         forward_worst = max(forward_worst, float(achieved.max(initial=0.0)))
-        for j in np.flatnonzero(achieved >= FORWARD_COHERENCE_ATOL):
-            violations += 1
-            if achieved[j] > max_violation:
-                max_violation = float(achieved[j])
-                worst = {
-                    "direction": "forward",
-                    "state": matrix_to_json(state.matrix),
-                    "channel": kraus_operation_to_json(ops[kept_ops[j]]),
-                    "post_coherence": max_violation,
-                }
-    exhausted = 0
-    converse_ok = 0
+
+        def replay(k, value):
+            state, op = divmod(k, len(ops))
+            channel = _operation_json(ops[op])
+            return {"direction": "forward", "state": matrix_to_json(states[state]), "channel": channel, "post_coherence": value}
+
+        _record(report, zero.size, np.flatnonzero(~zero), achieved, achieved >= FORWARD_COHERENCE_ATOL, replay)
+    exhausted = converse_ok = 0
     for _ in range(samples):
         state = random_noncq_state(dim_a, dim_b, rng)
-        checked += 1
+        report.checked += 1
         try:
             op = rcc.find_creating_operation(state, dim_a, dim_b)
         except SearchExhausted as exc:
             exhausted += 1
-            violations += 1
-            if exc.best_value > max_violation:
-                max_violation = exc.best_value
-                worst = {
-                    "direction": "converse",
-                    "state": matrix_to_json(state.matrix),
-                    "best_coherence": exc.best_value,
-                }
+            report.violations += 1
+            if exc.best_value > report.max_violation:
+                report.max_violation = exc.best_value
+                report.worst_case = {"direction": "converse", "state": matrix_to_json(state.matrix), "best_coherence": exc.best_value}
             continue
         if op is None:
-            violations += 1
-            worst = {"direction": "converse-misclassified", "state": matrix_to_json(state.matrix)}
+            report.violations += 1
+            report.worst_case = {"direction": "converse-misclassified", "state": matrix_to_json(state.matrix)}
             continue
         converse_ok += 1
-    notes = (
+    report.notes = (
         f"forward: max post-coherence {forward_worst:.3e} over {samples * operations_per_state} checks",
         f"converse: {converse_ok}/{samples} witnesses reached the target, {exhausted} below it",
     )
-    return SuiteReport("theorem1", checked, violations, excluded, max_violation, worst, notes)
+    return report
+
+
+def _record(report, checked, kept, values, flagged, replay) -> None:
+    """Add a block of checked checks to report: those at indices kept have values, flagged marks violations.
+
+    The rest are excluded. replay(k, value) builds the replay dict of check k,
+    only for a new worst case: the first violation with the largest value, as
+    a sequential sweep records it.
+    """
+    report.checked += checked
+    report.excluded += checked - len(kept)
+    report.violations += int(flagged.sum())
+    if flagged.any():
+        j = np.flatnonzero(flagged)[np.argmax(values[flagged])]
+        if values[j] > report.max_violation:
+            report.max_violation = float(values[j])
+            report.worst_case = replay(int(kept[j]), report.max_violation)
+
+
+def _sweep(suite, samples, seed, dims, draw, evaluate, worst_case) -> SuiteReport:
+    """Shared loop of the theorem2, lemma1, theorem3, theorem4 and nosignal sweeps.
+
+    For each dim in dims in turn (None: draw picks it), draw(dim, k, g) takes
+    sample k's parts, k < samples, from the suite's one stream, in order.
+    Blocks of VERIFY_BLOCK samples go to evaluate(dim, draws), which returns
+    the indices of the samples it could evaluate, their values and which of
+    them violate (see _record); worst_case(parts, value) builds the replay dict.
+    """
+    g = SeededRng(seed, 0).generator
+    report = SuiteReport(suite, 0, 0, 0, 0.0, None)
+    for dim in dims:
+        for start in range(0, samples, VERIFY_BLOCK):
+            draws = [draw(dim, k, g) for k in range(start, min(start + VERIFY_BLOCK, samples))]
+            _record(report, len(draws), *evaluate(dim, draws), lambda k, value: worst_case(draws[k], value))
+    return report
+
+
+def _replay(channel_json, key="excess"):
+    # worst_case(parts, value) of _sweep for (Schmidt parts, channel parts) draws.
+    def worst_case(parts, value):
+        (weights, ginibre), channel = parts
+        state = BipartitePureState.from_schmidt(weights, unitary_from_ginibre(ginibre))
+        return {"state": state_to_json(state), "channel": channel_json(channel), key: value}
+
+    return worst_case
+
+
+def _draw_pair(dim, k, g):
+    return draw_schmidt_parts(dim, dim, g), draw_kraus_parts(dim, g)
+
+
+def _paired_branches(draws):
+    # One contraction per (state, operation) pair of _draw_pair draws: w, N,
+    # the probabilities, the kept branches (rcc._conditional_states) and their coherence.
+    w = coefficient_matrices_from_parts([state for state, _ in draws])
+    n_ops = summary_operators_from_parts([mats for _, mats in draws])
+    probs, zero, states = rcc._conditional_states(rcc._unnormalized_branches(w, n_ops[:, None])[:, 0])
+    return w, n_ops, probs, np.flatnonzero(~zero), l1_coherences(states)
+
+
+def _operation_json(mats) -> dict:
+    return kraus_operation_to_json(kraus_operation_from_parts(mats))
 
 
 def verify_theorem2(samples: int, seed: int) -> SuiteReport:
     """Commutator criterion agrees with directly computed post-coherence.
 
-    Instances whose achieved coherence falls inside AMBIGUITY_BAND are
-    excluded and counted; everything else must classify identically on both
-    routes.
+    Instances whose achieved coherence falls inside AMBIGUITY_BAND, or whose
+    branch has zero probability, are excluded and counted; on all others
+    channels.creation_witnesses must agree with the stacked contraction.
     """
     low, high = AMBIGUITY_BAND
-    rng = SeededRng(seed, 0)
-    checked = violations = excluded = 0
-    max_violation = 0.0
-    worst = None
-    per_dim = max(1, samples // 2)
-    for dim in (2, 3):
-        for _ in range(per_dim):
-            psi = random_schmidt_state(dim, dim, rng)
-            op = random_kraus_operation(dim, rng)
-            checked += 1
-            try:
-                state_a, _ = rcc.post_operation_state_a(psi, op)
-            except ZeroProbability:
-                excluded += 1
-                continue
-            achieved = l1_coherence(state_a)
-            if low <= achieved <= high:
-                excluded += 1
-                continue
-            predicted, _ = creates_coherence(psi, op)
-            if predicted != (achieved > high):
-                violations += 1
-                if achieved > max_violation:
-                    max_violation = achieved
-                    worst = {
-                        "state": state_to_json(psi),
-                        "channel": kraus_operation_to_json(op),
-                        "post_coherence": achieved,
-                        "predicted": predicted,
-                    }
-    fraction = excluded / checked if checked else 0.0
-    notes = (f"excluded fraction {fraction:.4%} (ambiguity band [1e-9, 1e-6])",)
-    return SuiteReport("theorem2", checked, violations, excluded, max_violation, worst, notes)
 
+    def evaluate(dim, draws):
+        w, n_ops, _, kept, achieved = _paired_branches(draws)
+        clear = (achieved < low) | (achieved > high)
+        kept, achieved = kept[clear], achieved[clear]
+        predicted = creation_witnesses(w[kept], n_ops[kept]) >= 0
+        return kept, achieved, predicted != (achieved > high)
 
-def _bounds_sweep(suite, samples, seed, dims, draw, evaluate, violates, channel_json, key="excess") -> SuiteReport:
-    """Shared loop of the lemma1, theorem3 and theorem4 sweeps.
+    def worst_case(parts, achieved):
+        # A violation's prediction is the opposite of achieved > high.
+        return {**_replay(_operation_json, "post_coherence")(parts, achieved), "predicted": not achieved > high}
 
-    draw(dim, k, g) takes sample k's (state, channel) parts from the suite's
-    one stream, in order. Blocks of BOUNDS_BLOCK samples go to
-    evaluate(dim, draws), which returns the indices of the samples it could
-    evaluate (the rest are excluded) and their excess; violates(excess)
-    flags the violations. The replay dict is built only for a new worst
-    case: the first violation with the largest excess, as a sequential
-    sweep records it.
-    """
-    g = SeededRng(seed, 0).generator
-    report = SuiteReport(suite, 0, 0, 0, 0.0, None)
-    for dim in dims:
-        for start in range(0, samples, BOUNDS_BLOCK):
-            draws = [draw(dim, k, g) for k in range(start, min(start + BOUNDS_BLOCK, samples))]
-            kept, excess = evaluate(dim, draws)
-            flagged = violates(excess)
-            report.checked += len(draws)
-            report.excluded += len(draws) - len(kept)
-            report.violations += int(flagged.sum())
-            if flagged.any():
-                j = np.flatnonzero(flagged)[np.argmax(excess[flagged])]
-                if excess[j] > report.max_violation:
-                    (weights, ginibre), channel = draws[kept[j]]
-                    state = BipartitePureState.from_schmidt(weights, unitary_from_ginibre(ginibre))
-                    report.max_violation = float(excess[j])
-                    report.worst_case = {
-                        "state": state_to_json(state),
-                        "channel": channel_json(channel),
-                        key: report.max_violation,
-                    }
+    report = _sweep("theorem2", max(1, samples // 2), seed, (2, 3), _draw_pair, evaluate, worst_case)
+    report.notes = (f"excluded fraction {report.excluded / report.checked:.4%} (ambiguity band [1e-9, 1e-6])",)
     return report
 
 
-def _per_channel(measure):
+def _per_channel(measure, violates):
     # evaluate(dim, draws) for (state, channel) parts: measure(w, stacks) per
     # group of equal branch count. A zero branch would add 0 to every sum but
     # change how numpy groups the terms, and at d = 2 the bounds hold with
@@ -514,7 +499,7 @@ def _per_channel(measure):
         for count in set(len(stack) for stack in stacks):
             idx = np.array([i for i, stack in enumerate(stacks) if len(stack) == count])
             out[idx] = measure(w[idx], np.array([stacks[i] for i in idx]))
-        return np.arange(len(draws)), out
+        return np.arange(len(draws)), out, violates(out)
 
     return evaluate
 
@@ -534,22 +519,11 @@ def verify_lemma1(samples: int, seed: int) -> SuiteReport:
     """
 
     def evaluate(dim, draws):
-        w = coefficient_matrices_from_parts([state for state, _ in draws])
-        n_ops = summary_operators_from_parts([mats for _, mats in draws])
-        probs, zero, states = rcc._conditional_states(rcc._unnormalized_branches(w, n_ops[:, None])[:, 0])
-        kept = np.flatnonzero(~zero)
-        return kept, l1_coherences(states) - rcc.outcome_coherence_bounds(w[kept], n_ops[kept], probs[kept])
+        w, n_ops, probs, kept, achieved = _paired_branches(draws)
+        gaps = achieved - rcc.outcome_coherence_bounds(w[kept], n_ops[kept], probs[kept])
+        return kept, gaps, gaps > BOUND_ATOL
 
-    return _bounds_sweep(
-        "lemma1",
-        samples,
-        seed,
-        (2, 3, 4),
-        lambda dim, k, g: (draw_schmidt_parts(dim, dim, g), draw_kraus_parts(dim, g)),
-        evaluate,
-        lambda gaps: gaps > BOUND_ATOL,
-        lambda mats: kraus_operation_to_json(kraus_operation_from_parts(mats)),
-    )
+    return _sweep("lemma1", samples, seed, (2, 3, 4), _draw_pair, evaluate, _replay(_operation_json))
 
 
 def verify_theorem3(samples: int, seed: int) -> SuiteReport:
@@ -566,9 +540,8 @@ def verify_theorem3(samples: int, seed: int) -> SuiteReport:
         tight = rcc.tight_average_bounds(w, stacks)
         return np.maximum(rcc.branch_averages(w, stacks) - tight, tight - rcc.average_coherence_bounds(w, stacks))
 
-    return _bounds_sweep(
-        "theorem3", samples, seed, (2, 3, 4), draw, _per_channel(measure), lambda gaps: gaps > BOUND_ATOL, _channel_json
-    )
+    evaluate = _per_channel(measure, lambda gaps: gaps > BOUND_ATOL)
+    return _sweep("theorem3", samples, seed, (2, 3, 4), draw, evaluate, _replay(_channel_json))
 
 
 def verify_theorem4(samples: int, seed: int) -> SuiteReport:
@@ -579,43 +552,47 @@ def verify_theorem4(samples: int, seed: int) -> SuiteReport:
         # E <C>_maxent, the law's right-hand side.
         return np.abs(rcc.branch_averages(w, stacks) - rcc.average_coherence_bounds(w, stacks))
 
-    return _bounds_sweep(
-        "theorem4",
-        samples,
-        seed,
-        (2,),
-        lambda dim, k, g: (draw_schmidt_parts(2, 2, g), (draw_tp_parts(2, g), None)),
-        _per_channel(measure),
-        lambda devs: devs >= rcc.FACTORIZATION_ATOL,
-        _channel_json,
-        key="deviation",
-    )
+    def draw(dim, k, g):
+        return draw_schmidt_parts(dim, dim, g), (draw_tp_parts(dim, g), None)
+
+    evaluate = _per_channel(measure, lambda devs: devs >= rcc.FACTORIZATION_ATOL)
+    return _sweep("theorem4", samples, seed, (2,), draw, evaluate, _replay(_channel_json, "deviation"))
 
 
 def verify_nosignal(samples: int, seed: int) -> SuiteReport:
-    """Without post-selection a trace-preserving channel leaves A's marginal alone."""
-    rng = SeededRng(seed, 0)
-    checked = violations = 0
-    max_violation = 0.0
-    worst = None
-    for k in range(samples):
-        dim = 2 if k % 2 == 0 else 3
-        rho = random_density_matrix(dim * dim, rng)
-        channel = random_tp_channel(dim, rng)
-        checked += 1
-        before = partial_trace(rho.matrix, dim, dim, "A")
-        after = _marginal_after_channel(rho.matrix, dim, dim, channel)
-        dev = float(np.max(np.abs(after - before)))
-        if dev >= NOSIGNAL_ATOL:
-            violations += 1
-            if dev > max_violation:
-                max_violation = dev
-                worst = {
-                    "state": matrix_to_json(rho.matrix),
-                    "channel": kraus_operation_to_json(channel),
-                    "deviation": dev,
-                }
-    return SuiteReport("nosignal", checked, violations, 0, max_violation, worst)
+    """Without post-selection a trace-preserving channel leaves A's marginal alone.
+
+    Even samples are two-qubit, odd ones two-qutrit. The oracle, independent of
+    rcc on purpose, traces B out of (I (x) F) rho (I (x) F)^dagger for each
+    Kraus operator F, per group of equal dimension and Kraus count.
+    """
+
+    def draw(_, k, g):
+        dim = 2 + k % 2
+        return complex_ginibre(g, (dim * dim, dim * dim)), draw_tp_parts(dim, g)
+
+    def evaluate(_, draws):
+        devs = np.empty(len(draws))
+        for shape in {z.shape for _, z in draws}:
+            idx = [i for i, (_, z) in enumerate(draws) if z.shape == shape]
+            rho = densities_from_parts(np.array([draws[i][0] for i in idx]))
+            kraus = isometry_kraus(np.array([draws[i][1] for i in idx]))
+            check_summaries((kraus.conj().swapaxes(-1, -2) @ kraus).sum(axis=-3))
+            big = np.kron(np.eye(shape[1]), kraus)
+            after = _trace_b(big @ rho[:, None] @ big.conj().swapaxes(-1, -2), shape[1]).sum(axis=1)
+            devs[idx] = np.abs(after - _trace_b(rho, shape[1])).max(axis=(-2, -1))
+        return np.arange(len(draws)), devs, devs >= NOSIGNAL_ATOL
+
+    def worst_case(parts, dev):
+        channel = kraus_operation_to_json(tp_channel_from_parts(parts[1]))
+        return {"state": matrix_to_json(densities_from_parts(parts[0])), "channel": channel, "deviation": dev}
+
+    return _sweep("nosignal", samples, seed, (None,), draw, evaluate, worst_case)
+
+
+def _trace_b(m: np.ndarray, d: int) -> np.ndarray:
+    # tr_B of operators m (..., d * d, d * d) on two d-level systems.
+    return np.einsum("...ijkj->...ik", m.reshape(m.shape[:-2] + (d, d, d, d)))
 
 
 _SUITE_RUNNERS = {

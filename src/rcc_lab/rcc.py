@@ -35,8 +35,8 @@ from .states import (
     batch_concurrence,
     check_densities,
     concurrence,
-    marginal_offdiag,
     require_premise,
+    require_premises,
     schmidt_rows,
     unit_amplitudes,
 )
@@ -107,10 +107,6 @@ def _one_pair(psi: BipartitePureState, channel) -> tuple[np.ndarray, np.ndarray]
     if channel.dim_b != psi.dim_b:
         raise ValueError(f"channel dimension {channel.dim_b} does not match dim_b={psi.dim_b}")
     return psi.coefficient_matrix[None], _branch_stack(channel)[None]
-
-
-def _require_premises(w: np.ndarray) -> None:
-    require_premise(float(marginal_offdiag(w).max(initial=0.0)))
 
 
 def _require_trace_preserving(stacks: np.ndarray) -> None:
@@ -188,7 +184,7 @@ def branch_averages(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
     operators of an ensemble. Zero branches padding a stack add 0. Raises
     PremiseViolated and NotTracePreserving as average_coherence does.
     """
-    _require_premises(w)
+    require_premises(w)
     _require_trace_preserving(stacks)
     return _offdiag_mass(_unnormalized_branches(w, stacks))
 
@@ -201,7 +197,7 @@ def average_coherences(w: np.ndarray, channels) -> np.ndarray:
     (n, len(channels)). The checks and errors are those of average_coherence.
     """
     da, db = w.shape[-2:]
-    _require_premises(w)
+    require_premises(w)
     for channel in channels:
         _require_whole_channel(db, channel)
     stacks = np.stack([_branch_stack(channel) for channel in channels])
@@ -218,7 +214,7 @@ def maximally_entangled_partners(w: np.ndarray) -> np.ndarray:
     n, d, db = w.shape
     if db < d:
         raise WrongDimension(f"partner needs dim_b >= dim_a, got {db} < {d}")
-    _require_premises(w)
+    require_premises(w)
     rows, keep = schmidt_rows(w)
     for i in np.flatnonzero(~keep.all(axis=1)):
         basis = rows[i, keep[i]].T
@@ -233,13 +229,21 @@ def outcome_coherence_bounds(w: np.ndarray, n_ops: np.ndarray, probs: np.ndarray
     N and probs (n,) the branch probabilities, all at or above
     ZERO_PROBABILITY_CUTOFF. Raises PremiseViolated as the scalar route does.
     """
-    _require_premises(w)
+    require_premises(w)
+    return _outcome_bounds(w, n_ops, probs)
+
+
+def _outcome_bounds(w: np.ndarray, n_ops: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return batch_concurrence(w) / probs * _lemma1_norms(w, n_ops[:, None])[:, 0]
 
 
 def tight_average_bounds(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
     """tight_average_bound of each state of w (n, da, db) and its branch stack (n, K, db, db)."""
-    _require_premises(w)
+    require_premises(w)
+    return _tight_bounds(w, stacks)
+
+
+def _tight_bounds(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
     _require_trace_preserving(stacks)
     return batch_concurrence(w) * _lemma1_norms(w, stacks).sum(axis=-1)
 
@@ -326,7 +330,8 @@ def outcome_coherence_bound(psi: BipartitePureState, op: KrausOperation) -> floa
     probs = _unnormalized_branches(w, n[:, None])[:, 0].trace(axis1=-2, axis2=-1).real
     if probs[0] < ZERO_PROBABILITY_CUTOFF:
         raise ZeroProbability(f"branch probability {probs[0]:.3e} is below {ZERO_PROBABILITY_CUTOFF}")
-    return float(outcome_coherence_bounds(w, n, probs)[0])
+    require_premise(psi.marginal_offdiag())
+    return float(_outcome_bounds(w, n, probs)[0])
 
 
 def average_coherence_bound(psi: BipartitePureState, channel) -> float:
@@ -340,7 +345,9 @@ def tight_average_bound(psi: BipartitePureState, channel) -> float:
     Never exceeds average_coherence_bound (up to rounding) and both dominate
     the achieved average.
     """
-    return float(tight_average_bounds(*_one_pair(psi, channel))[0])
+    w, stacks = _one_pair(psi, channel)
+    require_premise(psi.marginal_offdiag())
+    return float(_tight_bounds(w, stacks)[0])
 
 
 def average_rcc(psi: BipartitePureState, channel) -> RccReport:

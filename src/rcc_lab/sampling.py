@@ -39,6 +39,11 @@ def draw_kraus_parts(dim_b: int, g: np.random.Generator, max_kraus: int = 3) -> 
     return np.array([complex_ginibre(g, (dim_b, dim_b)) for _ in range(count)])
 
 
+def draw_incoherent_quantum_parts(dim_a: int, dim_b: int, g: np.random.Generator):
+    """Weights q (dim_a,), then one Ginibre matrix per A-block, shape (dim_a, dim_b, dim_b)."""
+    return g.dirichlet(np.ones(dim_a)), np.array([complex_ginibre(g, (dim_b, dim_b)) for _ in range(dim_a)])
+
+
 def draw_tp_parts(dim_b: int, g: np.random.Generator, kraus_count: int | None = None) -> np.ndarray:
     """Ginibre matrix (count * dim_b, dim_b) whose QR isometry splits into count Kraus blocks."""
     count = int(kraus_count) if kraus_count else int(g.integers(2, 4))
@@ -86,6 +91,23 @@ def ensemble_from_parts(z: np.ndarray, split: int) -> ChannelEnsemble:
     first = KrausOperation(whole.kraus[:split], label="ensemble-member[0]")
     second = KrausOperation(whole.kraus[split:], label="ensemble-member[1]")
     return ChannelEnsemble([first, second])
+
+
+def densities_from_parts(z: np.ndarray) -> np.ndarray:
+    """Ginibre-induced density matrices z z^dagger / tr(z z^dagger) of z (..., d, d)."""
+    m = z @ z.conj().swapaxes(-1, -2)
+    return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def incoherent_quantum_states_from_parts(parts) -> np.ndarray:
+    """Block-diagonal states (n, dim_a * dim_b, dim_a * dim_b) of drawn draw_incoherent_quantum_parts outputs."""
+    q = np.array([weights for weights, _ in parts])
+    blocks = q[..., None, None] * densities_from_parts(np.array([z for _, z in parts]))
+    n, dim_a, dim_b = blocks.shape[:3]
+    out = np.zeros((n, dim_a, dim_b, dim_a, dim_b), dtype=np.complex128)
+    for i in range(dim_a):
+        out[:, i, :, i] = blocks[:, i]
+    return out.reshape(n, dim_a * dim_b, dim_a * dim_b)
 
 
 def coefficient_matrices_from_parts(parts) -> np.ndarray:
@@ -160,20 +182,13 @@ def random_schmidt_state(dim_a: int, dim_b: int, rng: SeededRng) -> BipartitePur
 
 def random_density_matrix(dim: int, rng: SeededRng) -> DensityMatrix:
     """Ginibre-induced random density matrix."""
-    z = complex_ginibre(rng.generator, (dim, dim))
-    m = z @ z.conj().T
-    return DensityMatrix(m / np.trace(m).real, validate=False)
+    return DensityMatrix(densities_from_parts(complex_ginibre(rng.generator, (dim, dim))), validate=False)
 
 
 def random_incoherent_quantum_state(dim_a: int, dim_b: int, rng: SeededRng) -> DensityMatrix:
     """Random block-diagonal state sum_i q_i |i><i| (x) rho_i."""
-    q = rng.generator.dirichlet(np.ones(dim_a))
-    side = dim_a * dim_b
-    out = np.zeros((side, side), dtype=np.complex128)
-    for i in range(dim_a):
-        block = random_density_matrix(dim_b, rng).matrix
-        out[i * dim_b : (i + 1) * dim_b, i * dim_b : (i + 1) * dim_b] = q[i] * block
-    return DensityMatrix(out, validate=False)
+    parts = draw_incoherent_quantum_parts(dim_a, dim_b, rng.generator)
+    return DensityMatrix(incoherent_quantum_states_from_parts([parts])[0], validate=False)
 
 
 def random_noncq_state(dim_a: int, dim_b: int, rng: SeededRng, tol: float = 1e-9) -> DensityMatrix:

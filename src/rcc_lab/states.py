@@ -184,7 +184,7 @@ def schmidt_decompose(psi: BipartitePureState) -> SchmidtForm:
     values below SCHMIDT_WEIGHT_CUTOFF are discarded. The A-side vectors are
     whatever the SVD returns, which at equal weights may be any rotation of
     the computational pairs; under the diagonal-marginal premise use
-    schmidt_pairs, which keeps every beta_i paired with |i>. The result is
+    schmidt_rows, which keeps every beta_i paired with |i>. The result is
     cached on the state.
     """
     if psi._schmidt is None:
@@ -209,6 +209,11 @@ def require_premise(offdiag: float, tol: float = VALIDITY_ATOL) -> None:
         )
 
 
+def require_premises(w: np.ndarray, tol: float = VALIDITY_ATOL) -> None:
+    """require_premise for every coefficient matrix of w (..., dim_a, dim_b) at once."""
+    require_premise(float(marginal_offdiag(w).max(initial=0.0)), tol)
+
+
 def schmidt_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Schmidt B-vectors beta_i^T = W[i] / sqrt(w_i) of coefficient matrices w (..., dim_a, dim_b).
 
@@ -222,12 +227,6 @@ def schmidt_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     keep = weights > SCHMIDT_WEIGHT_CUTOFF
     rows = np.divide(w, np.sqrt(weights)[..., None], out=np.zeros_like(w), where=keep[..., None])
     return rows, keep
-
-
-def schmidt_pairs(psi: BipartitePureState) -> tuple[np.ndarray, np.ndarray]:
-    """psi's kept Schmidt B-vectors (schmidt_rows) as columns, in row order, and the kept-row mask."""
-    rows, keep = schmidt_rows(psi.coefficient_matrix)
-    return rows[keep].T, keep
 
 
 def concurrence(psi: BipartitePureState) -> float:

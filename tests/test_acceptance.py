@@ -9,12 +9,14 @@ import time
 
 import numpy as np
 
-from rcc_lab.channels import creates_coherence, phase_damping
-from rcc_lab.coherence import l1_coherence
+from rcc_lab.channels import creation_witnesses, phase_damping
+from rcc_lab.coherence import l1_coherence, l1_coherences
 from rcc_lab.errors import SearchExhausted, ZeroProbability
-from rcc_lab.experiments import ExperimentConfig, run_fig1
+from rcc_lab.experiments import VERIFY_BLOCK, ExperimentConfig, run_fig1
 from rcc_lab.linalg import SeededRng
 from rcc_lab.rcc import (
+    _conditional_states,
+    _unnormalized_branches,
     average_coherence,
     average_rcc,
     find_creating_operation,
@@ -22,12 +24,16 @@ from rcc_lab.rcc import (
     post_operation_state_a,
 )
 from rcc_lab.sampling import (
+    coefficient_matrices_from_parts,
+    draw_kraus_parts,
+    draw_schmidt_parts,
     random_density_matrix,
     random_incoherent_quantum_state,
     random_kraus_operation,
     random_noncq_state,
     random_schmidt_state,
     random_tp_channel,
+    summary_operators_from_parts,
 )
 from rcc_lab.states import BipartitePureState, concurrence
 
@@ -133,28 +139,32 @@ def test_block_diagonal_states_are_useless_and_others_are_not():
 
 
 def test_commutator_criterion_agrees_with_direct_computation():
-    """Creation predicate versus directly computed post-coherence."""
-    rng = SeededRng(20260812, 0)
+    """Creation predicate versus directly computed post-coherence.
+
+    Pairs are drawn one at a time from one stream, in the order of
+    random_schmidt_state then random_kraus_operation, and evaluated per block
+    on the stacked routes: the paired contraction and creation_witnesses.
+    """
+    g = SeededRng(20260812, 0).generator
     checked = 0
     excluded = 0
     disagreements = 0
     for dim in (2, 3):
-        for _ in range(10_000):
-            psi = random_schmidt_state(dim, dim, rng)
-            op = random_kraus_operation(dim, rng)
-            checked += 1
-            try:
-                state_a, _ = post_operation_state_a(psi, op)
-            except ZeroProbability:
-                excluded += 1
-                continue
-            achieved = l1_coherence(state_a)
-            if 1e-9 <= achieved <= 1e-6:
-                excluded += 1
-                continue
-            predicted, _ = creates_coherence(psi, op)
-            if predicted != (achieved > 1e-6):
-                disagreements += 1
+        for start in range(0, 10_000, VERIFY_BLOCK):
+            draws = [
+                (draw_schmidt_parts(dim, dim, g), draw_kraus_parts(dim, g))
+                for _ in range(start, min(start + VERIFY_BLOCK, 10_000))
+            ]
+            w = coefficient_matrices_from_parts([state for state, _ in draws])
+            n_ops = summary_operators_from_parts([mats for _, mats in draws])
+            _, zero, states = _conditional_states(_unnormalized_branches(w, n_ops[:, None])[:, 0])
+            achieved = l1_coherences(states)
+            clear = (achieved < 1e-9) | (achieved > 1e-6)
+            kept = np.flatnonzero(~zero)[clear]
+            predicted = creation_witnesses(w[kept], n_ops[kept]) >= 0
+            checked += len(draws)
+            excluded += len(draws) - len(kept)
+            disagreements += int(np.sum(predicted != (achieved[clear] > 1e-6)))
     fraction = excluded / checked
     assert disagreements == 0
     assert fraction < 0.01

@@ -20,7 +20,7 @@ from rcc_lab.channels import (
 )
 from rcc_lab.coherence import l1_coherence
 from rcc_lab.errors import NotTracePreserving, PremiseViolated, ZeroProbability
-from rcc_lab.experiments import BOUNDS_BLOCK, SuiteReport, run_verify
+from rcc_lab.experiments import VERIFY_BLOCK, SuiteReport, run_verify
 from rcc_lab.linalg import SeededRng, haar_random_unitary
 from rcc_lab.sampling import (
     random_channel_ensemble,
@@ -31,7 +31,7 @@ from rcc_lab.sampling import (
 from rcc_lab.states import BipartitePureState, concurrence, state_to_json
 
 SEEDS = (0, 5, 13)
-SIZES = (1, 2, 33, BOUNDS_BLOCK + 5)
+SIZES = (1, 2, 33, VERIFY_BLOCK + 5)
 
 
 def scalar_lemma1(samples, seed):
@@ -160,8 +160,8 @@ def test_lemma1_contracts_each_pair_once(monkeypatch):
         return out
 
     monkeypatch.setattr(rcc, "_unnormalized_branches", counting)
-    report = run_verify("lemma1", BOUNDS_BLOCK + 5, 3)
-    assert sum(contracted) == report.checked == 3 * (BOUNDS_BLOCK + 5)
+    report = run_verify("lemma1", VERIFY_BLOCK + 5, 3)
+    assert sum(contracted) == report.checked == 3 * (VERIFY_BLOCK + 5)
     # One call per block: two blocks for each of d = 2, 3, 4.
     assert len(contracted) == 6
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import re
@@ -187,6 +188,27 @@ class TestUnexpectedErrors:
         monkeypatch.setattr(cli, "run_verify", interrupted)
         with pytest.raises(KeyboardInterrupt):
             main(["verify", "theorem1", "--samples", "1"])
+
+
+# sha256 of the stdout of `rcc-lab verify <suite> --samples 40 --seed S`.
+# With no violation the report does not depend on the seed, so one digest
+# serves seeds 0, 5 and 13. Every change to these bytes must be deliberate:
+# record the new digest together with its cause.
+VERIFY_DIGESTS = {
+    "theorem1": "0c0492b7786c8af984b5b8b892990b37e40728d93f42ebd4b56782dbf9dec89f",
+    "theorem2": "fd5d3f12023f0a955b9e1ef07ec08841cb77200ae8af86876d0ff448294cf8c3",
+    "lemma1": "e5c22213aa11ef8709199ec0af0c4a098ccb78c3162bb06bb3257b598f270243",
+    "theorem3": "180dc6406a0102579d9bdc6d22878dc93c601b572fd987f0ee456712196c5375",
+    "theorem4": "518786f50f12dec5615ad834000e7808fde440816f55fae77a09bcafec475017",
+    "nosignal": "6e248057e11c27a313cc08168e989fc45c71c54728e39d53363af116428fa79b",
+}
+
+
+@pytest.mark.parametrize("seed", [0, 5, 13])
+@pytest.mark.parametrize("suite", list(VERIFY_DIGESTS))
+def test_verify_stdout_digest(suite, seed, capsys):
+    assert main(["verify", suite, "--samples", "40", "--seed", str(seed)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY_DIGESTS[suite]
 
 
 class TestVerifyCommand:

@@ -5,14 +5,16 @@ from rcc_lab import experiments, rcc
 from rcc_lab.channels import ChannelEnsemble, KrausOperation, kraus_operation_to_json
 from rcc_lab.coherence import is_incoherent_quantum, l1_coherence
 from rcc_lab.errors import BadTrace, NotHermitian, NotPositive, SearchExhausted, ZeroProbability
-from rcc_lab.experiments import FORWARD_COHERENCE_ATOL, SuiteReport, verify_theorem1
-from rcc_lab.linalg import SeededRng, matrix_to_json, partial_trace
+from rcc_lab.experiments import FORWARD_COHERENCE_ATOL, VERIFY_BLOCK, SuiteReport, verify_theorem1
+from rcc_lab.linalg import SeededRng, complex_ginibre, matrix_to_json, partial_trace
 from rcc_lab.rcc import average_rcc, find_creating_operation, post_operation_state_a
 from rcc_lab.sampling import (
+    densities_from_parts,
     random_density_matrix,
     random_incoherent_quantum_state,
     random_kraus_operation,
     random_noncq_state,
+    summary_operators_from_parts,
 )
 from rcc_lab.states import BipartitePureState, DensityMatrix, check_densities
 
@@ -77,6 +79,22 @@ def dense_state(dim_a, dim_b, rng):
     return random_density_matrix(dim_a * dim_b, rng)
 
 
+def inject_dense_states(monkeypatch):
+    # The sweep draws and builds its forward states as dense_state does.
+    monkeypatch.setattr(
+        experiments, "draw_incoherent_quantum_parts", lambda dim_a, dim_b, g: complex_ginibre(g, (dim_a * dim_b,) * 2)
+    )
+    monkeypatch.setattr(experiments, "incoherent_quantum_states_from_parts", lambda parts: densities_from_parts(np.array(parts)))
+
+
+def every_third_summary_vanishes(parts):
+    # The N stack of every_third_op_vanishes. scaled_kraus divides by
+    # sqrt(max eig N), so N = 0 is injected into the stack, after the draws.
+    stack = summary_operators_from_parts(parts)
+    stack[2::3] = 0
+    return stack
+
+
 def every_third_op_vanishes():
     # Draws as random_kraus_operation; every third operation is N = 0, so
     # every branch through it is excluded.
@@ -101,7 +119,7 @@ class TestSweepMatchesScalarLoop:
         # Dense states violate the forward claim on purpose: the counts, the
         # maximum and the first-occurrence worst case must match the loop.
         expected = scalar_theorem1(3, seed, 20, dense_state, random_kraus_operation)
-        monkeypatch.setattr(experiments, "random_incoherent_quantum_state", dense_state)
+        inject_dense_states(monkeypatch)
         report = verify_theorem1(3, seed, 20)
         assert report == expected
         assert report.violations > 0 and report.worst_case["direction"] == "forward"
@@ -109,11 +127,20 @@ class TestSweepMatchesScalarLoop:
     @pytest.mark.parametrize("seed", [0, 5, 13])
     def test_excluded_branches(self, seed, monkeypatch):
         expected = scalar_theorem1(3, seed, 12, dense_state, every_third_op_vanishes())
-        monkeypatch.setattr(experiments, "random_incoherent_quantum_state", dense_state)
-        monkeypatch.setattr(experiments, "random_kraus_operation", every_third_op_vanishes())
+        inject_dense_states(monkeypatch)
+        monkeypatch.setattr(experiments, "summary_operators_from_parts", every_third_summary_vanishes)
         report = verify_theorem1(3, seed, 12)
         assert report == expected
         assert report.excluded == 3 * 4
+
+    @pytest.mark.parametrize("seed", [0, 5, 13])
+    def test_states_cross_a_block_boundary(self, seed, monkeypatch):
+        samples = VERIFY_BLOCK + 5
+        expected = scalar_theorem1(samples, seed, 3, dense_state, random_kraus_operation)
+        inject_dense_states(monkeypatch)
+        report = verify_theorem1(samples, seed, 3)
+        assert report == expected
+        assert report.violations > 0
 
 
 def block_state(q, blocks):
