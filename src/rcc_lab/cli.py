@@ -9,6 +9,7 @@ error, 3 unexpected error (a crash; the traceback goes to stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -39,6 +40,7 @@ def _load_json_file(path: str, kind: str):
         ) from exc
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rcc-lab",

@@ -55,7 +55,12 @@ def is_incoherent_quantum(
     side = dim_a * dim_b
     if m.shape != (side, side):
         raise ValueError(f"operator side {m.shape} does not match dim_a*dim_b = {side}")
+    return bool(block_diagonal_mask(m, dim_a, dim_b, tol))
+
+
+def block_diagonal_mask(m: np.ndarray, dim_a: int, dim_b: int, tol: float = DEFAULT_CLASSIFICATION_ATOL) -> np.ndarray:
+    """is_incoherent_quantum of joint operators m stacked on leading axes, without the checks."""
     # Entry (i, j, k, l) lies in block <i| rho |k>; mask the diagonal blocks.
     off_block = ~np.eye(dim_a, dtype=bool)[:, None, :, None]
-    r4 = np.abs(m.reshape(dim_a, dim_b, dim_a, dim_b))
-    return float(np.max(r4, where=off_block, initial=0.0)) < tol
+    r4 = np.abs(m.reshape(m.shape[:-2] + (dim_a, dim_b, dim_a, dim_b)))
+    return np.max(r4, axis=(-4, -3, -2, -1), where=off_block, initial=0.0) < tol

@@ -19,6 +19,8 @@ VALIDITY_ATOL = 1e-9
 # Guard against runaway Kronecker products; everything here is desk scale.
 MAX_SIDE = 1 << 16
 
+_SQRT2 = float(np.sqrt(2.0))
+
 
 def as_complex_matrix(m) -> np.ndarray:
     """Coerce input to a finite 2-D complex128 array."""
@@ -160,12 +162,16 @@ def haar_random_unitary(d: int, rng: SeededRng) -> np.ndarray:
     return unitary_from_ginibre(complex_ginibre(rng.generator, (d, d)))
 
 
-def complex_ginibre(g: np.random.Generator, shape) -> np.ndarray:
+def complex_ginibre(g: np.random.Generator, shape, count: int | None = None) -> np.ndarray:
     """Complex Ginibre array of the given shape, entries of unit variance.
 
-    All real parts are drawn first, then all imaginary parts.
+    All real parts are drawn first, then all imaginary parts; with count, so
+    are count arrays stacked on a new leading axis, in one generator call.
     """
-    return (g.standard_normal(shape) + 1j * g.standard_normal(shape)) / np.sqrt(2.0)
+    parts = g.standard_normal((2, *shape) if count is None else (count, 2, *shape))
+    if count is not None:
+        parts = parts.swapaxes(0, 1)
+    return (parts[0] + 1j * parts[1]) / _SQRT2
 
 
 def unitary_from_ginibre(z: np.ndarray) -> np.ndarray:

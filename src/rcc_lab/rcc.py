@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelEnsemble, KrausOperation, is_trace_preserving
-from .coherence import is_incoherent_quantum, l1_coherence
+from .channels import ChannelEnsemble, KrausOperation, check_summaries, is_trace_preserving
+from .coherence import block_diagonal_mask, l1_coherence, l1_coherences
 from .errors import (
     NotTracePreserving,
     SearchExhausted,
@@ -137,9 +137,9 @@ def _unnormalized_branches(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
 
 
 def _mixed_branches(r4: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    # tr_B[(I (x) N_p) rho] for joint states r4 (..., da, db, da, db) and
-    # branches N_p in stack (p, db, db); the result has shape (..., p, da, da).
-    return np.einsum("...ijkl,plj->...pik", r4, stack)
+    # tr_B[(I (x) N_p) rho], shape (..., p, da, da), for joint states r4 (..., da, db, da,
+    # db) and branches N_p in stack: (p, db, db) shared, or (..., p, db, db) per state.
+    return np.einsum("...ijkl,...plj->...pik", r4, stack)
 
 
 def _conditional_states(unnorm: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -415,46 +415,57 @@ def factorization_check(psi: BipartitePureState, channel) -> tuple[float | None,
     return None, bool(average < FACTORIZATION_ATOL)
 
 
+def converse_witnesses(rho: np.ndarray, dim_a: int, dim_b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Witness projectors (n, db, db) of find_creating_operation for joint states rho (n, da * db, da * db).
+
+    Also returns the coherence each creates on A (n,) and the block-diagonal
+    mask (n,); a masked state's witness means nothing. rho is not validated.
+    S = V L^(-1/2) whitens B's marginal on its support (zero columns off it);
+    beta = S v / |S v| for v the eigenvector of largest |eigenvalue| over the
+    Hermitian and anti-Hermitian parts of every S^dagger X_ik S, i < k, with
+    X_ik = (<i| (x) I) rho (|k> (x) I): the most coherence per unit branch
+    probability that any one part allows.
+    """
+    r4 = rho.reshape(-1, dim_a, dim_b, dim_a, dim_b)
+    blocks = r4.swapaxes(2, 3)
+    weights, basis = np.linalg.eigh(np.trace(blocks, axis1=1, axis2=2))
+    # Kept weights bound beta's branch probability from below, far above
+    # ZERO_PROBABILITY_CUTOFF; dropped ones are rounding off the support.
+    support = weights > VALIDITY_ATOL * weights[:, -1:]
+    s = np.where(support[:, None], basis / np.sqrt(np.where(support, weights, 1.0))[:, None], 0)
+    y = s.conj().swapaxes(-1, -2)[:, None] @ blocks[:, ~np.tri(dim_a, dtype=bool)] @ s[:, None]
+    y_dag = y.conj().swapaxes(-1, -2)
+    # Twice the two parts: same eigenvectors, same order of |eigenvalues|.
+    values, vectors = np.linalg.eigh(np.concatenate([y + y_dag, (y_dag - y) * 1j], axis=1))
+    part, j = np.divmod(np.abs(values).reshape(len(y), -1).argmax(axis=1), dim_b)
+    beta = (s @ vectors[np.arange(len(y)), part, :, j][..., None])[..., 0]
+    # A zero beta, from parts that all vanish on the support, stays zero: N = 0.
+    beta /= np.maximum(np.linalg.norm(beta, axis=-1, keepdims=True), np.finfo(float).tiny)
+    projectors = check_summaries(beta[:, :, None] * beta[:, None, :].conj())
+    _, zero, states = _conditional_states(_mixed_branches(r4, projectors[:, None]))
+    coherence = np.zeros(len(y))
+    coherence[~zero[:, 0]] = l1_coherences(states)
+    return projectors, coherence, block_diagonal_mask(rho, dim_a, dim_b)
+
+
 def find_creating_operation(rho_ab, dim_a: int, dim_b: int) -> KrausOperation | None:
     """B-side projector that creates coherence on A: the converse of Theorem 1.
 
-    Returns None exactly when the state is block-diagonal in A's basis (then
-    no operation can succeed). Otherwise S = V L^(-1/2) whitens B's marginal
-    on its support, and beta = S v / |S v| for v the eigenvector of largest
-    |eigenvalue| over the Hermitian and anti-Hermitian parts of every
-    S^dagger X_ik S, X_ik = (<i| (x) I) rho (|k> (x) I), i < k: the most
-    coherence per unit branch probability that any one part allows. Raises
-    SearchExhausted (attempts=1) when it stays below CONVERSE_COHERENCE_TARGET.
+    One-state view of converse_witnesses. Returns None exactly when the state
+    is block-diagonal in A's basis (then no operation can succeed); raises
+    SearchExhausted (attempts=1) when the witness stays below CONVERSE_COHERENCE_TARGET.
     """
     dm = rho_ab if isinstance(rho_ab, DensityMatrix) else DensityMatrix(rho_ab)
     if dm.dim != dim_a * dim_b:
         raise ValueError(f"operator side {dm.dim} does not match dim_a*dim_b = {dim_a * dim_b}")
-    if is_incoherent_quantum(dm, dim_a, dim_b):
+    witnesses, coherence, block_diagonal = converse_witnesses(dm.matrix[None], dim_a, dim_b)
+    if block_diagonal[0]:
         return None
-    blocks = dm.matrix.reshape(dim_a, dim_b, dim_a, dim_b).swapaxes(1, 2)
-    weights, basis = np.linalg.eigh(blocks.trace())
-    # Kept weights bound beta's branch probability from below, far above
-    # ZERO_PROBABILITY_CUTOFF; dropped ones are rounding off the support.
-    support = weights > VALIDITY_ATOL * weights[-1]
-    s = basis[:, support] / np.sqrt(weights[support])
-    y = s.conj().T @ blocks[~np.tri(dim_a, dtype=bool)] @ s
-    y_dag = y.conj().swapaxes(-1, -2)
-    # Twice the two parts: same eigenvectors, same order of |eigenvalues|.
-    values, vectors = np.linalg.eigh(np.concatenate([y + y_dag, (y_dag - y) * 1j]))
-    part, j = divmod(int(np.abs(values).argmax()), values.shape[-1])
-    beta = s @ vectors[part, :, j]
-    beta /= np.linalg.norm(beta)
-    op = KrausOperation([np.outer(beta, beta.conj())], label="projector-search[0]")
-    state_a, _ = post_operation_state_a(dm, op, dim_a, dim_b)
-    achieved = l1_coherence(state_a)
+    achieved = float(coherence[0])
     if achieved > CONVERSE_COHERENCE_TARGET:
-        return op
-    raise SearchExhausted(
-        f"the converse witness reaches coherence {achieved:.3e}, "
-        f"below {CONVERSE_COHERENCE_TARGET:g}",
-        best_value=achieved,
-        attempts=1,
-    )
+        return KrausOperation([witnesses[0]], label="projector-search[0]")
+    message = f"the converse witness reaches coherence {achieved:.3e}, below {CONVERSE_COHERENCE_TARGET:g}"
+    raise SearchExhausted(message, best_value=achieved, attempts=1)
 
 
 def report_to_json(report: RccReport) -> dict:

@@ -1,9 +1,10 @@
 """Seeded random generators for states, channels, and sweep instances.
 
 The draw_* helpers take one sample's raw numbers from a generator, in the
-order the random_* samplers draw them; the *_from_parts builders turn those
-parts into objects, or into stacks for many samples at once. The random_*
-samplers are draw then build, so a stream yields the same instances on the
+order the random_* samplers draw them (draw_noncq_states, which tests built
+candidates, returns a block's states); the *_from_parts builders turn parts
+into objects, or into stacks for many samples at once. The random_* samplers
+are draw then build, so a stream yields the same instances on the
 per-object and the stacked route.
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import ChannelEnsemble, KrausOperation, check_summaries
-from .coherence import is_incoherent_quantum
+from .coherence import block_diagonal_mask
 from .linalg import SeededRng, complex_ginibre, unitary_from_ginibre
 from .states import BipartitePureState, DensityMatrix, schmidt_coefficients, unit_amplitudes
 
@@ -35,13 +36,12 @@ def draw_schmidt_parts(dim_a: int, dim_b: int, g: np.random.Generator):
 
 def draw_kraus_parts(dim_b: int, g: np.random.Generator, max_kraus: int = 3) -> np.ndarray:
     """Unscaled Ginibre Kraus set, shape (count, dim_b, dim_b), count uniform in 1..max_kraus."""
-    count = int(g.integers(1, max_kraus + 1))
-    return np.array([complex_ginibre(g, (dim_b, dim_b)) for _ in range(count)])
+    return complex_ginibre(g, (dim_b, dim_b), int(g.integers(1, max_kraus + 1)))
 
 
 def draw_incoherent_quantum_parts(dim_a: int, dim_b: int, g: np.random.Generator):
     """Weights q (dim_a,), then one Ginibre matrix per A-block, shape (dim_a, dim_b, dim_b)."""
-    return g.dirichlet(np.ones(dim_a)), np.array([complex_ginibre(g, (dim_b, dim_b)) for _ in range(dim_a)])
+    return g.dirichlet(np.ones(dim_a)), complex_ginibre(g, (dim_b, dim_b), dim_a)
 
 
 def draw_tp_parts(dim_b: int, g: np.random.Generator, kraus_count: int | None = None) -> np.ndarray:
@@ -191,13 +191,26 @@ def random_incoherent_quantum_state(dim_a: int, dim_b: int, rng: SeededRng) -> D
     return DensityMatrix(incoherent_quantum_states_from_parts([parts])[0], validate=False)
 
 
+def draw_noncq_states(count: int, dim_a: int, dim_b: int, g: np.random.Generator, tol: float = 1e-9) -> np.ndarray:
+    """The states (count, side, side) of count random_noncq_state calls on g.
+
+    Each round takes one Ginibre candidate per missing state in one generator
+    call and drops the block-diagonal ones; 64 rejections in a row raise.
+    """
+    side, kept, run = dim_a * dim_b, [], 0
+    while (missing := count - sum(map(len, kept))) > 0:
+        rho = densities_from_parts(complex_ginibre(g, (side, side), missing))
+        mask = block_diagonal_mask(rho, dim_a, dim_b, tol)
+        for rejected in mask.tolist():
+            if (run := run + 1 if rejected else 0) == 64:
+                raise RuntimeError("could not draw a non-block-diagonal state; tolerance too loose?")
+        kept.append(rho[~mask])
+    return np.concatenate(kept)
+
+
 def random_noncq_state(dim_a: int, dim_b: int, rng: SeededRng, tol: float = 1e-9) -> DensityMatrix:
     """Random density matrix conditioned on failing the block-diagonal test."""
-    for _ in range(64):
-        candidate = random_density_matrix(dim_a * dim_b, rng)
-        if not is_incoherent_quantum(candidate, dim_a, dim_b, tol):
-            return candidate
-    raise RuntimeError("could not draw a non-block-diagonal state; tolerance too loose?")
+    return DensityMatrix(draw_noncq_states(1, dim_a, dim_b, rng.generator, tol)[0], validate=False)
 
 
 def random_kraus_operation(dim_b: int, rng: SeededRng, max_kraus: int = 3) -> KrausOperation:

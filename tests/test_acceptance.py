@@ -11,26 +11,26 @@ import numpy as np
 
 from rcc_lab.channels import creation_witnesses, phase_damping
 from rcc_lab.coherence import l1_coherence, l1_coherences
-from rcc_lab.errors import SearchExhausted, ZeroProbability
 from rcc_lab.experiments import VERIFY_BLOCK, ExperimentConfig, run_fig1
 from rcc_lab.linalg import SeededRng
 from rcc_lab.rcc import (
+    CONVERSE_COHERENCE_TARGET,
     _conditional_states,
+    _mixed_branches,
     _unnormalized_branches,
     average_coherence,
     average_rcc,
-    find_creating_operation,
+    converse_witnesses,
     maximally_entangled_partner,
-    post_operation_state_a,
 )
 from rcc_lab.sampling import (
     coefficient_matrices_from_parts,
+    draw_incoherent_quantum_parts,
     draw_kraus_parts,
+    draw_noncq_states,
     draw_schmidt_parts,
+    incoherent_quantum_states_from_parts,
     random_density_matrix,
-    random_incoherent_quantum_state,
-    random_kraus_operation,
-    random_noncq_state,
     random_schmidt_state,
     random_tp_channel,
     summary_operators_from_parts,
@@ -100,35 +100,39 @@ def test_scatter_experiment_reproduction(tmp_path):
 
 
 def test_block_diagonal_states_are_useless_and_others_are_not():
-    """Forward and converse of the state classification."""
-    rng = SeededRng(20260811, 0)
-    operations = [random_kraus_operation(2, rng) for _ in range(100)]
+    """Forward and converse of the state classification.
+
+    The draws come from one stream in the order of 100 random_kraus_operation,
+    1000 random_incoherent_quantum_state and 1000 random_noncq_state calls,
+    and are evaluated per block on the stacked routes: the forward states
+    against the whole N stack, the converse states through converse_witnesses,
+    whose witnesses an explicit (I (x) P) rho (I (x) P) sandwich re-measures.
+    """
+    g = SeededRng(20260811, 0).generator
+    operations = summary_operators_from_parts([draw_kraus_parts(2, g) for _ in range(100)])
     worst = 0.0
     skipped = 0
-    for _ in range(1_000):
-        state = random_incoherent_quantum_state(2, 2, rng)
-        for op in operations:
-            try:
-                state_a, _ = post_operation_state_a(state, op, 2, 2)
-            except ZeroProbability:
-                skipped += 1
-                continue
-            worst = max(worst, l1_coherence(state_a))
+    for start in range(0, 1_000, VERIFY_BLOCK):
+        parts = [draw_incoherent_quantum_parts(2, 2, g) for _ in range(start, min(start + VERIFY_BLOCK, 1_000))]
+        states = incoherent_quantum_states_from_parts(parts).reshape(-1, 2, 2, 2, 2)
+        _, zero, states_a = _conditional_states(_mixed_branches(states, operations))
+        skipped += int(zero.sum())
+        worst = max(worst, float(l1_coherences(states_a).max(initial=0.0)))
     assert worst < 1e-8
 
     successes = 0
     exhaustions = 0
-    for _ in range(1_000):
-        state = random_noncq_state(2, 2, rng)
-        try:
-            op = find_creating_operation(state, 2, 2)
-        except SearchExhausted:
-            exhaustions += 1
-            continue
-        assert op is not None
-        state_a, _ = post_operation_state_a(state, op, 2, 2)
-        if l1_coherence(state_a) > 1e-6:
-            successes += 1
+    for start in range(0, 1_000, VERIFY_BLOCK):
+        states = draw_noncq_states(min(VERIFY_BLOCK, 1_000 - start), 2, 2, g)
+        witnesses, reached, block_diagonal = converse_witnesses(states, 2, 2)
+        assert not block_diagonal.any()
+        found = reached > CONVERSE_COHERENCE_TARGET
+        exhaustions += int(np.sum(~found))
+        big = np.kron(np.eye(2), witnesses[found])
+        after = (big @ states[found] @ big.conj().swapaxes(-1, -2)).reshape(-1, 2, 2, 2, 2)
+        marginals = np.einsum("nijkj->nik", after)
+        created = l1_coherences(marginals) / np.trace(marginals, axis1=1, axis2=2).real
+        successes += int(np.sum(created > 1e-6))
     assert exhaustions == 0
     assert successes == 1_000
     print(

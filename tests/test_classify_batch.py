@@ -159,8 +159,9 @@ def test_memory_grows_with_the_block_not_with_samples(monkeypatch):
     samples = 2 * VERIFY_BLOCK + 10
     contracted, mixed, criteria, oracle = [], [], [], []
     recording(monkeypatch, rcc, "_unnormalized_branches", contracted, lambda w, stack: len(w))
-    # The converse witness contracts one unbatched state at a time.
-    recording(monkeypatch, rcc, "_mixed_branches", mixed, lambda r4, stack: len(r4) if r4.ndim == 5 else 0)
+    # The forward half meets one shared N stack (p, db, db), the converse
+    # witness one projector per state (n, 1, db, db).
+    recording(monkeypatch, rcc, "_mixed_branches", mixed, lambda r4, stack: (stack.ndim, len(r4)))
     recording(monkeypatch, experiments, "creation_witnesses", criteria, lambda w, n_ops: len(w))
     recording(monkeypatch, experiments, "densities_from_parts", oracle, lambda z: len(z))
     run_verify("theorem2", samples, 0)
@@ -168,8 +169,10 @@ def test_memory_grows_with_the_block_not_with_samples(monkeypatch):
     experiments.verify_theorem1(samples, 0, operations_per_state=3)
     # Two blocks for each of d = 2, 3; theorem1 meets 3 operations per state.
     assert contracted == [VERIFY_BLOCK, 5] * 2
-    states = [size for size in mixed if size]
-    assert max(states) * 3 <= VERIFY_BLOCK and sum(states) == samples
+    forward = [size for ndim, size in mixed if ndim == 3]
+    converse = [size for ndim, size in mixed if ndim == 4]
+    assert max(forward) * 3 <= VERIFY_BLOCK and sum(forward) == samples
+    assert max(converse) <= VERIFY_BLOCK and sum(converse) == samples
     assert max(criteria) <= VERIFY_BLOCK and max(oracle) <= VERIFY_BLOCK
     assert sum(oracle) == samples
 

@@ -6,10 +6,13 @@ from rcc_lab.channels import ChannelEnsemble, KrausOperation, kraus_operation_to
 from rcc_lab.coherence import is_incoherent_quantum, l1_coherence
 from rcc_lab.errors import BadTrace, NotHermitian, NotPositive, SearchExhausted, ZeroProbability
 from rcc_lab.experiments import FORWARD_COHERENCE_ATOL, VERIFY_BLOCK, SuiteReport, verify_theorem1
-from rcc_lab.linalg import SeededRng, complex_ginibre, matrix_to_json, partial_trace
-from rcc_lab.rcc import average_rcc, find_creating_operation, post_operation_state_a
+from rcc_lab.linalg import SeededRng, complex_ginibre, haar_random_unitary, matrix_to_json, partial_trace
+from rcc_lab.rcc import average_rcc, converse_witnesses, find_creating_operation, post_operation_state_a
 from rcc_lab.sampling import (
     densities_from_parts,
+    draw_incoherent_quantum_parts,
+    draw_kraus_parts,
+    draw_noncq_states,
     random_density_matrix,
     random_incoherent_quantum_state,
     random_kraus_operation,
@@ -231,3 +234,155 @@ class TestStackedDensityCheck:
         with pytest.raises(error) as stacked:
             check_densities(np.array(stack, dtype=complex))
         assert str(stacked.value) == str(single.value)
+
+
+# -- the stacked converse ---------------------------------------------------
+
+DIMS = [(2, 2), (2, 3), (3, 2), (3, 3)]
+# About the median largest off-block entry of a Ginibre state: half the
+# candidates fail the block test at this tolerance.
+REJECTING_TOL = {(2, 2): 0.17, (2, 3): 0.11, (3, 2): 0.12, (3, 3): 0.072}
+
+
+def largest_off_block(rho, dim_a, dim_b):
+    off_block = ~np.eye(dim_a, dtype=bool)[:, None, :, None]
+    return float(np.max(np.abs(rho.reshape(dim_a, dim_b, dim_a, dim_b)), where=off_block, initial=0.0))
+
+
+def nearly_block_diagonal(dim_a, dim_b, largest, rng):
+    # A block-diagonal state mixed with a dense one, so that the largest
+    # entry of an off-diagonal block is `largest`.
+    cq = random_incoherent_quantum_state(dim_a, dim_b, rng).matrix
+    dense = random_density_matrix(dim_a * dim_b, rng).matrix
+    t = largest / largest_off_block(dense, dim_a, dim_b)
+    return (1 - t) * cq + t * dense
+
+
+def rank_deficient(dim_a, dim_b, rng):
+    # A state on C^dim_a (x) C^(dim_b - 1) embedded into B = C^dim_b: B's
+    # marginal has rank dim_b - 1 at most, so S drops a column.
+    inner = random_noncq_state(dim_a, dim_b - 1, rng).matrix
+    embed = np.kron(np.eye(dim_a), haar_random_unitary(dim_b, rng)[:, : dim_b - 1])
+    return embed @ inner @ embed.conj().T
+
+
+def scalar_view(rho, dim_a, dim_b, monkeypatch):
+    # find_creating_operation's witness and the coherence it reports, or None:
+    # every witness is returned at target 0 and raises at target infinity.
+    state = DensityMatrix(rho, validate=False)
+    with monkeypatch.context() as patch:
+        patch.setattr(rcc, "CONVERSE_COHERENCE_TARGET", 0.0)
+        op = find_creating_operation(state, dim_a, dim_b)
+        if op is None:
+            return None
+        patch.setattr(rcc, "CONVERSE_COHERENCE_TARGET", np.inf)
+        with pytest.raises(SearchExhausted) as info:
+            find_creating_operation(state, dim_a, dim_b)
+    return op.kraus[0], info.value.best_value
+
+
+def kron_coherence(rho, dim_a, dim_b, projector):
+    # A's coherence after the projector on B, through (I (x) P) rho (I (x) P).
+    big = np.kron(np.eye(dim_a), projector)
+    branch = partial_trace(big @ rho @ big, dim_a, dim_b, "A")
+    return l1_coherence(branch / np.trace(branch).real)
+
+
+class TestStackedWitness:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_stack_matches_the_scalar_view(self, dims, monkeypatch):
+        dim_a, dim_b = dims
+        rng = SeededRng(20261018, 10 * dim_a + dim_b)
+        full = [random_noncq_state(dim_a, dim_b, rng).matrix for _ in range(20)]
+        full += [nearly_block_diagonal(dim_a, dim_b, largest, rng) for largest in (1e-8, 1e-7, 1e-6, 1e-5) for _ in range(5)]
+        cq = [random_incoherent_quantum_state(dim_a, dim_b, rng).matrix for _ in range(4)]
+        # Rank one, with an empty block: the whitened parts all vanish.
+        pure = np.zeros((dim_b, dim_b))
+        pure[0, 0] = 1.0
+        cq.append(block_state([1.0] + [0.0] * (dim_a - 1), [pure] * dim_a))
+        deficient = [rank_deficient(dim_a, dim_b, rng) for _ in range(10)]
+        # Interleaved, so the kinds share every part of the stacked call.
+        order = rng.generator.permutation(len(full) + len(cq) + len(deficient))
+        kinds = np.array(["full"] * len(full) + ["cq"] * len(cq) + ["deficient"] * len(deficient))[order]
+        stack = np.array(full + cq + deficient)[order]
+        witnesses, coherence, block_diagonal = converse_witnesses(stack, dim_a, dim_b)
+        assert block_diagonal.tolist() == (kinds == "cq").tolist()
+        for rho, kind, witness, reached in zip(stack, kinds, witnesses, coherence):
+            view = scalar_view(rho, dim_a, dim_b, monkeypatch)
+            if kind == "cq":
+                assert view is None
+                continue
+            if kind == "full":
+                np.testing.assert_array_equal(view[0], witness)
+                assert view[1] == reached
+            else:
+                np.testing.assert_allclose(view[0], witness, rtol=0, atol=1e-12)
+                assert view[1] == pytest.approx(reached, rel=0, abs=1e-12)
+            assert kron_coherence(rho, dim_a, dim_b, witness) == pytest.approx(reached, rel=1e-9, abs=1e-15)
+            # The witness beats the largest off-block entry (test_rcc).
+            assert reached >= largest_off_block(rho, dim_a, dim_b) * (1 - 1e-9)
+
+    def test_rank_deficient_witness_stays_on_the_support(self):
+        rng = SeededRng(20261019)
+        rho = np.array([rank_deficient(2, 3, rng) for _ in range(20)])
+        witnesses, coherence, _ = converse_witnesses(rho, 2, 3)
+        support = np.einsum("nijil->njl", rho.reshape(-1, 2, 3, 2, 3))
+        # P rho_B P = <beta| rho_B |beta> P: beta carries the branch probability.
+        probs = np.einsum("nij,nji->n", witnesses, support).real
+        assert probs.min() > 1e-3 and coherence.min() > 1e-6
+
+
+class TestStackedDraws:
+    @pytest.mark.parametrize("dims", DIMS)
+    @pytest.mark.parametrize("rejecting", [False, True])
+    def test_noncq_draw_equals_the_per_state_loop(self, dims, rejecting):
+        dim_a, dim_b = dims
+        tol = REJECTING_TOL[dims] if rejecting else 1e-9
+        loop_rng, block_rng = SeededRng(31, 10 * dim_a + dim_b), SeededRng(31, 10 * dim_a + dim_b)
+        expected = np.array([random_noncq_state(dim_a, dim_b, loop_rng, tol).matrix for _ in range(300)])
+        states = draw_noncq_states(300, dim_a, dim_b, block_rng.generator, tol)
+        np.testing.assert_array_equal(states, expected)
+        # Both routes leave the stream at the same place.
+        assert loop_rng.generator.random() == block_rng.generator.random()
+
+    @pytest.mark.parametrize("count", [1, 5])
+    def test_64_rejections_in_a_row_raise(self, count):
+        with pytest.raises(RuntimeError, match="could not draw a non-block-diagonal state"):
+            random_noncq_state(2, 2, SeededRng(33), tol=10.0)
+        with pytest.raises(RuntimeError, match="could not draw a non-block-diagonal state"):
+            draw_noncq_states(count, 2, 2, SeededRng(33).generator, tol=10.0)
+
+    def test_one_call_ginibre_sets_equal_per_matrix_draws(self):
+        # Reference: two standard_normal calls per Ginibre matrix, real parts first.
+        def ginibre(g, shape):
+            return (g.standard_normal(shape) + 1j * g.standard_normal(shape)) / np.sqrt(2.0)
+
+        new, old = SeededRng(34).generator, SeededRng(34).generator
+        for _ in range(20):
+            kraus = draw_kraus_parts(3, new)
+            count = int(old.integers(1, 4))
+            np.testing.assert_array_equal(kraus, [ginibre(old, (3, 3)) for _ in range(count)])
+            q, blocks = draw_incoherent_quantum_parts(3, 2, new)
+            np.testing.assert_array_equal(q, old.dirichlet(np.ones(3)))
+            np.testing.assert_array_equal(blocks, [ginibre(old, (2, 2)) for _ in range(3)])
+            np.testing.assert_array_equal(complex_ginibre(new, (6, 2)), ginibre(old, (6, 2)))
+        assert new.random() == old.random()
+
+
+class TestConverseBlocks:
+    @pytest.mark.parametrize("seed", [0, 5, 13])
+    def test_converse_crosses_block_boundaries(self, seed):
+        samples = 2 * VERIFY_BLOCK + 10
+        expected = scalar_theorem1(samples, seed, 0, random_incoherent_quantum_state, random_kraus_operation)
+        assert verify_theorem1(samples, seed, operations_per_state=0) == expected
+
+    @pytest.mark.parametrize("seed", [0, 5, 13])
+    def test_witnesses_below_the_target_pick_the_same_worst_case(self, seed, monkeypatch):
+        # At target 0.5 about one witness in twenty falls below it, in every block.
+        monkeypatch.setattr(rcc, "CONVERSE_COHERENCE_TARGET", 0.5)
+        samples = 2 * VERIFY_BLOCK + 10
+        expected = scalar_theorem1(samples, seed, 0, random_incoherent_quantum_state, random_kraus_operation)
+        report = verify_theorem1(samples, seed, operations_per_state=0)
+        assert report == expected
+        assert report.violations > 0 and report.worst_case["direction"] == "converse"
