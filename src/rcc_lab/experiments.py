@@ -22,7 +22,7 @@ from .channels import (
     phase_damping,
 )
 from .coherence import l1_coherences
-from .linalg import SeededRng, complex_ginibre, matrix_to_json, unitary_from_ginibre
+from .linalg import SeededRng, complex_ginibre, matrix_to_json, stream_generators, unitary_from_ginibre
 from .sampling import (
     branch_stacks_from_parts,
     coefficient_matrices_from_parts,
@@ -142,13 +142,13 @@ class Fig1Summary:
 
 
 def _fig1_draw(seed: int, samples: range) -> tuple[np.ndarray, np.ndarray]:
-    # One stream per sample, drawn as random_schmidt_parts(2, 2, .) draws:
-    # the first weight, then the real and imaginary Ginibre parts of
-    # haar_random_unitary (one (2, 2, 2) draw yields the same numbers).
+    # One stream per sample, SeededRng(seed, sample)'s, all seeded in one pass
+    # and drawn as random_schmidt_parts(2, 2, .) draws: the first weight, then
+    # the real and imaginary Ginibre parts of haar_random_unitary (one
+    # (2, 2, 2) draw yields the same numbers).
     first = np.empty(len(samples))
     gauss = np.empty((len(samples), 2, 2, 2))
-    for j, sample in enumerate(samples):
-        g = SeededRng(seed, stream_id=sample).generator
+    for j, g in enumerate(stream_generators(seed, samples)):
         first[j] = g.random()
         gauss[j] = g.standard_normal((2, 2, 2))
     return first, (gauss[:, 0] + 1j * gauss[:, 1]) / np.sqrt(2.0)
@@ -173,9 +173,9 @@ def _fig1_block(first: np.ndarray, ginibre: np.ndarray, channels):
 def run_fig1(config: ExperimentConfig) -> Fig1Summary:
     """Run the phase-damping scatter and write one CSV row per (sample, rate).
 
-    Output bytes depend only on the config and seed: sample k draws from its
-    own RNG stream k, and samples are evaluated in blocks of FIG1_BLOCK in
-    index order.
+    Output bytes depend only on the config and seed: sample k draws from the
+    stream of SeededRng(seed, k), and samples are evaluated in blocks of
+    FIG1_BLOCK in index order.
     """
     config.validate()
     rates = [float(r) for r in config.damping_rates]
@@ -184,6 +184,8 @@ def run_fig1(config: ExperimentConfig) -> Fig1Summary:
     seed = int(config.seed)
     samples = int(config.samples)
 
+    # Plot points are gathered only for a plot, every plot_stride-th sample.
+    plot = config.emit_plot
     plot_stride = max(1, samples // 4000)
     blue_points = []
     red_points = []
@@ -203,15 +205,16 @@ def run_fig1(config: ExperimentConfig) -> Fig1Summary:
             rows_with_ratio += int(has_ratio.sum())
             if has_ratio.any():
                 max_dev = max(max_dev, float(np.abs(ratio - ent[:, None])[has_ratio].max()))
+            # The values are Python floats here, so repr writes the same bytes as _fmt.
             lines = []
             for sample, w0, e, avgs, maxents, ratios, defined in zip(
                 block, first.tolist(), ent.tolist(), avg.tolist(), maxent.tolist(), ratio.tolist(), has_ratio.tolist()
             ):
                 head = f"{sample},{seed},"
-                tail = f",{_fmt(w0)},{_fmt(e)},"
+                tail = f",{w0!r},{e!r},"
                 for rate_txt, a, m, q, ok in zip(rate_txts, avgs, maxents, ratios, defined):
-                    lines.append(f"{head}{rate_txt}{tail}{_fmt(a)},{_fmt(m)},{_fmt(q) if ok else ''}\n")
-                if sample % plot_stride == 0:
+                    lines.append(f"{head}{rate_txt}{tail}{a!r},{m!r},{repr(q) if ok else ''}\n")
+                if plot and sample % plot_stride == 0:
                     for rate, a, q, ok in zip(rates, avgs, ratios, defined):
                         blue_points.append((e, a, rate))
                         if ok:

@@ -9,6 +9,7 @@ singular vectors, and reproducible random sampling keyed by explicit
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,6 +154,107 @@ class SeededRng:
     def stream(self, stream_id: int) -> "SeededRng":
         """Sibling stream sharing this seed."""
         return SeededRng(self.seed, stream_id)
+
+
+# NumPy's SeedSequence (NEP 19): a pool of four uint32 words, its hash and mix
+# constants, and the 128-bit multiplier of the PCG64 it seeds.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
+    # The hash constant before each of `calls` successive hashmix calls, then after the last.
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    # Row j is one hashmix call with the j-th of len(consts) - 1 successive
+    # constants; uint32 arithmetic wraps as the C code does.
+    h = (values ^ consts[:-1, None]) * consts[1:, None]
+    return h ^ (h >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return r ^ (r >> _XSHIFT)
+
+
+def stream_seed_words(seed: int, stream_ids) -> np.ndarray:
+    """SeedSequence(seed, spawn_key=(i,)).generate_state(4, np.uint64) for each i.
+
+    Row k belongs to the k-th stream id. Ids are split into little-endian
+    uint32 words as SeedSequence splits them (ids from 2**32 on take two), and
+    each id length is one vectorised pass over the block.
+    """
+    seed = int(seed)
+    ids = [int(i) for i in stream_ids]
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
+    if min(ids, default=0) < 0:
+        raise ValueError("stream_id must be non-negative")
+    top = max(ids, default=0)
+    key = np.array(ids, dtype=np.uint64 if top < 2**64 else object)
+    shifted = [key >> (32 * k) for k in range(max(1, -(-top.bit_length() // 32)))]
+    id_words = [(part & _MASK32).astype(np.uint32) for part in shifted]
+    lengths = np.ones(len(ids), dtype=np.int64)
+    for part in shifted[1:]:
+        lengths += part != 0
+    # One hashmix call per pool word, one per ordered pair of distinct pool
+    # words, then one per (id word, pool word).
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * len(id_words))
+
+    # With a spawn key the seed's words are zero-padded to the pool size, so
+    # the pool before the id words depends on the seed alone.
+    run = [(seed >> 32 * k) & _MASK32 for k in range(_POOL_SIZE)]
+    pool = _hashmix(np.array(run, dtype=np.uint32)[:, None], consts[: _POOL_SIZE + 1])
+    at = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[at : at + _POOL_SIZE]))
+        at += _POOL_SIZE - 1
+
+    out = np.empty((len(ids), 4), dtype=np.uint64)
+    for length in range(1, len(id_words) + 1):
+        rows = np.flatnonzero(lengths == length)
+        mixed = pool
+        for k in range(length):
+            start = at + _POOL_SIZE * k
+            mixed = _mix(mixed, _hashmix(id_words[k][rows], consts[start : start + _POOL_SIZE + 1]))
+        state = _hashmix(np.tile(mixed, (2, 1)), _hash_constants(_INIT_B, _MULT_B, 8)).astype(np.uint64)
+        out[rows] = (state[0::2] | (state[1::2] << np.uint64(32))).T
+    return out
+
+
+def stream_generators(seed: int, stream_ids) -> Iterator[np.random.Generator]:
+    """Iterator over Generators at the start of SeededRng(seed, i)'s stream, i in stream_ids.
+
+    All stream seeds come from one stream_seed_words pass; each step then sets
+    the state of one reused PCG64 (whose buffered uint32 half is cleared), so
+    the yielded Generator is the same object every time and is valid only
+    until the next step. Arguments are checked, and the seeds computed, here.
+    """
+    words = stream_seed_words(seed, stream_ids).tolist()
+    bitgen = np.random.PCG64(0)
+    return _reseeded(bitgen, np.random.Generator(bitgen), words)
+
+
+def _reseeded(bitgen: np.random.PCG64, g: np.random.Generator, words: list) -> Iterator[np.random.Generator]:
+    state = {"bit_generator": "PCG64", "state": None, "has_uint32": 0, "uinteger": 0}
+    for state_hi, state_lo, seq_hi, seq_lo in words:
+        # PCG64's srandom: inc = 2 seq + 1, then two LCG steps around adding the seed.
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        state["state"] = {"state": ((state_hi << 64 | state_lo) + inc) * _PCG64_MULT + inc & _MASK128, "inc": inc}
+        bitgen.state = state
+        yield g
 
 
 def haar_random_unitary(d: int, rng: SeededRng) -> np.ndarray:

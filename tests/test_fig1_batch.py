@@ -85,6 +85,47 @@ def test_golden_csv_digest(tmp_path):
     assert digest == "11e8b631a20b5bc78c5b3a8ecbcbf7ee0c890923ef4954341c8e159f9473b42c"
 
 
+# Pinned before the stream seeds moved to one pass per block: several blocks,
+# with run entropy of one word (seed 0) and of two (2**32, 2**64 - 1).
+BLOCK_CSV_DIGESTS = {
+    0: "30d4088fe80297081488e1cb0236cb176e004e0a2daddf486070ce9f67c45f39",
+    2**32: "dd48d3f1efde2d684587e42a4b0d8fe0b4dba5cb1812ee0db20ddbbc1fc1f2a3",
+    2**64 - 1: "c54b47aea8c7763ef9eaecd5f3b05c5a2034c40cb1c241c2ab5a4bae68fe1bd8",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(BLOCK_CSV_DIGESTS))
+def test_csv_digest_across_blocks(tmp_path, seed):
+    out = tmp_path / "rows.csv"
+    run_fig1(ExperimentConfig(samples=2 * FIG1_BLOCK + 3, seed=seed, output_path=str(out)))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BLOCK_CSV_DIGESTS[seed]
+
+
+def test_svg_digest(tmp_path):
+    # 300 samples plot every sample (stride 1); pinned with the CSV digests.
+    svg = tmp_path / "plot.svg"
+    run_fig1(
+        ExperimentConfig(
+            samples=300, damping_rates=RATES, seed=3, output_path=str(tmp_path / "rows.csv"), plot_path=str(svg)
+        )
+    )
+    digest = hashlib.sha256(svg.read_bytes()).hexdigest()
+    assert digest == "e6558a6da4b211fb561d3cf65deffbe5fa6f416ab92a29fb5faa69ccac9508c8"
+
+
+def test_no_seeded_rng_per_sample(tmp_path, monkeypatch):
+    calls = []
+    real = SeededRng.__post_init__
+
+    def spy(self):
+        calls.append(self.stream_id)
+        real(self)
+
+    monkeypatch.setattr(SeededRng, "__post_init__", spy)
+    run_fig1(ExperimentConfig(samples=FIG1_BLOCK + 5, damping_rates=(0.5,), output_path=str(tmp_path / "x.csv")))
+    assert len(calls) <= 1
+
+
 def test_blocks_bound_the_work_per_step(tmp_path, monkeypatch):
     seen = []
     real = experiments._fig1_block

@@ -10,6 +10,8 @@ from rcc_lab.linalg import (
     matrix_to_json,
     partial_trace,
     random_pure_state,
+    stream_generators,
+    stream_seed_words,
     svd,
     tensor_product,
 )
@@ -229,6 +231,63 @@ class TestSeededRng:
         base = SeededRng(30)
         sibling = base.stream(7)
         assert sibling.seed == 30 and sibling.stream_id == 7
+
+
+# Run entropy of one word (seeds below 2**32) and of two; the ids past 299
+# take one, two and three spawn-key words.
+STREAM_SEEDS = (0, 1, 5, 2**32 - 1, 2**32, 2**63 + 11, 2**64 - 1, 20161008)
+STREAM_IDS = [*range(300), 2**32 - 1, 2**32, 2**40, 2**64 + 5]
+
+
+def first_draws(g):
+    # Opens and closes with a 32-bit draw: each leaves half of a 64-bit output
+    # buffered, which the next stream must not pick up.
+    return (
+        g.integers(0, 2**31 - 1, dtype=np.int32),
+        g.random(),
+        g.standard_normal((2, 2, 2)),
+        g.integers(-5, 1000, size=3, dtype=np.int32),
+        g.dirichlet([0.5, 1.0, 2.0]),
+        g.random(dtype=np.float32),
+    )
+
+
+class TestStreamSeeding:
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_seed_words_equal_seed_sequence(self, seed):
+        words = stream_seed_words(seed, STREAM_IDS)
+        assert words.shape == (len(STREAM_IDS), 4) and words.dtype == np.uint64
+        for row, i in zip(words, STREAM_IDS):
+            np.testing.assert_array_equal(
+                row, np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(4, np.uint64)
+            )
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_generators_replay_seeded_rng(self, seed):
+        seen = set()
+        for i, g in zip(STREAM_IDS, stream_generators(seed, STREAM_IDS)):
+            seen.add(id(g))
+            for got, want in zip(first_draws(g), first_draws(SeededRng(seed, i).generator)):
+                np.testing.assert_array_equal(got, want)
+        assert len(seen) == 1  # one reused generator
+
+    def test_ids_in_any_order_and_type(self):
+        # Ids of different lengths interleaved, repeated, and given as an array.
+        ids = np.array([2**32, 7, 2**40 + 1, 0, 7, 2**32 - 1], dtype=np.uint64)
+        words = stream_seed_words(3, ids)
+        for row, i in zip(words, ids.tolist()):
+            np.testing.assert_array_equal(row, np.random.SeedSequence(3, spawn_key=(i,)).generate_state(4, np.uint64))
+        assert stream_seed_words(3, []).shape == (0, 4)
+        assert list(stream_generators(3, range(0))) == []
+
+    def test_rejects_what_seeded_rng_rejects(self):
+        for seed, ids in ((-1, [0]), (2**64, [0]), (0, [3, -1])):
+            with pytest.raises(ValueError) as want:
+                for i in ids:
+                    SeededRng(seed, i)
+            with pytest.raises(ValueError) as got:
+                stream_generators(seed, ids)
+            assert str(got.value) == str(want.value)
 
 
 class TestMatrixJson:
