@@ -19,6 +19,7 @@ from .linalg import (
     json_positive_int,
     matrix_from_json,
     matrix_to_json,
+    require_orthonormal_columns,
 )
 from .states import BipartitePureState, require_premise, require_premises, schmidt_rows
 
@@ -32,13 +33,13 @@ class KrausOperation:
 
     Validity only requires 0 <= N <= I for the summary operator
     N = sum_n F_n^dagger F_n, so trace-decreasing (post-selected) operations
-    are first-class values here.
+    are first-class values here. trace_deviation is N's identity_deviation.
     """
 
-    __slots__ = ("dim_b", "kraus", "label", "_n", "_branch_stack", "_identity_dev")
+    __slots__ = ("dim_b", "kraus", "label", "trace_deviation", "_n", "_stack")
 
     def __init__(self, kraus, label: str = ""):
-        mats = tuple(as_complex_matrix(f).copy() for f in kraus)
+        mats = [as_complex_matrix(f) for f in kraus]
         if not mats:
             raise ValueError("at least one Kraus operator is required")
         d = mats[0].shape[0]
@@ -47,39 +48,26 @@ class KrausOperation:
                 raise ValueError(
                     f"Kraus operators must all be {d}x{d}, got shape {f.shape}"
                 )
-        n = np.zeros((d, d), dtype=np.complex128)
-        for f in mats:
-            n += f.conj().T @ f
-        n = check_summaries(n)
-        for f in mats:
-            f.setflags(write=False)
-        n.setflags(write=False)
+        mats = np.array(mats)
+        stack = mats.conj().swapaxes(-1, -2) @ mats
+        # Python's sum adds the branches in order, as one accumulating loop would.
+        n = check_summaries(sum(stack))
+        for arr in (mats, stack, n):
+            arr.setflags(write=False)
         self.dim_b = int(d)
-        self.kraus = mats
+        self.kraus = tuple(mats)
         self.label = label
+        self.trace_deviation = identity_deviation(n[None])
         self._n = n
-        self._branch_stack = None
-        self._identity_dev = None
+        self._stack = stack
 
     def n_operator(self) -> np.ndarray:
         """Summary operator N = sum_n F_n^dagger F_n (read-only)."""
         return self._n
 
-    def identity_deviation(self) -> float:
-        """Max-entry deviation of N from the identity (cached)."""
-        if self._identity_dev is None:
-            self._identity_dev = float(
-                np.max(np.abs(self._n - np.eye(self.dim_b)))
-            )
-        return self._identity_dev
-
     def branch_n_stack(self) -> np.ndarray:
-        """Stack of per-Kraus summaries F_n^dagger F_n, shape (n, d, d)."""
-        if self._branch_stack is None:
-            stack = np.stack([f.conj().T @ f for f in self.kraus])
-            stack.setflags(write=False)
-            self._branch_stack = stack
-        return self._branch_stack
+        """Stack of per-Kraus summaries F_n^dagger F_n, shape (n, d, d) (read-only)."""
+        return self._stack
 
     def __repr__(self) -> str:
         tag = f" {self.label!r}" if self.label else ""
@@ -90,10 +78,11 @@ class ChannelEnsemble:
     """Sub-normalized operations that together form a trace-preserving whole.
 
     Each member fires with its own probability on a given state; the members'
-    summary operators must add to the identity.
+    summary operators must add to the identity within VALIDITY_ATOL;
+    trace_deviation is their stack's identity_deviation.
     """
 
-    __slots__ = ("dim_b", "operations", "_branch_stack")
+    __slots__ = ("dim_b", "operations", "trace_deviation", "_stack")
 
     def __init__(self, operations):
         ops = tuple(operations)
@@ -105,28 +94,48 @@ class ChannelEnsemble:
                 raise TypeError("ensemble members must be KrausOperation values")
             if op.dim_b != d:
                 raise ValueError("ensemble members must share one B dimension")
-        total = np.zeros((d, d), dtype=np.complex128)
-        for op in ops:
-            total += op.n_operator()
-        dev = float(np.max(np.abs(total - np.eye(d))))
+        stack = np.array([op.n_operator() for op in ops])
+        dev = identity_deviation(stack)
         if dev > VALIDITY_ATOL:
             raise NotTracePreserving(
                 f"member summary operators deviate from the identity by {dev:.3e}"
             )
+        stack.setflags(write=False)
         self.dim_b = int(d)
         self.operations = ops
-        self._branch_stack = None
+        self.trace_deviation = dev
+        self._stack = stack
 
     def branch_n_stack(self) -> np.ndarray:
-        """Stack of member summary operators, shape (k, d, d)."""
-        if self._branch_stack is None:
-            stack = np.stack([op.n_operator() for op in self.operations])
-            stack.setflags(write=False)
-            self._branch_stack = stack
-        return self._branch_stack
+        """Stack of member summary operators, shape (k, d, d) (read-only)."""
+        return self._stack
 
     def __repr__(self) -> str:
         return f"ChannelEnsemble(dim_b={self.dim_b}, members={len(self.operations)})"
+
+
+def branch_stack(channel, dim_b: int, *, post_selected: bool = False) -> np.ndarray:
+    """Branch stack of channel, checked to be a channel on a B of dimension dim_b.
+
+    A KrausOperation has one branch F_n^dagger F_n per Kraus operator and a
+    ChannelEnsemble one member N per member. With post_selected, channel must
+    be a single KrausOperation kept whole as one outcome: its stack is N alone,
+    shape (1, d, d). Raises TypeError for any other kind, then ValueError when
+    channel.dim_b differs from dim_b.
+    """
+    kinds = KrausOperation if post_selected else (KrausOperation, ChannelEnsemble)
+    if not isinstance(channel, kinds):
+        expected = "KrausOperation" if post_selected else "KrausOperation or ChannelEnsemble"
+        raise TypeError(f"expected {expected}, got {type(channel).__name__}")
+    if channel.dim_b != dim_b:
+        raise ValueError(f"channel dimension {channel.dim_b} does not match dim_b={dim_b}")
+    return channel.n_operator()[None] if post_selected else channel.branch_n_stack()
+
+
+def identity_deviation(stacks: np.ndarray) -> float:
+    """Largest entry of |sum_k N_k - I| over branch stacks (..., K, d, d); near 0 for trace-preserving wholes."""
+    total = stacks.sum(axis=-3)
+    return float(np.abs(total - np.eye(total.shape[-1])).max(initial=0.0))
 
 
 def check_summaries(n: np.ndarray) -> np.ndarray:
@@ -145,9 +154,9 @@ def check_summaries(n: np.ndarray) -> np.ndarray:
     return n
 
 
-def is_trace_preserving(op: KrausOperation, tol: float = VALIDITY_ATOL) -> bool:
-    """True when the summary operator equals the identity within tol."""
-    return op.identity_deviation() < tol
+def is_trace_preserving(channel) -> bool:
+    """True when the channel's trace_deviation is below VALIDITY_ATOL."""
+    return channel.trace_deviation < VALIDITY_ATOL
 
 
 def _check_unit_interval(name: str, value: float) -> float:
@@ -207,9 +216,7 @@ def projective_measurement(basis) -> ChannelEnsemble:
     b = as_complex_matrix(basis)
     if b.shape[0] != b.shape[1]:
         raise ValueError(f"basis must be square, got shape {b.shape}")
-    dev = float(np.max(np.abs(b.conj().T @ b - np.eye(b.shape[0]))))
-    if dev > VALIDITY_ATOL:
-        raise ValueError(f"basis columns deviate from orthonormal by {dev:.3e}")
+    require_orthonormal_columns(b)
     ops = [
         KrausOperation([np.outer(b[:, k], b[:, k].conj())], label=f"project[{k}]")
         for k in range(b.shape[1])
@@ -242,9 +249,8 @@ def creates_coherence(psi: BipartitePureState, op: KrausOperation, tol: float = 
 
     Returns (True, witness), witness the smallest failing row, or (False, None) when op is inert.
     """
-    if op.dim_b != psi.dim_b:
-        raise ValueError(f"operation dimension {op.dim_b} does not match dim_b={psi.dim_b}")
-    witness = int(creation_witnesses(psi.coefficient_matrix[None], op.n_operator()[None], tol)[0])
+    n = branch_stack(op, psi.dim_b, post_selected=True)
+    witness = int(creation_witnesses(psi.coefficient_matrix[None], n, tol)[0])
     return (True, witness) if witness >= 0 else (False, None)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import as_complex_matrix
-from .states import DensityMatrix
+from .states import DensityMatrix, joint_matrix
 
 DEFAULT_CLASSIFICATION_ATOL = 1e-9
 
@@ -51,11 +51,7 @@ def is_incoherent_quantum(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    m = _matrix_of(rho_ab)
-    side = dim_a * dim_b
-    if m.shape != (side, side):
-        raise ValueError(f"operator side {m.shape} does not match dim_a*dim_b = {side}")
-    return bool(block_diagonal_mask(m, dim_a, dim_b, tol))
+    return bool(block_diagonal_mask(joint_matrix(rho_ab, dim_a, dim_b), dim_a, dim_b, tol))
 
 
 def block_diagonal_mask(m: np.ndarray, dim_a: int, dim_b: int, tol: float = DEFAULT_CLASSIFICATION_ATOL) -> np.ndarray:

@@ -83,10 +83,6 @@ class ExperimentConfig:
     output_path: str = "fig1.csv"
     plot_path: str | None = None
 
-    @property
-    def emit_plot(self) -> bool:
-        return self.plot_path is not None
-
     def validate(self) -> None:
         _require_int("field 'samples'", self.samples)
         if self.samples < 1:
@@ -185,7 +181,7 @@ def run_fig1(config: ExperimentConfig) -> Fig1Summary:
     samples = int(config.samples)
 
     # Plot points are gathered only for a plot, every plot_stride-th sample.
-    plot = config.emit_plot
+    plot = config.plot_path is not None
     plot_stride = max(1, samples // 4000)
     blue_points = []
     red_points = []
@@ -225,7 +221,7 @@ def run_fig1(config: ExperimentConfig) -> Fig1Summary:
     ordered = [means[r] for r in sorted(means)]
     monotone = all(b > a - 1e-12 for a, b in zip(ordered, ordered[1:]))
 
-    if config.emit_plot:
+    if plot:
         svg = scatter_svg(blue_points, red_points, sorted(set(rates)))
         with open(config.plot_path, "w", newline="\n") as fh:
             fh.write(svg)

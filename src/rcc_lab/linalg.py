@@ -100,6 +100,13 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, s, v
 
 
+def require_orthonormal_columns(cols: np.ndarray) -> None:
+    """Raise ValueError unless the columns of cols (..., n, k) are orthonormal within VALIDITY_ATOL."""
+    dev = float(np.max(np.abs(cols.conj().swapaxes(-1, -2) @ cols - np.eye(cols.shape[-1]))))
+    if dev > VALIDITY_ATOL:
+        raise ValueError(f"basis columns deviate from orthonormal by {dev:.3e}")
+
+
 def complete_orthonormal_basis(columns, dim: int) -> np.ndarray:
     """Extend orthonormal columns to a full orthonormal basis of C^dim.
 

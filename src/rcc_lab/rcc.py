@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelEnsemble, KrausOperation, check_summaries, is_trace_preserving
+from .channels import KrausOperation, branch_stack, check_summaries, identity_deviation
 from .coherence import block_diagonal_mask, l1_coherence, l1_coherences
 from .errors import (
     NotTracePreserving,
@@ -23,18 +23,14 @@ from .errors import (
     WrongDimension,
     ZeroProbability,
 )
-from .linalg import (
-    VALIDITY_ATOL,
-    as_complex_matrix,
-    complete_orthonormal_basis,
-    matrix_to_json,
-)
+from .linalg import VALIDITY_ATOL, complete_orthonormal_basis, matrix_to_json
 from .states import (
     BipartitePureState,
     DensityMatrix,
     batch_concurrence,
     check_densities,
     concurrence,
+    joint_matrix,
     require_premise,
     require_premises,
     schmidt_rows,
@@ -88,31 +84,10 @@ class RccReport:
     factorization_ratio: float | None
 
 
-def _branch_stack(channel) -> np.ndarray:
-    if isinstance(channel, (KrausOperation, ChannelEnsemble)):
-        return channel.branch_n_stack()
-    raise TypeError(f"expected KrausOperation or ChannelEnsemble, got {type(channel).__name__}")
-
-
-def _require_whole_channel(dim_b: int, channel) -> None:
-    if channel.dim_b != dim_b:
-        raise ValueError(f"channel dimension {channel.dim_b} does not match dim_b={dim_b}")
-    if isinstance(channel, KrausOperation) and not is_trace_preserving(channel):
-        raise NotTracePreserving(_NOT_WHOLE)
-
-
-def _one_pair(psi: BipartitePureState, channel) -> tuple[np.ndarray, np.ndarray]:
-    # psi's coefficient matrix and the channel's branch stack as one-element
-    # stacks, the input of the stacked routines.
-    if channel.dim_b != psi.dim_b:
-        raise ValueError(f"channel dimension {channel.dim_b} does not match dim_b={psi.dim_b}")
-    return psi.coefficient_matrix[None], _branch_stack(channel)[None]
-
-
-def _require_trace_preserving(stacks: np.ndarray) -> None:
-    # The branches of each whole channel, stacks (..., K, db, db), add up to I.
-    total = stacks.sum(axis=-3)
-    if float(np.abs(total - np.eye(total.shape[-1])).max(initial=0.0)) >= VALIDITY_ATOL:
+def _require_trace_preserving(deviation: float) -> None:
+    # deviation is channels.identity_deviation of the branch stacks of whole
+    # channels; a channel stores its own as trace_deviation.
+    if deviation >= VALIDITY_ATOL:
         raise NotTracePreserving(_NOT_WHOLE)
 
 
@@ -185,7 +160,7 @@ def branch_averages(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
     PremiseViolated and NotTracePreserving as average_coherence does.
     """
     require_premises(w)
-    _require_trace_preserving(stacks)
+    _require_trace_preserving(identity_deviation(stacks))
     return _offdiag_mass(_unnormalized_branches(w, stacks))
 
 
@@ -198,9 +173,11 @@ def average_coherences(w: np.ndarray, channels) -> np.ndarray:
     """
     da, db = w.shape[-2:]
     require_premises(w)
+    stacks = []
     for channel in channels:
-        _require_whole_channel(db, channel)
-    stacks = np.stack([_branch_stack(channel) for channel in channels])
+        stacks.append(branch_stack(channel, db))
+        _require_trace_preserving(channel.trace_deviation)
+    stacks = np.stack(stacks)
     unnorm = _unnormalized_branches(w, stacks.reshape(-1, db, db))
     return _offdiag_mass(unnorm.reshape(w.shape[:-2] + stacks.shape[:2] + (da, da)))
 
@@ -240,11 +217,11 @@ def _outcome_bounds(w: np.ndarray, n_ops: np.ndarray, probs: np.ndarray) -> np.n
 def tight_average_bounds(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
     """tight_average_bound of each state of w (n, da, db) and its branch stack (n, K, db, db)."""
     require_premises(w)
+    _require_trace_preserving(identity_deviation(stacks))
     return _tight_bounds(w, stacks)
 
 
 def _tight_bounds(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
-    _require_trace_preserving(stacks)
     return batch_concurrence(w) * _lemma1_norms(w, stacks).sum(axis=-1)
 
 
@@ -255,7 +232,11 @@ def average_coherence_bounds(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
     of the factorization law.
     """
     partners = maximally_entangled_partners(w)
-    _require_trace_preserving(stacks)
+    _require_trace_preserving(identity_deviation(stacks))
+    return _partner_bounds(w, partners, stacks)
+
+
+def _partner_bounds(w: np.ndarray, partners: np.ndarray, stacks: np.ndarray) -> np.ndarray:
     partners = unit_amplitudes(partners.reshape(len(w), -1)).reshape(w.shape)
     return w.shape[-2] / 2 * batch_concurrence(w) * _offdiag_mass(_unnormalized_branches(partners, stacks))
 
@@ -268,21 +249,12 @@ def post_operation_state_a(state, op: KrausOperation, dim_a=None, dim_b=None):
     with N directly. Raises ZeroProbability when the branch has essentially
     no support on the state.
     """
-    n = op.n_operator()[None]
     if isinstance(state, BipartitePureState):
-        if op.dim_b != state.dim_b:
-            raise ValueError(f"operation dimension {op.dim_b} does not match dim_b={state.dim_b}")
+        n = branch_stack(op, state.dim_b, post_selected=True)
         unnorm = _unnormalized_branches(state.coefficient_matrix, n)
     else:
-        raw = state.matrix if isinstance(state, DensityMatrix) else as_complex_matrix(state)
-        if dim_a is None or dim_b is None:
-            raise ValueError("dim_a and dim_b are required for density-matrix input")
-        if raw.shape[0] != dim_a * dim_b:
-            raise ValueError(
-                f"operator side {raw.shape[0]} does not match dim_a*dim_b = {dim_a * dim_b}"
-            )
-        if op.dim_b != dim_b:
-            raise ValueError(f"operation dimension {op.dim_b} does not match dim_b={dim_b}")
+        raw = joint_matrix(state, dim_a, dim_b)
+        n = branch_stack(op, dim_b, post_selected=True)
         unnorm = _mixed_branches(raw.reshape(dim_a, dim_b, dim_a, dim_b), n)
     probs, zero, states = _conditional_states(unnorm)
     prob = float(probs[0])
@@ -300,8 +272,9 @@ def average_coherence(psi: BipartitePureState, channel) -> float:
     branches contribute zero without any special casing.
     """
     require_premise(psi.marginal_offdiag())
-    _require_whole_channel(psi.dim_b, channel)
-    return float(_offdiag_mass(_unnormalized_branches(psi.coefficient_matrix, _branch_stack(channel))))
+    stack = branch_stack(channel, psi.dim_b)
+    _require_trace_preserving(channel.trace_deviation)
+    return float(_offdiag_mass(_unnormalized_branches(psi.coefficient_matrix, stack)))
 
 
 def maximally_entangled_partner(psi: BipartitePureState) -> BipartitePureState:
@@ -323,10 +296,8 @@ def outcome_coherence_bound(psi: BipartitePureState, op: KrausOperation) -> floa
     N_ji is evaluated in psi's Schmidt B-basis, which needs A's marginal to
     start diagonal (PremiseViolated otherwise).
     """
-    if op.dim_b != psi.dim_b:
-        raise ValueError(f"operation dimension {op.dim_b} does not match dim_b={psi.dim_b}")
+    n = branch_stack(op, psi.dim_b, post_selected=True)
     w = psi.coefficient_matrix[None]
-    n = op.n_operator()[None]
     probs = _unnormalized_branches(w, n[:, None])[:, 0].trace(axis1=-2, axis2=-1).real
     if probs[0] < ZERO_PROBABILITY_CUTOFF:
         raise ZeroProbability(f"branch probability {probs[0]:.3e} is below {ZERO_PROBABILITY_CUTOFF}")
@@ -336,7 +307,11 @@ def outcome_coherence_bound(psi: BipartitePureState, op: KrausOperation) -> floa
 
 def average_coherence_bound(psi: BipartitePureState, channel) -> float:
     """Average bound (dim_a / 2) * E * average_coherence of the partner."""
-    return float(average_coherence_bounds(*_one_pair(psi, channel))[0])
+    stacks = branch_stack(channel, psi.dim_b)[None]
+    w = psi.coefficient_matrix[None]
+    partners = maximally_entangled_partners(w)
+    _require_trace_preserving(channel.trace_deviation)
+    return float(_partner_bounds(w, partners, stacks)[0])
 
 
 def tight_average_bound(psi: BipartitePureState, channel) -> float:
@@ -345,9 +320,10 @@ def tight_average_bound(psi: BipartitePureState, channel) -> float:
     Never exceeds average_coherence_bound (up to rounding) and both dominate
     the achieved average.
     """
-    w, stacks = _one_pair(psi, channel)
+    stacks = branch_stack(channel, psi.dim_b)[None]
     require_premise(psi.marginal_offdiag())
-    return float(_tight_bounds(w, stacks)[0])
+    _require_trace_preserving(channel.trace_deviation)
+    return float(_tight_bounds(psi.coefficient_matrix[None], stacks)[0])
 
 
 def average_rcc(psi: BipartitePureState, channel) -> RccReport:
@@ -357,8 +333,8 @@ def average_rcc(psi: BipartitePureState, channel) -> RccReport:
     contribute zero to the average and to the bound list.
     """
     require_premise(psi.marginal_offdiag())
-    _require_whole_channel(psi.dim_b, channel)
-    stack = _branch_stack(channel)
+    stack = branch_stack(channel, psi.dim_b)
+    _require_trace_preserving(channel.trace_deviation)
     probs, zero, states = _conditional_states(_unnormalized_branches(psi.coefficient_matrix, stack))
     ent = concurrence(psi)
     offdiag = _lemma1_norms(psi.coefficient_matrix[None], stack[None])[0]
@@ -376,8 +352,9 @@ def average_rcc(psi: BipartitePureState, channel) -> RccReport:
         bounds.append(float(ent / prob * branch_offdiag))
 
     average = float(sum(o.probability * o.coherence for o in outcomes))
+    # The partner's A-marginal is I / dim_a, and the channel is checked above.
     partner = maximally_entangled_partner(psi)
-    maxent_average = average_coherence(partner, channel)
+    maxent_average = float(_offdiag_mass(_unnormalized_branches(partner.coefficient_matrix, stack)))
     bound_via_partner = float(psi.dim_a / 2 * ent * maxent_average)
     tight = float(ent * offdiag.sum())
     ratio = None
@@ -455,10 +432,8 @@ def find_creating_operation(rho_ab, dim_a: int, dim_b: int) -> KrausOperation | 
     is block-diagonal in A's basis (then no operation can succeed); raises
     SearchExhausted (attempts=1) when the witness stays below CONVERSE_COHERENCE_TARGET.
     """
-    dm = rho_ab if isinstance(rho_ab, DensityMatrix) else DensityMatrix(rho_ab)
-    if dm.dim != dim_a * dim_b:
-        raise ValueError(f"operator side {dm.dim} does not match dim_a*dim_b = {dim_a * dim_b}")
-    witnesses, coherence, block_diagonal = converse_witnesses(dm.matrix[None], dim_a, dim_b)
+    rho = joint_matrix(rho_ab if isinstance(rho_ab, DensityMatrix) else DensityMatrix(rho_ab), dim_a, dim_b)
+    witnesses, coherence, block_diagonal = converse_witnesses(rho[None], dim_a, dim_b)
     if block_diagonal[0]:
         return None
     achieved = float(coherence[0])

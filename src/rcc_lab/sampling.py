@@ -34,9 +34,9 @@ def draw_schmidt_parts(dim_a: int, dim_b: int, g: np.random.Generator):
     return weights, complex_ginibre(g, (dim_b, dim_b))
 
 
-def draw_kraus_parts(dim_b: int, g: np.random.Generator, max_kraus: int = 3) -> np.ndarray:
-    """Unscaled Ginibre Kraus set, shape (count, dim_b, dim_b), count uniform in 1..max_kraus."""
-    return complex_ginibre(g, (dim_b, dim_b), int(g.integers(1, max_kraus + 1)))
+def draw_kraus_parts(dim_b: int, g: np.random.Generator) -> np.ndarray:
+    """Unscaled Ginibre Kraus set, shape (count, dim_b, dim_b), count uniform in 1..3."""
+    return complex_ginibre(g, (dim_b, dim_b), int(g.integers(1, 4)))
 
 
 def draw_incoherent_quantum_parts(dim_a: int, dim_b: int, g: np.random.Generator):
@@ -213,12 +213,12 @@ def random_noncq_state(dim_a: int, dim_b: int, rng: SeededRng, tol: float = 1e-9
     return DensityMatrix(draw_noncq_states(1, dim_a, dim_b, rng.generator, tol)[0], validate=False)
 
 
-def random_kraus_operation(dim_b: int, rng: SeededRng, max_kraus: int = 3) -> KrausOperation:
+def random_kraus_operation(dim_b: int, rng: SeededRng) -> KrausOperation:
     """Random sub-normalized operation: Ginibre Kraus set scaled to max eig(N) = 1.
 
     Covers trace-decreasing and nearly trace-preserving cases alike.
     """
-    return kraus_operation_from_parts(draw_kraus_parts(dim_b, rng.generator, max_kraus))
+    return kraus_operation_from_parts(draw_kraus_parts(dim_b, rng.generator))
 
 
 def random_tp_channel(dim_b: int, rng: SeededRng, kraus_count: int | None = None) -> KrausOperation:

@@ -19,6 +19,7 @@ from .linalg import (
     complex_from_json_pairs,
     json_positive_int,
     partial_trace,
+    require_orthonormal_columns,
     svd,
 )
 
@@ -157,9 +158,7 @@ def schmidt_coefficients(weights: np.ndarray, basis: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(basis)):
         raise ValueError("matrix contains non-finite entries")
     cols = basis[..., :k]
-    gram_dev = float(np.max(np.abs(cols.conj().swapaxes(-1, -2) @ cols - np.eye(k))))
-    if gram_dev > VALIDITY_ATOL:
-        raise ValueError(f"basis columns deviate from orthonormal by {gram_dev:.3e}")
+    require_orthonormal_columns(cols)
     return np.sqrt(weights / total)[..., None] * cols.swapaxes(-1, -2)
 
 
@@ -249,6 +248,21 @@ def marginal_offdiag(w: np.ndarray) -> np.ndarray:
     return marginal.max(axis=(-2, -1), initial=0.0)
 
 
+def joint_matrix(state, dim_a: int | None, dim_b: int | None) -> np.ndarray:
+    """Matrix of a joint operator on A (x) B, a DensityMatrix or a raw matrix (not validated).
+
+    Raises ValueError when a dimension is missing or the matrix is not
+    (dim_a * dim_b) square.
+    """
+    m = state.matrix if isinstance(state, DensityMatrix) else as_complex_matrix(state)
+    if dim_a is None or dim_b is None:
+        raise ValueError("dim_a and dim_b are required for density-matrix input")
+    side = dim_a * dim_b
+    if m.shape != (side, side):
+        raise ValueError(f"operator side {m.shape} does not match dim_a*dim_b = {side}")
+    return m
+
+
 def reduced_a(state, dim_a: int | None = None, dim_b: int | None = None) -> DensityMatrix:
     """Marginal state of subsystem A.
 
@@ -258,12 +272,7 @@ def reduced_a(state, dim_a: int | None = None, dim_b: int | None = None) -> Dens
     if isinstance(state, BipartitePureState):
         w = state.coefficient_matrix
         return DensityMatrix(w @ w.conj().T, validate=False)
-    raw = state.matrix if isinstance(state, DensityMatrix) else as_complex_matrix(state)
-    if dim_a is None or dim_b is None:
-        raise ValueError("dim_a and dim_b are required for density-matrix input")
-    if raw.shape[0] != dim_a * dim_b:
-        raise ValueError(f"operator side {raw.shape[0]} does not match dim_a*dim_b = {dim_a * dim_b}")
-    marg = partial_trace(raw, dim_a, dim_b, "A")
+    marg = partial_trace(joint_matrix(state, dim_a, dim_b), dim_a, dim_b, "A")
     return DensityMatrix(marg, validate=not isinstance(state, DensityMatrix))
 
 

@@ -19,23 +19,29 @@ from rcc_lab.rcc import (
     _mixed_branches,
     _unnormalized_branches,
     average_coherence,
+    average_coherence_bounds,
+    average_coherences,
     average_rcc,
+    branch_averages,
     converse_witnesses,
-    maximally_entangled_partner,
+    maximally_entangled_partners,
+    outcome_coherence_bounds,
+    tight_average_bounds,
 )
 from rcc_lab.sampling import (
+    branch_stacks_from_parts,
     coefficient_matrices_from_parts,
     draw_incoherent_quantum_parts,
     draw_kraus_parts,
     draw_noncq_states,
     draw_schmidt_parts,
+    draw_tp_parts,
     incoherent_quantum_states_from_parts,
     random_density_matrix,
-    random_schmidt_state,
     random_tp_channel,
     summary_operators_from_parts,
 )
-from rcc_lab.states import BipartitePureState, concurrence
+from rcc_lab.states import BipartitePureState, batch_concurrence, unit_amplitudes
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -53,21 +59,31 @@ def brute_branch_marginal(rho, dim_a, dim_b, f):
 
 
 def test_factorization_law_full_sweep():
-    """Average coherence equals entanglement times partner average, 2x2."""
+    """Average coherence equals entanglement times partner average, 2x2.
+
+    The draws come from one stream in the order of 100 random_tp_channel and
+    10_000 random_schmidt_state calls. Per block of VERIFY_BLOCK states, every
+    state and its maximally entangled partner (maximally_entangled_partners)
+    meet every channel through average_coherences, one call per Kraus count;
+    the channels' branches are shared by the whole block, so the 1e6 pairs
+    cost two matrix products per call instead of a few small ones per pair.
+    """
     rng = SeededRng(20260810, 0)
     channels = [random_tp_channel(2, rng) for _ in range(100)]
+    groups = [
+        [channel for channel in channels if len(channel.kraus) == count]
+        for count in sorted({len(channel.kraus) for channel in channels})
+    ]
     started = time.time()
     worst = 0.0
-    for _ in range(10_000):
-        psi = random_schmidt_state(2, 2, rng)
-        ent = concurrence(psi)
-        partner = maximally_entangled_partner(psi)
-        for channel in channels:
-            average = average_coherence(psi, channel)
-            maxent = average_coherence(partner, channel)
-            dev = abs(average - ent * maxent)
-            if dev > worst:
-                worst = dev
+    for start in range(0, 10_000, VERIFY_BLOCK):
+        parts = [draw_schmidt_parts(2, 2, rng.generator) for _ in range(start, min(start + VERIFY_BLOCK, 10_000))]
+        w = coefficient_matrices_from_parts(parts)
+        ent = batch_concurrence(w)
+        partners = unit_amplitudes(maximally_entangled_partners(w).reshape(len(w), -1)).reshape(w.shape)
+        for group in groups:
+            dev = np.abs(average_coherences(w, group) - ent[:, None] * average_coherences(partners, group))
+            worst = max(worst, float(dev.max()))
     elapsed = time.time() - started
     assert worst < 1e-9
     print(
@@ -179,23 +195,38 @@ def test_commutator_criterion_agrees_with_direct_computation():
 
 
 def test_bound_ordering_full_sweep():
-    """Per-outcome bound holds and averages respect the bound chain."""
-    rng = SeededRng(20260813, 0)
+    """Per-outcome bound holds and averages respect the bound chain.
+
+    Pairs are drawn one at a time from one stream, in the order of
+    random_schmidt_state then random_tp_channel, and evaluated per block of
+    VERIFY_BLOCK pairs on the stacked routes, one call per Kraus count: each
+    branch F^dagger F as its own outcome against outcome_coherence_bounds, and
+    branch_averages <= tight_average_bounds <= average_coherence_bounds.
+    """
+    g = SeededRng(20260813, 0).generator
     worst_outcome = -np.inf
     worst_chain = -np.inf
     for dim in (2, 3, 4):
-        for _ in range(10_000):
-            psi = random_schmidt_state(dim, dim, rng)
-            channel = random_tp_channel(dim, rng)
-            report = average_rcc(psi, channel)
-            for record, bound in zip(report.outcomes, report.lemma1_bounds):
-                if not record.zero_probability:
-                    worst_outcome = max(worst_outcome, record.coherence - bound)
-            worst_chain = max(
-                worst_chain,
-                report.average_rcc - report.tighter_bound,
-                report.tighter_bound - report.theorem3_bound,
-            )
+        for start in range(0, 10_000, VERIFY_BLOCK):
+            draws = [
+                (draw_schmidt_parts(dim, dim, g), (draw_tp_parts(dim, g), None))
+                for _ in range(start, min(start + VERIFY_BLOCK, 10_000))
+            ]
+            w = coefficient_matrices_from_parts([state for state, _ in draws])
+            stacks = branch_stacks_from_parts([channel for _, channel in draws], dim)
+            for count in sorted({len(stack) for stack in stacks}):
+                idx = [i for i, stack in enumerate(stacks) if len(stack) == count]
+                states, group = w[idx], np.array([stacks[i] for i in idx])
+                pairs, n_ops = np.repeat(states, count, axis=0), group.reshape(-1, dim, dim)
+                probs, zero, branches = _conditional_states(_unnormalized_branches(pairs, n_ops[:, None])[:, 0])
+                bounds = outcome_coherence_bounds(pairs[~zero], n_ops[~zero], probs[~zero])
+                worst_outcome = max(worst_outcome, float(np.max(l1_coherences(branches) - bounds, initial=-np.inf)))
+                tight = tight_average_bounds(states, group)
+                worst_chain = max(
+                    worst_chain,
+                    float(np.max(branch_averages(states, group) - tight)),
+                    float(np.max(tight - average_coherence_bounds(states, group))),
+                )
     assert worst_outcome < 1e-10
     assert worst_chain < 1e-10
     print(

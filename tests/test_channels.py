@@ -6,11 +6,13 @@ from rcc_lab.channels import (
     KrausOperation,
     bit_flip,
     bit_phase_flip,
+    branch_stack,
     channel_from_json,
     creates_coherence,
     depolarizing,
     ensemble_from_json,
     ensemble_to_json,
+    identity_deviation,
     inert_operation,
     is_trace_preserving,
     kraus_operation_from_json,
@@ -70,6 +72,68 @@ class TestKrausOperation:
         assert stack.shape == (2, 2, 2)
         np.testing.assert_allclose(stack.sum(axis=0), np.eye(2), atol=1e-12)
 
+    @pytest.mark.parametrize("dim, count", [(3, 1), (3, 2), (3, 3), (3, 9), (1, 9), (1, 17)])
+    def test_summary_adds_the_branches_in_order(self, dim, count):
+        # N comes from the stack built once at construction, and equals, bit
+        # for bit, the branches F^dagger F added one after another (a numpy
+        # sum over the stack adds 1x1 branches pairwise, in another order).
+        g = np.random.default_rng(count)
+        mats = g.standard_normal((count, dim, dim)) + 1j * g.standard_normal((count, dim, dim))
+        mats /= np.sqrt(np.linalg.eigvalsh(sum(f.conj().T @ f for f in mats)).max() * (1 + 1e-12))
+        op = KrausOperation(list(mats))
+        total = np.zeros((dim, dim), dtype=complex)
+        for f in mats:
+            total += f.conj().T @ f
+        assert np.array_equal(op.branch_n_stack(), np.stack([f.conj().T @ f for f in mats]))
+        assert np.array_equal(op.n_operator(), (total + total.conj().T) / 2)
+        assert op.trace_deviation == float(np.max(np.abs(op.n_operator() - np.eye(dim))))
+
+    def test_stacks_are_read_only(self):
+        op = phase_damping(0.5)
+        ensemble = projective_measurement(HADAMARD)
+        for arr in (op.branch_n_stack(), op.n_operator(), ensemble.branch_n_stack(), *op.kraus):
+            assert not arr.flags.writeable
+
+
+class TestBranchStack:
+    def test_whole_channels(self):
+        op = phase_damping(0.5)
+        ensemble = projective_measurement(HADAMARD)
+        assert branch_stack(op, 2) is op.branch_n_stack()
+        assert branch_stack(ensemble, 2) is ensemble.branch_n_stack()
+
+    def test_post_selected_operation_is_one_branch(self):
+        op = KrausOperation([np.diag([1.0, 0.5])])
+        stack = branch_stack(op, 2, post_selected=True)
+        assert stack.shape == (1, 2, 2)
+        assert np.array_equal(stack[0], op.n_operator())
+
+    @pytest.mark.parametrize("post_selected", [False, True])
+    def test_wrong_kind_then_wrong_dimension(self, post_selected):
+        with pytest.raises(TypeError, match="expected KrausOperation"):
+            branch_stack(np.eye(2), 3, post_selected=post_selected)
+        with pytest.raises(ValueError, match="channel dimension 2 does not match dim_b=3"):
+            branch_stack(phase_damping(0.5), 3, post_selected=post_selected)
+
+    def test_ensemble_is_not_one_outcome(self):
+        with pytest.raises(TypeError, match="expected KrausOperation, got ChannelEnsemble"):
+            branch_stack(projective_measurement(HADAMARD), 2, post_selected=True)
+
+
+class TestIdentityDeviation:
+    def test_stacked_wholes(self):
+        stacks = np.stack([phase_damping(0.5).branch_n_stack(), 0.5 * phase_damping(0.2).branch_n_stack()])
+        assert identity_deviation(stacks[:1]) < 1e-15
+        assert abs(identity_deviation(stacks) - 0.5) < 1e-15
+
+    def test_empty_stack_of_wholes(self):
+        assert identity_deviation(np.zeros((0, 2, 2, 2))) == 0.0
+
+    def test_channels_store_their_deviation(self):
+        assert phase_damping(0.3).trace_deviation < 1e-15
+        assert abs(KrausOperation([np.sqrt(0.3) * np.eye(2)]).trace_deviation - 0.7) < 1e-15
+        assert projective_measurement(HADAMARD).trace_deviation < 1e-15
+
 
 class TestTracePreservation:
     def test_phase_damping_is_tp(self):
@@ -81,6 +145,9 @@ class TestTracePreservation:
 
     def test_scaled_identity_is_not(self):
         assert not is_trace_preserving(KrausOperation([np.sqrt(0.3) * np.eye(2)]))
+
+    def test_ensembles_are(self):
+        assert is_trace_preserving(projective_measurement(HADAMARD))
 
 
 class TestStandardConstructors:

@@ -9,13 +9,17 @@ import pytest
 
 from rcc_lab import cli
 from rcc_lab.channels import (
+    ChannelEnsemble,
     KrausOperation,
     ensemble_to_json,
     kraus_operation_to_json,
+    phase_damping,
     projective_measurement,
 )
 from rcc_lab.cli import main
 from rcc_lab.experiments import AMBIGUITY_BAND, CSV_HEADER, FIG1_BLOCK, ExperimentConfig, run_fig1, run_verify
+from rcc_lab.linalg import SeededRng
+from rcc_lab.sampling import random_channel_ensemble, random_schmidt_state, random_tp_channel
 from rcc_lab.states import BipartitePureState, state_to_json
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -209,6 +213,47 @@ VERIFY_DIGESTS = {
 def test_verify_stdout_digest(suite, seed, capsys):
     assert main(["verify", suite, "--samples", "40", "--seed", str(seed)]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY_DIGESTS[suite]
+
+
+# (state, channel) of each pinned `rcc-lab compute` input pair.
+COMPUTE_CASES = {
+    "bell_hadamard": lambda: (
+        BipartitePureState(2, 2, np.array([1, 0, 0, 1]) / np.sqrt(2)),
+        projective_measurement(HADAMARD),
+    ),
+    "tilted_phase_damping": lambda: (BipartitePureState.from_schmidt([0.9, 0.1], HADAMARD), phase_damping(0.5)),
+    "tp_channel_d3": lambda: (random_schmidt_state(3, 3, SeededRng(1008, 0)), random_tp_channel(3, SeededRng(1008, 1))),
+    "ensemble_d3": lambda: (
+        random_schmidt_state(3, 3, SeededRng(1009, 0)),
+        random_channel_ensemble(3, SeededRng(1009, 1)),
+    ),
+    # dim_b = 3 > dim_a = 2: the projector onto |2> misses B's support, so its
+    # branch has probability exactly 0 and is flagged.
+    "wide_b_zero_branch": lambda: (
+        BipartitePureState.from_schmidt([0.7, 0.3], np.eye(3)),
+        projective_measurement(np.array([[1, 1, 0], [1, -1, 0], [0, 0, np.sqrt(2)]]) / np.sqrt(2)),
+    ),
+}
+
+# sha256 of the stdout of `rcc-lab compute` on each COMPUTE_CASES pair. As
+# with VERIFY_DIGESTS, record every change together with its cause.
+COMPUTE_DIGESTS = {
+    "bell_hadamard": "aa017a07a0217b98530c0ce77973cfb112cf38d3b04be8b6900f2d59997da0af",
+    "tilted_phase_damping": "8fac715317ed7a7af19e8f3b0d0fb44727d1f53a723cbdd1f55ff8cce5fdbee3",
+    "tp_channel_d3": "57a28877e993912dff2f17fb52bffaf43bf9e665c57aeeb85266b741784f7ee2",
+    "ensemble_d3": "116c8a527b459c17e7f0eec4ce3b0aadf8fe5599fe34ed0cf7c1631d6b9cf223",
+    "wide_b_zero_branch": "4da3d66fc7ff9f21aa4b237c1ea1ab18e3244a2b2efd08c8fceb13f40dce62a7",
+}
+
+
+@pytest.mark.parametrize("case", list(COMPUTE_DIGESTS))
+def test_compute_stdout_digest(case, tmp_path, capsys):
+    psi, channel = COMPUTE_CASES[case]()
+    to_json = ensemble_to_json if isinstance(channel, ChannelEnsemble) else kraus_operation_to_json
+    state = write_json(tmp_path / "state.json", state_to_json(psi))
+    channel = write_json(tmp_path / "channel.json", to_json(channel))
+    assert main(["compute", "--state", state, "--channel", channel]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == COMPUTE_DIGESTS[case]
 
 
 class TestVerifyCommand:

@@ -10,6 +10,7 @@ from rcc_lab.linalg import (
     matrix_to_json,
     partial_trace,
     random_pure_state,
+    require_orthonormal_columns,
     stream_generators,
     stream_seed_words,
     svd,
@@ -308,6 +309,18 @@ class TestMatrixJson:
     def test_bad_pair(self):
         with pytest.raises(ValueError, match="pair"):
             matrix_from_json({"rows": 1, "cols": 1, "entries": [[1.0]]})
+
+
+class TestOrthonormalColumns:
+    def test_accepts_stacked_isometries(self):
+        u = np.stack([haar_random_unitary(3, SeededRng(s)) for s in range(4)])
+        require_orthonormal_columns(u)
+        require_orthonormal_columns(u[..., :2])
+
+    def test_rejects_the_worst_matrix_of_a_stack(self):
+        stack = np.stack([np.eye(2, dtype=complex), np.array([[1, 1], [0, 1]], dtype=complex)])
+        with pytest.raises(ValueError, match="basis columns deviate from orthonormal by 1.000e"):
+            require_orthonormal_columns(stack)
 
 
 class TestCompleteBasis:

@@ -5,12 +5,13 @@ from rcc_lab.channels import (
     KrausOperation,
     bit_flip,
     bit_phase_flip,
+    creates_coherence,
     depolarizing,
     phase_damping,
     phase_flip,
     projective_measurement,
 )
-from rcc_lab.coherence import l1_coherence
+from rcc_lab.coherence import is_incoherent_quantum, l1_coherence
 from rcc_lab import rcc
 from rcc_lab.errors import (
     NotTracePreserving,
@@ -41,7 +42,7 @@ from rcc_lab.sampling import (
     random_schmidt_state,
     random_tp_channel,
 )
-from rcc_lab.states import BipartitePureState, DensityMatrix, concurrence, schmidt_decompose
+from rcc_lab.states import BipartitePureState, DensityMatrix, concurrence, reduced_a, schmidt_decompose
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 E01 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -543,3 +544,65 @@ class TestReports:
         }
         assert doc["outcomes"][0]["state_a"]["rows"] == 2
         assert doc["average_rcc"] == report.average_rcc
+
+
+# Entry points that take a whole channel get a non-channel; those that take
+# one post-selected operation get an ensemble. Neither is a channel of the
+# right kind, so each must raise TypeError rather than fail on a missing
+# attribute.
+WRONG_KIND_CALLS = {
+    "average_coherence": lambda: average_coherence(tilted(), object()),
+    "average_rcc": lambda: average_rcc(tilted(), object()),
+    "tight_average_bound": lambda: tight_average_bound(tilted(), object()),
+    "average_coherence_bound": lambda: average_coherence_bound(tilted(), object()),
+    "average_coherences": lambda: rcc.average_coherences(tilted().coefficient_matrix[None], [object()]),
+    "factorization_check": lambda: factorization_check(tilted(), object()),
+    "post_operation_state_a": lambda: post_operation_state_a(tilted(), projective_measurement(HADAMARD)),
+    "post_operation_state_a_density": lambda: post_operation_state_a(
+        tilted().density(), projective_measurement(HADAMARD), 2, 2
+    ),
+    "outcome_coherence_bound": lambda: outcome_coherence_bound(tilted(), projective_measurement(HADAMARD)),
+    "creates_coherence": lambda: creates_coherence(tilted(), projective_measurement(HADAMARD)),
+}
+
+
+@pytest.mark.parametrize("call", list(WRONG_KIND_CALLS))
+def test_wrong_channel_kind_is_a_type_error(call):
+    with pytest.raises(TypeError, match="expected KrausOperation"):
+        WRONG_KIND_CALLS[call]()
+
+
+# A qutrit channel on a two-qubit state, at every entry point that checks it.
+QUTRIT_TP = KrausOperation([np.eye(3)])
+WRONG_DIM_CALLS = {
+    "average_coherence": lambda: average_coherence(tilted(), QUTRIT_TP),
+    "average_rcc": lambda: average_rcc(tilted(), QUTRIT_TP),
+    "tight_average_bound": lambda: tight_average_bound(tilted(), QUTRIT_TP),
+    "average_coherence_bound": lambda: average_coherence_bound(tilted(), QUTRIT_TP),
+    "average_coherences": lambda: rcc.average_coherences(tilted().coefficient_matrix[None], [QUTRIT_TP]),
+    "post_operation_state_a": lambda: post_operation_state_a(tilted(), QUTRIT_TP),
+    "post_operation_state_a_density": lambda: post_operation_state_a(tilted().density(), QUTRIT_TP, 2, 2),
+    "outcome_coherence_bound": lambda: outcome_coherence_bound(tilted(), QUTRIT_TP),
+    "creates_coherence": lambda: creates_coherence(tilted(), QUTRIT_TP),
+}
+
+
+@pytest.mark.parametrize("call", list(WRONG_DIM_CALLS))
+def test_wrong_channel_dimension_has_one_message(call):
+    with pytest.raises(ValueError, match="^channel dimension 3 does not match dim_b=2$"):
+        WRONG_DIM_CALLS[call]()
+
+
+# A two-qubit joint state offered as a qubit-qutrit one.
+WRONG_SIDE_CALLS = {
+    "reduced_a": lambda: reduced_a(bell().density(), 2, 3),
+    "post_operation_state_a": lambda: post_operation_state_a(bell().density().matrix, QUTRIT_TP, 2, 3),
+    "find_creating_operation": lambda: find_creating_operation(bell().density().matrix, 2, 3),
+    "is_incoherent_quantum": lambda: is_incoherent_quantum(bell().density(), 2, 3),
+}
+
+
+@pytest.mark.parametrize("call", list(WRONG_SIDE_CALLS))
+def test_wrong_joint_side_has_one_message(call):
+    with pytest.raises(ValueError, match=r"^operator side \(4, 4\) does not match dim_a\*dim_b = 6$"):
+        WRONG_SIDE_CALLS[call]()

@@ -7,6 +7,7 @@ from rcc_lab.states import (
     BipartitePureState,
     DensityMatrix,
     concurrence,
+    joint_matrix,
     reduced_a,
     schmidt_decompose,
     state_from_json,
@@ -156,6 +157,12 @@ class TestReducedA:
             reduced_a(rho)
         np.testing.assert_allclose(reduced_a(rho, 2, 2).matrix, np.eye(2) / 2, atol=1e-12)
 
+    def test_raw_input_validates_only_the_marginal(self):
+        rho = bell().density().matrix
+        np.testing.assert_allclose(reduced_a(rho.tolist(), 2, 2).matrix, np.eye(2) / 2, atol=1e-12)
+        with pytest.raises(BadTrace):
+            reduced_a(2 * rho, 2, 2)
+
     def test_marginal_offdiag_cache(self):
         assert tilted().marginal_offdiag() < 1e-12
         coherent = zero_plus()
@@ -163,6 +170,26 @@ class TestReducedA:
             2, 2, tensor_product(HADAMARD, np.eye(2)) @ coherent.amplitudes
         )
         assert rotated.marginal_offdiag() > 0.1
+
+
+class TestJointMatrix:
+    def test_density_and_raw_inputs(self):
+        rho = bell().density()
+        assert joint_matrix(rho, 2, 2) is rho.matrix
+        np.testing.assert_array_equal(joint_matrix(rho.matrix.tolist(), 2, 2), rho.matrix)
+
+    def test_raw_input_is_not_validated(self):
+        np.testing.assert_array_equal(joint_matrix(-np.eye(4), 2, 2), -np.eye(4))
+
+    @pytest.mark.parametrize("dims", [(None, 2), (2, None)])
+    def test_missing_dimension(self, dims):
+        with pytest.raises(ValueError, match="dim_a and dim_b are required"):
+            joint_matrix(bell().density(), *dims)
+
+    @pytest.mark.parametrize("matrix", [np.eye(4), np.ones((6, 4))])
+    def test_side_mismatch_names_the_shape(self, matrix):
+        with pytest.raises(ValueError, match=rf"operator side \({matrix.shape[0]}, 4\) does not match dim_a\*dim_b = 6"):
+            joint_matrix(matrix, 2, 3)
 
 
 class TestValidateDensity:
