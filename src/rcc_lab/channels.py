@@ -146,11 +146,9 @@ def check_summaries(n: np.ndarray) -> np.ndarray:
     """
     n = (n + n.conj().swapaxes(-1, -2)) / 2
     evals = np.linalg.eigvalsh(n)
-    if float(evals.min()) < -VALIDITY_ATOL or float(evals.max()) > 1.0 + VALIDITY_ATOL:
-        raise ValueError(
-            "summary operator must satisfy 0 <= N <= I; "
-            f"spectrum spans [{evals.min():.3e}, {evals.max():.6f}]"
-        )
+    low, high = evals.min(initial=np.inf), evals.max(initial=-np.inf)
+    if low < -VALIDITY_ATOL or high > 1.0 + VALIDITY_ATOL:
+        raise ValueError(f"summary operator must satisfy 0 <= N <= I; spectrum spans [{low:.3e}, {high:.6f}]")
     return n
 
 

@@ -27,12 +27,12 @@ from .sampling import (
     branch_stacks_from_parts,
     coefficient_matrices_from_parts,
     densities_from_parts,
-    draw_ensemble_parts,
-    draw_incoherent_quantum_parts,
-    draw_kraus_parts,
+    draw_ensemble_block,
+    draw_incoherent_quantum_block,
+    draw_kraus_block,
     draw_noncq_states,
-    draw_schmidt_parts,
-    draw_tp_parts,
+    draw_schmidt_block,
+    draw_tp_block,
     ensemble_from_parts,
     incoherent_quantum_states_from_parts,
     isometry_kraus,
@@ -54,8 +54,8 @@ BOUND_ATOL = 1e-10  # lemma1, theorem3: allowed excess over a bound
 NOSIGNAL_ATOL = 1e-10  # nosignal: allowed entry change of A's marginal
 
 # Checks drawn and evaluated together by every verify sweep (theorem1: at least
-# one state, each against all its operations). Each block comes from the suite's
-# one stream, so memory grows with VERIFY_BLOCK, never with --samples.
+# one state, each against all its operations); memory grows with it, never with
+# --samples. Even, so a sample's parity in its block is its parity in the sweep.
 VERIFY_BLOCK = 256
 
 # Samples drawn and evaluated together by run_fig1. Memory per block grows
@@ -346,30 +346,29 @@ def verify_theorem1(samples: int, seed: int, operations_per_state: int = 100) ->
     the block test, the converse witness must create coherence above
     rcc.CONVERSE_COHERENCE_TARGET; one rcc.converse_witnesses per VERIFY_BLOCK states.
     """
-    rng = SeededRng(seed, 0)
+    g = SeededRng(seed, 0).generator
     dim_a = dim_b = 2
     report = SuiteReport("theorem1", 0, 0, 0, 0.0, None)
     forward_worst = 0.0
-    ops = [draw_kraus_parts(dim_b, rng.generator) for _ in range(operations_per_state)]
-    stack = summary_operators_from_parts(ops) if ops else np.zeros((0, dim_b, dim_b))
-    block = max(1, VERIFY_BLOCK // max(1, len(ops)))
+    ops = draw_kraus_block(dim_b, operations_per_state, g)
+    stack = summary_operators_from_parts(ops[1])
+    block = max(1, VERIFY_BLOCK // max(1, operations_per_state))
     for start in range(0, samples, block):
-        parts = [draw_incoherent_quantum_parts(dim_a, dim_b, rng.generator) for _ in range(start, min(start + block, samples))]
-        states = incoherent_quantum_states_from_parts(parts)
+        states = incoherent_quantum_states_from_parts(*draw_incoherent_quantum_block(dim_a, dim_b, min(block, samples - start), g))
         _, zero, states_a = rcc._conditional_states(rcc._mixed_branches(states.reshape(-1, dim_a, dim_b, dim_a, dim_b), stack))
         achieved = l1_coherences(states_a)
         forward_worst = max(forward_worst, float(achieved.max(initial=0.0)))
 
         def replay(k, value):
-            state, op = divmod(k, len(ops))
-            channel = _operation_json(ops[op])
+            state, op = divmod(k, operations_per_state)
+            channel = _operation_json(ops, op)
             return {"direction": "forward", "state": matrix_to_json(states[state]), "channel": channel, "post_coherence": value}
 
         _record(report, zero.size, np.flatnonzero(~zero), achieved, achieved >= FORWARD_COHERENCE_ATOL, replay)
     exhausted = 0
     for start in range(0, samples, VERIFY_BLOCK):
         # The draw keeps only states that fail the block test, so no witness is masked.
-        states = draw_noncq_states(min(VERIFY_BLOCK, samples - start), dim_a, dim_b, rng.generator)
+        states = draw_noncq_states(min(VERIFY_BLOCK, samples - start), dim_a, dim_b, g)
         _, reached, _ = rcc.converse_witnesses(states, dim_a, dim_b)
         below = reached <= rcc.CONVERSE_COHERENCE_TARGET
         exhausted += int(below.sum())
@@ -402,46 +401,48 @@ def _record(report, checked, kept, values, flagged, replay) -> None:
 def _sweep(suite, samples, seed, dims, draw, evaluate, worst_case) -> SuiteReport:
     """Shared loop of the theorem2, lemma1, theorem3, theorem4 and nosignal sweeps.
 
-    For each dim in dims in turn (None: draw picks it), draw(dim, k, g) takes
-    sample k's parts, k < samples, from the suite's one stream, in order.
-    Blocks of VERIFY_BLOCK samples go to evaluate(dim, draws), which returns
-    the indices of the samples it could evaluate, their values and which of
-    them violate (see _record); worst_case(parts, value) builds the replay dict.
+    For each dim in dims in turn (None: draw picks it), blocks of
+    VERIFY_BLOCK of the samples are drawn, parts = draw(dim, n, g), from the
+    suite's one stream. evaluate(dim, parts) returns the indices of the
+    samples it could evaluate, their values and which of them violate (see
+    _record); worst_case(parts, k, value) builds the replay dict of sample k.
     """
     g = SeededRng(seed, 0).generator
     report = SuiteReport(suite, 0, 0, 0, 0.0, None)
     for dim in dims:
         for start in range(0, samples, VERIFY_BLOCK):
-            draws = [draw(dim, k, g) for k in range(start, min(start + VERIFY_BLOCK, samples))]
-            _record(report, len(draws), *evaluate(dim, draws), lambda k, value: worst_case(draws[k], value))
+            n = min(VERIFY_BLOCK, samples - start)
+            parts = draw(dim, n, g)
+            _record(report, n, *evaluate(dim, parts), lambda k, value: worst_case(parts, k, value))
     return report
 
 
 def _replay(channel_json, key="excess"):
-    # worst_case(parts, value) of _sweep for (Schmidt parts, channel parts) draws.
-    def worst_case(parts, value):
-        (weights, ginibre), channel = parts
-        state = BipartitePureState.from_schmidt(weights, unitary_from_ginibre(ginibre))
-        return {"state": state_to_json(state), "channel": channel_json(channel), key: value}
+    # worst_case(parts, k, value) of _sweep for (Schmidt block, channel block) draws.
+    def worst_case(parts, k, value):
+        (weights, ginibre), channels = parts
+        state = BipartitePureState.from_schmidt(weights[k], unitary_from_ginibre(ginibre[k]))
+        return {"state": state_to_json(state), "channel": channel_json(channels, k), key: value}
 
     return worst_case
 
 
-def _draw_pair(dim, k, g):
-    return draw_schmidt_parts(dim, dim, g), draw_kraus_parts(dim, g)
+def _draw_pair(dim, n, g):
+    return draw_schmidt_block(dim, dim, n, g), draw_kraus_block(dim, n, g)
 
 
-def _paired_branches(draws):
-    # One contraction per (state, operation) pair of _draw_pair draws: w, N,
+def _paired_branches(parts):
+    # One contraction per (state, operation) pair of a _draw_pair block: w, N,
     # the probabilities, the kept branches (rcc._conditional_states) and their coherence.
-    w = coefficient_matrices_from_parts([state for state, _ in draws])
-    n_ops = summary_operators_from_parts([mats for _, mats in draws])
+    schmidt, (_, mats) = parts
+    w = coefficient_matrices_from_parts(*schmidt)
+    n_ops = summary_operators_from_parts(mats)
     probs, zero, states = rcc._conditional_states(rcc._unnormalized_branches(w, n_ops[:, None])[:, 0])
     return w, n_ops, probs, np.flatnonzero(~zero), l1_coherences(states)
 
 
-def _operation_json(mats) -> dict:
-    return kraus_operation_to_json(kraus_operation_from_parts(mats))
+def _operation_json(ops, k) -> dict:
+    return kraus_operation_to_json(kraus_operation_from_parts(*ops, k))
 
 
 def verify_theorem2(samples: int, seed: int) -> SuiteReport:
@@ -453,44 +454,22 @@ def verify_theorem2(samples: int, seed: int) -> SuiteReport:
     """
     low, high = AMBIGUITY_BAND
 
-    def evaluate(dim, draws):
-        w, n_ops, _, kept, achieved = _paired_branches(draws)
+    def evaluate(dim, parts):
+        w, n_ops, _, kept, achieved = _paired_branches(parts)
         clear = (achieved < low) | (achieved > high)
         kept, achieved = kept[clear], achieved[clear]
         predicted = creation_witnesses(w[kept], n_ops[kept]) >= 0
         return kept, achieved, predicted != (achieved > high)
 
-    def worst_case(parts, achieved):
+    def worst_case(parts, k, achieved):
         # A violation's prediction is the opposite of achieved > high.
-        return {**_replay(_operation_json, "post_coherence")(parts, achieved), "predicted": not achieved > high}
+        return {**_replay(_operation_json, "post_coherence")(parts, k, achieved), "predicted": not achieved > high}
 
     report = _sweep("theorem2", max(1, samples // 2), seed, (2, 3), _draw_pair, evaluate, worst_case)
-    report.notes = (f"excluded fraction {report.excluded / report.checked:.4%} (ambiguity band [1e-9, 1e-6])",)
+    # 1e-9 prints as 1e-9, as the band is written above.
+    band = ", ".join(np.format_float_scientific(x, trim="-", exp_digits=1) for x in AMBIGUITY_BAND)
+    report.notes = (f"excluded fraction {report.excluded / report.checked:.4%} (ambiguity band [{band}])",)
     return report
-
-
-def _per_channel(measure, violates):
-    # evaluate(dim, draws) for (state, channel) parts: measure(w, stacks) per
-    # group of equal branch count. A zero branch would add 0 to every sum but
-    # change how numpy groups the terms, and at d = 2 the bounds hold with
-    # equality, so their excess is pure rounding.
-    def evaluate(dim, draws):
-        w = coefficient_matrices_from_parts([state for state, _ in draws])
-        stacks = branch_stacks_from_parts([channel for _, channel in draws], dim)
-        out = np.empty(len(draws))
-        for count in set(len(stack) for stack in stacks):
-            idx = np.array([i for i, stack in enumerate(stacks) if len(stack) == count])
-            out[idx] = measure(w[idx], np.array([stacks[i] for i in idx]))
-        return np.arange(len(draws)), out, violates(out)
-
-    return evaluate
-
-
-def _channel_json(parts) -> dict:
-    z, split = parts
-    if split is None:
-        return kraus_operation_to_json(tp_channel_from_parts(z))
-    return ensemble_to_json(ensemble_from_parts(z, split))
 
 
 def verify_lemma1(samples: int, seed: int) -> SuiteReport:
@@ -500,8 +479,8 @@ def verify_lemma1(samples: int, seed: int) -> SuiteReport:
     state and the probability in the bound.
     """
 
-    def evaluate(dim, draws):
-        w, n_ops, probs, kept, achieved = _paired_branches(draws)
+    def evaluate(dim, parts):
+        w, n_ops, probs, kept, achieved = _paired_branches(parts)
         gaps = achieved - rcc.outcome_coherence_bounds(w[kept], n_ops[kept], probs[kept])
         return kept, gaps, gaps > BOUND_ATOL
 
@@ -511,63 +490,79 @@ def verify_lemma1(samples: int, seed: int) -> SuiteReport:
 def verify_theorem3(samples: int, seed: int) -> SuiteReport:
     """Average ordering: achieved <= branch-resolved bound <= partner bound.
 
-    Even samples draw a trace-preserving channel, odd ones an ensemble.
+    Even samples draw a trace-preserving channel, odd ones an ensemble: a
+    block draws its states, then its channels, then its ensembles. All meet
+    in one stack of branch stacks, padded with zero branches, which add 0.
     """
 
-    def draw(dim, k, g):
-        state = draw_schmidt_parts(dim, dim, g)
-        return state, ((draw_tp_parts(dim, g), None) if k % 2 == 0 else draw_ensemble_parts(dim, g))
+    def draw(dim, n, g):
+        return draw_schmidt_block(dim, dim, n, g), (draw_tp_block(dim, (n + 1) // 2, g), draw_ensemble_block(dim, n // 2, g))
 
-    def measure(w, stacks):
+    def evaluate(dim, parts):
+        schmidt, ((_, z), ensembles) = parts
+        w = coefficient_matrices_from_parts(*schmidt)
+        even, odd = branch_stacks_from_parts(z), branch_stacks_from_parts(*ensembles[1:])
+        stacks = np.zeros((len(w), max(even.shape[1], 2), dim, dim), dtype=np.complex128)
+        stacks[0::2, : even.shape[1]] = even
+        stacks[1::2, :2] = odd
         tight = rcc.tight_average_bounds(w, stacks)
-        return np.maximum(rcc.branch_averages(w, stacks) - tight, tight - rcc.average_coherence_bounds(w, stacks))
+        gaps = np.maximum(rcc.branch_averages(w, stacks) - tight, tight - rcc.average_coherence_bounds(w, stacks))
+        return np.arange(len(w)), gaps, gaps > BOUND_ATOL
 
-    evaluate = _per_channel(measure, lambda gaps: gaps > BOUND_ATOL)
-    return _sweep("theorem3", samples, seed, (2, 3, 4), draw, evaluate, _replay(_channel_json))
+    def channel_json(blocks, k):
+        if k % 2 == 0:
+            return kraus_operation_to_json(tp_channel_from_parts(*blocks[0], k // 2))
+        return ensemble_to_json(ensemble_from_parts(*blocks[1], k // 2))
+
+    return _sweep("theorem3", samples, seed, (2, 3, 4), draw, evaluate, _replay(channel_json))
 
 
 def verify_theorem4(samples: int, seed: int) -> SuiteReport:
     """Two-qubit factorization: average equals entanglement times partner average."""
 
-    def measure(w, stacks):
+    def draw(dim, n, g):
+        return draw_schmidt_block(dim, dim, n, g), draw_tp_block(dim, n, g)
+
+    def evaluate(dim, parts):
+        schmidt, (_, z) = parts
+        w, stacks = coefficient_matrices_from_parts(*schmidt), branch_stacks_from_parts(z)
         # For two qubits the Theorem 3 bound (d / 2) E <C>_maxent is exactly
         # E <C>_maxent, the law's right-hand side.
-        return np.abs(rcc.branch_averages(w, stacks) - rcc.average_coherence_bounds(w, stacks))
+        devs = np.abs(rcc.branch_averages(w, stacks) - rcc.average_coherence_bounds(w, stacks))
+        return np.arange(len(w)), devs, devs >= rcc.FACTORIZATION_ATOL
 
-    def draw(dim, k, g):
-        return draw_schmidt_parts(dim, dim, g), (draw_tp_parts(dim, g), None)
-
-    evaluate = _per_channel(measure, lambda devs: devs >= rcc.FACTORIZATION_ATOL)
-    return _sweep("theorem4", samples, seed, (2,), draw, evaluate, _replay(_channel_json, "deviation"))
+    replay = _replay(lambda channels, k: kraus_operation_to_json(tp_channel_from_parts(*channels, k)), "deviation")
+    return _sweep("theorem4", samples, seed, (2,), draw, evaluate, replay)
 
 
 def verify_nosignal(samples: int, seed: int) -> SuiteReport:
     """Without post-selection a trace-preserving channel leaves A's marginal alone.
 
-    Even samples are two-qubit, odd ones two-qutrit. The oracle, independent of
-    rcc on purpose, traces B out of (I (x) F) rho (I (x) F)^dagger for each
-    Kraus operator F, per group of equal dimension and Kraus count.
+    Even samples are two-qubit, odd ones two-qutrit: a block draws the states
+    and then the channels of its qubit samples, then those of its qutrit
+    samples. The oracle, independent of rcc on purpose, traces B out of
+    (I (x) F) rho (I (x) F)^dagger for each Kraus operator F, one stack per dimension.
     """
 
-    def draw(_, k, g):
-        dim = 2 + k % 2
-        return complex_ginibre(g, (dim * dim, dim * dim)), draw_tp_parts(dim, g)
+    def draw(_, n, g):
+        return [(complex_ginibre(g, (d * d, d * d), m), draw_tp_block(d, m, g)) for d, m in ((2, (n + 1) // 2), (3, n // 2))]
 
-    def evaluate(_, draws):
-        devs = np.empty(len(draws))
-        for shape in {z.shape for _, z in draws}:
-            idx = [i for i, (_, z) in enumerate(draws) if z.shape == shape]
-            rho = densities_from_parts(np.array([draws[i][0] for i in idx]))
-            kraus = isometry_kraus(np.array([draws[i][1] for i in idx]))
+    def evaluate(_, parts):
+        devs = np.empty(sum(len(z) for z, _ in parts))
+        for parity, (z, (_, iso)) in enumerate(parts):
+            d = iso.shape[-1]
+            rho = densities_from_parts(z)
+            kraus = isometry_kraus(iso)
             check_summaries((kraus.conj().swapaxes(-1, -2) @ kraus).sum(axis=-3))
-            big = np.kron(np.eye(shape[1]), kraus)
-            after = _trace_b(big @ rho[:, None] @ big.conj().swapaxes(-1, -2), shape[1]).sum(axis=1)
-            devs[idx] = np.abs(after - _trace_b(rho, shape[1])).max(axis=(-2, -1))
-        return np.arange(len(draws)), devs, devs >= NOSIGNAL_ATOL
+            big = np.kron(np.eye(d), kraus)
+            after = _trace_b(big @ rho[:, None] @ big.conj().swapaxes(-1, -2), d).sum(axis=1)
+            devs[parity::2] = np.abs(after - _trace_b(rho, d)).max(axis=(-2, -1))
+        return np.arange(len(devs)), devs, devs >= NOSIGNAL_ATOL
 
-    def worst_case(parts, dev):
-        channel = kraus_operation_to_json(tp_channel_from_parts(parts[1]))
-        return {"state": matrix_to_json(densities_from_parts(parts[0])), "channel": channel, "deviation": dev}
+    def worst_case(parts, k, dev):
+        z, channels = parts[k % 2]
+        channel = kraus_operation_to_json(tp_channel_from_parts(*channels, k // 2))
+        return {"state": matrix_to_json(densities_from_parts(z[k // 2])), "channel": channel, "deviation": dev}
 
     return _sweep("nosignal", samples, seed, (None,), draw, evaluate, worst_case)
 

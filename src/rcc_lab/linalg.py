@@ -23,14 +23,19 @@ MAX_SIDE = 1 << 16
 _SQRT2 = float(np.sqrt(2.0))
 
 
+def require_finite(arr: np.ndarray, what: str) -> np.ndarray:
+    """arr, after a ValueError naming what if any entry is NaN or infinite."""
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} holds a non-finite entry")
+    return arr
+
+
 def as_complex_matrix(m) -> np.ndarray:
     """Coerce input to a finite 2-D complex128 array."""
     arr = np.asarray(m, dtype=np.complex128)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={arr.ndim}")
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise ValueError("matrix contains non-finite entries")
-    return arr
+    return require_finite(arr, "matrix")
 
 
 def tensor_product(a, b) -> np.ndarray:
@@ -350,8 +355,4 @@ def matrix_from_json(obj) -> np.ndarray:
         raise ValueError(
             f"field 'entries' must list rows*cols = {rows * cols} pairs, got {len(entries) if isinstance(entries, list) else type(entries).__name__}"
         )
-    data = complex_from_json_pairs(entries, "entry")
-    arr = data.reshape(rows, cols)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("field 'entries' contains non-finite values")
-    return arr
+    return require_finite(complex_from_json_pairs(entries, "entry").reshape(rows, cols), "field 'entries'")

@@ -1,11 +1,12 @@
 """Seeded random generators for states, channels, and sweep instances.
 
-The draw_* helpers take one sample's raw numbers from a generator, in the
-order the random_* samplers draw them (draw_noncq_states, which tests built
-candidates, returns a block's states); the *_from_parts builders turn parts
-into objects, or into stacks for many samples at once. The random_* samplers
-are draw then build, so a stream yields the same instances on the
-per-object and the stacked route.
+A draw_*_block routine takes the raw numbers of n samples from a generator,
+one generator call per quantity, in the order one sample draws them; Kraus
+and isometry sets are zero-padded to the largest count in the block. The
+*_from_parts builders turn a block into stacks, or its row k into an object.
+The random_* samplers are one-element views, a block of one built at row 0,
+so a stream yields the same instance on the per-object and the stacked route
+(draw_noncq_states, which tests built candidates, returns a block's states).
 """
 
 from __future__ import annotations
@@ -18,43 +19,63 @@ from .linalg import SeededRng, complex_ginibre, unitary_from_ginibre
 from .states import BipartitePureState, DensityMatrix, schmidt_coefficients, unit_amplitudes
 
 
-def draw_schmidt_parts(dim_a: int, dim_b: int, g: np.random.Generator):
-    """Schmidt weights and the complex Ginibre matrix of a Haar B-basis.
+def _ginibre_sets(g: np.random.Generator, counts: np.ndarray, d: int, stacked: bool) -> np.ndarray:
+    # Ginibre sets, set k holding counts[k] matrices then zeros, from one call:
+    # stacked, complex_ginibre(g, (d, d), counts[k])'s numbers, shape (n, max count, d, d);
+    # else complex_ginibre(g, (counts[k] * d, d))'s, shape (n, max count * d, d).
+    keep = np.arange(counts.max(initial=0)) < counts[:, None]
+    n, top = keep.shape
+    if stacked:
+        shape, mask = (n, top, 2, d, d), keep[:, :, None, None, None]
+    else:
+        shape, mask = (n, 2, top * d, d), np.repeat(keep, d, axis=1)[:, None, :, None]
+    parts = np.zeros(shape)
+    parts[np.broadcast_to(mask, shape)] = g.standard_normal(2 * d * d * int(counts.sum()))
+    re, im = np.moveaxis(parts, 2 if stacked else 1, 0)
+    return (re + 1j * im) / np.sqrt(2.0)
 
-    Two-dimensional A uses a single uniform draw for the first weight; larger
-    A draws weights uniformly on the probability simplex.
+
+def draw_schmidt_block(dim_a: int, dim_b: int, n: int, g: np.random.Generator):
+    """Schmidt weights (n, dim_a), then the Ginibre matrices (n, dim_b, dim_b) of Haar B-bases.
+
+    Two-dimensional A takes one uniform draw for the first weight; larger A
+    draws weights uniformly on the probability simplex.
     """
     if dim_b < dim_a:
         raise ValueError(f"need dim_b >= dim_a, got {dim_b} < {dim_a}")
     if dim_a == 2:
-        first = float(g.random())
-        weights = np.array([first, 1.0 - first])
+        first = g.random(n)
+        weights = np.stack([first, 1.0 - first], axis=-1)
     else:
-        weights = g.dirichlet(np.ones(dim_a))
-    return weights, complex_ginibre(g, (dim_b, dim_b))
+        weights = g.dirichlet(np.ones(dim_a), n)
+    return weights, complex_ginibre(g, (dim_b, dim_b), n)
 
 
-def draw_kraus_parts(dim_b: int, g: np.random.Generator) -> np.ndarray:
-    """Unscaled Ginibre Kraus set, shape (count, dim_b, dim_b), count uniform in 1..3."""
-    return complex_ginibre(g, (dim_b, dim_b), int(g.integers(1, 4)))
+def draw_kraus_block(dim_b: int, n: int, g: np.random.Generator):
+    """Kraus counts (n,) uniform in 1..3, then unscaled Ginibre Kraus sets (n, max count, dim_b, dim_b)."""
+    counts = g.integers(1, 4, n)
+    return counts, _ginibre_sets(g, counts, dim_b, stacked=True)
 
 
-def draw_incoherent_quantum_parts(dim_a: int, dim_b: int, g: np.random.Generator):
-    """Weights q (dim_a,), then one Ginibre matrix per A-block, shape (dim_a, dim_b, dim_b)."""
-    return g.dirichlet(np.ones(dim_a)), complex_ginibre(g, (dim_b, dim_b), dim_a)
+def draw_incoherent_quantum_block(dim_a: int, dim_b: int, n: int, g: np.random.Generator):
+    """Weights q (n, dim_a), then one Ginibre matrix per A-block, shape (n, dim_a, dim_b, dim_b)."""
+    q = g.dirichlet(np.ones(dim_a), n)
+    return q, complex_ginibre(g, (dim_b, dim_b), n * dim_a).reshape(n, dim_a, dim_b, dim_b)
 
 
-def draw_tp_parts(dim_b: int, g: np.random.Generator, kraus_count: int | None = None) -> np.ndarray:
-    """Ginibre matrix (count * dim_b, dim_b) whose QR isometry splits into count Kraus blocks."""
-    count = int(kraus_count) if kraus_count else int(g.integers(2, 4))
-    return complex_ginibre(g, (count * dim_b, dim_b))
+def draw_tp_block(dim_b: int, n: int, g: np.random.Generator, kraus_count: int | None = None):
+    """Kraus counts (n,) uniform in 2..3 (or all kraus_count), then Ginibre matrices (n, max count * dim_b, dim_b).
+
+    The QR isometry of row k's first counts[k] * dim_b rows splits into one channel's Kraus blocks.
+    """
+    counts = np.full(n, int(kraus_count)) if kraus_count else g.integers(2, 4, n)
+    return counts, _ginibre_sets(g, counts, dim_b, stacked=False)
 
 
-def draw_ensemble_parts(dim_b: int, g: np.random.Generator) -> tuple[np.ndarray, int]:
-    """Isometry parts of 3 or 4 Kraus blocks and the index splitting them into two members."""
-    count = int(g.integers(3, 5))
-    z = draw_tp_parts(dim_b, g, kraus_count=count)
-    return z, int(g.integers(1, count))
+def draw_ensemble_block(dim_b: int, n: int, g: np.random.Generator):
+    """Kraus counts (n,) uniform in 3..4, isometry parts as draw_tp_block's, then the splits (n,) into two members."""
+    counts = g.integers(3, 5, n)
+    return counts, _ginibre_sets(g, counts, dim_b, stacked=False), g.integers(1, counts)
 
 
 def scaled_kraus(mats: np.ndarray) -> np.ndarray:
@@ -68,26 +89,30 @@ def scaled_kraus(mats: np.ndarray) -> np.ndarray:
 
 
 def isometry_kraus(z: np.ndarray) -> np.ndarray:
-    """Kraus blocks (..., count, d, d) of the QR isometries of z (..., count * d, d)."""
+    """Kraus blocks (..., count, d, d) of the QR isometries of z (..., count * d, d).
+
+    Zero rows padding z give zero blocks and leave the other blocks as they are.
+    """
     q, _ = np.linalg.qr(z)
     d = z.shape[-1]
-    return q.reshape(z.shape[:-2] + (-1, d, d))
+    return q.reshape(z.shape[:-2] + (z.shape[-2] // d, d, d))
 
 
-def kraus_operation_from_parts(mats: np.ndarray) -> KrausOperation:
-    """The operation random_kraus_operation builds from draw_kraus_parts output."""
-    return KrausOperation(list(scaled_kraus(mats)), label=f"random-kraus[{len(mats)}]")
+def kraus_operation_from_parts(counts: np.ndarray, mats: np.ndarray, k: int = 0) -> KrausOperation:
+    """The operation random_kraus_operation builds from row k of a draw_kraus_block."""
+    count = int(counts[k])
+    return KrausOperation(list(scaled_kraus(mats[k, :count])), label=f"random-kraus[{count}]")
 
 
-def tp_channel_from_parts(z: np.ndarray) -> KrausOperation:
-    """The channel random_tp_channel builds from draw_tp_parts output."""
-    blocks = isometry_kraus(z)
+def tp_channel_from_parts(counts: np.ndarray, z: np.ndarray, k: int = 0) -> KrausOperation:
+    """The channel random_tp_channel builds from row k of a draw_tp_block."""
+    blocks = isometry_kraus(z[k, : int(counts[k]) * z.shape[-1]])
     return KrausOperation(list(blocks), label=f"random-tp[{len(blocks)}]")
 
 
-def ensemble_from_parts(z: np.ndarray, split: int) -> ChannelEnsemble:
-    """The ensemble random_channel_ensemble builds from draw_ensemble_parts output."""
-    whole = tp_channel_from_parts(z)
+def ensemble_from_parts(counts: np.ndarray, z: np.ndarray, splits: np.ndarray, k: int = 0) -> ChannelEnsemble:
+    """The ensemble random_channel_ensemble builds from row k of a draw_ensemble_block."""
+    whole, split = tp_channel_from_parts(counts, z, k), int(splits[k])
     first = KrausOperation(whole.kraus[:split], label="ensemble-member[0]")
     second = KrausOperation(whole.kraus[split:], label="ensemble-member[1]")
     return ChannelEnsemble([first, second])
@@ -99,70 +124,51 @@ def densities_from_parts(z: np.ndarray) -> np.ndarray:
     return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
 
 
-def incoherent_quantum_states_from_parts(parts) -> np.ndarray:
-    """Block-diagonal states (n, dim_a * dim_b, dim_a * dim_b) of drawn draw_incoherent_quantum_parts outputs."""
-    q = np.array([weights for weights, _ in parts])
-    blocks = q[..., None, None] * densities_from_parts(np.array([z for _, z in parts]))
+def incoherent_quantum_states_from_parts(q: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Block-diagonal states (n, dim_a * dim_b, dim_a * dim_b) of a draw_incoherent_quantum_block."""
+    blocks = q[..., None, None] * densities_from_parts(z)
     n, dim_a, dim_b = blocks.shape[:3]
     out = np.zeros((n, dim_a, dim_b, dim_a, dim_b), dtype=np.complex128)
-    for i in range(dim_a):
-        out[:, i, :, i] = blocks[:, i]
+    out[:, np.arange(dim_a), :, np.arange(dim_a)] = blocks.swapaxes(0, 1)
     return out.reshape(n, dim_a * dim_b, dim_a * dim_b)
 
 
-def coefficient_matrices_from_parts(parts) -> np.ndarray:
-    """Normalized coefficient matrices (n, dim_a, dim_b) of drawn Schmidt states.
+def coefficient_matrices_from_parts(weights: np.ndarray, ginibre: np.ndarray) -> np.ndarray:
+    """Normalized coefficient matrices (n, dim_a, dim_b) of a draw_schmidt_block.
 
-    parts lists draw_schmidt_parts outputs (weights, ginibre); row n holds
-    the state random_schmidt_state builds from parts[n]. One batched QR,
-    then from_schmidt's and BipartitePureState's checks over the stack.
+    Row k holds the state random_schmidt_state builds from row k. One batched
+    QR, then from_schmidt's and BipartitePureState's checks over the stack.
     """
-    basis = unitary_from_ginibre(np.array([ginibre for _, ginibre in parts]))
-    w = schmidt_coefficients(np.array([weights for weights, _ in parts]), basis)
+    w = schmidt_coefficients(weights, unitary_from_ginibre(ginibre))
     return unit_amplitudes(w.reshape(len(w), -1)).reshape(w.shape)
 
 
-def summary_operators_from_parts(kraus_parts) -> np.ndarray:
-    """Summary operators (n, d, d) of drawn sub-normalized operations.
+def summary_operators_from_parts(mats: np.ndarray) -> np.ndarray:
+    """Summary operators (n, d, d) of the Kraus sets mats (n, count, d, d) of a draw_kraus_block.
 
-    kraus_parts lists draw_kraus_parts outputs; entry n is the N of the
-    operation random_kraus_operation builds from kraus_parts[n], checked as
+    Entry k is the N of kraus_operation_from_parts at row k, checked as
     KrausOperation checks it.
     """
-    d = kraus_parts[0].shape[-1]
-    mats = np.zeros((len(kraus_parts), max(len(m) for m in kraus_parts), d, d), dtype=np.complex128)
-    for i, m in enumerate(kraus_parts):
-        mats[i, : len(m)] = m
     kraus = scaled_kraus(mats)
     return check_summaries((kraus.conj().swapaxes(-1, -2) @ kraus).sum(axis=-3, initial=0))
 
 
-def branch_stacks_from_parts(channel_parts, dim_b: int) -> list[np.ndarray]:
-    """Branch stacks (K_i, dim_b, dim_b) of drawn channels, one per sample.
+def branch_stacks_from_parts(z: np.ndarray, splits: np.ndarray | None = None) -> np.ndarray:
+    """Branch stacks (n, K, dim_b, dim_b) of the channels of isometry parts z (n, K * dim_b, dim_b).
 
-    channel_parts holds (draw_tp_parts output, None) for a trace-preserving
-    channel, with one branch F^dagger F per Kraus block, and
-    draw_ensemble_parts output for an ensemble, with its two member summary
-    operators. One batched QR per Kraus count; 0 <= N <= I is checked for
-    every whole channel and every member, as KrausOperation checks it.
+    Without splits (a draw_tp_block), channel k has one branch F^dagger F per
+    Kraus block, padded with zeros; with the splits of a draw_ensemble_block,
+    its two member summary operators. One batched QR; 0 <= N <= I is checked
+    for every whole channel and every member, as KrausOperation checks it.
     """
-    zs = [z for z, _ in channel_parts]
-    counts = [len(z) // dim_b for z in zs]
-    kraus = np.zeros((len(zs), max(counts), dim_b, dim_b), dtype=np.complex128)
-    for count in set(counts):
-        idx = [i for i, c in enumerate(counts) if c == count]
-        kraus[idx, :count] = isometry_kraus(np.array([zs[i] for i in idx]))
+    kraus = isometry_kraus(z)
     ff = kraus.conj().swapaxes(-1, -2) @ kraus
     check_summaries(ff.sum(axis=-3, initial=0))
-    stacks = [ff[i, :count] for i, count in enumerate(counts)]
-    members = [i for i, (_, split) in enumerate(channel_parts) if split is not None]
-    if members:
-        second = np.arange(kraus.shape[1]) >= np.array([channel_parts[i][1] for i in members])[:, None]
-        masks = np.stack([~second, second], axis=1)[..., None, None]
-        member_ns = check_summaries(np.where(masks, ff[members][:, None], 0).sum(axis=-3, initial=0))
-        for i, stack in zip(members, member_ns):
-            stacks[i] = stack
-    return stacks
+    if splits is None:
+        return ff
+    second = np.arange(ff.shape[1]) >= splits[:, None]
+    masks = np.stack([~second, second], axis=1)[..., None, None]
+    return check_summaries(np.where(masks, ff[:, None], 0).sum(axis=-3, initial=0))
 
 
 def random_schmidt_parts(dim_a: int, dim_b: int, rng: SeededRng):
@@ -170,8 +176,8 @@ def random_schmidt_parts(dim_a: int, dim_b: int, rng: SeededRng):
 
     The basis columns are the first dim_a columns of a Haar unitary on B.
     """
-    weights, ginibre = draw_schmidt_parts(dim_a, dim_b, rng.generator)
-    return weights, unitary_from_ginibre(ginibre)[:, :dim_a]
+    weights, ginibre = draw_schmidt_block(dim_a, dim_b, 1, rng.generator)
+    return weights[0], unitary_from_ginibre(ginibre[0])[:, :dim_a]
 
 
 def random_schmidt_state(dim_a: int, dim_b: int, rng: SeededRng) -> BipartitePureState:
@@ -187,8 +193,8 @@ def random_density_matrix(dim: int, rng: SeededRng) -> DensityMatrix:
 
 def random_incoherent_quantum_state(dim_a: int, dim_b: int, rng: SeededRng) -> DensityMatrix:
     """Random block-diagonal state sum_i q_i |i><i| (x) rho_i."""
-    parts = draw_incoherent_quantum_parts(dim_a, dim_b, rng.generator)
-    return DensityMatrix(incoherent_quantum_states_from_parts([parts])[0], validate=False)
+    parts = draw_incoherent_quantum_block(dim_a, dim_b, 1, rng.generator)
+    return DensityMatrix(incoherent_quantum_states_from_parts(*parts)[0], validate=False)
 
 
 def draw_noncq_states(count: int, dim_a: int, dim_b: int, g: np.random.Generator, tol: float = 1e-9) -> np.ndarray:
@@ -218,14 +224,14 @@ def random_kraus_operation(dim_b: int, rng: SeededRng) -> KrausOperation:
 
     Covers trace-decreasing and nearly trace-preserving cases alike.
     """
-    return kraus_operation_from_parts(draw_kraus_parts(dim_b, rng.generator))
+    return kraus_operation_from_parts(*draw_kraus_block(dim_b, 1, rng.generator))
 
 
 def random_tp_channel(dim_b: int, rng: SeededRng, kraus_count: int | None = None) -> KrausOperation:
     """Random trace-preserving channel from an isometry split into blocks."""
-    return tp_channel_from_parts(draw_tp_parts(dim_b, rng.generator, kraus_count))
+    return tp_channel_from_parts(*draw_tp_block(dim_b, 1, rng.generator, kraus_count))
 
 
 def random_channel_ensemble(dim_b: int, rng: SeededRng) -> ChannelEnsemble:
     """Random ensemble: a trace-preserving Kraus set split into two members."""
-    return ensemble_from_parts(*draw_ensemble_parts(dim_b, rng.generator))
+    return ensemble_from_parts(*draw_ensemble_block(dim_b, 1, rng.generator))

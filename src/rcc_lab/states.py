@@ -19,6 +19,7 @@ from .linalg import (
     complex_from_json_pairs,
     json_positive_int,
     partial_trace,
+    require_finite,
     require_orthonormal_columns,
     svd,
 )
@@ -121,7 +122,9 @@ class BipartitePureState:
         weights are normalized to unit sum; basis_b supplies one orthonormal
         column per weight (extra columns are ignored).
         """
-        coeff = schmidt_coefficients(np.asarray(weights, dtype=float).reshape(-1), as_complex_matrix(basis_b))
+        if (basis := np.asarray(basis_b, dtype=np.complex128)).ndim != 2:
+            raise ValueError(f"basis_b: expected a 2-D matrix, got ndim={basis.ndim}")
+        coeff = schmidt_coefficients(np.asarray(weights, dtype=float).reshape(-1), basis)
         return cls(*coeff.shape, coeff.reshape(-1))
 
 
@@ -131,9 +134,7 @@ def unit_amplitudes(amp: np.ndarray) -> np.ndarray:
     Rejects non-finite entries and any vector whose norm is off 1 by more
     than VALIDITY_ATOL.
     """
-    if not np.all(np.isfinite(amp)):
-        raise ValueError("amplitudes contain non-finite entries")
-    norm = np.linalg.norm(amp, axis=-1, keepdims=True)
+    norm = np.linalg.norm(require_finite(amp, "amplitudes"), axis=-1, keepdims=True)
     worst = float(norm.flat[np.argmax(np.abs(norm - 1.0))])
     if abs(worst - 1.0) > VALIDITY_ATOL:
         raise ValueError(f"amplitude norm {worst:.12g} deviates from 1 beyond {VALIDITY_ATOL}")
@@ -155,9 +156,7 @@ def schmidt_coefficients(weights: np.ndarray, basis: np.ndarray) -> np.ndarray:
     k = weights.shape[-1]
     if basis.shape[-1] < k:
         raise ValueError(f"need {k} basis columns, got {basis.shape[-1]}")
-    if not np.all(np.isfinite(basis)):
-        raise ValueError("matrix contains non-finite entries")
-    cols = basis[..., :k]
+    cols = require_finite(basis, "basis_b")[..., :k]
     require_orthonormal_columns(cols)
     return np.sqrt(weights / total)[..., None] * cols.swapaxes(-1, -2)
 

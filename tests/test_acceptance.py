@@ -31,11 +31,11 @@ from rcc_lab.rcc import (
 from rcc_lab.sampling import (
     branch_stacks_from_parts,
     coefficient_matrices_from_parts,
-    draw_incoherent_quantum_parts,
-    draw_kraus_parts,
+    draw_incoherent_quantum_block,
+    draw_kraus_block,
     draw_noncq_states,
-    draw_schmidt_parts,
-    draw_tp_parts,
+    draw_schmidt_block,
+    draw_tp_block,
     incoherent_quantum_states_from_parts,
     random_density_matrix,
     random_tp_channel,
@@ -61,8 +61,8 @@ def brute_branch_marginal(rho, dim_a, dim_b, f):
 def test_factorization_law_full_sweep():
     """Average coherence equals entanglement times partner average, 2x2.
 
-    The draws come from one stream in the order of 100 random_tp_channel and
-    10_000 random_schmidt_state calls. Per block of VERIFY_BLOCK states, every
+    The draws come from one stream: 100 random_tp_channel calls, then one
+    draw_schmidt_block per block of VERIFY_BLOCK states. Per block, every
     state and its maximally entangled partner (maximally_entangled_partners)
     meet every channel through average_coherences, one call per Kraus count;
     the channels' branches are shared by the whole block, so the 1e6 pairs
@@ -77,8 +77,7 @@ def test_factorization_law_full_sweep():
     started = time.time()
     worst = 0.0
     for start in range(0, 10_000, VERIFY_BLOCK):
-        parts = [draw_schmidt_parts(2, 2, rng.generator) for _ in range(start, min(start + VERIFY_BLOCK, 10_000))]
-        w = coefficient_matrices_from_parts(parts)
+        w = coefficient_matrices_from_parts(*draw_schmidt_block(2, 2, min(VERIFY_BLOCK, 10_000 - start), rng.generator))
         ent = batch_concurrence(w)
         partners = unit_amplitudes(maximally_entangled_partners(w).reshape(len(w), -1)).reshape(w.shape)
         for group in groups:
@@ -118,19 +117,19 @@ def test_scatter_experiment_reproduction(tmp_path):
 def test_block_diagonal_states_are_useless_and_others_are_not():
     """Forward and converse of the state classification.
 
-    The draws come from one stream in the order of 100 random_kraus_operation,
-    1000 random_incoherent_quantum_state and 1000 random_noncq_state calls,
-    and are evaluated per block on the stacked routes: the forward states
+    The draws come from one stream: a block of 100 operations, then one block
+    per VERIFY_BLOCK block-diagonal states, then the non-block-diagonal states
+    per VERIFY_BLOCK, evaluated on the stacked routes: the forward states
     against the whole N stack, the converse states through converse_witnesses,
     whose witnesses an explicit (I (x) P) rho (I (x) P) sandwich re-measures.
     """
     g = SeededRng(20260811, 0).generator
-    operations = summary_operators_from_parts([draw_kraus_parts(2, g) for _ in range(100)])
+    operations = summary_operators_from_parts(draw_kraus_block(2, 100, g)[1])
     worst = 0.0
     skipped = 0
     for start in range(0, 1_000, VERIFY_BLOCK):
-        parts = [draw_incoherent_quantum_parts(2, 2, g) for _ in range(start, min(start + VERIFY_BLOCK, 1_000))]
-        states = incoherent_quantum_states_from_parts(parts).reshape(-1, 2, 2, 2, 2)
+        parts = draw_incoherent_quantum_block(2, 2, min(VERIFY_BLOCK, 1_000 - start), g)
+        states = incoherent_quantum_states_from_parts(*parts).reshape(-1, 2, 2, 2, 2)
         _, zero, states_a = _conditional_states(_mixed_branches(states, operations))
         skipped += int(zero.sum())
         worst = max(worst, float(l1_coherences(states_a).max(initial=0.0)))
@@ -161,9 +160,9 @@ def test_block_diagonal_states_are_useless_and_others_are_not():
 def test_commutator_criterion_agrees_with_direct_computation():
     """Creation predicate versus directly computed post-coherence.
 
-    Pairs are drawn one at a time from one stream, in the order of
-    random_schmidt_state then random_kraus_operation, and evaluated per block
-    on the stacked routes: the paired contraction and creation_witnesses.
+    Pairs are drawn per block of VERIFY_BLOCK from one stream, the states'
+    block then the operations' block, and evaluated on the stacked routes:
+    the paired contraction and creation_witnesses.
     """
     g = SeededRng(20260812, 0).generator
     checked = 0
@@ -171,19 +170,16 @@ def test_commutator_criterion_agrees_with_direct_computation():
     disagreements = 0
     for dim in (2, 3):
         for start in range(0, 10_000, VERIFY_BLOCK):
-            draws = [
-                (draw_schmidt_parts(dim, dim, g), draw_kraus_parts(dim, g))
-                for _ in range(start, min(start + VERIFY_BLOCK, 10_000))
-            ]
-            w = coefficient_matrices_from_parts([state for state, _ in draws])
-            n_ops = summary_operators_from_parts([mats for _, mats in draws])
+            n = min(VERIFY_BLOCK, 10_000 - start)
+            w = coefficient_matrices_from_parts(*draw_schmidt_block(dim, dim, n, g))
+            n_ops = summary_operators_from_parts(draw_kraus_block(dim, n, g)[1])
             _, zero, states = _conditional_states(_unnormalized_branches(w, n_ops[:, None])[:, 0])
             achieved = l1_coherences(states)
             clear = (achieved < 1e-9) | (achieved > 1e-6)
             kept = np.flatnonzero(~zero)[clear]
             predicted = creation_witnesses(w[kept], n_ops[kept]) >= 0
-            checked += len(draws)
-            excluded += len(draws) - len(kept)
+            checked += n
+            excluded += n - len(kept)
             disagreements += int(np.sum(predicted != (achieved[clear] > 1e-6)))
     fraction = excluded / checked
     assert disagreements == 0
@@ -197,10 +193,11 @@ def test_commutator_criterion_agrees_with_direct_computation():
 def test_bound_ordering_full_sweep():
     """Per-outcome bound holds and averages respect the bound chain.
 
-    Pairs are drawn one at a time from one stream, in the order of
-    random_schmidt_state then random_tp_channel, and evaluated per block of
-    VERIFY_BLOCK pairs on the stacked routes, one call per Kraus count: each
-    branch F^dagger F as its own outcome against outcome_coherence_bounds, and
+    Pairs are drawn per block of VERIFY_BLOCK from one stream, the states'
+    block then the channels' block, and evaluated on the stacked routes with
+    the channels' zero-padded branch stacks: each branch F^dagger F as its own
+    outcome against outcome_coherence_bounds (padding branches have
+    probability 0 and are skipped), and
     branch_averages <= tight_average_bounds <= average_coherence_bounds.
     """
     g = SeededRng(20260813, 0).generator
@@ -208,25 +205,19 @@ def test_bound_ordering_full_sweep():
     worst_chain = -np.inf
     for dim in (2, 3, 4):
         for start in range(0, 10_000, VERIFY_BLOCK):
-            draws = [
-                (draw_schmidt_parts(dim, dim, g), (draw_tp_parts(dim, g), None))
-                for _ in range(start, min(start + VERIFY_BLOCK, 10_000))
-            ]
-            w = coefficient_matrices_from_parts([state for state, _ in draws])
-            stacks = branch_stacks_from_parts([channel for _, channel in draws], dim)
-            for count in sorted({len(stack) for stack in stacks}):
-                idx = [i for i, stack in enumerate(stacks) if len(stack) == count]
-                states, group = w[idx], np.array([stacks[i] for i in idx])
-                pairs, n_ops = np.repeat(states, count, axis=0), group.reshape(-1, dim, dim)
-                probs, zero, branches = _conditional_states(_unnormalized_branches(pairs, n_ops[:, None])[:, 0])
-                bounds = outcome_coherence_bounds(pairs[~zero], n_ops[~zero], probs[~zero])
-                worst_outcome = max(worst_outcome, float(np.max(l1_coherences(branches) - bounds, initial=-np.inf)))
-                tight = tight_average_bounds(states, group)
-                worst_chain = max(
-                    worst_chain,
-                    float(np.max(branch_averages(states, group) - tight)),
-                    float(np.max(tight - average_coherence_bounds(states, group))),
-                )
+            n = min(VERIFY_BLOCK, 10_000 - start)
+            w = coefficient_matrices_from_parts(*draw_schmidt_block(dim, dim, n, g))
+            stacks = branch_stacks_from_parts(draw_tp_block(dim, n, g)[1])
+            pairs, n_ops = np.repeat(w, stacks.shape[1], axis=0), stacks.reshape(-1, dim, dim)
+            probs, zero, branches = _conditional_states(_unnormalized_branches(pairs, n_ops[:, None])[:, 0])
+            bounds = outcome_coherence_bounds(pairs[~zero], n_ops[~zero], probs[~zero])
+            worst_outcome = max(worst_outcome, float(np.max(l1_coherences(branches) - bounds, initial=-np.inf)))
+            tight = tight_average_bounds(w, stacks)
+            worst_chain = max(
+                worst_chain,
+                float(np.max(branch_averages(w, stacks) - tight)),
+                float(np.max(tight - average_coherence_bounds(w, stacks))),
+            )
     assert worst_outcome < 1e-10
     assert worst_chain < 1e-10
     print(

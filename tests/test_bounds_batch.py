@@ -1,8 +1,14 @@
 """The stacked lemma1, theorem3 and theorem4 sweeps against per-sample references.
 
-The reference loops below are the per-sample sweeps: one state and one
-channel object per draw, evaluated through the scalar API. The oracles at
-the end use only np.kron and an explicit partial trace.
+The reference loops below take the sweep's block draws and evaluate them one
+sample at a time: one state and one channel object per row, built as the
+random_* samplers build them, through the scalar API. theorem3 and theorem4
+pad each channel's branch stack with zero branches to the block's width, as
+the sweep does: the padding changes how numpy groups the terms of a sum, and
+at d = 2 the bounds hold with equality, so the last bits of the excess are
+the padding's; there the reference evaluates the padded stack and checks that
+the scalar API agrees to 1e-12. The oracles at the end use only np.kron and
+an explicit partial trace.
 """
 
 import json
@@ -21,12 +27,19 @@ from rcc_lab.channels import (
 from rcc_lab.coherence import l1_coherence
 from rcc_lab.errors import NotTracePreserving, PremiseViolated, ZeroProbability
 from rcc_lab.experiments import VERIFY_BLOCK, SuiteReport, run_verify
-from rcc_lab.linalg import SeededRng, haar_random_unitary
+from rcc_lab.linalg import SeededRng, haar_random_unitary, unitary_from_ginibre
 from rcc_lab.sampling import (
+    draw_ensemble_block,
+    draw_kraus_block,
+    draw_schmidt_block,
+    draw_tp_block,
+    ensemble_from_parts,
+    kraus_operation_from_parts,
     random_channel_ensemble,
     random_kraus_operation,
     random_schmidt_state,
     random_tp_channel,
+    tp_channel_from_parts,
 )
 from rcc_lab.states import BipartitePureState, concurrence, state_to_json
 
@@ -34,15 +47,42 @@ SEEDS = (0, 5, 13)
 SIZES = (1, 2, 33, VERIFY_BLOCK + 5)
 
 
+def sample_blocks(samples, seed, dims, draw):
+    # The sweep's draws: per dim, one draw(dim, n, g) per block of at most
+    # VERIFY_BLOCK samples, all from one stream; yields (dim, n, parts).
+    g = SeededRng(seed, 0).generator
+    for dim in dims:
+        for start in range(0, samples, VERIFY_BLOCK):
+            n = min(VERIFY_BLOCK, samples - start)
+            yield dim, n, draw(dim, n, g)
+
+
+def schmidt_state(schmidt, k):
+    # Row k of a draw_schmidt_block, built as random_schmidt_state builds it.
+    weights, ginibre = schmidt
+    return BipartitePureState.from_schmidt(weights[k], unitary_from_ginibre(ginibre[k]))
+
+
+def padded_evaluation(psi, channel, width):
+    # w and the channel's branch stack zero-padded to width, as one-element stacks.
+    stack = channel.branch_n_stack()
+    out = np.zeros((1, width) + stack.shape[1:], dtype=stack.dtype)
+    out[0, : len(stack)] = stack
+    return psi.coefficient_matrix[None], out
+
+
 def scalar_lemma1(samples, seed):
-    rng = SeededRng(seed, 0)
     checked = violations = excluded = 0
     max_violation = 0.0
     worst = None
-    for dim in (2, 3, 4):
-        for _ in range(samples):
-            psi = random_schmidt_state(dim, dim, rng)
-            op = random_kraus_operation(dim, rng)
+
+    def draw(dim, n, g):
+        return draw_schmidt_block(dim, dim, n, g), draw_kraus_block(dim, n, g)
+
+    for _, n, (schmidt, ops) in sample_blocks(samples, seed, (2, 3, 4), draw):
+        for k in range(n):
+            psi = schmidt_state(schmidt, k)
+            op = kraus_operation_from_parts(*ops, k)
             checked += 1
             try:
                 state_a, _ = rcc.post_operation_state_a(psi, op)
@@ -60,23 +100,32 @@ def scalar_lemma1(samples, seed):
 
 
 def scalar_theorem3(samples, seed):
-    rng = SeededRng(seed, 0)
     checked = violations = 0
     max_violation = 0.0
     worst = None
-    for dim in (2, 3, 4):
-        for k in range(samples):
-            psi = random_schmidt_state(dim, dim, rng)
+
+    def draw(dim, n, g):
+        # Even samples take trace-preserving channels, odd ones ensembles.
+        return draw_schmidt_block(dim, dim, n, g), draw_tp_block(dim, (n + 1) // 2, g), draw_ensemble_block(dim, n // 2, g)
+
+    for _, n, (schmidt, channels, ensembles) in sample_blocks(samples, seed, (2, 3, 4), draw):
+        width = max(int(channels[0].max()), 2)
+        for k in range(n):
+            psi = schmidt_state(schmidt, k)
             if k % 2 == 0:
-                channel = random_tp_channel(dim, rng)
+                channel = tp_channel_from_parts(*channels, k // 2)
                 channel_json = kraus_operation_to_json(channel)
             else:
-                channel = random_channel_ensemble(dim, rng)
+                channel = ensemble_from_parts(*ensembles, k // 2)
                 channel_json = ensemble_to_json(channel)
             checked += 1
-            average = rcc.average_coherence(psi, channel)
-            tight = rcc.tight_average_bound(psi, channel)
-            partner_bound = rcc.average_coherence_bound(psi, channel)
+            w, stack = padded_evaluation(psi, channel, width)
+            average = rcc.branch_averages(w, stack)[0]
+            tight = rcc.tight_average_bounds(w, stack)[0]
+            partner_bound = rcc.average_coherence_bounds(w, stack)[0]
+            assert abs(average - rcc.average_coherence(psi, channel)) <= 1e-12
+            assert tight == rcc.tight_average_bound(psi, channel)
+            assert abs(partner_bound - rcc.average_coherence_bound(psi, channel)) <= 1e-12
             gap = max(average - tight, tight - partner_bound)
             if gap > experiments.BOUND_ATOL:
                 violations += 1
@@ -87,23 +136,30 @@ def scalar_theorem3(samples, seed):
 
 
 def scalar_theorem4(samples, seed):
-    rng = SeededRng(seed, 0)
     checked = violations = 0
     max_violation = 0.0
     worst = None
-    for _ in range(samples):
-        psi = random_schmidt_state(2, 2, rng)
-        channel = random_tp_channel(2, rng)
-        checked += 1
-        average = rcc.average_coherence(psi, channel)
-        ent = concurrence(psi)
-        maxent = rcc.average_coherence(rcc.maximally_entangled_partner(psi), channel)
-        dev = abs(average - ent * maxent)
-        if dev >= rcc.FACTORIZATION_ATOL:
-            violations += 1
-            if dev > max_violation:
-                max_violation = dev
-                worst = {"state": state_to_json(psi), "channel": kraus_operation_to_json(channel), "deviation": dev}
+
+    def draw(dim, n, g):
+        return draw_schmidt_block(dim, dim, n, g), draw_tp_block(dim, n, g)
+
+    for _, n, (schmidt, channels) in sample_blocks(samples, seed, (2,), draw):
+        width = int(channels[0].max())
+        for k in range(n):
+            psi = schmidt_state(schmidt, k)
+            channel = tp_channel_from_parts(*channels, k)
+            checked += 1
+            w, stack = padded_evaluation(psi, channel, width)
+            average = rcc.branch_averages(w, stack)[0]
+            dev = abs(average - rcc.average_coherence_bounds(w, stack)[0])
+            ent = concurrence(psi)
+            maxent = rcc.average_coherence(rcc.maximally_entangled_partner(psi), channel)
+            assert abs(dev - abs(rcc.average_coherence(psi, channel) - ent * maxent)) <= 1e-12
+            if dev >= rcc.FACTORIZATION_ATOL:
+                violations += 1
+                if dev > max_violation:
+                    max_violation = dev
+                    worst = {"state": state_to_json(psi), "channel": kraus_operation_to_json(channel), "deviation": dev}
     return SuiteReport("theorem4", checked, violations, 0, max_violation, worst)
 
 
@@ -142,7 +198,8 @@ def test_batched_sweep_equals_the_per_sample_loop(suite, seed, samples):
 def test_forced_violations_pick_the_same_worst_case(monkeypatch, suite, seed, samples):
     # Every check now violates, so the worst case is the largest excess of
     # the whole sweep; at d = 2 the bounds hold with equality and that excess
-    # is rounding, which the stacked sweep must reproduce sample by sample.
+    # is rounding, which the stacked sweep must reproduce sample by sample
+    # (for theorem3 and theorem4, that of the padded stacks).
     monkeypatch.setattr(experiments, "BOUND_ATOL", -1.0)
     monkeypatch.setattr(rcc, "FACTORIZATION_ATOL", -1.0)
     batched = run_verify(suite, samples, seed)
@@ -223,8 +280,8 @@ def test_summary_check_raises_as_kraus_operation_does():
 
 @pytest.mark.parametrize("suite", ["lemma1", "theorem3", "theorem4"])
 def test_sweeps_check_the_premise_on_the_block(monkeypatch, suite):
-    def coherent_block(parts):
-        return np.repeat(coherent_state().coefficient_matrix[None], len(parts), axis=0)
+    def coherent_block(weights, ginibre):
+        return np.repeat(coherent_state().coefficient_matrix[None], len(weights), axis=0)
 
     monkeypatch.setattr(experiments, "coefficient_matrices_from_parts", coherent_block)
     with pytest.raises(PremiseViolated):
@@ -235,8 +292,8 @@ def test_sweeps_check_the_premise_on_the_block(monkeypatch, suite):
 def test_sweeps_check_that_channels_are_whole(monkeypatch, suite):
     stacks_of = experiments.branch_stacks_from_parts
 
-    def halved(parts, dim):
-        return [stack / 2 for stack in stacks_of(parts, dim)]
+    def halved(*parts):
+        return stacks_of(*parts) / 2
 
     monkeypatch.setattr(experiments, "branch_stacks_from_parts", halved)
     with pytest.raises(NotTracePreserving):

@@ -1,10 +1,10 @@
 """The stacked theorem2 and nosignal sweeps and the stacked creation criterion.
 
-The reference loops below are the per-sample sweeps: one state and one
-channel object per draw, evaluated through the scalar API, with the
-nosignal oracle as one (I (x) F) sandwich and one partial trace per Kraus
-operator. The stacked sweeps must give equal reports (==), worst case
-included.
+The reference loops below take the sweep's block draws and evaluate them one
+sample at a time: one state and one channel object per row, built as the
+random_* samplers build them, through the scalar API, with the nosignal
+oracle as one (I (x) F) sandwich and one partial trace per Kraus operator.
+The stacked sweeps must give equal reports (==), worst case included.
 """
 
 import numpy as np
@@ -15,8 +15,24 @@ from rcc_lab.channels import KrausOperation, creates_coherence, creation_witness
 from rcc_lab.coherence import l1_coherence
 from rcc_lab.errors import PremiseViolated, ZeroProbability
 from rcc_lab.experiments import VERIFY_BLOCK, SuiteReport, run_verify
-from rcc_lab.linalg import SeededRng, haar_random_unitary, matrix_to_json, partial_trace, tensor_product
-from rcc_lab.sampling import random_density_matrix, random_kraus_operation, random_schmidt_state, random_tp_channel
+from rcc_lab.linalg import (
+    SeededRng,
+    complex_ginibre,
+    haar_random_unitary,
+    matrix_to_json,
+    partial_trace,
+    tensor_product,
+    unitary_from_ginibre,
+)
+from rcc_lab.sampling import (
+    densities_from_parts,
+    draw_kraus_block,
+    draw_schmidt_block,
+    draw_tp_block,
+    kraus_operation_from_parts,
+    random_kraus_operation,
+    tp_channel_from_parts,
+)
 from rcc_lab.states import BipartitePureState, state_to_json
 
 SEEDS = (0, 5, 13)
@@ -25,16 +41,34 @@ SEEDS = (0, 5, 13)
 SIZES = (1, 2, 33, 2 * VERIFY_BLOCK + 10)
 
 
+def sample_blocks(samples, seed, dims, draw):
+    # The sweep's draws: per dim, one draw(dim, n, g) per block of at most
+    # VERIFY_BLOCK samples, all from one stream; yields (n, parts).
+    g = SeededRng(seed, 0).generator
+    for dim in dims:
+        for start in range(0, samples, VERIFY_BLOCK):
+            n = min(VERIFY_BLOCK, samples - start)
+            yield n, draw(dim, n, g)
+
+
+def band_note(excluded, checked):
+    low, high = (np.format_float_scientific(x, trim="-", exp_digits=1) for x in experiments.AMBIGUITY_BAND)
+    return (f"excluded fraction {excluded / checked:.4%} (ambiguity band [{low}, {high}])",)
+
+
 def scalar_theorem2(samples, seed):
     low, high = experiments.AMBIGUITY_BAND
-    rng = SeededRng(seed, 0)
     checked = violations = excluded = 0
     max_violation = 0.0
     worst = None
-    for dim in (2, 3):
-        for _ in range(max(1, samples // 2)):
-            psi = random_schmidt_state(dim, dim, rng)
-            op = random_kraus_operation(dim, rng)
+
+    def draw(dim, n, g):
+        return draw_schmidt_block(dim, dim, n, g), draw_kraus_block(dim, n, g)
+
+    for n, ((weights, ginibre), ops) in sample_blocks(max(1, samples // 2), seed, (2, 3), draw):
+        for k in range(n):
+            psi = BipartitePureState.from_schmidt(weights[k], unitary_from_ginibre(ginibre[k]))
+            op = kraus_operation_from_parts(*ops, k)
             checked += 1
             try:
                 state_a, _ = rcc.post_operation_state_a(psi, op)
@@ -56,8 +90,7 @@ def scalar_theorem2(samples, seed):
                         "post_coherence": achieved,
                         "predicted": predicted,
                     }
-    notes = (f"excluded fraction {excluded / checked:.4%} (ambiguity band [1e-9, 1e-6])",)
-    return SuiteReport("theorem2", checked, violations, excluded, max_violation, worst, notes)
+    return SuiteReport("theorem2", checked, violations, excluded, max_violation, worst, band_note(excluded, checked))
 
 
 def marginal_after_channel(rho, dim, op):
@@ -70,22 +103,28 @@ def marginal_after_channel(rho, dim, op):
 
 
 def scalar_nosignal(samples, seed):
-    rng = SeededRng(seed, 0)
     checked = violations = 0
     max_violation = 0.0
     worst = None
-    for k in range(samples):
-        dim = 2 if k % 2 == 0 else 3
-        rho = random_density_matrix(dim * dim, rng)
-        channel = random_tp_channel(dim, rng)
-        checked += 1
-        before = partial_trace(rho.matrix, dim, dim, "A")
-        dev = float(np.max(np.abs(marginal_after_channel(rho.matrix, dim, channel) - before)))
-        if dev >= experiments.NOSIGNAL_ATOL:
-            violations += 1
-            if dev > max_violation:
-                max_violation = dev
-                worst = {"state": matrix_to_json(rho.matrix), "channel": kraus_operation_to_json(channel), "deviation": dev}
+
+    def draw(_, n, g):
+        # The qubit samples' states and channels, then the qutrit samples'.
+        return [(complex_ginibre(g, (d * d, d * d), m), draw_tp_block(d, m, g)) for d, m in ((2, (n + 1) // 2), (3, n // 2))]
+
+    for n, stacks in sample_blocks(samples, seed, (None,), draw):
+        for k in range(n):
+            dim = 2 if k % 2 == 0 else 3
+            states, tp = stacks[k % 2]
+            rho = densities_from_parts(states[k // 2])
+            channel = tp_channel_from_parts(*tp, k // 2)
+            checked += 1
+            before = partial_trace(rho, dim, dim, "A")
+            dev = float(np.max(np.abs(marginal_after_channel(rho, dim, channel) - before)))
+            if dev >= experiments.NOSIGNAL_ATOL:
+                violations += 1
+                if dev > max_violation:
+                    max_violation = dev
+                    worst = {"state": matrix_to_json(rho), "channel": kraus_operation_to_json(channel), "deviation": dev}
     return SuiteReport("nosignal", checked, violations, 0, max_violation, worst)
 
 
@@ -138,9 +177,15 @@ def test_nosignal_rejects_an_invalid_channel(monkeypatch):
         run_verify("nosignal", 4, 0)
 
 
+def test_theorem2_note_follows_the_ambiguity_band(monkeypatch):
+    assert run_verify("theorem2", 4, 0).notes == ("excluded fraction 0.0000% (ambiguity band [1e-9, 1e-6])",)
+    monkeypatch.setattr(experiments, "AMBIGUITY_BAND", (2.5e-8, 1e-5))
+    assert run_verify("theorem2", 4, 0).notes == ("excluded fraction 0.0000% (ambiguity band [2.5e-8, 1e-5])",)
+
+
 def test_theorem2_checks_the_premise_on_the_block(monkeypatch):
     coherent = BipartitePureState(2, 2, np.array([1, 0, 1, 0]) / np.sqrt(2)).coefficient_matrix
-    monkeypatch.setattr(experiments, "coefficient_matrices_from_parts", lambda parts: np.repeat(coherent[None], len(parts), 0))
+    monkeypatch.setattr(experiments, "coefficient_matrices_from_parts", lambda weights, _: np.repeat(coherent[None], len(weights), 0))
     with pytest.raises(PremiseViolated):
         run_verify("theorem2", 4, 0)
 

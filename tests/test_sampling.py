@@ -1,0 +1,257 @@
+"""The block draws of rcc_lab.sampling and the random_* samplers that view them.
+
+A block draws each quantity for all its samples in one generator call, in
+the order one sample draws them. The tests below pin the samplers' numbers,
+rebuild each block from a twin generator quantity by quantity, check that
+row k of every stacked builder equals the object built from row k, and check
+the moments and frequencies of the draws at fixed seeds.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from rcc_lab.linalg import SeededRng, unitary_from_ginibre
+from rcc_lab.sampling import (
+    branch_stacks_from_parts,
+    coefficient_matrices_from_parts,
+    draw_ensemble_block,
+    draw_incoherent_quantum_block,
+    draw_kraus_block,
+    draw_schmidt_block,
+    draw_tp_block,
+    ensemble_from_parts,
+    incoherent_quantum_states_from_parts,
+    kraus_operation_from_parts,
+    random_channel_ensemble,
+    random_density_matrix,
+    random_incoherent_quantum_state,
+    random_kraus_operation,
+    random_noncq_state,
+    random_schmidt_parts,
+    random_schmidt_state,
+    random_tp_channel,
+    summary_operators_from_parts,
+    tp_channel_from_parts,
+)
+from rcc_lab.states import BipartitePureState
+
+# sha256 over the bytes of every sampler output of sampler_outputs, taken
+# before the samplers became one-element views of the block draws.
+SAMPLER_DIGESTS = {
+    2: "47b6a356ea32ede7f6e0edd2103f148514424e40d0614af06f852c762059b15d",
+    3: "724e6e47db8ec94d1f77e6051d8f3d3745c75bec689224efcf7693ea549772f7",
+    4: "7f20d3f1c35cf25c07f56aa0b2cd36873392af472c1e6f3269eba23ef0505b88",
+}
+
+
+def sampler_outputs(d):
+    rng = SeededRng(77, d)
+    for _ in range(20):
+        yield from random_schmidt_parts(d, d + 1, rng)
+        yield random_schmidt_state(d, d, rng).amplitudes
+        yield from random_kraus_operation(d, rng).kraus
+        yield from random_tp_channel(d, rng).kraus
+        yield from random_tp_channel(d, rng, kraus_count=4).kraus
+        yield from (f for op in random_channel_ensemble(d, rng).operations for f in op.kraus)
+        yield random_incoherent_quantum_state(d, 2, rng).matrix
+        yield random_noncq_state(2, d, rng).matrix
+        yield random_density_matrix(d, rng).matrix
+    yield rng.generator.random(3)
+
+
+@pytest.mark.parametrize("d", sorted(SAMPLER_DIGESTS))
+def test_sampler_numbers_are_pinned(d):
+    h = hashlib.sha256()
+    for arr in sampler_outputs(d):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    assert h.hexdigest() == SAMPLER_DIGESTS[d]
+
+
+def test_sampler_labels():
+    # Taken with the digests above.
+    rng = SeededRng(78)
+    assert [random_kraus_operation(2, rng).label for _ in range(6)] == ["random-kraus[1]", "random-kraus[2]"] + ["random-kraus[3]"] * 4
+    assert random_tp_channel(3, rng, kraus_count=4).label == "random-tp[4]"
+    assert [random_tp_channel(2, rng).label for _ in range(4)] == ["random-tp[2]"] * 3 + ["random-tp[3]"]
+    labels = [op.label for op in random_channel_ensemble(2, rng).operations]
+    assert labels == ["ensemble-member[0]", "ensemble-member[1]"]
+
+
+# -- the block layout: one call per quantity, samples in order --------------
+
+
+def ginibre(g, shape):
+    # Two standard_normal calls per matrix: all real parts, then all imaginary parts.
+    return (g.standard_normal(shape) + 1j * g.standard_normal(shape)) / np.sqrt(2.0)
+
+
+N = 40
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (4, 5)])
+def test_schmidt_block_layout(dims):
+    dim_a, dim_b = dims
+    block, twin = SeededRng(40, dim_a).generator, SeededRng(40, dim_a).generator
+    weights, z = draw_schmidt_block(dim_a, dim_b, N, block)
+    if dim_a == 2:
+        first = twin.random(N)
+        np.testing.assert_array_equal(weights, np.stack([first, 1.0 - first], axis=1))
+    else:
+        np.testing.assert_array_equal(weights, twin.dirichlet(np.ones(dim_a), N))
+    np.testing.assert_array_equal(z, [ginibre(twin, (dim_b, dim_b)) for _ in range(N)])
+    assert block.random() == twin.random()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_channel_block_layouts(d):
+    block, twin = SeededRng(41, d).generator, SeededRng(41, d).generator
+    counts, mats = draw_kraus_block(d, N, block)
+    np.testing.assert_array_equal(counts, twin.integers(1, 4, N))
+    assert mats.shape == (N, counts.max(), d, d)
+    for k, count in enumerate(counts):
+        np.testing.assert_array_equal(mats[k, :count], [ginibre(twin, (d, d)) for _ in range(count)])
+        assert not mats[k, count:].any()
+
+    counts, z = draw_tp_block(d, N, block)
+    np.testing.assert_array_equal(counts, twin.integers(2, 4, N))
+    assert z.shape == (N, counts.max() * d, d)
+    for k, count in enumerate(counts):
+        np.testing.assert_array_equal(z[k, : count * d], ginibre(twin, (count * d, d)))
+        assert not z[k, count * d :].any()
+
+    counts, z, splits = draw_ensemble_block(d, N, block)
+    np.testing.assert_array_equal(counts, twin.integers(3, 5, N))
+    for k, count in enumerate(counts):
+        np.testing.assert_array_equal(z[k, : count * d], ginibre(twin, (count * d, d)))
+    np.testing.assert_array_equal(splits, twin.integers(1, counts))
+
+    q, blocks = draw_incoherent_quantum_block(d, 2, N, block)
+    np.testing.assert_array_equal(q, twin.dirichlet(np.ones(d), N))
+    np.testing.assert_array_equal(blocks, [[ginibre(twin, (2, 2)) for _ in range(d)] for _ in range(N)])
+    assert block.random() == twin.random()
+
+
+def test_fixed_kraus_count_draws_no_count():
+    block, twin = SeededRng(42).generator, SeededRng(42).generator
+    counts, z = draw_tp_block(2, 5, block, kraus_count=4)
+    assert counts.tolist() == [4] * 5
+    np.testing.assert_array_equal(z, [ginibre(twin, (8, 2)) for _ in range(5)])
+
+
+def test_empty_blocks_draw_nothing():
+    g, twin = SeededRng(43).generator, SeededRng(43).generator
+    weights, z = draw_schmidt_block(3, 3, 0, g)
+    assert weights.shape == (0, 3) and z.shape == (0, 3, 3)
+    counts, mats = draw_kraus_block(2, 0, g)
+    assert summary_operators_from_parts(mats).shape == (0, 2, 2)
+    counts, z = draw_tp_block(3, 0, g)
+    assert branch_stacks_from_parts(z).shape[0] == 0
+    counts, z, splits = draw_ensemble_block(3, 0, g)
+    assert branch_stacks_from_parts(z, splits).shape == (0, 2, 3, 3)
+    assert incoherent_quantum_states_from_parts(*draw_incoherent_quantum_block(2, 2, 0, g)).shape == (0, 4, 4)
+    assert g.random() == twin.random()
+
+
+def test_schmidt_block_needs_a_wide_b():
+    with pytest.raises(ValueError, match="need dim_b >= dim_a"):
+        draw_schmidt_block(3, 2, 4, SeededRng(44).generator)
+
+
+# -- block row k equals the one-element view at k ----------------------------
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_block_rows_equal_the_one_element_views(d):
+    g = SeededRng(45, d).generator
+    weights, z = draw_schmidt_block(d, d + 1, N, g)
+    w = coefficient_matrices_from_parts(weights, z)
+    kraus = draw_kraus_block(d, N, g)
+    n_ops = summary_operators_from_parts(kraus[1])
+    channels = draw_tp_block(d, N, g)
+    stacks = branch_stacks_from_parts(channels[1])
+    ensembles = draw_ensemble_block(d, N, g)
+    members = branch_stacks_from_parts(*ensembles[1:])
+    q, blocks = draw_incoherent_quantum_block(d, 2, N, g)
+    states = incoherent_quantum_states_from_parts(q, blocks)
+    for k in range(N):
+        psi = BipartitePureState.from_schmidt(weights[k], unitary_from_ginibre(z[k])[:, :d])
+        assert np.array_equal(w[k], psi.coefficient_matrix)
+        assert np.array_equal(n_ops[k], kraus_operation_from_parts(*kraus, k).n_operator())
+        count = channels[0][k]
+        assert np.array_equal(stacks[k, :count], tp_channel_from_parts(*channels, k).branch_n_stack())
+        assert not stacks[k, count:].any()
+        assert np.array_equal(members[k], ensemble_from_parts(*ensembles, k).branch_n_stack())
+        assert np.array_equal(states[k], incoherent_quantum_states_from_parts(q[k : k + 1], blocks[k : k + 1])[0])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_samplers_are_blocks_of_one(d):
+    # random_* on a stream equals row 0 of a one-sample block on a twin stream.
+    rng, g = SeededRng(46, d), SeededRng(46, d).generator
+    weights, basis = random_schmidt_parts(d, d, rng)
+    drawn_weights, z = draw_schmidt_block(d, d, 1, g)
+    assert np.array_equal(weights, drawn_weights[0]) and np.array_equal(basis, unitary_from_ginibre(z[0])[:, :d])
+    assert np.array_equal(random_kraus_operation(d, rng).kraus, kraus_operation_from_parts(*draw_kraus_block(d, 1, g)).kraus)
+    assert np.array_equal(random_tp_channel(d, rng).kraus, tp_channel_from_parts(*draw_tp_block(d, 1, g)).kraus)
+    ensemble = ensemble_from_parts(*draw_ensemble_block(d, 1, g))
+    assert np.array_equal(random_channel_ensemble(d, rng).branch_n_stack(), ensemble.branch_n_stack())
+    states = incoherent_quantum_states_from_parts(*draw_incoherent_quantum_block(d, 2, 1, g))
+    assert np.array_equal(random_incoherent_quantum_state(d, 2, rng).matrix, states[0])
+
+
+# -- moments and frequencies at fixed seeds ------------------------------------
+
+DRAWS = 40_000
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_schmidt_weights_are_uniform_on_the_simplex(d):
+    weights, _ = draw_schmidt_block(d, d, DRAWS, SeededRng(47, d).generator)
+    assert np.all(weights >= 0) and np.allclose(weights.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+    # Dirichlet(1, ..., 1): mean 1/d, variance (d - 1) / (d^2 (d + 1)), per weight.
+    mean, var = 1 / d, (d - 1) / (d * d * (d + 1))
+    np.testing.assert_allclose(weights.mean(axis=0), mean, rtol=0, atol=5 * np.sqrt(var / DRAWS))
+    np.testing.assert_allclose(weights.var(axis=0), var, rtol=0.03)
+
+
+def test_ginibre_entries_have_unit_variance():
+    _, z = draw_schmidt_block(2, 3, DRAWS, SeededRng(48).generator)
+    _, mats = draw_kraus_block(3, DRAWS // 4, SeededRng(49).generator)
+    _, iso = draw_tp_block(2, DRAWS // 4, SeededRng(50).generator)
+    for entries in (z.ravel(), mats[mats != 0], iso[iso != 0]):
+        tol = 5 / np.sqrt(len(entries))
+        # E z = 0, E |z|^2 = 1, E z^2 = 0: real and imaginary parts of variance 1/2, uncorrelated.
+        assert abs(entries.mean()) < tol
+        assert abs(np.mean(np.abs(entries) ** 2) - 1) < 2 * tol
+        assert abs(np.mean(entries**2)) < 2 * tol
+
+
+def frequencies(values, support):
+    return np.array([np.mean(values == v) for v in support])
+
+
+@pytest.mark.parametrize(
+    "draw, support",
+    [
+        (lambda g: draw_kraus_block(2, DRAWS, g)[0], (1, 2, 3)),
+        (lambda g: draw_tp_block(2, DRAWS, g)[0], (2, 3)),
+        (lambda g: draw_ensemble_block(2, DRAWS, g)[0], (3, 4)),
+    ],
+    ids=["kraus", "tp", "ensemble"],
+)
+def test_kraus_counts_are_uniform(draw, support):
+    counts = draw(SeededRng(51).generator)
+    assert set(np.unique(counts)) == set(support)
+    p = 1 / len(support)
+    np.testing.assert_allclose(frequencies(counts, support), p, rtol=0, atol=5 * np.sqrt(p * (1 - p) / DRAWS))
+
+
+def test_ensemble_splits_are_uniform_given_the_count():
+    counts, _, splits = draw_ensemble_block(2, DRAWS, SeededRng(52).generator)
+    for count in (3, 4):
+        given = splits[counts == count]
+        p = 1 / (count - 1)
+        freq = frequencies(given, range(1, count))
+        np.testing.assert_allclose(freq, p, rtol=0, atol=5 * np.sqrt(p * (1 - p) / len(given)))

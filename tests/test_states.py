@@ -1,17 +1,28 @@
 import numpy as np
 import pytest
 
+from rcc_lab import linalg, states
 from rcc_lab.errors import BadTrace, NotHermitian, NotPositive
-from rcc_lab.linalg import SeededRng, haar_random_unitary, random_pure_state, tensor_product
+from rcc_lab.linalg import (
+    SeededRng,
+    as_complex_matrix,
+    haar_random_unitary,
+    matrix_from_json,
+    matrix_to_json,
+    random_pure_state,
+    tensor_product,
+)
 from rcc_lab.states import (
     BipartitePureState,
     DensityMatrix,
     concurrence,
     joint_matrix,
     reduced_a,
+    schmidt_coefficients,
     schmidt_decompose,
     state_from_json,
     state_to_json,
+    unit_amplitudes,
 )
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -238,3 +249,59 @@ class TestStateJson:
     def test_wrong_count(self):
         with pytest.raises(ValueError, match="amplitudes"):
             state_from_json({"dim_a": 2, "dim_b": 2, "amplitudes": [[1.0, 0.0]]})
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+def with_entry(m, bad):
+    out = np.array(m, dtype=complex)
+    out.flat[-1] = bad
+    return out
+
+
+class TestNonFiniteEntries:
+    # One rule, linalg.require_finite, behind every entry point; the message
+    # names the field.
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_as_complex_matrix(self, bad):
+        with pytest.raises(ValueError, match="^matrix holds a non-finite entry$"):
+            as_complex_matrix(with_entry(np.eye(2), bad))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_matrix_from_json(self, bad):
+        obj = matrix_to_json(np.eye(2))
+        obj["entries"][3] = [0.0, bad]
+        with pytest.raises(ValueError, match="^field 'entries' holds a non-finite entry$"):
+            matrix_from_json(obj)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_schmidt_coefficients(self, bad):
+        # Also in a column beyond the weights, which the result ignores.
+        basis = with_entry(np.eye(3), bad)
+        with pytest.raises(ValueError, match="^basis_b holds a non-finite entry$"):
+            schmidt_coefficients(np.array([0.5, 0.5]), basis)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_unit_amplitudes(self, bad):
+        with pytest.raises(ValueError, match="^amplitudes holds a non-finite entry$"):
+            unit_amplitudes(with_entry(np.eye(2)[:1] * np.ones((2, 1)), bad))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_from_schmidt(self, bad):
+        with pytest.raises(ValueError, match="^basis_b holds a non-finite entry$"):
+            BipartitePureState.from_schmidt([0.5, 0.5], with_entry(HADAMARD, bad))
+
+    def test_from_schmidt_checks_each_input_once(self, monkeypatch):
+        checked, require_finite = [], linalg.require_finite
+
+        def recording(arr, what):
+            checked.append(what)
+            return require_finite(arr, what)
+
+        monkeypatch.setattr(states, "require_finite", recording)
+        monkeypatch.setattr(linalg, "require_finite", recording)
+        BipartitePureState.from_schmidt([0.9, 0.1], HADAMARD)
+        assert checked == ["basis_b", "amplitudes"]
+        with pytest.raises(ValueError, match="basis_b: expected a 2-D matrix"):
+            BipartitePureState.from_schmidt([0.5, 0.5], HADAMARD[0])

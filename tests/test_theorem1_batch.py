@@ -10,9 +10,11 @@ from rcc_lab.linalg import SeededRng, complex_ginibre, haar_random_unitary, matr
 from rcc_lab.rcc import average_rcc, converse_witnesses, find_creating_operation, post_operation_state_a
 from rcc_lab.sampling import (
     densities_from_parts,
-    draw_incoherent_quantum_parts,
-    draw_kraus_parts,
+    draw_incoherent_quantum_block,
+    draw_kraus_block,
     draw_noncq_states,
+    incoherent_quantum_states_from_parts,
+    kraus_operation_from_parts,
     random_density_matrix,
     random_incoherent_quantum_state,
     random_kraus_operation,
@@ -22,54 +24,67 @@ from rcc_lab.sampling import (
 from rcc_lab.states import BipartitePureState, DensityMatrix, check_densities
 
 
-def scalar_theorem1(samples, seed, operations_per_state, draw_state, draw_op):
-    # Reference: one post_operation_state_a per (state, operation), drawing
-    # the operations, the forward states and the converse states in order.
-    rng = SeededRng(seed, 0)
+def block_diagonal_states(n, g):
+    # The sweep's forward draw: one draw_incoherent_quantum_block of n states.
+    return incoherent_quantum_states_from_parts(*draw_incoherent_quantum_block(2, 2, n, g))
+
+
+def scalar_theorem1(samples, seed, operations_per_state, draw_states=block_diagonal_states, op_at=kraus_operation_from_parts):
+    # Reference: the sweep's block draws (the operations, then the forward
+    # states per block of VERIFY_BLOCK // operations_per_state, then the
+    # converse states per VERIFY_BLOCK), evaluated with one
+    # post_operation_state_a per (state, operation) and one
+    # find_creating_operation per converse state. op_at(counts, mats, j)
+    # builds operation j of the operations' block.
+    g = SeededRng(seed, 0).generator
     checked = violations = excluded = 0
     max_violation = 0.0
     worst = None
     forward_worst = 0.0
-    ops = [draw_op(2, rng) for _ in range(operations_per_state)]
-    for _ in range(samples):
-        state = draw_state(2, 2, rng)
-        for op in ops:
+    drawn = draw_kraus_block(2, operations_per_state, g)
+    ops = [op_at(*drawn, j) for j in range(operations_per_state)]
+    block = max(1, VERIFY_BLOCK // max(1, operations_per_state))
+    for start in range(0, samples, block):
+        for rho in draw_states(min(block, samples - start), g):
+            state = DensityMatrix(rho, validate=False)
+            for op in ops:
+                checked += 1
+                try:
+                    state_a, _ = post_operation_state_a(state, op, 2, 2)
+                except ZeroProbability:
+                    excluded += 1
+                    continue
+                achieved = l1_coherence(state_a)
+                forward_worst = max(forward_worst, achieved)
+                if achieved >= FORWARD_COHERENCE_ATOL:
+                    violations += 1
+                    if achieved > max_violation:
+                        max_violation = achieved
+                        worst = {
+                            "direction": "forward",
+                            "state": matrix_to_json(state.matrix),
+                            "channel": kraus_operation_to_json(op),
+                            "post_coherence": achieved,
+                        }
+    exhausted = converse_ok = 0
+    for start in range(0, samples, VERIFY_BLOCK):
+        for rho in draw_noncq_states(min(VERIFY_BLOCK, samples - start), 2, 2, g):
+            state = DensityMatrix(rho, validate=False)
             checked += 1
             try:
-                state_a, _ = post_operation_state_a(state, op, 2, 2)
-            except ZeroProbability:
-                excluded += 1
-                continue
-            achieved = l1_coherence(state_a)
-            forward_worst = max(forward_worst, achieved)
-            if achieved >= FORWARD_COHERENCE_ATOL:
+                op = find_creating_operation(state, 2, 2)
+            except SearchExhausted as exc:
+                exhausted += 1
                 violations += 1
-                if achieved > max_violation:
-                    max_violation = achieved
-                    worst = {
-                        "direction": "forward",
-                        "state": matrix_to_json(state.matrix),
-                        "channel": kraus_operation_to_json(op),
-                        "post_coherence": achieved,
-                    }
-    exhausted = converse_ok = 0
-    for _ in range(samples):
-        state = random_noncq_state(2, 2, rng)
-        checked += 1
-        try:
-            op = find_creating_operation(state, 2, 2)
-        except SearchExhausted as exc:
-            exhausted += 1
-            violations += 1
-            if exc.best_value > max_violation:
-                max_violation = exc.best_value
-                worst = {"direction": "converse", "state": matrix_to_json(state.matrix), "best_coherence": exc.best_value}
-            continue
-        if op is None:
-            violations += 1
-            worst = {"direction": "converse-misclassified", "state": matrix_to_json(state.matrix)}
-            continue
-        converse_ok += 1
+                if exc.best_value > max_violation:
+                    max_violation = exc.best_value
+                    worst = {"direction": "converse", "state": matrix_to_json(state.matrix), "best_coherence": exc.best_value}
+                continue
+            if op is None:
+                violations += 1
+                worst = {"direction": "converse-misclassified", "state": matrix_to_json(state.matrix)}
+                continue
+            converse_ok += 1
     notes = (
         f"forward: max post-coherence {forward_worst:.3e} over {samples * operations_per_state} checks",
         f"converse: {converse_ok}/{samples} witnesses reached the target, {exhausted} below it",
@@ -77,51 +92,43 @@ def scalar_theorem1(samples, seed, operations_per_state, draw_state, draw_op):
     return SuiteReport("theorem1", checked, violations, excluded, max_violation, worst, notes)
 
 
-def dense_state(dim_a, dim_b, rng):
+def dense_states(n, g):
     # Not block-diagonal, so the forward half sees real coherence.
-    return random_density_matrix(dim_a * dim_b, rng)
+    return densities_from_parts(complex_ginibre(g, (4, 4), n))
 
 
 def inject_dense_states(monkeypatch):
-    # The sweep draws and builds its forward states as dense_state does.
-    monkeypatch.setattr(
-        experiments, "draw_incoherent_quantum_parts", lambda dim_a, dim_b, g: complex_ginibre(g, (dim_a * dim_b,) * 2)
-    )
-    monkeypatch.setattr(experiments, "incoherent_quantum_states_from_parts", lambda parts: densities_from_parts(np.array(parts)))
+    # The sweep draws and builds its forward states as dense_states does.
+    monkeypatch.setattr(experiments, "draw_incoherent_quantum_block", lambda dim_a, dim_b, n, g: (complex_ginibre(g, (4, 4), n),))
+    monkeypatch.setattr(experiments, "incoherent_quantum_states_from_parts", densities_from_parts)
 
 
-def every_third_summary_vanishes(parts):
+def every_third_summary_vanishes(mats):
     # The N stack of every_third_op_vanishes. scaled_kraus divides by
     # sqrt(max eig N), so N = 0 is injected into the stack, after the draws.
-    stack = summary_operators_from_parts(parts)
+    stack = summary_operators_from_parts(mats)
     stack[2::3] = 0
     return stack
 
 
-def every_third_op_vanishes():
-    # Draws as random_kraus_operation; every third operation is N = 0, so
-    # every branch through it is excluded.
-    drawn = []
-
-    def draw(dim_b, rng):
-        drawn.append(random_kraus_operation(dim_b, rng))
-        return KrausOperation([np.zeros((dim_b, dim_b))]) if len(drawn) % 3 == 0 else drawn[-1]
-
-    return draw
+def every_third_op_vanishes(counts, mats, j):
+    # Operation j of the block; every third one is N = 0, so every branch
+    # through it is excluded.
+    return KrausOperation([np.zeros((2, 2))]) if j % 3 == 2 else kraus_operation_from_parts(counts, mats, j)
 
 
 class TestSweepMatchesScalarLoop:
     @pytest.mark.parametrize("seed", [0, 5, 13])
     @pytest.mark.parametrize("operations_per_state", [0, 1, 100])
     def test_block_diagonal_states(self, seed, operations_per_state):
-        expected = scalar_theorem1(4, seed, operations_per_state, random_incoherent_quantum_state, random_kraus_operation)
+        expected = scalar_theorem1(4, seed, operations_per_state)
         assert verify_theorem1(4, seed, operations_per_state) == expected
 
     @pytest.mark.parametrize("seed", [0, 5, 13])
     def test_violations_and_worst_case(self, seed, monkeypatch):
         # Dense states violate the forward claim on purpose: the counts, the
         # maximum and the first-occurrence worst case must match the loop.
-        expected = scalar_theorem1(3, seed, 20, dense_state, random_kraus_operation)
+        expected = scalar_theorem1(3, seed, 20, dense_states)
         inject_dense_states(monkeypatch)
         report = verify_theorem1(3, seed, 20)
         assert report == expected
@@ -129,7 +136,7 @@ class TestSweepMatchesScalarLoop:
 
     @pytest.mark.parametrize("seed", [0, 5, 13])
     def test_excluded_branches(self, seed, monkeypatch):
-        expected = scalar_theorem1(3, seed, 12, dense_state, every_third_op_vanishes())
+        expected = scalar_theorem1(3, seed, 12, dense_states, every_third_op_vanishes)
         inject_dense_states(monkeypatch)
         monkeypatch.setattr(experiments, "summary_operators_from_parts", every_third_summary_vanishes)
         report = verify_theorem1(3, seed, 12)
@@ -139,7 +146,7 @@ class TestSweepMatchesScalarLoop:
     @pytest.mark.parametrize("seed", [0, 5, 13])
     def test_states_cross_a_block_boundary(self, seed, monkeypatch):
         samples = VERIFY_BLOCK + 5
-        expected = scalar_theorem1(samples, seed, 3, dense_state, random_kraus_operation)
+        expected = scalar_theorem1(samples, seed, 3, dense_states)
         inject_dense_states(monkeypatch)
         report = verify_theorem1(samples, seed, 3)
         assert report == expected
@@ -360,12 +367,12 @@ class TestStackedDraws:
 
         new, old = SeededRng(34).generator, SeededRng(34).generator
         for _ in range(20):
-            kraus = draw_kraus_parts(3, new)
+            _, kraus = draw_kraus_block(3, 1, new)
             count = int(old.integers(1, 4))
-            np.testing.assert_array_equal(kraus, [ginibre(old, (3, 3)) for _ in range(count)])
-            q, blocks = draw_incoherent_quantum_parts(3, 2, new)
-            np.testing.assert_array_equal(q, old.dirichlet(np.ones(3)))
-            np.testing.assert_array_equal(blocks, [ginibre(old, (2, 2)) for _ in range(3)])
+            np.testing.assert_array_equal(kraus[0], [ginibre(old, (3, 3)) for _ in range(count)])
+            q, blocks = draw_incoherent_quantum_block(3, 2, 1, new)
+            np.testing.assert_array_equal(q[0], old.dirichlet(np.ones(3)))
+            np.testing.assert_array_equal(blocks[0], [ginibre(old, (2, 2)) for _ in range(3)])
             np.testing.assert_array_equal(complex_ginibre(new, (6, 2)), ginibre(old, (6, 2)))
         assert new.random() == old.random()
 
@@ -374,7 +381,7 @@ class TestConverseBlocks:
     @pytest.mark.parametrize("seed", [0, 5, 13])
     def test_converse_crosses_block_boundaries(self, seed):
         samples = 2 * VERIFY_BLOCK + 10
-        expected = scalar_theorem1(samples, seed, 0, random_incoherent_quantum_state, random_kraus_operation)
+        expected = scalar_theorem1(samples, seed, 0)
         assert verify_theorem1(samples, seed, operations_per_state=0) == expected
 
     @pytest.mark.parametrize("seed", [0, 5, 13])
@@ -382,7 +389,7 @@ class TestConverseBlocks:
         # At target 0.5 about one witness in twenty falls below it, in every block.
         monkeypatch.setattr(rcc, "CONVERSE_COHERENCE_TARGET", 0.5)
         samples = 2 * VERIFY_BLOCK + 10
-        expected = scalar_theorem1(samples, seed, 0, random_incoherent_quantum_state, random_kraus_operation)
+        expected = scalar_theorem1(samples, seed, 0)
         report = verify_theorem1(samples, seed, operations_per_state=0)
         assert report == expected
         assert report.violations > 0 and report.worst_case["direction"] == "converse"
