@@ -38,7 +38,6 @@ from .errors import (
 )
 from .linalg import (
     SeededRng,
-    commutator,
     complete_orthonormal_basis,
     haar_random_unitary,
     matrix_from_json,
@@ -46,7 +45,6 @@ from .linalg import (
     partial_trace,
     random_pure_state,
     svd,
-    tensor_product,
 )
 from .rcc import (
     OutcomeRecord,

@@ -49,9 +49,7 @@ class KrausOperation:
                     f"Kraus operators must all be {d}x{d}, got shape {f.shape}"
                 )
         mats = np.array(mats)
-        stack = mats.conj().swapaxes(-1, -2) @ mats
-        # Python's sum adds the branches in order, as one accumulating loop would.
-        n = check_summaries(sum(stack))
+        stack, n = branch_stacks(mats)
         for arr in (mats, stack, n):
             arr.setflags(write=False)
         self.dim_b = int(d)
@@ -136,6 +134,20 @@ def identity_deviation(stacks: np.ndarray) -> float:
     """Largest entry of |sum_k N_k - I| over branch stacks (..., K, d, d); near 0 for trace-preserving wholes."""
     total = stacks.sum(axis=-3)
     return float(np.abs(total - np.eye(total.shape[-1])).max(initial=0.0))
+
+
+def branch_stacks(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Branches F^dagger F (..., K, d, d) of Kraus sets kraus (..., K, d, d), and their sums N (..., d, d).
+
+    The branches are added one after another in index order, so zero
+    operators padding a set add exact zeros and N does not depend on how
+    the sets are stacked. N is symmetrized and checked by check_summaries.
+    """
+    stack = kraus.conj().swapaxes(-1, -2) @ kraus
+    n = np.zeros(stack.shape[:-3] + stack.shape[-2:], dtype=stack.dtype)
+    for k in range(stack.shape[-3]):
+        n += stack[..., k, :, :]
+    return stack, check_summaries(n)
 
 
 def check_summaries(n: np.ndarray) -> np.ndarray:

@@ -10,19 +10,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import as_complex_matrix
-from .states import DensityMatrix, joint_matrix
+from .states import joint_matrix, operator_matrix
 
 DEFAULT_CLASSIFICATION_ATOL = 1e-9
 
 
-def _matrix_of(rho) -> np.ndarray:
-    return rho.matrix if isinstance(rho, DensityMatrix) else as_complex_matrix(rho)
-
-
 def l1_coherence(rho) -> float:
     """Sum of off-diagonal entry moduli; zero exactly for diagonal states."""
-    return float(l1_coherences(_matrix_of(rho)))
+    return float(l1_coherences(operator_matrix(rho)))
 
 
 def l1_coherences(m: np.ndarray) -> np.ndarray:
@@ -32,12 +27,11 @@ def l1_coherences(m: np.ndarray) -> np.ndarray:
 
 
 def is_incoherent(rho, tol: float = DEFAULT_CLASSIFICATION_ATOL) -> bool:
-    """True when every off-diagonal modulus stays below tol."""
+    """True when every off-diagonal modulus stays below tol: block_diagonal_mask with a one-level B."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    m = _matrix_of(rho)
-    off = np.abs(m - np.diag(np.diag(m)))
-    return float(off.max(initial=0.0)) < tol
+    m = operator_matrix(rho)
+    return bool(block_diagonal_mask(m, len(m), 1, tol))
 
 
 def is_incoherent_quantum(

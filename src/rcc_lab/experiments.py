@@ -15,7 +15,7 @@ import numpy as np
 
 from . import rcc
 from .channels import (
-    check_summaries,
+    branch_stacks,
     creation_witnesses,
     ensemble_to_json,
     kraus_operation_to_json,
@@ -44,9 +44,6 @@ from .states import BipartitePureState, batch_concurrence, schmidt_coefficients,
 
 CSV_HEADER = "sample,seed,r,omega0,entanglement,avg_rcc,avg_rcc_maxent,ratio"
 
-VERIFY_SUITES = ("theorem1", "theorem2", "lemma1", "theorem3", "theorem4", "nosignal")
-
-
 # Verify thresholds; the README "Tolerances" table lists them with the others.
 FORWARD_COHERENCE_ATOL = 1e-8  # theorem1: forward coherence at or above it violates
 AMBIGUITY_BAND = (1e-9, 1e-6)  # theorem2: excluded inside, created above
@@ -63,10 +60,8 @@ VERIFY_BLOCK = 256
 # per-block numpy call overhead to about a microsecond per sample.
 FIG1_BLOCK = 256
 
-
-def _fmt(x) -> str:
-    # repr of a Python float is the shortest decimal that round-trips exactly.
-    return repr(float(x))
+# Random operations theorem1's forward half checks every block-diagonal state against.
+THEOREM1_OPERATIONS = 100
 
 
 @dataclass
@@ -176,7 +171,7 @@ def run_fig1(config: ExperimentConfig) -> Fig1Summary:
     config.validate()
     rates = [float(r) for r in config.damping_rates]
     channels = [phase_damping(r) for r in rates]
-    rate_txts = [_fmt(r) for r in rates]
+    rate_txts = [repr(r) for r in rates]
     seed = int(config.seed)
     samples = int(config.samples)
 
@@ -201,7 +196,7 @@ def run_fig1(config: ExperimentConfig) -> Fig1Summary:
             rows_with_ratio += int(has_ratio.sum())
             if has_ratio.any():
                 max_dev = max(max_dev, float(np.abs(ratio - ent[:, None])[has_ratio].max()))
-            # The values are Python floats here, so repr writes the same bytes as _fmt.
+            # repr of a Python float is the shortest decimal that round-trips exactly.
             lines = []
             for sample, w0, e, avgs, maxents, ratios, defined in zip(
                 block, first.tolist(), ent.tolist(), avg.tolist(), maxent.tolist(), ratio.tolist(), has_ratio.tolist()
@@ -336,23 +331,23 @@ class SuiteReport:
         return self.violations == 0
 
 
-def verify_theorem1(samples: int, seed: int, operations_per_state: int = 100) -> SuiteReport:
+def verify_theorem1(samples: int, seed: int) -> SuiteReport:
     """Block-diagonal states never hand A coherence; all others can.
 
-    Forward: random block-diagonal states against random operations must keep
-    A's post-operation coherence below FORWARD_COHERENCE_ATOL; blocks of
-    VERIFY_BLOCK // operations_per_state states (at least one) meet the stack
-    of all operations in one contraction. Converse: for random states failing
-    the block test, the converse witness must create coherence above
-    rcc.CONVERSE_COHERENCE_TARGET; one rcc.converse_witnesses per VERIFY_BLOCK states.
+    Forward: random block-diagonal states against THEOREM1_OPERATIONS random operations
+    must keep A's post-operation coherence below FORWARD_COHERENCE_ATOL; blocks of
+    VERIFY_BLOCK // THEOREM1_OPERATIONS states (at least one) meet the stack of all
+    operations in one contraction. Converse: for random states failing the block test,
+    the converse witness must create coherence above rcc.CONVERSE_COHERENCE_TARGET;
+    one rcc.converse_witnesses per VERIFY_BLOCK states.
     """
     g = SeededRng(seed, 0).generator
     dim_a = dim_b = 2
     report = SuiteReport("theorem1", 0, 0, 0, 0.0, None)
     forward_worst = 0.0
-    ops = draw_kraus_block(dim_b, operations_per_state, g)
+    ops = draw_kraus_block(dim_b, THEOREM1_OPERATIONS, g)
     stack = summary_operators_from_parts(ops[1])
-    block = max(1, VERIFY_BLOCK // max(1, operations_per_state))
+    block = max(1, VERIFY_BLOCK // max(1, THEOREM1_OPERATIONS))
     for start in range(0, samples, block):
         states = incoherent_quantum_states_from_parts(*draw_incoherent_quantum_block(dim_a, dim_b, min(block, samples - start), g))
         _, zero, states_a = rcc._conditional_states(rcc._mixed_branches(states.reshape(-1, dim_a, dim_b, dim_a, dim_b), stack))
@@ -360,7 +355,7 @@ def verify_theorem1(samples: int, seed: int, operations_per_state: int = 100) ->
         forward_worst = max(forward_worst, float(achieved.max(initial=0.0)))
 
         def replay(k, value):
-            state, op = divmod(k, operations_per_state)
+            state, op = divmod(k, THEOREM1_OPERATIONS)
             channel = _operation_json(ops, op)
             return {"direction": "forward", "state": matrix_to_json(states[state]), "channel": channel, "post_coherence": value}
 
@@ -375,7 +370,7 @@ def verify_theorem1(samples: int, seed: int, operations_per_state: int = 100) ->
         _record(report, len(states), np.arange(len(states)), reached, below,
                 lambda k, value: {"direction": "converse", "state": matrix_to_json(states[k]), "best_coherence": value})
     report.notes = (
-        f"forward: max post-coherence {forward_worst:.3e} over {samples * operations_per_state} checks",
+        f"forward: max post-coherence {forward_worst:.3e} over {samples * THEOREM1_OPERATIONS} checks",
         f"converse: {samples - exhausted}/{samples} witnesses reached the target, {exhausted} below it",
     )
     return report
@@ -553,7 +548,7 @@ def verify_nosignal(samples: int, seed: int) -> SuiteReport:
             d = iso.shape[-1]
             rho = densities_from_parts(z)
             kraus = isometry_kraus(iso)
-            check_summaries((kraus.conj().swapaxes(-1, -2) @ kraus).sum(axis=-3))
+            branch_stacks(kraus)
             big = np.kron(np.eye(d), kraus)
             after = _trace_b(big @ rho[:, None] @ big.conj().swapaxes(-1, -2), d).sum(axis=1)
             devs[parity::2] = np.abs(after - _trace_b(rho, d)).max(axis=(-2, -1))
@@ -580,6 +575,8 @@ _SUITE_RUNNERS = {
     "theorem4": verify_theorem4,
     "nosignal": verify_nosignal,
 }
+
+VERIFY_SUITES = tuple(_SUITE_RUNNERS)
 
 
 def run_verify(suite: str, samples: int, seed: int) -> SuiteReport:

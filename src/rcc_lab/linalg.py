@@ -17,9 +17,6 @@ import numpy as np
 # Absolute tolerance for validity checks (Hermiticity, unitarity, trace).
 VALIDITY_ATOL = 1e-9
 
-# Guard against runaway Kronecker products; everything here is desk scale.
-MAX_SIDE = 1 << 16
-
 _SQRT2 = float(np.sqrt(2.0))
 
 
@@ -38,17 +35,6 @@ def as_complex_matrix(m) -> np.ndarray:
     return require_finite(arr, "matrix")
 
 
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product; block (i, k) of the result equals a[i, k] * b."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    if a.shape[0] * b.shape[0] > MAX_SIDE or a.shape[1] * b.shape[1] > MAX_SIDE:
-        raise ValueError(
-            f"tensor product of shapes {a.shape} and {b.shape} overflows the supported size"
-        )
-    return np.kron(a, b)
-
-
 def partial_trace(m, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
     """Reduced operator on one factor of a (dim_a*dim_b)-dimensional operator.
 
@@ -65,15 +51,6 @@ def partial_trace(m, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
     if keep == "B":
         return np.einsum("ijil->jl", r4)
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
-
-
-def commutator(a, b) -> np.ndarray:
-    """Lie bracket ab - ba of two square matrices of equal size."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    if a.shape[0] != a.shape[1] or a.shape != b.shape:
-        raise ValueError(f"commutator needs equal square matrices, got {a.shape}, {b.shape}")
-    return a @ b - b @ a
 
 
 def _fix_column_phases(vectors: np.ndarray, partners: np.ndarray) -> None:
@@ -162,10 +139,6 @@ class SeededRng:
             raise ValueError("stream_id must be non-negative")
         seq = np.random.SeedSequence(int(self.seed), spawn_key=(int(self.stream_id),))
         self.generator = np.random.Generator(np.random.PCG64(seq))
-
-    def stream(self, stream_id: int) -> "SeededRng":
-        """Sibling stream sharing this seed."""
-        return SeededRng(self.seed, stream_id)
 
 
 # NumPy's SeedSequence (NEP 19): a pool of four uint32 words, its hash and mix

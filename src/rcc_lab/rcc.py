@@ -91,6 +91,11 @@ def _require_trace_preserving(deviation: float) -> None:
         raise NotTracePreserving(_NOT_WHOLE)
 
 
+def _require_probability(prob: float) -> None:
+    if prob < ZERO_PROBABILITY_CUTOFF:
+        raise ZeroProbability(f"branch probability {prob:.3e} is below {ZERO_PROBABILITY_CUTOFF}")
+
+
 def _unnormalized_branches(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
     # W N_k^T W^dagger for every state W in w (..., da, db) and every branch
     # N_k of stack. A stack (p, db, db) is shared by all states; a stack
@@ -256,11 +261,9 @@ def post_operation_state_a(state, op: KrausOperation, dim_a=None, dim_b=None):
         raw = joint_matrix(state, dim_a, dim_b)
         n = branch_stack(op, dim_b, post_selected=True)
         unnorm = _mixed_branches(raw.reshape(dim_a, dim_b, dim_a, dim_b), n)
-    probs, zero, states = _conditional_states(unnorm)
-    prob = float(probs[0])
-    if zero[0]:
-        raise ZeroProbability(f"branch probability {prob:.3e} is below {ZERO_PROBABILITY_CUTOFF}")
-    return DensityMatrix(states[0], validate=False), prob
+    probs, _, states = _conditional_states(unnorm)
+    _require_probability(float(probs[0]))
+    return DensityMatrix(states[0], validate=False), float(probs[0])
 
 
 def average_coherence(psi: BipartitePureState, channel) -> float:
@@ -299,8 +302,7 @@ def outcome_coherence_bound(psi: BipartitePureState, op: KrausOperation) -> floa
     n = branch_stack(op, psi.dim_b, post_selected=True)
     w = psi.coefficient_matrix[None]
     probs = _unnormalized_branches(w, n[:, None])[:, 0].trace(axis1=-2, axis2=-1).real
-    if probs[0] < ZERO_PROBABILITY_CUTOFF:
-        raise ZeroProbability(f"branch probability {probs[0]:.3e} is below {ZERO_PROBABILITY_CUTOFF}")
+    _require_probability(float(probs[0]))
     require_premise(psi.marginal_offdiag())
     return float(_outcome_bounds(w, n, probs)[0])
 
@@ -403,6 +405,10 @@ def converse_witnesses(rho: np.ndarray, dim_a: int, dim_b: int) -> tuple[np.ndar
     X_ik = (<i| (x) I) rho (|k> (x) I): the most coherence per unit branch
     probability that any one part allows.
     """
+    block_diagonal = block_diagonal_mask(rho, dim_a, dim_b)
+    if dim_a == 1 or len(rho) == 0:
+        # No state, or no off-diagonal block to take a part of: every witness is N = 0.
+        return np.zeros((len(rho), dim_b, dim_b), dtype=np.complex128), np.zeros(len(rho)), block_diagonal
     r4 = rho.reshape(-1, dim_a, dim_b, dim_a, dim_b)
     blocks = r4.swapaxes(2, 3)
     weights, basis = np.linalg.eigh(np.trace(blocks, axis1=1, axis2=2))
@@ -422,7 +428,7 @@ def converse_witnesses(rho: np.ndarray, dim_a: int, dim_b: int) -> tuple[np.ndar
     _, zero, states = _conditional_states(_mixed_branches(r4, projectors[:, None]))
     coherence = np.zeros(len(y))
     coherence[~zero[:, 0]] = l1_coherences(states)
-    return projectors, coherence, block_diagonal_mask(rho, dim_a, dim_b)
+    return projectors, coherence, block_diagonal
 
 
 def find_creating_operation(rho_ab, dim_a: int, dim_b: int) -> KrausOperation | None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import ChannelEnsemble, KrausOperation, check_summaries
+from .channels import ChannelEnsemble, KrausOperation, branch_stacks
 from .coherence import block_diagonal_mask
 from .linalg import SeededRng, complex_ginibre, unitary_from_ginibre
 from .states import BipartitePureState, DensityMatrix, schmidt_coefficients, unit_amplitudes
@@ -146,11 +146,9 @@ def coefficient_matrices_from_parts(weights: np.ndarray, ginibre: np.ndarray) ->
 def summary_operators_from_parts(mats: np.ndarray) -> np.ndarray:
     """Summary operators (n, d, d) of the Kraus sets mats (n, count, d, d) of a draw_kraus_block.
 
-    Entry k is the N of kraus_operation_from_parts at row k, checked as
-    KrausOperation checks it.
+    Entry k is the N of kraus_operation_from_parts at row k (channels.branch_stacks).
     """
-    kraus = scaled_kraus(mats)
-    return check_summaries((kraus.conj().swapaxes(-1, -2) @ kraus).sum(axis=-3, initial=0))
+    return branch_stacks(scaled_kraus(mats))[1]
 
 
 def branch_stacks_from_parts(z: np.ndarray, splits: np.ndarray | None = None) -> np.ndarray:
@@ -158,17 +156,15 @@ def branch_stacks_from_parts(z: np.ndarray, splits: np.ndarray | None = None) ->
 
     Without splits (a draw_tp_block), channel k has one branch F^dagger F per
     Kraus block, padded with zeros; with the splits of a draw_ensemble_block,
-    its two member summary operators. One batched QR; 0 <= N <= I is checked
-    for every whole channel and every member, as KrausOperation checks it.
+    its two member sums: its Kraus set with the other member zeroed. One batched
+    QR and one channels.branch_stacks, which checks every member and whole channel.
     """
     kraus = isometry_kraus(z)
-    ff = kraus.conj().swapaxes(-1, -2) @ kraus
-    check_summaries(ff.sum(axis=-3, initial=0))
     if splits is None:
-        return ff
-    second = np.arange(ff.shape[1]) >= splits[:, None]
-    masks = np.stack([~second, second], axis=1)[..., None, None]
-    return check_summaries(np.where(masks, ff[:, None], 0).sum(axis=-3, initial=0))
+        return branch_stacks(kraus)[0]
+    first = np.arange(kraus.shape[1]) < splits[:, None]
+    keep = np.stack([first, ~first, np.ones_like(first)], axis=1)[..., None, None]
+    return branch_stacks(np.where(keep, kraus[:, None], 0))[1][:, :2]
 
 
 def random_schmidt_parts(dim_a: int, dim_b: int, rng: SeededRng):
@@ -201,9 +197,13 @@ def draw_noncq_states(count: int, dim_a: int, dim_b: int, g: np.random.Generator
     """The states (count, side, side) of count random_noncq_state calls on g.
 
     Each round takes one Ginibre candidate per missing state in one generator
-    call and drops the block-diagonal ones; 64 rejections in a row raise.
+    call and drops the block-diagonal ones; 64 rejections in a row raise. A
+    one-level A, where every state is block-diagonal, raises ValueError first.
     """
-    side, kept, run = dim_a * dim_b, [], 0
+    if dim_a == 1:
+        raise ValueError("a one-level A has no off-diagonal block, so every state is block-diagonal")
+    side, run = dim_a * dim_b, 0
+    kept = [np.zeros((0, side, side), dtype=np.complex128)]
     while (missing := count - sum(map(len, kept))) > 0:
         rho = densities_from_parts(complex_ginibre(g, (side, side), missing))
         mask = block_diagonal_mask(rho, dim_a, dim_b, tol)

@@ -247,13 +247,18 @@ def marginal_offdiag(w: np.ndarray) -> np.ndarray:
     return marginal.max(axis=(-2, -1), initial=0.0)
 
 
+def operator_matrix(state) -> np.ndarray:
+    """Matrix of a DensityMatrix, or of a raw matrix through as_complex_matrix (not validated)."""
+    return state.matrix if isinstance(state, DensityMatrix) else as_complex_matrix(state)
+
+
 def joint_matrix(state, dim_a: int | None, dim_b: int | None) -> np.ndarray:
     """Matrix of a joint operator on A (x) B, a DensityMatrix or a raw matrix (not validated).
 
     Raises ValueError when a dimension is missing or the matrix is not
     (dim_a * dim_b) square.
     """
-    m = state.matrix if isinstance(state, DensityMatrix) else as_complex_matrix(state)
+    m = operator_matrix(state)
     if dim_a is None or dim_b is None:
         raise ValueError("dim_a and dim_b are required for density-matrix input")
     side = dim_a * dim_b

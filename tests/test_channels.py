@@ -7,6 +7,7 @@ from rcc_lab.channels import (
     bit_flip,
     bit_phase_flip,
     branch_stack,
+    branch_stacks,
     channel_from_json,
     creates_coherence,
     depolarizing,
@@ -25,7 +26,12 @@ from rcc_lab.coherence import l1_coherence
 from rcc_lab.errors import NotTracePreserving, PremiseViolated
 from rcc_lab.linalg import SeededRng, haar_random_unitary
 from rcc_lab.rcc import post_operation_state_a
-from rcc_lab.sampling import random_kraus_operation, random_schmidt_state
+from rcc_lab.sampling import (
+    kraus_operation_from_parts,
+    random_kraus_operation,
+    random_schmidt_state,
+    summary_operators_from_parts,
+)
 from rcc_lab.states import BipartitePureState
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -77,6 +83,8 @@ class TestKrausOperation:
         # N comes from the stack built once at construction, and equals, bit
         # for bit, the branches F^dagger F added one after another (a numpy
         # sum over the stack adds 1x1 branches pairwise, in another order).
+        # So does channels.branch_stacks on stacked, zero-padded sets, and
+        # with it the stacked builder's row.
         g = np.random.default_rng(count)
         mats = g.standard_normal((count, dim, dim)) + 1j * g.standard_normal((count, dim, dim))
         mats /= np.sqrt(np.linalg.eigvalsh(sum(f.conj().T @ f for f in mats)).max() * (1 + 1e-12))
@@ -87,6 +95,13 @@ class TestKrausOperation:
         assert np.array_equal(op.branch_n_stack(), np.stack([f.conj().T @ f for f in mats]))
         assert np.array_equal(op.n_operator(), (total + total.conj().T) / 2)
         assert op.trace_deviation == float(np.max(np.abs(op.n_operator() - np.eye(dim))))
+        trailing = np.concatenate([mats, np.zeros_like(mats[1:])])
+        interleaved = np.stack([mats, np.zeros_like(mats)], axis=1).reshape(-1, dim, dim)[:-1]
+        stack, n = branch_stacks(np.stack([trailing, interleaved]))
+        assert np.array_equal(stack[0, :count], op.branch_n_stack()) and np.array_equal(n, [op.n_operator()] * 2)
+        rows = np.stack([mats, mats])
+        summaries = summary_operators_from_parts(rows)
+        assert np.array_equal(summaries, [kraus_operation_from_parts([count] * 2, rows, 1).n_operator()] * 2)
 
     def test_stacks_are_read_only(self):
         op = phase_damping(0.5)

@@ -21,7 +21,6 @@ from rcc_lab.linalg import (
     haar_random_unitary,
     matrix_to_json,
     partial_trace,
-    tensor_product,
     unitary_from_ginibre,
 )
 from rcc_lab.sampling import (
@@ -97,7 +96,7 @@ def marginal_after_channel(rho, dim, op):
     eye = np.eye(dim, dtype=np.complex128)
     total = np.zeros((dim, dim), dtype=np.complex128)
     for f in op.kraus:
-        big = tensor_product(eye, f)
+        big = np.kron(eye, f)
         total += partial_trace(big @ rho @ big.conj().T, dim, dim, "A")
     return total
 
@@ -211,7 +210,8 @@ def test_memory_grows_with_the_block_not_with_samples(monkeypatch):
     recording(monkeypatch, experiments, "densities_from_parts", oracle, lambda z: len(z))
     run_verify("theorem2", samples, 0)
     run_verify("nosignal", samples, 0)
-    experiments.verify_theorem1(samples, 0, operations_per_state=3)
+    monkeypatch.setattr(experiments, "THEOREM1_OPERATIONS", 3)
+    experiments.verify_theorem1(samples, 0)
     # Two blocks for each of d = 2, 3; theorem1 meets 3 operations per state.
     assert contracted == [VERIFY_BLOCK, 5] * 2
     forward = [size for ndim, size in mixed if ndim == 3]

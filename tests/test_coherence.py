@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rcc_lab.coherence import is_incoherent, is_incoherent_quantum, l1_coherence
-from rcc_lab.linalg import SeededRng, tensor_product
+from rcc_lab.linalg import SeededRng
 from rcc_lab.sampling import random_density_matrix, random_incoherent_quantum_state
 
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
@@ -53,6 +53,11 @@ class TestIsIncoherent:
         with pytest.raises(ValueError):
             is_incoherent(np.eye(2) / 2, 0.0)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (1, 4)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError):
+            is_incoherent(np.zeros(shape))
+
 
 class TestIsIncoherentQuantum:
     def test_definition_instance(self):
@@ -78,8 +83,8 @@ class TestIsIncoherentQuantum:
         e0 = np.array([1, 0], dtype=complex)
         e1 = np.array([0, 1], dtype=complex)
         rho = 0.5 * (
-            tensor_product(np.outer(plus, plus.conj()), np.outer(e0, e0.conj()))
-            + tensor_product(np.outer(minus, minus.conj()), np.outer(e1, e1.conj()))
+            np.kron(np.outer(plus, plus.conj()), np.outer(e0, e0.conj()))
+            + np.kron(np.outer(minus, minus.conj()), np.outer(e1, e1.conj()))
         )
         block = rho.reshape(2, 2, 2, 2)[0, :, 1, :]
         np.testing.assert_allclose(block, np.diag([0.25, -0.25]), atol=1e-14)
@@ -91,7 +96,7 @@ class TestIsIncoherentQuantum:
         for _ in range(100):
             rho_a = random_density_matrix(2, rng)
             rho_b = random_density_matrix(3, rng)
-            joint = tensor_product(rho_a.matrix, rho_b.matrix)
+            joint = np.kron(rho_a.matrix, rho_b.matrix)
             assert is_incoherent_quantum(joint, 2, 3) == is_incoherent(rho_a, 1e-9)
 
     def test_dimension_mismatch(self):

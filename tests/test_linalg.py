@@ -3,7 +3,6 @@ import pytest
 
 from rcc_lab.linalg import (
     SeededRng,
-    commutator,
     complete_orthonormal_basis,
     haar_random_unitary,
     matrix_from_json,
@@ -14,10 +13,7 @@ from rcc_lab.linalg import (
     stream_generators,
     stream_seed_words,
     svd,
-    tensor_product,
 )
-
-X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 def random_matrix(rng, rows, cols):
@@ -25,43 +21,11 @@ def random_matrix(rng, rows, cols):
     return (g.standard_normal((rows, cols)) + 1j * g.standard_normal((rows, cols))) / np.sqrt(2)
 
 
-def random_hermitian(rng, dim):
-    m = random_matrix(rng, dim, dim)
-    return (m + m.conj().T) / 2
-
-
-class TestTensorProduct:
-    def test_identity(self):
-        out = tensor_product(np.eye(2), np.eye(2))
-        np.testing.assert_array_equal(out, np.eye(4))
-
-    def test_basis_block_structure(self):
-        proj = np.array([[1, 0], [0, 0]], dtype=complex)
-        out = tensor_product(proj, X)
-        np.testing.assert_array_equal(out[:2, :2], X)
-        np.testing.assert_array_equal(out[2:, :], np.zeros((2, 4)))
-        np.testing.assert_array_equal(out[:2, 2:], np.zeros((2, 2)))
-
-    def test_diagonal_expansion(self):
-        # entrywise Kronecker of diag(1,2) and diag(3,4) done by hand
-        out = tensor_product(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
-        np.testing.assert_array_equal(out, np.diag([3.0, 4.0, 6.0, 8.0]))
-
-    def test_overflow_guard(self):
-        big = np.eye(1024)
-        with pytest.raises(ValueError, match="overflow"):
-            tensor_product(big, big)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            tensor_product(np.array([[np.nan, 0], [0, 1]]), np.eye(2))
-
-
 class TestPartialTrace:
     def test_product_marginal(self):
         rho_a = np.array([[0.7, 0.1j], [-0.1j, 0.3]])
         rho_b = np.array([[0.5, 0.2], [0.2, 0.5]])
-        joint = tensor_product(rho_a, rho_b)
+        joint = np.kron(rho_a, rho_b)
         np.testing.assert_allclose(partial_trace(joint, 2, 2, "A"), rho_a, atol=1e-14)
         np.testing.assert_allclose(partial_trace(joint, 2, 2, "B"), rho_b, atol=1e-14)
 
@@ -83,7 +47,7 @@ class TestPartialTrace:
         rng = SeededRng(12)
         a = random_matrix(rng, 3, 3)
         b = random_matrix(rng, 2, 2)
-        out = partial_trace(tensor_product(a, b), 3, 2, "A")
+        out = partial_trace(np.kron(a, b), 3, 2, "A")
         np.testing.assert_allclose(out, a * np.trace(b), atol=1e-12)
 
     def test_bad_side_rejected(self):
@@ -139,35 +103,6 @@ class TestSvd:
         second = svd(m)
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
-
-
-class TestCommutator:
-    def test_identity_commutes(self):
-        rng = SeededRng(18)
-        m = random_matrix(rng, 3, 3)
-        assert np.linalg.norm(commutator(np.eye(3), m)) < 1e-13
-
-    def test_diag_with_x(self):
-        # diag(1,2) X = [[0,1],[2,0]], X diag(1,2) = [[0,2],[1,0]]
-        out = commutator(np.diag([1.0, 2.0]), X)
-        np.testing.assert_array_equal(out, np.array([[0, -1], [1, 0]], dtype=complex))
-        assert abs(np.linalg.norm(out) - np.sqrt(2)) < 1e-15
-
-    def test_self_commutator_exactly_zero(self):
-        rng = SeededRng(19)
-        m = random_matrix(rng, 4, 4)
-        assert np.linalg.norm(commutator(m, m)) < 1e-13
-
-    def test_eigenvector_projector_commutes(self):
-        rng = SeededRng(20)
-        n = random_hermitian(rng, 3)
-        _, vectors = np.linalg.eigh(n)
-        proj = np.outer(vectors[:, 0], vectors[:, 0].conj())
-        assert np.linalg.norm(commutator(n, proj)) < 1e-13
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="square"):
-            commutator(np.eye(2), np.eye(3))
 
 
 class TestHaarSampling:
@@ -227,11 +162,6 @@ class TestSeededRng:
             SeededRng(-1)
         with pytest.raises(ValueError):
             SeededRng(0, -3)
-
-    def test_stream_helper(self):
-        base = SeededRng(30)
-        sibling = base.stream(7)
-        assert sibling.seed == 30 and sibling.stream_id == 7
 
 
 # Run entropy of one word (seeds below 2**32) and of two; the ids past 299

@@ -20,7 +20,7 @@ from rcc_lab.errors import (
     WrongDimension,
     ZeroProbability,
 )
-from rcc_lab.linalg import SeededRng, haar_random_unitary, random_pure_state, tensor_product
+from rcc_lab.linalg import SeededRng, haar_random_unitary, random_pure_state
 from rcc_lab.rcc import (
     average_coherence,
     average_coherence_bound,
@@ -388,8 +388,8 @@ class TestFindCreatingOperation:
         e0 = np.array([1, 0], dtype=complex)
         e1 = np.array([0, 1], dtype=complex)
         rho = 0.5 * (
-            tensor_product(np.outer(plus, plus.conj()), np.outer(e0, e0.conj()))
-            + tensor_product(np.outer(minus, minus.conj()), np.outer(e1, e1.conj()))
+            np.kron(np.outer(plus, plus.conj()), np.outer(e0, e0.conj()))
+            + np.kron(np.outer(minus, minus.conj()), np.outer(e1, e1.conj()))
         )
         op = find_creating_operation(rho, 2, 2)
         assert op is not None

@@ -162,16 +162,27 @@ def test_schmidt_block_needs_a_wide_b():
 # -- block row k equals the one-element view at k ----------------------------
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
-def test_block_rows_equal_the_one_element_views(d):
+def fixed_count_blocks(d, count, g):
+    # Kraus, channel and ensemble blocks whose sets all hold count operators.
+    counts, z = draw_tp_block(d, N, g, count)
+    channels = draw_tp_block(d, N, g, count)
+    ensembles = (*draw_tp_block(d, N, g, count), g.integers(1, count, N))
+    return (counts, z.reshape(N, count, d, d)), channels, ensembles
+
+
+# At d = 1 with 9 or more Kraus operators a numpy sum over a stack adds the
+# 1x1 branches pairwise, not in index order.
+@pytest.mark.parametrize("d, kraus_count", [(2, None), (3, None), (4, None), (1, 9), (1, 17)], ids=["2", "3", "4", "1-9", "1-17"])
+def test_block_rows_equal_the_one_element_views(d, kraus_count):
     g = SeededRng(45, d).generator
     weights, z = draw_schmidt_block(d, d + 1, N, g)
     w = coefficient_matrices_from_parts(weights, z)
-    kraus = draw_kraus_block(d, N, g)
+    if kraus_count is None:
+        kraus, channels, ensembles = draw_kraus_block(d, N, g), draw_tp_block(d, N, g), draw_ensemble_block(d, N, g)
+    else:
+        kraus, channels, ensembles = fixed_count_blocks(d, kraus_count, g)
     n_ops = summary_operators_from_parts(kraus[1])
-    channels = draw_tp_block(d, N, g)
     stacks = branch_stacks_from_parts(channels[1])
-    ensembles = draw_ensemble_block(d, N, g)
     members = branch_stacks_from_parts(*ensembles[1:])
     q, blocks = draw_incoherent_quantum_block(d, 2, N, g)
     states = incoherent_quantum_states_from_parts(q, blocks)

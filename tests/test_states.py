@@ -10,7 +10,6 @@ from rcc_lab.linalg import (
     matrix_from_json,
     matrix_to_json,
     random_pure_state,
-    tensor_product,
 )
 from rcc_lab.states import (
     BipartitePureState,
@@ -138,7 +137,7 @@ class TestConcurrence:
         rng = SeededRng(44)
         for _ in range(100):
             psi = BipartitePureState(2, 2, random_pure_state(4, rng))
-            u = tensor_product(haar_random_unitary(2, rng), haar_random_unitary(2, rng))
+            u = np.kron(haar_random_unitary(2, rng), haar_random_unitary(2, rng))
             rotated = BipartitePureState(2, 2, u @ psi.amplitudes)
             assert abs(concurrence(psi) - concurrence(rotated)) < 1e-9
 
@@ -178,7 +177,7 @@ class TestReducedA:
         assert tilted().marginal_offdiag() < 1e-12
         coherent = zero_plus()
         rotated = BipartitePureState(
-            2, 2, tensor_product(HADAMARD, np.eye(2)) @ coherent.amplitudes
+            2, 2, np.kron(HADAMARD, np.eye(2)) @ coherent.amplitudes
         )
         assert rotated.marginal_offdiag() > 0.1
 

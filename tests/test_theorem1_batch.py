@@ -120,9 +120,10 @@ def every_third_op_vanishes(counts, mats, j):
 class TestSweepMatchesScalarLoop:
     @pytest.mark.parametrize("seed", [0, 5, 13])
     @pytest.mark.parametrize("operations_per_state", [0, 1, 100])
-    def test_block_diagonal_states(self, seed, operations_per_state):
+    def test_block_diagonal_states(self, seed, operations_per_state, monkeypatch):
         expected = scalar_theorem1(4, seed, operations_per_state)
-        assert verify_theorem1(4, seed, operations_per_state) == expected
+        monkeypatch.setattr(experiments, "THEOREM1_OPERATIONS", operations_per_state)
+        assert verify_theorem1(4, seed) == expected
 
     @pytest.mark.parametrize("seed", [0, 5, 13])
     def test_violations_and_worst_case(self, seed, monkeypatch):
@@ -130,7 +131,8 @@ class TestSweepMatchesScalarLoop:
         # maximum and the first-occurrence worst case must match the loop.
         expected = scalar_theorem1(3, seed, 20, dense_states)
         inject_dense_states(monkeypatch)
-        report = verify_theorem1(3, seed, 20)
+        monkeypatch.setattr(experiments, "THEOREM1_OPERATIONS", 20)
+        report = verify_theorem1(3, seed)
         assert report == expected
         assert report.violations > 0 and report.worst_case["direction"] == "forward"
 
@@ -139,7 +141,8 @@ class TestSweepMatchesScalarLoop:
         expected = scalar_theorem1(3, seed, 12, dense_states, every_third_op_vanishes)
         inject_dense_states(monkeypatch)
         monkeypatch.setattr(experiments, "summary_operators_from_parts", every_third_summary_vanishes)
-        report = verify_theorem1(3, seed, 12)
+        monkeypatch.setattr(experiments, "THEOREM1_OPERATIONS", 12)
+        report = verify_theorem1(3, seed)
         assert report == expected
         assert report.excluded == 3 * 4
 
@@ -148,7 +151,8 @@ class TestSweepMatchesScalarLoop:
         samples = VERIFY_BLOCK + 5
         expected = scalar_theorem1(samples, seed, 3, dense_states)
         inject_dense_states(monkeypatch)
-        report = verify_theorem1(samples, seed, 3)
+        monkeypatch.setattr(experiments, "THEOREM1_OPERATIONS", 3)
+        report = verify_theorem1(samples, seed)
         assert report == expected
         assert report.violations > 0
 
@@ -339,6 +343,17 @@ class TestStackedWitness:
         probs = np.einsum("nij,nji->n", witnesses, support).real
         assert probs.min() > 1e-3 and coherence.min() > 1e-6
 
+    def test_empty_stack_gives_three_empty_arrays(self):
+        witnesses, coherence, block_diagonal = converse_witnesses(np.zeros((0, 6, 6), dtype=complex), 2, 3)
+        assert witnesses.shape == (0, 3, 3) and coherence.shape == (0,) and block_diagonal.shape == (0,)
+
+    def test_one_level_a_has_no_creating_operation(self):
+        # A one-level A has no off-diagonal block, so every state is block-diagonal.
+        rho = random_density_matrix(3, SeededRng(20261020))
+        assert find_creating_operation(rho, 1, 3) is None
+        witnesses, coherence, block_diagonal = converse_witnesses(rho.matrix[None], 1, 3)
+        assert not witnesses.any() and coherence.tolist() == [0.0] and block_diagonal.tolist() == [True]
+
 
 class TestStackedDraws:
     @pytest.mark.parametrize("dims", DIMS)
@@ -360,6 +375,19 @@ class TestStackedDraws:
         with pytest.raises(RuntimeError, match="could not draw a non-block-diagonal state"):
             draw_noncq_states(count, 2, 2, SeededRng(33).generator, tol=10.0)
 
+    def test_empty_noncq_draw_draws_nothing(self):
+        g, twin = SeededRng(35).generator, SeededRng(35).generator
+        assert draw_noncq_states(0, 2, 3, g).shape == (0, 6, 6)
+        assert g.random() == twin.random()
+
+    def test_one_level_a_raises_before_drawing(self):
+        rng, twin = SeededRng(36), SeededRng(36)
+        with pytest.raises(ValueError, match="one-level A"):
+            draw_noncq_states(3, 1, 2, rng.generator)
+        with pytest.raises(ValueError, match="one-level A"):
+            random_noncq_state(1, 2, rng)
+        assert rng.generator.random() == twin.generator.random()
+
     def test_one_call_ginibre_sets_equal_per_matrix_draws(self):
         # Reference: two standard_normal calls per Ginibre matrix, real parts first.
         def ginibre(g, shape):
@@ -379,10 +407,11 @@ class TestStackedDraws:
 
 class TestConverseBlocks:
     @pytest.mark.parametrize("seed", [0, 5, 13])
-    def test_converse_crosses_block_boundaries(self, seed):
+    def test_converse_crosses_block_boundaries(self, seed, monkeypatch):
         samples = 2 * VERIFY_BLOCK + 10
         expected = scalar_theorem1(samples, seed, 0)
-        assert verify_theorem1(samples, seed, operations_per_state=0) == expected
+        monkeypatch.setattr(experiments, "THEOREM1_OPERATIONS", 0)
+        assert verify_theorem1(samples, seed) == expected
 
     @pytest.mark.parametrize("seed", [0, 5, 13])
     def test_witnesses_below_the_target_pick_the_same_worst_case(self, seed, monkeypatch):
@@ -390,6 +419,7 @@ class TestConverseBlocks:
         monkeypatch.setattr(rcc, "CONVERSE_COHERENCE_TARGET", 0.5)
         samples = 2 * VERIFY_BLOCK + 10
         expected = scalar_theorem1(samples, seed, 0)
-        report = verify_theorem1(samples, seed, operations_per_state=0)
+        monkeypatch.setattr(experiments, "THEOREM1_OPERATIONS", 0)
+        report = verify_theorem1(samples, seed)
         assert report == expected
         assert report.violations > 0 and report.worst_case["direction"] == "converse"
