@@ -130,24 +130,29 @@ def branch_stack(channel, dim_b: int, *, post_selected: bool = False) -> np.ndar
     return channel.n_operator()[None] if post_selected else channel.branch_n_stack()
 
 
+def _branch_sums(stacks: np.ndarray) -> np.ndarray:
+    # sum_k N_k of stacks (..., K, d, d) in index order: padding adds exact zeros, and
+    # 1x1 branches are never added pairwise (numpy's sum does so from K = 9 on).
+    total = np.zeros(stacks.shape[:-3] + stacks.shape[-2:], dtype=stacks.dtype)
+    for k in range(stacks.shape[-3]):
+        total += stacks[..., k, :, :]
+    return total
+
+
 def identity_deviation(stacks: np.ndarray) -> float:
     """Largest entry of |sum_k N_k - I| over branch stacks (..., K, d, d); near 0 for trace-preserving wholes."""
-    total = stacks.sum(axis=-3)
+    total = _branch_sums(stacks)
     return float(np.abs(total - np.eye(total.shape[-1])).max(initial=0.0))
 
 
 def branch_stacks(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Branches F^dagger F (..., K, d, d) of Kraus sets kraus (..., K, d, d), and their sums N (..., d, d).
 
-    The branches are added one after another in index order, so zero
-    operators padding a set add exact zeros and N does not depend on how
-    the sets are stacked. N is symmetrized and checked by check_summaries.
+    N is summed in index order (as identity_deviation sums), symmetrized and
+    checked by check_summaries.
     """
     stack = kraus.conj().swapaxes(-1, -2) @ kraus
-    n = np.zeros(stack.shape[:-3] + stack.shape[-2:], dtype=stack.dtype)
-    for k in range(stack.shape[-3]):
-        n += stack[..., k, :, :]
-    return stack, check_summaries(n)
+    return stack, check_summaries(_branch_sums(stack))
 
 
 def check_summaries(n: np.ndarray) -> np.ndarray:
@@ -189,36 +194,27 @@ def depolarizing(p) -> KrausOperation:
     p = _check_unit_interval("p", p)
     k0 = np.sqrt(max(0.0, 1.0 - 3.0 * p / 4.0)) * np.eye(2, dtype=np.complex128)
     kp = np.sqrt(p / 4.0)
-    return KrausOperation(
-        [k0, kp * _X, kp * _Y, kp * _Z], label=f"depolarizing({p})"
-    )
+    return KrausOperation([k0, kp * _X, kp * _Y, kp * _Z], label=f"depolarizing({p})")
+
+
+def _pauli_flip(name: str, p, pauli: np.ndarray) -> KrausOperation:
+    p = _check_unit_interval("p", p)
+    return KrausOperation([np.sqrt(1.0 - p) * np.eye(2, dtype=np.complex128), np.sqrt(p) * pauli], label=f"{name}({p})")
 
 
 def bit_flip(p) -> KrausOperation:
     """Qubit bit flip {sqrt(1-p) I, sqrt(p) X}."""
-    p = _check_unit_interval("p", p)
-    return KrausOperation(
-        [np.sqrt(1.0 - p) * np.eye(2, dtype=np.complex128), np.sqrt(p) * _X],
-        label=f"bit_flip({p})",
-    )
+    return _pauli_flip("bit_flip", p, _X)
 
 
 def phase_flip(p) -> KrausOperation:
     """Qubit phase flip {sqrt(1-p) I, sqrt(p) Z}."""
-    p = _check_unit_interval("p", p)
-    return KrausOperation(
-        [np.sqrt(1.0 - p) * np.eye(2, dtype=np.complex128), np.sqrt(p) * _Z],
-        label=f"phase_flip({p})",
-    )
+    return _pauli_flip("phase_flip", p, _Z)
 
 
 def bit_phase_flip(p) -> KrausOperation:
     """Qubit bit-phase flip {sqrt(1-p) I, sqrt(p) Y}."""
-    p = _check_unit_interval("p", p)
-    return KrausOperation(
-        [np.sqrt(1.0 - p) * np.eye(2, dtype=np.complex128), np.sqrt(p) * _Y],
-        label=f"bit_phase_flip({p})",
-    )
+    return _pauli_flip("bit_phase_flip", p, _Y)
 
 
 def projective_measurement(basis) -> ChannelEnsemble:

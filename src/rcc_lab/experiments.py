@@ -50,8 +50,8 @@ AMBIGUITY_BAND = (1e-9, 1e-6)  # theorem2: excluded inside, created above
 BOUND_ATOL = 1e-10  # lemma1, theorem3: allowed excess over a bound
 NOSIGNAL_ATOL = 1e-10  # nosignal: allowed entry change of A's marginal
 
-# Checks drawn and evaluated together by every verify sweep (theorem1: at least
-# one state, each against all its operations); memory grows with it, never with
+# Checks drawn and evaluated together by every verify sweep but theorem1's
+# forward half (THEOREM1_FORWARD_BLOCK); memory grows with it, never with
 # --samples. Even, so a sample's parity in its block is its parity in the sweep.
 VERIFY_BLOCK = 256
 
@@ -62,6 +62,10 @@ FIG1_BLOCK = 256
 
 # Random operations theorem1's forward half checks every block-diagonal state against.
 THEOREM1_OPERATIONS = 100
+
+# States theorem1's forward half draws and contracts at once, each against all its
+# operations; memory grows with it, never with --samples. 4 to 16 are equally fast.
+THEOREM1_FORWARD_BLOCK = 8
 
 
 @dataclass
@@ -336,10 +340,10 @@ def verify_theorem1(samples: int, seed: int) -> SuiteReport:
 
     Forward: random block-diagonal states against THEOREM1_OPERATIONS random operations
     must keep A's post-operation coherence below FORWARD_COHERENCE_ATOL; blocks of
-    VERIFY_BLOCK // THEOREM1_OPERATIONS states (at least one) meet the stack of all
-    operations in one contraction. Converse: for random states failing the block test,
-    the converse witness must create coherence above rcc.CONVERSE_COHERENCE_TARGET;
-    one rcc.converse_witnesses per VERIFY_BLOCK states.
+    THEOREM1_FORWARD_BLOCK states, one draw_incoherent_quantum_block each, meet the
+    stack of all operations in one contraction. Converse: for random states failing
+    the block test, the converse witness must create coherence above
+    rcc.CONVERSE_COHERENCE_TARGET; one rcc.converse_witnesses per VERIFY_BLOCK states.
     """
     g = SeededRng(seed, 0).generator
     dim_a = dim_b = 2
@@ -347,9 +351,8 @@ def verify_theorem1(samples: int, seed: int) -> SuiteReport:
     forward_worst = 0.0
     ops = draw_kraus_block(dim_b, THEOREM1_OPERATIONS, g)
     stack = summary_operators_from_parts(ops[1])
-    block = max(1, VERIFY_BLOCK // max(1, THEOREM1_OPERATIONS))
-    for start in range(0, samples, block):
-        states = incoherent_quantum_states_from_parts(*draw_incoherent_quantum_block(dim_a, dim_b, min(block, samples - start), g))
+    for start in range(0, samples, THEOREM1_FORWARD_BLOCK):
+        states = incoherent_quantum_states_from_parts(*draw_incoherent_quantum_block(dim_a, dim_b, min(THEOREM1_FORWARD_BLOCK, samples - start), g))
         _, zero, states_a = rcc._conditional_states(rcc._mixed_branches(states.reshape(-1, dim_a, dim_b, dim_a, dim_b), stack))
         achieved = l1_coherences(states_a)
         forward_worst = max(forward_worst, float(achieved.max(initial=0.0)))

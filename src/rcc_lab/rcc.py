@@ -17,12 +17,7 @@ import numpy as np
 
 from .channels import KrausOperation, branch_stack, check_summaries, identity_deviation
 from .coherence import block_diagonal_mask, l1_coherence, l1_coherences
-from .errors import (
-    NotTracePreserving,
-    SearchExhausted,
-    WrongDimension,
-    ZeroProbability,
-)
+from .errors import NotTracePreserving, SearchExhausted, WrongDimension, ZeroProbability
 from .linalg import VALIDITY_ATOL, complete_orthonormal_basis, matrix_to_json
 from .states import (
     BipartitePureState,
@@ -117,9 +112,13 @@ def _unnormalized_branches(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
 
 
 def _mixed_branches(r4: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    # tr_B[(I (x) N_p) rho], shape (..., p, da, da), for joint states r4 (..., da, db, da,
-    # db) and branches N_p in stack: (p, db, db) shared, or (..., p, db, db) per state.
-    return np.einsum("...ijkl,...plj->...pik", r4, stack)
+    # tr_B[(I (x) N_p) rho] (..., p, da, da) of joint states r4 (..., da, db, da, db) and branches
+    # N_p, (p, db, db) shared or (..., p, db, db) per state: one fixed-shape product per (state,
+    # branch), r4 as (i k) x (j l) times N_p^T flattened, the same however many share the call.
+    da, db = r4.shape[-4:-2]
+    a = r4.swapaxes(-3, -2).reshape(r4.shape[:-4] + (1, da * da, db * db))
+    out = a @ stack.swapaxes(-1, -2).reshape(stack.shape[:-2] + (db * db, 1))
+    return out.reshape(out.shape[:-2] + (da, da))
 
 
 def _conditional_states(unnorm: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -132,9 +131,12 @@ def _conditional_states(unnorm: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     probs = unnorm.trace(axis1=-2, axis2=-1).real
     zero = probs < ZERO_PROBABILITY_CUTOFF
     kept = ~zero
-    states = unnorm[kept] / probs[kept][:, None, None]
-    states = (states + states.conj().swapaxes(-1, -2)) / 2
-    return probs, zero, states / check_densities(states).real[:, None, None]
+    states = unnorm[kept]
+    states /= probs[kept][:, None, None]
+    states += states.conj().swapaxes(-1, -2)
+    states /= 2
+    states /= check_densities(states).real[:, None, None]
+    return probs, zero, states
 
 
 def _offdiag_mass(unnorm: np.ndarray) -> np.ndarray:

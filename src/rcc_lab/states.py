@@ -60,7 +60,8 @@ def check_densities(m: np.ndarray) -> np.ndarray:
     with the worst deviation over the stack; each tolerance is VALIDITY_ATOL.
     Returns the traces.
     """
-    mh = m.conj().swapaxes(-1, -2)
+    # (m + m^dagger) / 2 is built in place in m^dagger, so at most m - m^dagger joins them.
+    mh = np.conjugate(m.swapaxes(-1, -2), order="C")
     herm = float(np.abs(m - mh).max(initial=0.0))
     if herm > VALIDITY_ATOL:
         raise NotHermitian(f"max |m - m^dagger| = {herm:.3e} exceeds tolerance {VALIDITY_ATOL}")
@@ -68,7 +69,9 @@ def check_densities(m: np.ndarray) -> np.ndarray:
     trace_dev = float(np.abs(traces - 1.0).max(initial=0.0))
     if trace_dev > VALIDITY_ATOL:
         raise BadTrace(f"trace deviates from 1 by {trace_dev:.3e}")
-    low = float(np.linalg.eigvalsh((m + mh) / 2).min(initial=np.inf))
+    mh += m
+    mh /= 2
+    low = float(np.linalg.eigvalsh(mh).min(initial=np.inf))
     if low < -VALIDITY_ATOL:
         raise NotPositive(f"minimum eigenvalue {low:.3e} is below -{VALIDITY_ATOL}")
     return traces

@@ -30,6 +30,7 @@ from rcc_lab.sampling import (
     kraus_operation_from_parts,
     random_kraus_operation,
     random_schmidt_state,
+    random_tp_channel,
     summary_operators_from_parts,
 )
 from rcc_lab.states import BipartitePureState
@@ -148,6 +149,14 @@ class TestIdentityDeviation:
         assert phase_damping(0.3).trace_deviation < 1e-15
         assert abs(KrausOperation([np.sqrt(0.3) * np.eye(2)]).trace_deviation - 0.7) < 1e-15
         assert projective_measurement(HADAMARD).trace_deviation < 1e-15
+
+    @pytest.mark.parametrize("count", [9, 17, 33])
+    def test_stacked_and_stored_deviations_agree(self, count):
+        # 1x1 branches from K = 9 on are where a pairwise sum would move the
+        # last bit, so both routes must add the branches in index order.
+        for seed in range(50):
+            op = random_tp_channel(1, SeededRng(seed, count), kraus_count=count)
+            assert identity_deviation(op.branch_n_stack()[None]) == op.trace_deviation
 
 
 class TestTracePreservation:

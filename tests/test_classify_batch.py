@@ -14,7 +14,7 @@ from rcc_lab import channels, experiments, rcc
 from rcc_lab.channels import KrausOperation, creates_coherence, creation_witnesses, kraus_operation_to_json
 from rcc_lab.coherence import l1_coherence
 from rcc_lab.errors import PremiseViolated, ZeroProbability
-from rcc_lab.experiments import VERIFY_BLOCK, SuiteReport, run_verify
+from rcc_lab.experiments import THEOREM1_FORWARD_BLOCK, VERIFY_BLOCK, SuiteReport, run_verify
 from rcc_lab.linalg import (
     SeededRng,
     complex_ginibre,
@@ -212,11 +212,12 @@ def test_memory_grows_with_the_block_not_with_samples(monkeypatch):
     run_verify("nosignal", samples, 0)
     monkeypatch.setattr(experiments, "THEOREM1_OPERATIONS", 3)
     experiments.verify_theorem1(samples, 0)
-    # Two blocks for each of d = 2, 3; theorem1 meets 3 operations per state.
+    # Two blocks for each of d = 2, 3; theorem1's forward half contracts
+    # THEOREM1_FORWARD_BLOCK states per block, each against 3 operations.
     assert contracted == [VERIFY_BLOCK, 5] * 2
     forward = [size for ndim, size in mixed if ndim == 3]
     converse = [size for ndim, size in mixed if ndim == 4]
-    assert max(forward) * 3 <= VERIFY_BLOCK and sum(forward) == samples
+    assert max(forward) == THEOREM1_FORWARD_BLOCK and sum(forward) == samples
     assert max(converse) <= VERIFY_BLOCK and sum(converse) == samples
     assert max(criteria) <= VERIFY_BLOCK and max(oracle) <= VERIFY_BLOCK
     assert sum(oracle) == samples

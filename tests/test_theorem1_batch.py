@@ -5,7 +5,7 @@ from rcc_lab import experiments, rcc
 from rcc_lab.channels import ChannelEnsemble, KrausOperation, kraus_operation_to_json
 from rcc_lab.coherence import is_incoherent_quantum, l1_coherence
 from rcc_lab.errors import BadTrace, NotHermitian, NotPositive, SearchExhausted, ZeroProbability
-from rcc_lab.experiments import FORWARD_COHERENCE_ATOL, VERIFY_BLOCK, SuiteReport, verify_theorem1
+from rcc_lab.experiments import FORWARD_COHERENCE_ATOL, THEOREM1_FORWARD_BLOCK, VERIFY_BLOCK, SuiteReport, verify_theorem1
 from rcc_lab.linalg import SeededRng, complex_ginibre, haar_random_unitary, matrix_to_json, partial_trace
 from rcc_lab.rcc import average_rcc, converse_witnesses, find_creating_operation, post_operation_state_a
 from rcc_lab.sampling import (
@@ -31,8 +31,8 @@ def block_diagonal_states(n, g):
 
 def scalar_theorem1(samples, seed, operations_per_state, draw_states=block_diagonal_states, op_at=kraus_operation_from_parts):
     # Reference: the sweep's block draws (the operations, then the forward
-    # states per block of VERIFY_BLOCK // operations_per_state, then the
-    # converse states per VERIFY_BLOCK), evaluated with one
+    # states per THEOREM1_FORWARD_BLOCK, then the converse states per
+    # VERIFY_BLOCK), evaluated with one
     # post_operation_state_a per (state, operation) and one
     # find_creating_operation per converse state. op_at(counts, mats, j)
     # builds operation j of the operations' block.
@@ -43,7 +43,7 @@ def scalar_theorem1(samples, seed, operations_per_state, draw_states=block_diago
     forward_worst = 0.0
     drawn = draw_kraus_block(2, operations_per_state, g)
     ops = [op_at(*drawn, j) for j in range(operations_per_state)]
-    block = max(1, VERIFY_BLOCK // max(1, operations_per_state))
+    block = THEOREM1_FORWARD_BLOCK
     for start in range(0, samples, block):
         for rho in draw_states(min(block, samples - start), g):
             state = DensityMatrix(rho, validate=False)
@@ -220,6 +220,59 @@ class TestHardInputs:
             np.testing.assert_array_equal(states[k], np.diag([1.0, 0.0]))
         with pytest.raises(ZeroProbability):
             post_operation_state_a(rho, ops[-1], 2, 2)
+
+
+def partial_trace_oracle(rho, dim_a, dim_b, n_op):
+    # tr_B[(I (x) N) rho] through an explicit Kronecker product and partial trace.
+    return partial_trace(np.kron(np.eye(dim_a), n_op) @ rho, dim_a, dim_b, "A")
+
+
+def kernel_inputs(dim_a, dim_b, n, p):
+    # n dense joint states (n, da, db, da, db), p shared summaries (p, db, db)
+    # and n x p per-state summaries (n, p, db, db).
+    rng = SeededRng(20261019, 10 * dim_a + dim_b)
+    rho = densities_from_parts(complex_ginibre(rng.generator, (dim_a * dim_b,) * 2, n))
+    shared = summary_operators_from_parts(draw_kraus_block(dim_b, p, rng.generator)[1])
+    per_state = summary_operators_from_parts(draw_kraus_block(dim_b, n * p, rng.generator)[1]).reshape(n, p, dim_b, dim_b)
+    return rho, rho.reshape(n, dim_a, dim_b, dim_a, dim_b), shared, per_state
+
+
+class TestMixedBranchKernel:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+    def test_stacked_rows_equal_one_state_one_branch_calls(self, dims):
+        dim_a, dim_b = dims
+        _, r4, shared, per_state = kernel_inputs(dim_a, dim_b, 6, 7)
+        for stack in (shared, per_state):
+            out = rcc._mixed_branches(r4, stack)
+            assert out.shape == (6, 7, dim_a, dim_a)
+            for k in range(6):
+                for q in range(7):
+                    branch = stack[q] if stack.ndim == 3 else stack[k, q]
+                    np.testing.assert_array_equal(out[k, q], rcc._mixed_branches(r4[k], branch[None])[0])
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+    def test_agrees_with_the_partial_trace_oracle(self, dims):
+        dim_a, dim_b = dims
+        rho, r4, shared, per_state = kernel_inputs(dim_a, dim_b, 6, 7)
+        shared_out, per_state_out = rcc._mixed_branches(r4, shared), rcc._mixed_branches(r4, per_state)
+        # An einsum oracle for the whole stack, and the explicit sandwich per (state, branch).
+        np.testing.assert_allclose(shared_out, np.einsum("nijkl,plj->npik", r4, shared), rtol=0, atol=1e-13)
+        for k in range(6):
+            for q in range(7):
+                oracle = partial_trace_oracle(rho[k], dim_a, dim_b, shared[q])
+                np.testing.assert_allclose(shared_out[k, q], oracle, rtol=0, atol=1e-13)
+                oracle = partial_trace_oracle(rho[k], dim_a, dim_b, per_state[k, q])
+                np.testing.assert_allclose(per_state_out[k, q], oracle, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+    def test_empty_stacks_give_empty_results(self, dims):
+        dim_a, dim_b = dims
+        _, r4, shared, per_state = kernel_inputs(dim_a, dim_b, 3, 2)
+        assert rcc._mixed_branches(r4, shared[:0]).shape == (3, 0, dim_a, dim_a)
+        assert rcc._mixed_branches(r4, per_state[:, :0]).shape == (3, 0, dim_a, dim_a)
+        assert rcc._mixed_branches(r4[:0], shared).shape == (0, 2, dim_a, dim_a)
+        assert rcc._mixed_branches(r4[:0], per_state[:0]).shape == (0, 2, dim_a, dim_a)
+        assert rcc._mixed_branches(r4[0], shared[:0]).shape == (0, dim_a, dim_a)
 
 
 GOOD = [np.eye(2) / 2, np.diag([0.9, 0.1]), np.array([[0.5, 0.5], [0.5, 0.5]])]
