@@ -19,9 +19,12 @@ from .linalg import (
     json_positive_int,
     matrix_from_json,
     matrix_to_json,
+    require_finite,
     require_orthonormal_columns,
 )
 from .states import BipartitePureState, require_premise, require_premises, schmidt_rows
+
+CREATION_ATOL = 1e-9
 
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -130,8 +133,8 @@ def branch_stack(channel, dim_b: int, *, post_selected: bool = False) -> np.ndar
     return channel.n_operator()[None] if post_selected else channel.branch_n_stack()
 
 
-def _branch_sums(stacks: np.ndarray) -> np.ndarray:
-    # sum_k N_k of stacks (..., K, d, d) in index order: padding adds exact zeros, and
+def branch_sums(stacks: np.ndarray) -> np.ndarray:
+    """sum_k N_k of branch stacks (..., K, d, d) in index order; zero padding adds exact zeros."""
     # 1x1 branches are never added pairwise (numpy's sum does so from K = 9 on).
     total = np.zeros(stacks.shape[:-3] + stacks.shape[-2:], dtype=stacks.dtype)
     for k in range(stacks.shape[-3]):
@@ -141,27 +144,29 @@ def _branch_sums(stacks: np.ndarray) -> np.ndarray:
 
 def identity_deviation(stacks: np.ndarray) -> float:
     """Largest entry of |sum_k N_k - I| over branch stacks (..., K, d, d); near 0 for trace-preserving wholes."""
-    total = _branch_sums(stacks)
+    total = branch_sums(stacks)
     return float(np.abs(total - np.eye(total.shape[-1])).max(initial=0.0))
 
 
 def branch_stacks(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Branches F^dagger F (..., K, d, d) of Kraus sets kraus (..., K, d, d), and their sums N (..., d, d).
 
-    N is summed in index order (as identity_deviation sums), symmetrized and
-    checked by check_summaries.
+    N is summed in index order (branch_sums), symmetrized and checked by
+    check_summaries; a product that overflows gives a non-finite N, not a warning.
     """
-    stack = kraus.conj().swapaxes(-1, -2) @ kraus
-    return stack, check_summaries(_branch_sums(stack))
+    with np.errstate(over="ignore", invalid="ignore"):
+        stack = kraus.conj().swapaxes(-1, -2) @ kraus
+        return stack, check_summaries(branch_sums(stack))
 
 
 def check_summaries(n: np.ndarray) -> np.ndarray:
     """Symmetrize summary operators N stacked on leading axes and check 0 <= N <= I.
 
-    Raises ValueError when an eigenvalue of any N leaves [0, 1] by more
-    than VALIDITY_ATOL. Returns the symmetrized stack.
+    Raises ValueError when an N holds a non-finite entry or an eigenvalue that
+    leaves [0, 1] by more than VALIDITY_ATOL. Returns the symmetrized stack.
     """
     n = (n + n.conj().swapaxes(-1, -2)) / 2
+    require_finite(n, "summary operator")
     evals = np.linalg.eigvalsh(n)
     low, high = evals.min(initial=np.inf), evals.max(initial=-np.inf)
     if low < -VALIDITY_ATOL or high > 1.0 + VALIDITY_ATOL:
@@ -230,33 +235,31 @@ def projective_measurement(basis) -> ChannelEnsemble:
     return ChannelEnsemble(ops)
 
 
-def creation_witnesses(w: np.ndarray, n_ops: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def creation_witnesses(w: np.ndarray, n_ops: np.ndarray) -> np.ndarray:
     """creates_coherence of states w (n, dim_a, dim_b) under summary operators n_ops (n, dim_b, dim_b).
 
     P = rows^T rows^* projects onto the support of B's marginal (the rows of
     states.schmidt_rows). Entry n is the smallest row i whose outer product
-    W[i]^T W[i]^* fails to commute with P N P (bracket norm above tol), or
-    -1 when the operation is inert. Raises PremiseViolated unless every
-    A-marginal has off-diagonal weight below tol.
+    W[i]^T W[i]^* fails to commute with P N P (bracket norm above
+    CREATION_ATOL), or -1 when the operation is inert. Raises
+    PremiseViolated unless every A-marginal is diagonal (require_premises).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    require_premises(w, tol)
+    require_premises(w)
     rows, _ = schmidt_rows(w)
     proj = rows.swapaxes(-1, -2) @ rows.conj()
     n = (proj @ n_ops @ proj)[:, None]
     blocks = w[..., None] * w.conj()[..., None, :]
-    failing = np.linalg.norm(n @ blocks - blocks @ n, axis=(-2, -1)) > tol
+    failing = np.linalg.norm(n @ blocks - blocks @ n, axis=(-2, -1)) > CREATION_ATOL
     return np.where(failing.any(axis=-1), failing.argmax(axis=-1), -1)
 
 
-def creates_coherence(psi: BipartitePureState, op: KrausOperation, tol: float = 1e-9) -> tuple[bool, int | None]:
+def creates_coherence(psi: BipartitePureState, op: KrausOperation) -> tuple[bool, int | None]:
     """Decide whether op can hand subsystem A nonzero coherence: creation_witnesses for one pair.
 
     Returns (True, witness), witness the smallest failing row, or (False, None) when op is inert.
     """
     n = branch_stack(op, psi.dim_b, post_selected=True)
-    witness = int(creation_witnesses(psi.coefficient_matrix[None], n, tol)[0])
+    witness = int(creation_witnesses(psi.coefficient_matrix[None], n)[0])
     return (True, witness) if witness >= 0 else (False, None)
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .states import joint_matrix, operator_matrix
 
-DEFAULT_CLASSIFICATION_ATOL = 1e-9
+CLASSIFICATION_ATOL = 1e-9
 
 
 def l1_coherence(rho) -> float:
@@ -26,31 +26,25 @@ def l1_coherences(m: np.ndarray) -> np.ndarray:
     return a.sum(axis=(-2, -1)) - np.trace(a, axis1=-2, axis2=-1)
 
 
-def is_incoherent(rho, tol: float = DEFAULT_CLASSIFICATION_ATOL) -> bool:
-    """True when every off-diagonal modulus stays below tol: block_diagonal_mask with a one-level B."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+def is_incoherent(rho) -> bool:
+    """True when every off-diagonal modulus stays below CLASSIFICATION_ATOL: block_diagonal_mask with a one-level B."""
     m = operator_matrix(rho)
-    return bool(block_diagonal_mask(m, len(m), 1, tol))
+    return bool(block_diagonal_mask(m, len(m), 1))
 
 
-def is_incoherent_quantum(
-    rho_ab, dim_a: int, dim_b: int, tol: float = DEFAULT_CLASSIFICATION_ATOL
-) -> bool:
+def is_incoherent_quantum(rho_ab, dim_a: int, dim_b: int) -> bool:
     """True when the joint state is block-diagonal in A's computational basis.
 
-    Checks every off-diagonal A-block <i| rho |k> (i != k) against tol; these
-    are exactly the states of the form sum_i q_i |i><i| (x) rho_i, which can
-    never hand coherence to A through an operation on B.
+    Checks every off-diagonal A-block <i| rho |k> against CLASSIFICATION_ATOL;
+    these are exactly the states sum_i q_i |i><i| (x) rho_i, which can never
+    hand coherence to A through an operation on B.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return bool(block_diagonal_mask(joint_matrix(rho_ab, dim_a, dim_b), dim_a, dim_b, tol))
+    return bool(block_diagonal_mask(joint_matrix(rho_ab, dim_a, dim_b), dim_a, dim_b))
 
 
-def block_diagonal_mask(m: np.ndarray, dim_a: int, dim_b: int, tol: float = DEFAULT_CLASSIFICATION_ATOL) -> np.ndarray:
+def block_diagonal_mask(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     """is_incoherent_quantum of joint operators m stacked on leading axes, without the checks."""
     # Entry (i, j, k, l) lies in block <i| rho |k>; mask the diagonal blocks.
     off_block = ~np.eye(dim_a, dtype=bool)[:, None, :, None]
     r4 = np.abs(m.reshape(m.shape[:-2] + (dim_a, dim_b, dim_a, dim_b)))
-    return np.max(r4, axis=(-4, -3, -2, -1), where=off_block, initial=0.0) < tol
+    return np.max(r4, axis=(-4, -3, -2, -1), where=off_block, initial=0.0) < CLASSIFICATION_ATOL

@@ -35,22 +35,16 @@ def as_complex_matrix(m) -> np.ndarray:
     return require_finite(arr, "matrix")
 
 
-def partial_trace(m, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
-    """Reduced operator on one factor of a (dim_a*dim_b)-dimensional operator.
+def partial_trace(m, dim_a: int, dim_b: int) -> np.ndarray:
+    """Reduced operator on A of a (dim_a*dim_b)-dimensional operator on A (x) B.
 
-    keep selects the surviving subsystem, "A" or "B". The result carries the
-    trace of the input.
+    The result carries the trace of the input.
     """
     m = as_complex_matrix(m)
     side = dim_a * dim_b
     if m.shape != (side, side):
         raise ValueError(f"operator side {m.shape} does not match dim_a*dim_b = {side}")
-    r4 = m.reshape(dim_a, dim_b, dim_a, dim_b)
-    if keep == "A":
-        return np.einsum("ijkj->ik", r4)
-    if keep == "B":
-        return np.einsum("ijil->jl", r4)
-    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+    return np.einsum("ijkj->ik", m.reshape(dim_a, dim_b, dim_a, dim_b))
 
 
 def _fix_column_phases(vectors: np.ndarray, partners: np.ndarray) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import ChannelEnsemble, KrausOperation, branch_stacks
+from .channels import ChannelEnsemble, KrausOperation, branch_stacks, branch_sums, check_summaries
 from .coherence import block_diagonal_mask
 from .linalg import SeededRng, complex_ginibre, unitary_from_ginibre
 from .states import BipartitePureState, DensityMatrix, schmidt_coefficients, unit_amplitudes
@@ -63,12 +63,12 @@ def draw_incoherent_quantum_block(dim_a: int, dim_b: int, n: int, g: np.random.G
     return q, complex_ginibre(g, (dim_b, dim_b), n * dim_a).reshape(n, dim_a, dim_b, dim_b)
 
 
-def draw_tp_block(dim_b: int, n: int, g: np.random.Generator, kraus_count: int | None = None):
-    """Kraus counts (n,) uniform in 2..3 (or all kraus_count), then Ginibre matrices (n, max count * dim_b, dim_b).
+def draw_tp_block(dim_b: int, n: int, g: np.random.Generator):
+    """Kraus counts (n,) uniform in 2..3, then Ginibre matrices (n, max count * dim_b, dim_b).
 
     The QR isometry of row k's first counts[k] * dim_b rows splits into one channel's Kraus blocks.
     """
-    counts = np.full(n, int(kraus_count)) if kraus_count else g.integers(2, 4, n)
+    counts = g.integers(2, 4, n)
     return counts, _ginibre_sets(g, counts, dim_b, stacked=False)
 
 
@@ -156,15 +156,15 @@ def branch_stacks_from_parts(z: np.ndarray, splits: np.ndarray | None = None) ->
 
     Without splits (a draw_tp_block), channel k has one branch F^dagger F per
     Kraus block, padded with zeros; with the splits of a draw_ensemble_block,
-    its two member sums: its Kraus set with the other member zeroed. One batched
-    QR and one channels.branch_stacks, which checks every member and whole channel.
+    its two member sums: its branches, the other member's zeroed, added in order.
+    channels.branch_stacks checks each whole channel, check_summaries each member.
     """
-    kraus = isometry_kraus(z)
+    stack = branch_stacks(isometry_kraus(z))[0]
     if splits is None:
-        return branch_stacks(kraus)[0]
-    first = np.arange(kraus.shape[1]) < splits[:, None]
-    keep = np.stack([first, ~first, np.ones_like(first)], axis=1)[..., None, None]
-    return branch_stacks(np.where(keep, kraus[:, None], 0))[1][:, :2]
+        return stack
+    first = np.arange(stack.shape[1]) < splits[:, None]
+    keep = np.stack([first, ~first], axis=1)[..., None, None]
+    return check_summaries(branch_sums(np.where(keep, stack[:, None], 0)))
 
 
 def random_schmidt_parts(dim_a: int, dim_b: int, rng: SeededRng):
@@ -193,7 +193,7 @@ def random_incoherent_quantum_state(dim_a: int, dim_b: int, rng: SeededRng) -> D
     return DensityMatrix(incoherent_quantum_states_from_parts(*parts)[0], validate=False)
 
 
-def draw_noncq_states(count: int, dim_a: int, dim_b: int, g: np.random.Generator, tol: float = 1e-9) -> np.ndarray:
+def draw_noncq_states(count: int, dim_a: int, dim_b: int, g: np.random.Generator) -> np.ndarray:
     """The states (count, side, side) of count random_noncq_state calls on g.
 
     Each round takes one Ginibre candidate per missing state in one generator
@@ -206,7 +206,7 @@ def draw_noncq_states(count: int, dim_a: int, dim_b: int, g: np.random.Generator
     kept = [np.zeros((0, side, side), dtype=np.complex128)]
     while (missing := count - sum(map(len, kept))) > 0:
         rho = densities_from_parts(complex_ginibre(g, (side, side), missing))
-        mask = block_diagonal_mask(rho, dim_a, dim_b, tol)
+        mask = block_diagonal_mask(rho, dim_a, dim_b)
         for rejected in mask.tolist():
             if (run := run + 1 if rejected else 0) == 64:
                 raise RuntimeError("could not draw a non-block-diagonal state; tolerance too loose?")
@@ -214,9 +214,9 @@ def draw_noncq_states(count: int, dim_a: int, dim_b: int, g: np.random.Generator
     return np.concatenate(kept)
 
 
-def random_noncq_state(dim_a: int, dim_b: int, rng: SeededRng, tol: float = 1e-9) -> DensityMatrix:
+def random_noncq_state(dim_a: int, dim_b: int, rng: SeededRng) -> DensityMatrix:
     """Random density matrix conditioned on failing the block-diagonal test."""
-    return DensityMatrix(draw_noncq_states(1, dim_a, dim_b, rng.generator, tol)[0], validate=False)
+    return DensityMatrix(draw_noncq_states(1, dim_a, dim_b, rng.generator)[0], validate=False)
 
 
 def random_kraus_operation(dim_b: int, rng: SeededRng) -> KrausOperation:
@@ -227,9 +227,9 @@ def random_kraus_operation(dim_b: int, rng: SeededRng) -> KrausOperation:
     return kraus_operation_from_parts(*draw_kraus_block(dim_b, 1, rng.generator))
 
 
-def random_tp_channel(dim_b: int, rng: SeededRng, kraus_count: int | None = None) -> KrausOperation:
+def random_tp_channel(dim_b: int, rng: SeededRng) -> KrausOperation:
     """Random trace-preserving channel from an isometry split into blocks."""
-    return tp_channel_from_parts(*draw_tp_block(dim_b, 1, rng.generator, kraus_count))
+    return tp_channel_from_parts(*draw_tp_block(dim_b, 1, rng.generator))
 
 
 def random_channel_ensemble(dim_b: int, rng: SeededRng) -> ChannelEnsemble:

@@ -38,9 +38,7 @@ class DensityMatrix:
     __slots__ = ("dim", "matrix")
 
     def __init__(self, matrix, *, validate: bool = True):
-        m = as_complex_matrix(matrix)
-        if m.shape[0] != m.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {m.shape}")
+        m = operator_matrix(matrix)
         if validate:
             m = m / check_densities(m).real
         else:
@@ -201,18 +199,18 @@ def schmidt_decompose(psi: BipartitePureState) -> SchmidtForm:
     return psi._schmidt
 
 
-def require_premise(offdiag: float, tol: float = VALIDITY_ATOL) -> None:
-    """Raise PremiseViolated unless A's marginal has off-diagonal weight below tol."""
-    if offdiag >= tol:
+def require_premise(offdiag: float) -> None:
+    """Raise PremiseViolated unless A's marginal has off-diagonal weight below VALIDITY_ATOL."""
+    if offdiag >= VALIDITY_ATOL:
         raise PremiseViolated(
             f"subsystem A starts with off-diagonal weight {offdiag:.3e}; "
             "claims 2-5 are stated for a diagonal A-marginal only"
         )
 
 
-def require_premises(w: np.ndarray, tol: float = VALIDITY_ATOL) -> None:
+def require_premises(w: np.ndarray) -> None:
     """require_premise for every coefficient matrix of w (..., dim_a, dim_b) at once."""
-    require_premise(float(marginal_offdiag(w).max(initial=0.0)), tol)
+    require_premise(float(marginal_offdiag(w).max(initial=0.0)))
 
 
 def schmidt_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -251,8 +249,11 @@ def marginal_offdiag(w: np.ndarray) -> np.ndarray:
 
 
 def operator_matrix(state) -> np.ndarray:
-    """Matrix of a DensityMatrix, or of a raw matrix through as_complex_matrix (not validated)."""
-    return state.matrix if isinstance(state, DensityMatrix) else as_complex_matrix(state)
+    """Matrix of a DensityMatrix, or of a raw square matrix through as_complex_matrix (not validated)."""
+    m = state.matrix if isinstance(state, DensityMatrix) else as_complex_matrix(state)
+    if m.shape[0] != m.shape[1]:
+        raise ValueError(f"density matrix must be square, got shape {m.shape}")
+    return m
 
 
 def joint_matrix(state, dim_a: int | None, dim_b: int | None) -> np.ndarray:
@@ -279,7 +280,7 @@ def reduced_a(state, dim_a: int | None = None, dim_b: int | None = None) -> Dens
     if isinstance(state, BipartitePureState):
         w = state.coefficient_matrix
         return DensityMatrix(w @ w.conj().T, validate=False)
-    marg = partial_trace(joint_matrix(state, dim_a, dim_b), dim_a, dim_b, "A")
+    marg = partial_trace(joint_matrix(state, dim_a, dim_b), dim_a, dim_b)
     return DensityMatrix(marg, validate=not isinstance(state, DensityMatrix))
 
 

@@ -27,7 +27,7 @@ from rcc_lab.channels import (
 from rcc_lab.coherence import l1_coherence
 from rcc_lab.errors import NotTracePreserving, PremiseViolated, ZeroProbability
 from rcc_lab.experiments import VERIFY_BLOCK, SuiteReport, run_verify
-from rcc_lab.linalg import SeededRng, haar_random_unitary, unitary_from_ginibre
+from rcc_lab.linalg import SeededRng, complex_ginibre, haar_random_unitary, unitary_from_ginibre
 from rcc_lab.sampling import (
     draw_ensemble_block,
     draw_kraus_block,
@@ -390,7 +390,8 @@ def test_scalar_views_are_one_element_stacks():
     # A state's numbers do not depend on how many states share the call.
     rng = SeededRng(9)
     psis = [random_schmidt_state(3, 4, rng) for _ in range(5)]
-    channels = [random_tp_channel(4, rng, kraus_count=2) for _ in psis]
+    # Two Kraus operators each, so that the branch stacks stack.
+    channels = [tp_channel_from_parts(np.array([2]), complex_ginibre(rng.generator, (8, 4))[None]) for _ in psis]
     w = np.array([psi.coefficient_matrix for psi in psis])
     stacks = np.array([channel.branch_n_stack() for channel in channels])
     tight = rcc.tight_average_bounds(w, stacks)

@@ -24,14 +24,14 @@ from rcc_lab.channels import (
 )
 from rcc_lab.coherence import l1_coherence
 from rcc_lab.errors import NotTracePreserving, PremiseViolated
-from rcc_lab.linalg import SeededRng, haar_random_unitary
+from rcc_lab.linalg import SeededRng, complex_ginibre, haar_random_unitary
 from rcc_lab.rcc import post_operation_state_a
 from rcc_lab.sampling import (
     kraus_operation_from_parts,
     random_kraus_operation,
     random_schmidt_state,
-    random_tp_channel,
     summary_operators_from_parts,
+    tp_channel_from_parts,
 )
 from rcc_lab.states import BipartitePureState
 
@@ -64,6 +64,16 @@ class TestKrausOperation:
     def test_rejects_oversized_summary(self):
         with pytest.raises(ValueError, match="N <= I"):
             KrausOperation([np.sqrt(2.0) * np.eye(2)])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kraus", [[np.diag([1e160, 0.0])], [np.diag([1e160, 0.0]), np.array([[0.0, -1e160], [1e160, 0.0]])]])
+    def test_rejects_an_overflowing_summary(self, kraus):
+        # Finite entries whose F^dagger F overflows give a NaN or infinite N,
+        # which an eigenvalue comparison alone lets through; no warning escapes.
+        with pytest.raises(ValueError, match="summary operator holds a non-finite entry"):
+            KrausOperation(kraus)
+        with pytest.raises(ValueError, match="summary operator holds a non-finite entry"):
+            branch_stacks(np.array([kraus, kraus], dtype=complex))
 
     def test_rejects_mixed_shapes(self):
         with pytest.raises(ValueError):
@@ -155,7 +165,8 @@ class TestIdentityDeviation:
         # 1x1 branches from K = 9 on are where a pairwise sum would move the
         # last bit, so both routes must add the branches in index order.
         for seed in range(50):
-            op = random_tp_channel(1, SeededRng(seed, count), kraus_count=count)
+            z = complex_ginibre(SeededRng(seed, count).generator, (count, 1))
+            op = tp_channel_from_parts(np.array([count]), z[None])
             assert identity_deviation(op.branch_n_stack()[None]) == op.trace_deviation
 
 

@@ -97,7 +97,7 @@ def marginal_after_channel(rho, dim, op):
     total = np.zeros((dim, dim), dtype=np.complex128)
     for f in op.kraus:
         big = np.kron(eye, f)
-        total += partial_trace(big @ rho @ big.conj().T, dim, dim, "A")
+        total += partial_trace(big @ rho @ big.conj().T, dim, dim)
     return total
 
 
@@ -117,7 +117,7 @@ def scalar_nosignal(samples, seed):
             rho = densities_from_parts(states[k // 2])
             channel = tp_channel_from_parts(*tp, k // 2)
             checked += 1
-            before = partial_trace(rho, dim, dim, "A")
+            before = partial_trace(rho, dim, dim)
             dev = float(np.max(np.abs(marginal_after_channel(rho, dim, channel) - before)))
             if dev >= experiments.NOSIGNAL_ATOL:
                 violations += 1
@@ -137,7 +137,7 @@ def test_stacked_sweep_equals_the_per_sample_loop(suite, seed, samples):
     assert run_verify(suite, samples, seed) == REFERENCES[suite](samples, seed)
 
 
-def always_inert(w, n_ops, tol=1e-9):
+def always_inert(w, n_ops):
     return np.full(len(w), -1)
 
 
@@ -277,16 +277,15 @@ def operation_with_summary(n):
     return KrausOperation([(vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.conj().T])
 
 
-@pytest.mark.parametrize("tol", [1e-9, 1e-6])
-def test_stack_elements_equal_the_scalar_criterion(tol):
+def test_stack_elements_equal_the_scalar_criterion():
     # One stack per (dim_a, dim_b); each element must equal the scalar view,
     # both the boolean and the witness.
     for shape in sorted({(psi.dim_a, psi.dim_b) for psi, _, _ in CASES}):
         cases = [(psi, operation_with_summary(n)) for psi, n, _ in CASES if (psi.dim_a, psi.dim_b) == shape]
         w = np.array([psi.coefficient_matrix for psi, _ in cases])
-        witnesses = creation_witnesses(w, np.array([op.n_operator() for _, op in cases]), tol)
+        witnesses = creation_witnesses(w, np.array([op.n_operator() for _, op in cases]))
         for (psi, op), witness in zip(cases, witnesses.tolist()):
-            assert creates_coherence(psi, op, tol) == ((True, witness) if witness >= 0 else (False, None))
+            assert creates_coherence(psi, op) == ((True, witness) if witness >= 0 else (False, None))
 
 
 def test_hard_inputs_agree_with_the_oracle():
@@ -312,5 +311,3 @@ def test_empty_stack_premise_and_tolerance():
     # One coherent A-marginal anywhere in the stack fails the whole stack.
     with pytest.raises(PremiseViolated, match="marginal"):
         creation_witnesses(np.stack([bell, coherent]), np.stack([np.eye(2)] * 2))
-    with pytest.raises(ValueError, match="tol must be positive"):
-        creation_witnesses(bell[None], np.eye(2)[None], tol=0.0)

@@ -364,6 +364,19 @@ class TestComputeCommand:
         named = {"amplitudes": "amplitude 0", "entries": "entry 0"}.get(field, f"'{field}'")
         assert named in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("as_ensemble", [False, True])
+    def test_overflowing_summary_is_a_usage_error(self, tmp_path, capsys, as_ensemble):
+        # F = diag(1e160, 0) is finite, but F^dagger F overflows: exit 2, no warning.
+        channel = kraus_operation_to_json(KrausOperation([np.eye(2)]))
+        channel["kraus"][0]["entries"][0] = [1e160, 0.0]
+        if as_ensemble:
+            channel = {"operations": [channel, kraus_operation_to_json(KrausOperation([np.diag([0.0, 1.0])]))]}
+        path = write_json(tmp_path / "channel.json", channel)
+        code = main(["compute", "--state", bell_file(tmp_path), "--channel", path])
+        assert code == 2
+        assert "summary operator holds a non-finite entry" in capsys.readouterr().err
+
     def test_premise_violation_surfaces(self, tmp_path, capsys):
         coherent = BipartitePureState(2, 2, np.array([1, 0, 1, 0]) / np.sqrt(2))
         state = write_json(tmp_path / "coherent.json", state_to_json(coherent))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rcc_lab.coherence import is_incoherent, is_incoherent_quantum, l1_coherence
+from rcc_lab.coherence import CLASSIFICATION_ATOL, is_incoherent, is_incoherent_quantum, l1_coherence
 from rcc_lab.linalg import SeededRng
 from rcc_lab.sampling import random_density_matrix, random_incoherent_quantum_state
 
@@ -24,8 +24,8 @@ class TestL1Coherence:
         for _ in range(200):
             dense = random_density_matrix(3, rng)
             diag = np.diag(np.diag(dense.matrix))
-            assert (l1_coherence(dense) == 0.0) == is_incoherent(dense, 1e-9)
-            assert l1_coherence(diag) == 0.0 and is_incoherent(diag, 1e-9)
+            assert (l1_coherence(dense) == 0.0) == is_incoherent(dense)
+            assert l1_coherence(diag) == 0.0 and is_incoherent(diag)
 
     def test_invariant_under_phase_conjugation(self):
         rng = SeededRng(52)
@@ -44,19 +44,17 @@ class TestIsIncoherent:
         assert not is_incoherent(PLUS)
 
     def test_tolerance_semantics(self):
+        # Moduli below CLASSIFICATION_ATOL count as zero; at it they do not.
         noisy = np.diag([0.4, 0.6]).astype(complex)
-        noisy[0, 1] = noisy[1, 0] = 1e-12
-        assert is_incoherent(noisy, 1e-9)
-        assert not is_incoherent(noisy, 1e-13)
-
-    def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            is_incoherent(np.eye(2) / 2, 0.0)
+        for value, incoherent in ((1e-12, True), (np.nextafter(CLASSIFICATION_ATOL, 0.0), True), (CLASSIFICATION_ATOL, False)):
+            noisy[0, 1] = noisy[1, 0] = value
+            assert is_incoherent(noisy) == incoherent
 
     @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (1, 4)])
     def test_rejects_non_square(self, shape):
-        with pytest.raises(ValueError):
-            is_incoherent(np.zeros(shape))
+        for classify in (is_incoherent, l1_coherence):
+            with pytest.raises(ValueError, match="must be square"):
+                classify(np.ones(shape))
 
 
 class TestIsIncoherentQuantum:
@@ -97,22 +95,21 @@ class TestIsIncoherentQuantum:
             rho_a = random_density_matrix(2, rng)
             rho_b = random_density_matrix(3, rng)
             joint = np.kron(rho_a.matrix, rho_b.matrix)
-            assert is_incoherent_quantum(joint, 2, 3) == is_incoherent(rho_a, 1e-9)
+            assert is_incoherent_quantum(joint, 2, 3) == is_incoherent(rho_a)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="side"):
             is_incoherent_quantum(np.eye(4) / 4, 2, 3)
-
-    def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError, match="tol"):
-            is_incoherent_quantum(np.eye(4) / 4, 2, 2, 0.0)
+        with pytest.raises(ValueError, match="must be square"):
+            is_incoherent_quantum(np.ones((4, 6)), 2, 3)
 
     @pytest.mark.parametrize("dim_a, dim_b", [(2, 2), (2, 3), (3, 2), (3, 3)])
     def test_matches_block_loop(self, dim_a, dim_b):
-        # Entries placed exactly at tol, just below it and far above it, in
-        # every off-diagonal block position, agree with the block-by-block loop.
+        # Entries placed exactly at CLASSIFICATION_ATOL, just below it and far
+        # above it, in every off-diagonal block position, agree with the
+        # block-by-block loop.
         rng = SeededRng(55)
-        tol = 1e-9
+        tol = CLASSIFICATION_ATOL
         side = dim_a * dim_b
         base = random_incoherent_quantum_state(dim_a, dim_b, rng).matrix
         for value in (tol, np.nextafter(tol, 0.0), 1e-3):
@@ -121,11 +118,11 @@ class TestIsIncoherentQuantum:
                     rho = base.copy()
                     rho[row, col] = value
                     expected = block_loop_incoherent_quantum(rho, dim_a, dim_b, tol)
-                    assert is_incoherent_quantum(rho, dim_a, dim_b, tol) == expected
+                    assert is_incoherent_quantum(rho, dim_a, dim_b) == expected
                     if row // dim_b != col // dim_b:
                         assert expected == (value < tol)
         dense = random_density_matrix(side, rng).matrix
-        assert is_incoherent_quantum(dense, dim_a, dim_b) == block_loop_incoherent_quantum(dense, dim_a, dim_b, 1e-9)
+        assert is_incoherent_quantum(dense, dim_a, dim_b) == block_loop_incoherent_quantum(dense, dim_a, dim_b, tol)
 
 
 def block_loop_incoherent_quantum(m, dim_a, dim_b, tol):

@@ -10,14 +10,14 @@ from rcc_lab import experiments
 from rcc_lab.channels import KrausOperation, phase_damping
 from rcc_lab.errors import NotTracePreserving, PremiseViolated
 from rcc_lab.experiments import FIG1_BLOCK, ExperimentConfig, run_fig1
-from rcc_lab.linalg import SeededRng
+from rcc_lab.linalg import SeededRng, complex_ginibre
 from rcc_lab.rcc import (
     RATIO_DENOMINATOR_CUTOFF,
     average_coherence,
     average_coherences,
     maximally_entangled_partner,
 )
-from rcc_lab.sampling import random_schmidt_parts, random_schmidt_state, random_tp_channel
+from rcc_lab.sampling import random_schmidt_parts, random_schmidt_state, tp_channel_from_parts
 from rcc_lab.states import BipartitePureState, concurrence
 
 # Fixed before the batched engine was written: the batch sums in another
@@ -145,7 +145,7 @@ class TestAverageCoherences:
         rng = SeededRng(91)
         for dim_a, dim_b in ((2, 2), (3, 3), (2, 3)):
             states = [random_schmidt_state(dim_a, dim_b, rng) for _ in range(6)]
-            channels = [random_tp_channel(dim_b, rng, kraus_count=3) for _ in range(4)]
+            channels = [tp_channel_from_parts(np.array([3]), complex_ginibre(rng.generator, (3 * dim_b, dim_b))[None]) for _ in range(4)]
             stacked = np.stack([psi.coefficient_matrix for psi in states])
             batch = average_coherences(stacked, channels)
             assert batch.shape == (len(states), len(channels))

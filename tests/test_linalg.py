@@ -26,37 +26,29 @@ class TestPartialTrace:
         rho_a = np.array([[0.7, 0.1j], [-0.1j, 0.3]])
         rho_b = np.array([[0.5, 0.2], [0.2, 0.5]])
         joint = np.kron(rho_a, rho_b)
-        np.testing.assert_allclose(partial_trace(joint, 2, 2, "A"), rho_a, atol=1e-14)
-        np.testing.assert_allclose(partial_trace(joint, 2, 2, "B"), rho_b, atol=1e-14)
+        np.testing.assert_allclose(partial_trace(joint, 2, 2), rho_a, atol=1e-14)
 
     def test_bell_marginals(self):
         amp = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
         rho = np.outer(amp, amp.conj())
-        np.testing.assert_allclose(partial_trace(rho, 2, 2, "A"), np.eye(2) / 2, atol=1e-14)
-        np.testing.assert_allclose(partial_trace(rho, 2, 2, "B"), np.eye(2) / 2, atol=1e-14)
+        np.testing.assert_allclose(partial_trace(rho, 2, 2), np.eye(2) / 2, atol=1e-14)
 
     def test_trace_preserved_on_random_input(self):
         rng = SeededRng(11)
         for dim_a, dim_b in ((2, 2), (2, 4), (3, 3)):
             m = random_matrix(rng, dim_a * dim_b, dim_a * dim_b)
-            for keep in ("A", "B"):
-                out = partial_trace(m, dim_a, dim_b, keep)
-                assert abs(np.trace(out) - np.trace(m)) < 1e-12
+            assert abs(np.trace(partial_trace(m, dim_a, dim_b)) - np.trace(m)) < 1e-12
 
     def test_tensor_then_trace_recovers_scaled_factor(self):
         rng = SeededRng(12)
         a = random_matrix(rng, 3, 3)
         b = random_matrix(rng, 2, 2)
-        out = partial_trace(np.kron(a, b), 3, 2, "A")
+        out = partial_trace(np.kron(a, b), 3, 2)
         np.testing.assert_allclose(out, a * np.trace(b), atol=1e-12)
 
     def test_bad_side_rejected(self):
         with pytest.raises(ValueError, match="side"):
-            partial_trace(np.eye(5), 2, 2, "A")
-
-    def test_bad_keep_tag(self):
-        with pytest.raises(ValueError, match="keep"):
-            partial_trace(np.eye(4), 2, 2, "C")
+            partial_trace(np.eye(5), 2, 2)
 
 
 class TestSvd:

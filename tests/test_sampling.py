@@ -12,7 +12,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from rcc_lab.linalg import SeededRng, unitary_from_ginibre
+from rcc_lab.linalg import SeededRng, complex_ginibre, unitary_from_ginibre
 from rcc_lab.sampling import (
     branch_stacks_from_parts,
     coefficient_matrices_from_parts,
@@ -46,6 +46,11 @@ SAMPLER_DIGESTS = {
 }
 
 
+def fixed_count_parts(d, count, n, g):
+    # draw_tp_block's counts and numbers for n sets of count operators each.
+    return np.full(n, count), complex_ginibre(g, (count * d, d), n)
+
+
 def sampler_outputs(d):
     rng = SeededRng(77, d)
     for _ in range(20):
@@ -53,7 +58,7 @@ def sampler_outputs(d):
         yield random_schmidt_state(d, d, rng).amplitudes
         yield from random_kraus_operation(d, rng).kraus
         yield from random_tp_channel(d, rng).kraus
-        yield from random_tp_channel(d, rng, kraus_count=4).kraus
+        yield from tp_channel_from_parts(*fixed_count_parts(d, 4, 1, rng.generator)).kraus
         yield from (f for op in random_channel_ensemble(d, rng).operations for f in op.kraus)
         yield random_incoherent_quantum_state(d, 2, rng).matrix
         yield random_noncq_state(2, d, rng).matrix
@@ -73,7 +78,7 @@ def test_sampler_labels():
     # Taken with the digests above.
     rng = SeededRng(78)
     assert [random_kraus_operation(2, rng).label for _ in range(6)] == ["random-kraus[1]", "random-kraus[2]"] + ["random-kraus[3]"] * 4
-    assert random_tp_channel(3, rng, kraus_count=4).label == "random-tp[4]"
+    assert tp_channel_from_parts(*fixed_count_parts(3, 4, 1, rng.generator)).label == "random-tp[4]"
     assert [random_tp_channel(2, rng).label for _ in range(4)] == ["random-tp[2]"] * 3 + ["random-tp[3]"]
     labels = [op.label for op in random_channel_ensemble(2, rng).operations]
     assert labels == ["ensemble-member[0]", "ensemble-member[1]"]
@@ -133,13 +138,6 @@ def test_channel_block_layouts(d):
     assert block.random() == twin.random()
 
 
-def test_fixed_kraus_count_draws_no_count():
-    block, twin = SeededRng(42).generator, SeededRng(42).generator
-    counts, z = draw_tp_block(2, 5, block, kraus_count=4)
-    assert counts.tolist() == [4] * 5
-    np.testing.assert_array_equal(z, [ginibre(twin, (8, 2)) for _ in range(5)])
-
-
 def test_empty_blocks_draw_nothing():
     g, twin = SeededRng(43).generator, SeededRng(43).generator
     weights, z = draw_schmidt_block(3, 3, 0, g)
@@ -164,9 +162,9 @@ def test_schmidt_block_needs_a_wide_b():
 
 def fixed_count_blocks(d, count, g):
     # Kraus, channel and ensemble blocks whose sets all hold count operators.
-    counts, z = draw_tp_block(d, N, g, count)
-    channels = draw_tp_block(d, N, g, count)
-    ensembles = (*draw_tp_block(d, N, g, count), g.integers(1, count, N))
+    counts, z = fixed_count_parts(d, count, N, g)
+    channels = fixed_count_parts(d, count, N, g)
+    ensembles = (*fixed_count_parts(d, count, N, g), g.integers(1, count, N))
     return (counts, z.reshape(N, count, d, d)), channels, ensembles
 
 

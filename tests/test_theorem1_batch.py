@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rcc_lab import experiments, rcc
+from rcc_lab import coherence, experiments, rcc
 from rcc_lab.channels import ChannelEnsemble, KrausOperation, kraus_operation_to_json
 from rcc_lab.coherence import is_incoherent_quantum, l1_coherence
 from rcc_lab.errors import BadTrace, NotHermitian, NotPositive, SearchExhausted, ZeroProbability
@@ -195,7 +195,7 @@ class TestHardInputs:
         rng = SeededRng(62)
         rho = random_density_matrix(6, rng).matrix
         state_a, prob = post_operation_state_a(rho, KrausOperation([np.eye(3)]), 2, 3)
-        marginal = partial_trace(rho, 2, 3, "A")
+        marginal = partial_trace(rho, 2, 3)
         assert abs(prob - 1.0) < 1e-12
         np.testing.assert_allclose(state_a.matrix, marginal, atol=1e-12)
         block = block_state([0.3, 0.7], [random_density_matrix(3, rng).matrix for _ in range(2)])
@@ -224,7 +224,7 @@ class TestHardInputs:
 
 def partial_trace_oracle(rho, dim_a, dim_b, n_op):
     # tr_B[(I (x) N) rho] through an explicit Kronecker product and partial trace.
-    return partial_trace(np.kron(np.eye(dim_a), n_op) @ rho, dim_a, dim_b, "A")
+    return partial_trace(np.kron(np.eye(dim_a), n_op) @ rho, dim_a, dim_b)
 
 
 def kernel_inputs(dim_a, dim_b, n, p):
@@ -348,7 +348,7 @@ def scalar_view(rho, dim_a, dim_b, monkeypatch):
 def kron_coherence(rho, dim_a, dim_b, projector):
     # A's coherence after the projector on B, through (I (x) P) rho (I (x) P).
     big = np.kron(np.eye(dim_a), projector)
-    branch = partial_trace(big @ rho @ big, dim_a, dim_b, "A")
+    branch = partial_trace(big @ rho @ big, dim_a, dim_b)
     return l1_coherence(branch / np.trace(branch).real)
 
 
@@ -411,22 +411,24 @@ class TestStackedWitness:
 class TestStackedDraws:
     @pytest.mark.parametrize("dims", DIMS)
     @pytest.mark.parametrize("rejecting", [False, True])
-    def test_noncq_draw_equals_the_per_state_loop(self, dims, rejecting):
+    def test_noncq_draw_equals_the_per_state_loop(self, dims, rejecting, monkeypatch):
         dim_a, dim_b = dims
-        tol = REJECTING_TOL[dims] if rejecting else 1e-9
+        if rejecting:
+            monkeypatch.setattr(coherence, "CLASSIFICATION_ATOL", REJECTING_TOL[dims])
         loop_rng, block_rng = SeededRng(31, 10 * dim_a + dim_b), SeededRng(31, 10 * dim_a + dim_b)
-        expected = np.array([random_noncq_state(dim_a, dim_b, loop_rng, tol).matrix for _ in range(300)])
-        states = draw_noncq_states(300, dim_a, dim_b, block_rng.generator, tol)
+        expected = np.array([random_noncq_state(dim_a, dim_b, loop_rng).matrix for _ in range(300)])
+        states = draw_noncq_states(300, dim_a, dim_b, block_rng.generator)
         np.testing.assert_array_equal(states, expected)
         # Both routes leave the stream at the same place.
         assert loop_rng.generator.random() == block_rng.generator.random()
 
     @pytest.mark.parametrize("count", [1, 5])
-    def test_64_rejections_in_a_row_raise(self, count):
+    def test_64_rejections_in_a_row_raise(self, count, monkeypatch):
+        monkeypatch.setattr(coherence, "CLASSIFICATION_ATOL", 10.0)
         with pytest.raises(RuntimeError, match="could not draw a non-block-diagonal state"):
-            random_noncq_state(2, 2, SeededRng(33), tol=10.0)
+            random_noncq_state(2, 2, SeededRng(33))
         with pytest.raises(RuntimeError, match="could not draw a non-block-diagonal state"):
-            draw_noncq_states(count, 2, 2, SeededRng(33).generator, tol=10.0)
+            draw_noncq_states(count, 2, 2, SeededRng(33).generator)
 
     def test_empty_noncq_draw_draws_nothing(self):
         g, twin = SeededRng(35).generator, SeededRng(35).generator
