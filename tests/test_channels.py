@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rcc_lab.channels import (
+    CREATION_ATOL,
     ChannelEnsemble,
     KrausOperation,
     bit_flip,
@@ -10,6 +11,7 @@ from rcc_lab.channels import (
     branch_stacks,
     channel_from_json,
     creates_coherence,
+    creation_witnesses,
     depolarizing,
     ensemble_from_json,
     ensemble_to_json,
@@ -257,6 +259,19 @@ class TestCreatesCoherence:
         branch = KrausOperation([phase_damping(0.5).kraus[0]])
         created, witness = creates_coherence(hadamard_correlated(), branch)
         assert created is True and witness == 0
+
+    @pytest.mark.parametrize("scale, created", [(1 - 1e-3, False), (1 + 1e-3, True)])
+    def test_bracket_norm_threshold_is_creation_atol(self, scale, created):
+        # On Bell, N = [[1/2, c], [c, 1/2]] and the row-0 block diag(1/2, 0)
+        # have a bracket of Frobenius norm |c|/sqrt(2): just under
+        # CREATION_ATOL the operation is inert, just over it row 0 creates.
+        c = np.sqrt(2) * CREATION_ATOL * scale
+        n = np.array([[0.5, c], [c, 0.5]], dtype=complex)
+        witness = 0 if created else -1
+        assert creation_witnesses(bell().coefficient_matrix[None], n[None]).tolist() == [witness]
+        values, vectors = np.linalg.eigh(n)
+        op = KrausOperation([(vectors * np.sqrt(values)) @ vectors.conj().T])
+        assert creates_coherence(bell(), op) == ((True, 0) if created else (False, None))
 
     def test_premise_enforced(self):
         coherent = BipartitePureState(2, 2, np.array([1, 0, 1, 0]) / np.sqrt(2))
