@@ -22,7 +22,7 @@ from .linalg import (
     require_finite,
     require_orthonormal_columns,
 )
-from .states import BipartitePureState, require_premise, require_premises, schmidt_rows
+from .states import BipartitePureState, require_premises, schmidt_rows
 
 CREATION_ATOL = 1e-9
 
@@ -36,10 +36,10 @@ class KrausOperation:
 
     Validity only requires 0 <= N <= I for the summary operator
     N = sum_n F_n^dagger F_n, so trace-decreasing (post-selected) operations
-    are first-class values here. trace_deviation is N's identity_deviation.
+    are first-class values here.
     """
 
-    __slots__ = ("dim_b", "kraus", "label", "trace_deviation", "_n", "_stack")
+    __slots__ = ("dim_b", "kraus", "label", "_n", "_stack")
 
     def __init__(self, kraus, label: str = ""):
         mats = [as_complex_matrix(f) for f in kraus]
@@ -58,7 +58,6 @@ class KrausOperation:
         self.dim_b = int(d)
         self.kraus = tuple(mats)
         self.label = label
-        self.trace_deviation = identity_deviation(n[None])
         self._n = n
         self._stack = stack
 
@@ -79,11 +78,11 @@ class ChannelEnsemble:
     """Sub-normalized operations that together form a trace-preserving whole.
 
     Each member fires with its own probability on a given state; the members'
-    summary operators must add to the identity within VALIDITY_ATOL;
-    trace_deviation is their stack's identity_deviation.
+    summary operators must add to the identity within VALIDITY_ATOL, the
+    test that averaging applies (identity_deviation).
     """
 
-    __slots__ = ("dim_b", "operations", "trace_deviation", "_stack")
+    __slots__ = ("dim_b", "operations", "_stack")
 
     def __init__(self, operations):
         ops = tuple(operations)
@@ -97,14 +96,13 @@ class ChannelEnsemble:
                 raise ValueError("ensemble members must share one B dimension")
         stack = np.array([op.n_operator() for op in ops])
         dev = identity_deviation(stack)
-        if dev > VALIDITY_ATOL:
+        if dev >= VALIDITY_ATOL:
             raise NotTracePreserving(
                 f"member summary operators deviate from the identity by {dev:.3e}"
             )
         stack.setflags(write=False)
         self.dim_b = int(d)
         self.operations = ops
-        self.trace_deviation = dev
         self._stack = stack
 
     def branch_n_stack(self) -> np.ndarray:
@@ -175,8 +173,8 @@ def check_summaries(n: np.ndarray) -> np.ndarray:
 
 
 def is_trace_preserving(channel) -> bool:
-    """True when the channel's trace_deviation is below VALIDITY_ATOL."""
-    return channel.trace_deviation < VALIDITY_ATOL
+    """True when the identity_deviation of the channel's branch stack is below VALIDITY_ATOL."""
+    return identity_deviation(channel.branch_n_stack()) < VALIDITY_ATOL
 
 
 def _check_unit_interval(name: str, value: float) -> float:
@@ -280,7 +278,7 @@ def inert_operation(psi: BipartitePureState, n_values) -> KrausOperation:
         raise ValueError("n_values must not be empty")
     if float(vals.min()) < 0.0 or float(vals.max()) > 1.0:
         raise ValueError(f"all values must lie in [0, 1], got range [{vals.min()}, {vals.max()}]")
-    require_premise(psi.marginal_offdiag())
+    require_premises(psi.coefficient_matrix)
     rows, keep = schmidt_rows(psi.coefficient_matrix)
     pairs = rows[keep].T
     weights = np.sum(np.abs(psi.coefficient_matrix[keep]) ** 2, axis=1)

@@ -78,8 +78,9 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def require_orthonormal_columns(cols: np.ndarray) -> None:
     """Raise ValueError unless the columns of cols (..., n, k) are orthonormal within VALIDITY_ATOL."""
-    dev = float(np.max(np.abs(cols.conj().swapaxes(-1, -2) @ cols - np.eye(cols.shape[-1]))))
-    if dev > VALIDITY_ATOL:
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = float(np.max(np.abs(cols.conj().swapaxes(-1, -2) @ cols - np.eye(cols.shape[-1]))))
+    if not dev <= VALIDITY_ATOL:  # an overflowing Gram matrix gives inf or NaN, and fails
         raise ValueError(f"basis columns deviate from orthonormal by {dev:.3e}")
 
 

@@ -26,7 +26,6 @@ from .states import (
     check_densities,
     concurrence,
     joint_matrix,
-    require_premise,
     require_premises,
     schmidt_rows,
     unit_amplitudes,
@@ -79,10 +78,9 @@ class RccReport:
     factorization_ratio: float | None
 
 
-def _require_trace_preserving(deviation: float) -> None:
-    # deviation is channels.identity_deviation of the branch stacks of whole
-    # channels; a channel stores its own as trace_deviation.
-    if deviation >= VALIDITY_ATOL:
+def _require_trace_preserving(stacks: np.ndarray) -> None:
+    # stacks (..., K, d, d) are the branch stacks of whole channels, the ones being averaged.
+    if identity_deviation(stacks) >= VALIDITY_ATOL:
         raise NotTracePreserving(_NOT_WHOLE)
 
 
@@ -167,7 +165,7 @@ def branch_averages(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
     PremiseViolated and NotTracePreserving as average_coherence does.
     """
     require_premises(w)
-    _require_trace_preserving(identity_deviation(stacks))
+    _require_trace_preserving(stacks)
     return _offdiag_mass(_unnormalized_branches(w, stacks))
 
 
@@ -180,11 +178,8 @@ def average_coherences(w: np.ndarray, channels) -> np.ndarray:
     """
     da, db = w.shape[-2:]
     require_premises(w)
-    stacks = []
-    for channel in channels:
-        stacks.append(branch_stack(channel, db))
-        _require_trace_preserving(channel.trace_deviation)
-    stacks = np.stack(stacks)
+    stacks = np.stack([branch_stack(channel, db) for channel in channels])
+    _require_trace_preserving(stacks)
     unnorm = _unnormalized_branches(w, stacks.reshape(-1, db, db))
     return _offdiag_mass(unnorm.reshape(w.shape[:-2] + stacks.shape[:2] + (da, da)))
 
@@ -214,21 +209,13 @@ def outcome_coherence_bounds(w: np.ndarray, n_ops: np.ndarray, probs: np.ndarray
     ZERO_PROBABILITY_CUTOFF. Raises PremiseViolated as the scalar route does.
     """
     require_premises(w)
-    return _outcome_bounds(w, n_ops, probs)
-
-
-def _outcome_bounds(w: np.ndarray, n_ops: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return batch_concurrence(w) / probs * _lemma1_norms(w, n_ops[:, None])[:, 0]
 
 
 def tight_average_bounds(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
     """tight_average_bound of each state of w (n, da, db) and its branch stack (n, K, db, db)."""
     require_premises(w)
-    _require_trace_preserving(identity_deviation(stacks))
-    return _tight_bounds(w, stacks)
-
-
-def _tight_bounds(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
+    _require_trace_preserving(stacks)
     return batch_concurrence(w) * _lemma1_norms(w, stacks).sum(axis=-1)
 
 
@@ -239,11 +226,7 @@ def average_coherence_bounds(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
     of the factorization law.
     """
     partners = maximally_entangled_partners(w)
-    _require_trace_preserving(identity_deviation(stacks))
-    return _partner_bounds(w, partners, stacks)
-
-
-def _partner_bounds(w: np.ndarray, partners: np.ndarray, stacks: np.ndarray) -> np.ndarray:
+    _require_trace_preserving(stacks)
     partners = unit_amplitudes(partners.reshape(len(w), -1)).reshape(w.shape)
     return w.shape[-2] / 2 * batch_concurrence(w) * _offdiag_mass(_unnormalized_branches(partners, stacks))
 
@@ -276,10 +259,7 @@ def average_coherence(psi: BipartitePureState, channel) -> float:
     off-diagonal modulus sum of the unnormalized branch state, vanishing
     branches contribute zero without any special casing.
     """
-    require_premise(psi.marginal_offdiag())
-    stack = branch_stack(channel, psi.dim_b)
-    _require_trace_preserving(channel.trace_deviation)
-    return float(_offdiag_mass(_unnormalized_branches(psi.coefficient_matrix, stack)))
+    return float(branch_averages(psi.coefficient_matrix[None], branch_stack(channel, psi.dim_b)[None])[0])
 
 
 def maximally_entangled_partner(psi: BipartitePureState) -> BipartitePureState:
@@ -305,17 +285,12 @@ def outcome_coherence_bound(psi: BipartitePureState, op: KrausOperation) -> floa
     w = psi.coefficient_matrix[None]
     probs = _unnormalized_branches(w, n[:, None])[:, 0].trace(axis1=-2, axis2=-1).real
     _require_probability(float(probs[0]))
-    require_premise(psi.marginal_offdiag())
-    return float(_outcome_bounds(w, n, probs)[0])
+    return float(outcome_coherence_bounds(w, n, probs)[0])
 
 
 def average_coherence_bound(psi: BipartitePureState, channel) -> float:
     """Average bound (dim_a / 2) * E * average_coherence of the partner."""
-    stacks = branch_stack(channel, psi.dim_b)[None]
-    w = psi.coefficient_matrix[None]
-    partners = maximally_entangled_partners(w)
-    _require_trace_preserving(channel.trace_deviation)
-    return float(_partner_bounds(w, partners, stacks)[0])
+    return float(average_coherence_bounds(psi.coefficient_matrix[None], branch_stack(channel, psi.dim_b)[None])[0])
 
 
 def tight_average_bound(psi: BipartitePureState, channel) -> float:
@@ -324,10 +299,7 @@ def tight_average_bound(psi: BipartitePureState, channel) -> float:
     Never exceeds average_coherence_bound (up to rounding) and both dominate
     the achieved average.
     """
-    stacks = branch_stack(channel, psi.dim_b)[None]
-    require_premise(psi.marginal_offdiag())
-    _require_trace_preserving(channel.trace_deviation)
-    return float(_tight_bounds(psi.coefficient_matrix[None], stacks)[0])
+    return float(tight_average_bounds(psi.coefficient_matrix[None], branch_stack(channel, psi.dim_b)[None])[0])
 
 
 def average_rcc(psi: BipartitePureState, channel) -> RccReport:
@@ -336,9 +308,9 @@ def average_rcc(psi: BipartitePureState, channel) -> RccReport:
     Zero-probability branches are kept in the outcome list, flagged, and
     contribute zero to the average and to the bound list.
     """
-    require_premise(psi.marginal_offdiag())
     stack = branch_stack(channel, psi.dim_b)
-    _require_trace_preserving(channel.trace_deviation)
+    require_premises(psi.coefficient_matrix)
+    _require_trace_preserving(stack)
     probs, zero, states = _conditional_states(_unnormalized_branches(psi.coefficient_matrix, stack))
     ent = concurrence(psi)
     offdiag = _lemma1_norms(psi.coefficient_matrix[None], stack[None])[0]

@@ -83,7 +83,7 @@ class BipartitePureState:
     rejected. The Schmidt form is computed lazily and cached.
     """
 
-    __slots__ = ("dim_a", "dim_b", "amplitudes", "_schmidt", "_marginal_offdiag")
+    __slots__ = ("dim_a", "dim_b", "amplitudes", "_schmidt")
 
     def __init__(self, dim_a: int, dim_b: int, amplitudes):
         if dim_a < 1 or dim_b < 1:
@@ -99,13 +99,6 @@ class BipartitePureState:
         self.dim_b = int(dim_b)
         self.amplitudes = amp
         self._schmidt = None
-        self._marginal_offdiag = None
-
-    def marginal_offdiag(self) -> float:
-        """Largest off-diagonal modulus of A's marginal (cached)."""
-        if self._marginal_offdiag is None:
-            self._marginal_offdiag = float(marginal_offdiag(self.coefficient_matrix))
-        return self._marginal_offdiag
 
     @property
     def coefficient_matrix(self) -> np.ndarray:
@@ -133,11 +126,12 @@ def unit_amplitudes(amp: np.ndarray) -> np.ndarray:
     """Amplitude vectors (last axis) divided by their norms.
 
     Rejects non-finite entries and any vector whose norm is off 1 by more
-    than VALIDITY_ATOL.
+    than VALIDITY_ATOL; finite entries whose squares overflow give an infinite norm.
     """
-    norm = np.linalg.norm(require_finite(amp, "amplitudes"), axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(require_finite(amp, "amplitudes"), axis=-1, keepdims=True)
     worst = float(norm.flat[np.argmax(np.abs(norm - 1.0))])
-    if abs(worst - 1.0) > VALIDITY_ATOL:
+    if not abs(worst - 1.0) <= VALIDITY_ATOL:
         raise ValueError(f"amplitude norm {worst:.12g} deviates from 1 beyond {VALIDITY_ATOL}")
     return amp / norm
 
@@ -199,8 +193,9 @@ def schmidt_decompose(psi: BipartitePureState) -> SchmidtForm:
     return psi._schmidt
 
 
-def require_premise(offdiag: float) -> None:
-    """Raise PremiseViolated unless A's marginal has off-diagonal weight below VALIDITY_ATOL."""
+def require_premises(w: np.ndarray) -> None:
+    """Raise PremiseViolated unless each A-marginal of w (..., dim_a, dim_b) is diagonal within VALIDITY_ATOL."""
+    offdiag = float(marginal_offdiag(w).max(initial=0.0))
     if offdiag >= VALIDITY_ATOL:
         raise PremiseViolated(
             f"subsystem A starts with off-diagonal weight {offdiag:.3e}; "
@@ -208,15 +203,10 @@ def require_premise(offdiag: float) -> None:
         )
 
 
-def require_premises(w: np.ndarray) -> None:
-    """require_premise for every coefficient matrix of w (..., dim_a, dim_b) at once."""
-    require_premise(float(marginal_offdiag(w).max(initial=0.0)))
-
-
 def schmidt_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Schmidt B-vectors beta_i^T = W[i] / sqrt(w_i) of coefficient matrices w (..., dim_a, dim_b).
 
-    Under the diagonal-marginal premise (check it with require_premise) row i
+    Under the diagonal-marginal premise (check it with require_premises) row i
     of W is sqrt(w_i) beta_i, so beta_i is paired with |i> even at equal
     weights, where an SVD may return any rotation of the pairs. Rows with
     w_i at or below SCHMIDT_WEIGHT_CUTOFF come back as zeros; the second

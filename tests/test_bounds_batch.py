@@ -20,6 +20,7 @@ from rcc_lab import experiments, rcc
 from rcc_lab.channels import (
     KrausOperation,
     ensemble_to_json,
+    is_trace_preserving,
     kraus_operation_to_json,
     phase_damping,
     check_summaries,
@@ -27,7 +28,13 @@ from rcc_lab.channels import (
 from rcc_lab.coherence import l1_coherence
 from rcc_lab.errors import NotTracePreserving, PremiseViolated, ZeroProbability
 from rcc_lab.experiments import VERIFY_BLOCK, SuiteReport, run_verify
-from rcc_lab.linalg import SeededRng, complex_ginibre, haar_random_unitary, unitary_from_ginibre
+from rcc_lab.linalg import (
+    VALIDITY_ATOL,
+    SeededRng,
+    complex_ginibre,
+    haar_random_unitary,
+    unitary_from_ginibre,
+)
 from rcc_lab.sampling import (
     draw_ensemble_block,
     draw_kraus_block,
@@ -266,6 +273,33 @@ def test_non_trace_preserving_channel_raises_as_on_the_scalar_routes():
     assert raised(rcc.branch_averages, w, stacks) == expected
     assert raised(rcc.tight_average_bounds, w, stacks) == expected
     assert raised(rcc.average_coherence_bounds, w, stacks) == expected
+
+
+@pytest.mark.parametrize("scale, accepted", [(0.999, True), (1.001, False)])
+def test_every_averaging_route_draws_the_line_at_validity_atol(scale, accepted):
+    # A qubit channel whose N = (1 - scale * VALIDITY_ATOL) I misses the
+    # identity by scale * VALIDITY_ATOL, far from rounding at either scale.
+    shrink = np.sqrt(1.0 - scale * VALIDITY_ATOL)
+    channel = KrausOperation([shrink * f for f in phase_damping(0.3).kraus])
+    psi = random_schmidt_state(2, 2, SeededRng(4))
+    w, stacks = psi.coefficient_matrix[None], channel.branch_n_stack()[None]
+    routes = [
+        (rcc.average_coherence, psi, channel),
+        (rcc.average_rcc, psi, channel),
+        (rcc.average_coherence_bound, psi, channel),
+        (rcc.tight_average_bound, psi, channel),
+        (rcc.branch_averages, w, stacks),
+        (rcc.tight_average_bounds, w, stacks),
+        (rcc.average_coherence_bounds, w, stacks),
+        (rcc.average_coherences, w, [channel]),
+    ]
+    assert is_trace_preserving(channel) is accepted
+    for route, *args in routes:
+        if accepted:
+            route(*args)
+        else:
+            with pytest.raises(NotTracePreserving):
+                route(*args)
 
 
 def test_summary_check_raises_as_kraus_operation_does():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rcc_lab import channels
 from rcc_lab.channels import (
     CREATION_ATOL,
     ChannelEnsemble,
@@ -26,14 +27,13 @@ from rcc_lab.channels import (
 )
 from rcc_lab.coherence import l1_coherence
 from rcc_lab.errors import NotTracePreserving, PremiseViolated
-from rcc_lab.linalg import SeededRng, complex_ginibre, haar_random_unitary
+from rcc_lab.linalg import SeededRng, haar_random_unitary
 from rcc_lab.rcc import post_operation_state_a
 from rcc_lab.sampling import (
     kraus_operation_from_parts,
     random_kraus_operation,
     random_schmidt_state,
     summary_operators_from_parts,
-    tp_channel_from_parts,
 )
 from rcc_lab.states import BipartitePureState
 
@@ -107,7 +107,7 @@ class TestKrausOperation:
             total += f.conj().T @ f
         assert np.array_equal(op.branch_n_stack(), np.stack([f.conj().T @ f for f in mats]))
         assert np.array_equal(op.n_operator(), (total + total.conj().T) / 2)
-        assert op.trace_deviation == float(np.max(np.abs(op.n_operator() - np.eye(dim))))
+        assert identity_deviation(op.branch_n_stack()[None]) == float(np.max(np.abs(total - np.eye(dim))))
         trailing = np.concatenate([mats, np.zeros_like(mats[1:])])
         interleaved = np.stack([mats, np.zeros_like(mats)], axis=1).reshape(-1, dim, dim)[:-1]
         stack, n = branch_stacks(np.stack([trailing, interleaved]))
@@ -157,19 +157,10 @@ class TestIdentityDeviation:
     def test_empty_stack_of_wholes(self):
         assert identity_deviation(np.zeros((0, 2, 2, 2))) == 0.0
 
-    def test_channels_store_their_deviation(self):
-        assert phase_damping(0.3).trace_deviation < 1e-15
-        assert abs(KrausOperation([np.sqrt(0.3) * np.eye(2)]).trace_deviation - 0.7) < 1e-15
-        assert projective_measurement(HADAMARD).trace_deviation < 1e-15
-
-    @pytest.mark.parametrize("count", [9, 17, 33])
-    def test_stacked_and_stored_deviations_agree(self, count):
-        # 1x1 branches from K = 9 on are where a pairwise sum would move the
-        # last bit, so both routes must add the branches in index order.
-        for seed in range(50):
-            z = complex_ginibre(SeededRng(seed, count).generator, (count, 1))
-            op = tp_channel_from_parts(np.array([count]), z[None])
-            assert identity_deviation(op.branch_n_stack()[None]) == op.trace_deviation
+    def test_deviations_of_channel_stacks(self):
+        assert identity_deviation(phase_damping(0.3).branch_n_stack()) < 1e-15
+        assert abs(identity_deviation(KrausOperation([np.sqrt(0.3) * np.eye(2)]).branch_n_stack()) - 0.7) < 1e-15
+        assert identity_deviation(projective_measurement(HADAMARD).branch_n_stack()) < 1e-15
 
 
 class TestTracePreservation:
@@ -229,6 +220,14 @@ class TestStandardConstructors:
         with pytest.raises(ValueError, match="orthonormal"):
             projective_measurement(np.array([[1, 1], [0, 1]], dtype=complex))
 
+    @pytest.mark.filterwarnings("error")
+    def test_projective_measurement_rejects_an_overflowing_basis(self):
+        # Its Gram matrix is NaN, which a plain `dev > atol` lets through.
+        basis = HADAMARD.copy()
+        basis[1, 1] = 1e160 + 1e160j
+        with pytest.raises(ValueError, match="^basis columns deviate from orthonormal by nan$"):
+            projective_measurement(basis)
+
 
 class TestChannelEnsemble:
     def test_sum_to_identity_enforced(self):
@@ -240,6 +239,18 @@ class TestChannelEnsemble:
     def test_rejects_mixed_dimensions(self):
         with pytest.raises(ValueError):
             ChannelEnsemble([KrausOperation([np.eye(2)]), KrausOperation([np.eye(3)])])
+
+    def test_rejects_a_deviation_equal_to_the_tolerance(self, monkeypatch):
+        # Averaging rejects identity_deviation >= VALIDITY_ATOL; an ensemble
+        # it would reject must not be built.
+        members = projective_measurement(haar_random_unitary(2, SeededRng(67))).operations
+        dev = identity_deviation(np.array([op.n_operator() for op in members]))
+        assert dev > 0.0
+        monkeypatch.setattr(channels, "VALIDITY_ATOL", dev)
+        with pytest.raises(NotTracePreserving):
+            ChannelEnsemble(members)
+        monkeypatch.setattr(channels, "VALIDITY_ATOL", np.nextafter(dev, np.inf))
+        ChannelEnsemble(members)
 
 
 class TestCreatesCoherence:

@@ -377,6 +377,16 @@ class TestComputeCommand:
         assert code == 2
         assert "summary operator holds a non-finite entry" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_amplitude_is_a_usage_error(self, tmp_path, capsys):
+        # The amplitude 1e160 is finite, but its square overflows: exit 2, no warning.
+        state = state_to_json(BipartitePureState(2, 2, [1, 0, 0, 0]))
+        state["amplitudes"][0] = [1e160, 0.0]
+        path = write_json(tmp_path / "state.json", state)
+        code = main(["compute", "--state", path, "--channel", hadamard_measurement_file(tmp_path)])
+        assert code == 2
+        assert "amplitude norm inf deviates from 1" in capsys.readouterr().err
+
     def test_premise_violation_surfaces(self, tmp_path, capsys):
         coherent = BipartitePureState(2, 2, np.array([1, 0, 1, 0]) / np.sqrt(2))
         state = write_json(tmp_path / "coherent.json", state_to_json(coherent))

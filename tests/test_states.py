@@ -173,13 +173,13 @@ class TestReducedA:
         with pytest.raises(BadTrace):
             reduced_a(2 * rho, 2, 2)
 
-    def test_marginal_offdiag_cache(self):
-        assert tilted().marginal_offdiag() < 1e-12
+    def test_marginal_offdiag(self):
+        assert states.marginal_offdiag(tilted().coefficient_matrix) < 1e-12
         coherent = zero_plus()
         rotated = BipartitePureState(
             2, 2, np.kron(HADAMARD, np.eye(2)) @ coherent.amplitudes
         )
-        assert rotated.marginal_offdiag() > 0.1
+        assert states.marginal_offdiag(rotated.coefficient_matrix) > 0.1
 
 
 class TestJointMatrix:
@@ -293,6 +293,17 @@ class TestNonFiniteEntries:
     def test_from_schmidt(self, bad):
         with pytest.raises(ValueError, match="^basis_b holds a non-finite entry$"):
             BipartitePureState.from_schmidt([0.5, 0.5], with_entry(HADAMARD, bad))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_entries_are_rejected_without_a_warning(self):
+        # Finite entries whose squares overflow: the norm is infinite and the
+        # Gram matrix NaN, and both fail their check.
+        with pytest.raises(ValueError, match="^amplitude norm inf deviates from 1"):
+            BipartitePureState(2, 2, [1e160, 0, 0, 0])
+        basis = HADAMARD.copy()
+        basis[1, 1] = 1e160 + 1e160j
+        with pytest.raises(ValueError, match="^basis columns deviate from orthonormal by nan$"):
+            BipartitePureState.from_schmidt([0.5, 0.5], basis)
 
     def test_from_schmidt_checks_each_input_once(self, monkeypatch):
         checked, require_finite = [], linalg.require_finite
