@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausOperation, branch_stack, check_summaries, identity_deviation
-from .coherence import block_diagonal_mask, l1_coherence, l1_coherences
+from .coherence import block_diagonal_mask, l1_coherences
 from .errors import NotTracePreserving, SearchExhausted, WrongDimension, ZeroProbability
 from .linalg import VALIDITY_ATOL, complete_orthonormal_basis, matrix_to_json
 from .states import (
@@ -308,29 +308,31 @@ def average_rcc(psi: BipartitePureState, channel) -> RccReport:
     Zero-probability branches are kept in the outcome list, flagged, and
     contribute zero to the average and to the bound list.
     """
+    w = psi.coefficient_matrix
     stack = branch_stack(channel, psi.dim_b)
-    require_premises(psi.coefficient_matrix)
+    require_premises(w)
     _require_trace_preserving(stack)
-    probs, zero, states = _conditional_states(_unnormalized_branches(psi.coefficient_matrix, stack))
+    partner = unit_amplitudes(maximally_entangled_partners(w[None]).reshape(1, -1)).reshape(w.shape)
+    # One contraction for psi and its partner, whose A-marginal is I / dim_a.
+    unnorm = _unnormalized_branches(np.stack([w, partner]), stack)
+    probs, zero, states = _conditional_states(unnorm[0])
     ent = concurrence(psi)
-    offdiag = _lemma1_norms(psi.coefficient_matrix[None], stack[None])[0]
+    offdiag = _lemma1_norms(w[None], stack[None])[0]
 
     outcomes: list[OutcomeRecord] = []
     bounds: list[float] = []
-    kept_states = iter(states)
+    kept = zip(states, l1_coherences(states).tolist())
     for prob, flagged, branch_offdiag in zip(probs.tolist(), zero.tolist(), offdiag):
         if flagged:
             outcomes.append(OutcomeRecord(prob, None, 0.0, zero_probability=True))
             bounds.append(0.0)
             continue
-        state_a = DensityMatrix(next(kept_states), validate=False)
-        outcomes.append(OutcomeRecord(prob, state_a, l1_coherence(state_a)))
+        state_a, coherence = next(kept)
+        outcomes.append(OutcomeRecord(prob, DensityMatrix(state_a, validate=False), coherence))
         bounds.append(float(ent / prob * branch_offdiag))
 
     average = float(sum(o.probability * o.coherence for o in outcomes))
-    # The partner's A-marginal is I / dim_a, and the channel is checked above.
-    partner = maximally_entangled_partner(psi)
-    maxent_average = float(_offdiag_mass(_unnormalized_branches(partner.coefficient_matrix, stack)))
+    maxent_average = float(_offdiag_mass(unnorm[1]))
     bound_via_partner = float(psi.dim_a / 2 * ent * maxent_average)
     tight = float(ent * offdiag.sum())
     ratio = None
@@ -398,7 +400,10 @@ def converse_witnesses(rho: np.ndarray, dim_a: int, dim_b: int) -> tuple[np.ndar
     beta = (s @ vectors[np.arange(len(y)), part, :, j][..., None])[..., 0]
     # A zero beta, from parts that all vanish on the support, stays zero: N = 0.
     beta /= np.maximum(np.linalg.norm(beta, axis=-1, keepdims=True), np.finfo(float).tiny)
-    projectors = check_summaries(beta[:, :, None] * beta[:, None, :].conj())
+    # beta beta^dagger has spectrum {0, ..., 0, |beta|^2}.
+    spectrum = np.zeros(beta.shape)
+    spectrum[:, -1] = np.sum(np.abs(beta) ** 2, axis=-1)
+    projectors = check_summaries(beta[:, :, None] * beta[:, None, :].conj(), spectrum=spectrum)
     _, zero, states = _conditional_states(_mixed_branches(r4, projectors[:, None]))
     coherence = np.zeros(len(y))
     coherence[~zero[:, 0]] = l1_coherences(states)

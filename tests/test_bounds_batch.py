@@ -26,7 +26,7 @@ from rcc_lab.channels import (
     check_summaries,
 )
 from rcc_lab.coherence import l1_coherence
-from rcc_lab.errors import NotTracePreserving, PremiseViolated, ZeroProbability
+from rcc_lab.errors import NotTracePreserving, PremiseViolated, WrongDimension, ZeroProbability
 from rcc_lab.experiments import VERIFY_BLOCK, SuiteReport, run_verify
 from rcc_lab.linalg import (
     VALIDITY_ATOL,
@@ -273,6 +273,18 @@ def test_non_trace_preserving_channel_raises_as_on_the_scalar_routes():
     assert raised(rcc.branch_averages, w, stacks) == expected
     assert raised(rcc.tight_average_bounds, w, stacks) == expected
     assert raised(rcc.average_coherence_bounds, w, stacks) == expected
+
+
+def test_average_rcc_checks_kind_and_dimension_premise_trace_then_partner():
+    # A 3x2 state has no maximally entangled partner; every other check comes first.
+    diagonal = BipartitePureState(3, 2, np.sqrt([0.6, 0, 0, 0.4, 0, 0]))
+    coherent = BipartitePureState(3, 2, np.array([1, 0, 1, 0, 0, 0]) / np.sqrt(2))
+    half, whole = KrausOperation([np.sqrt(0.5) * np.eye(2)]), phase_damping(0.3)
+    assert raised(rcc.average_rcc, coherent, "channel")[0] is TypeError
+    assert raised(rcc.average_rcc, coherent, KrausOperation([np.eye(3)]))[0] is ValueError
+    assert raised(rcc.average_rcc, coherent, half)[0] is PremiseViolated
+    assert raised(rcc.average_rcc, diagonal, half)[0] is NotTracePreserving
+    assert raised(rcc.average_rcc, diagonal, whole) == (WrongDimension, "partner needs dim_b >= dim_a, got 2 < 3")
 
 
 @pytest.mark.parametrize("scale, accepted", [(0.999, True), (1.001, False)])

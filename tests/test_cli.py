@@ -227,6 +227,13 @@ COMPUTE_CASES = {
         random_schmidt_state(3, 3, SeededRng(1009, 0)),
         random_channel_ensemble(3, SeededRng(1009, 1)),
     ),
+    # At d = 4 the last digits depend on how traces are summed: both pairs
+    # move if np.einsum("...ii->...") replaces ndarray.trace.
+    "tp_channel_d4": lambda: (random_schmidt_state(4, 4, SeededRng(1020, 0)), random_tp_channel(4, SeededRng(1020, 1))),
+    "ensemble_d4": lambda: (
+        random_schmidt_state(4, 4, SeededRng(1021, 0)),
+        random_channel_ensemble(4, SeededRng(1021, 1)),
+    ),
     # dim_b = 3 > dim_a = 2: the projector onto |2> misses B's support, so its
     # branch has probability exactly 0 and is flagged.
     "wide_b_zero_branch": lambda: (
@@ -242,6 +249,8 @@ COMPUTE_DIGESTS = {
     "tilted_phase_damping": "8fac715317ed7a7af19e8f3b0d0fb44727d1f53a723cbdd1f55ff8cce5fdbee3",
     "tp_channel_d3": "57a28877e993912dff2f17fb52bffaf43bf9e665c57aeeb85266b741784f7ee2",
     "ensemble_d3": "116c8a527b459c17e7f0eec4ce3b0aadf8fe5599fe34ed0cf7c1631d6b9cf223",
+    "tp_channel_d4": "2371433ce54a8b5ee05575ef82c5b736ccd593c343eb78d847020b52bdbf63f2",
+    "ensemble_d4": "6de10ca080243bb5598107e8954d3c3e881d0d9715051ac4d096b0e134a1c4f5",
     "wide_b_zero_branch": "4da3d66fc7ff9f21aa4b237c1ea1ab18e3244a2b2efd08c8fceb13f40dce62a7",
 }
 

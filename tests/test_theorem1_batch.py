@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
 
-from rcc_lab import coherence, experiments, rcc
-from rcc_lab.channels import ChannelEnsemble, KrausOperation, kraus_operation_to_json
+from rcc_lab import coherence, experiments, rcc, sampling
+from rcc_lab.channels import ChannelEnsemble, KrausOperation, branch_stacks, check_summaries, kraus_operation_to_json
 from rcc_lab.coherence import is_incoherent_quantum, l1_coherence
 from rcc_lab.errors import BadTrace, NotHermitian, NotPositive, SearchExhausted, ZeroProbability
 from rcc_lab.experiments import FORWARD_COHERENCE_ATOL, THEOREM1_FORWARD_BLOCK, VERIFY_BLOCK, SuiteReport, verify_theorem1
-from rcc_lab.linalg import SeededRng, complex_ginibre, haar_random_unitary, matrix_to_json, partial_trace
+from rcc_lab.linalg import (
+    VALIDITY_ATOL,
+    SeededRng,
+    complex_ginibre,
+    haar_random_unitary,
+    matrix_to_json,
+    partial_trace,
+    unitary_from_ginibre,
+)
 from rcc_lab.rcc import average_rcc, converse_witnesses, find_creating_operation, post_operation_state_a
 from rcc_lab.sampling import (
     densities_from_parts,
@@ -298,6 +306,128 @@ class TestStackedDensityCheck:
         with pytest.raises(error) as stacked:
             check_densities(np.array(stack, dtype=complex))
         assert str(stacked.value) == str(single.value)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [[[np.nan, 0], [0, 1]], [[0.5, np.nan], [np.nan, 0.5]], [[np.inf, 0], [0, 1]]])
+    def test_non_finite_stacks_fail_the_first_check(self, bad):
+        # Every comparison with NaN is False, so each test is written to fail on it.
+        with pytest.raises(NotHermitian, match="= nan exceeds"):
+            check_densities(np.array(GOOD + [bad], dtype=complex))
+
+
+def spectral_stack(lowest, n, d, g, rotate=True):
+    # n Hermitian unit-trace d x d matrices U diag(lowest, rest) U^dagger, the
+    # rest positive and adding to 1 - lowest; U Haar, or I without rotate.
+    rest = (1 - lowest) * g.dirichlet(np.ones(d - 1), n)
+    spectra = np.concatenate([np.full((n, 1), lowest), rest], axis=1).astype(complex)
+    if not rotate:
+        return spectra[:, :, None] * np.eye(d)
+    u = unitary_from_ginibre(complex_ginibre(g, (d, d), n))
+    return (u * spectra[:, None, :]) @ u.conj().swapaxes(-1, -2)
+
+
+def rare_branch_states(n, g):
+    # Conditional states of a projector onto v within 1e-5 of the null space
+    # of W, a 2x3 state of Schmidt rank 2 with diagonal A-marginal, so that
+    # p is about 1e-10: divided by p and symmetrized as rcc._conditional_states
+    # does. Their lowest eigenvalues reach well below -VALIDITY_ATOL.
+    states = []
+    for u in unitary_from_ginibre(complex_ginibre(g, (3, 3), n)):
+        w = np.sqrt(0.5) * u[:, :2].T
+        v = u[:, 2] + 1e-5 * u[:, 0]
+        v /= np.linalg.norm(v)
+        unnorm = rcc._unnormalized_branches(w, np.outer(v, v.conj())[None])[0]
+        state = unnorm / np.trace(unnorm).real
+        states.append((state + state.conj().T) / 2)
+    return np.array(states)
+
+
+def eigvalsh_verdict(m):
+    # The positivity check as eigvalsh alone decides it, with its message.
+    low = float(np.linalg.eigvalsh((m + m.conj().swapaxes(-1, -2)) / 2).min(initial=np.inf))
+    return None if low >= -VALIDITY_ATOL else f"minimum eigenvalue {low:.3e} is below -{VALIDITY_ATOL}"
+
+
+def density_verdict(m):
+    try:
+        check_densities(m)
+    except NotPositive as exc:
+        return str(exc)
+    return None
+
+
+class TestGershgorinCertificate:
+    def stacks(self):
+        g = SeededRng(20261019, 7).generator
+        for d in (2, 3, 4):
+            yield densities_from_parts(complex_ginibre(g, (d, d), 40))
+            yield spectral_stack(0.0, 40, d, g, rotate=False)
+            for lowest in (-VALIDITY_ATOL * (1 - 1e-3), -VALIDITY_ATOL * (1 + 1e-3)):
+                yield spectral_stack(lowest, 40, d, g, rotate=False)
+                yield spectral_stack(lowest, 40, d, g)
+        yield rare_branch_states(300, g)
+
+    def test_the_bound_never_passes_what_eigvalsh_rejects(self):
+        for stack in self.stacks():
+            assert density_verdict(stack) == eigvalsh_verdict(stack)
+            for m in stack:
+                assert density_verdict(m) == eigvalsh_verdict(m)
+        # The rare branches of ROADMAP item 1 are still rejected, not certified.
+        rare = rare_branch_states(100, SeededRng(20261019, 11).generator)
+        assert sum(density_verdict(m) is not None for m in rare) > 10
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_never_pass(self, bad):
+        for stack in self.stacks():
+            stack[len(stack) // 2, -1, -1] = bad
+            with pytest.raises(NotHermitian):
+                check_densities(stack)
+
+    def test_forward_blocks_skip_eigvalsh(self, monkeypatch):
+        # theorem1's forward half: block-diagonal states against the
+        # operations' N stack give diagonal conditional states.
+        g = SeededRng(20261019, 8).generator
+        stack = summary_operators_from_parts(draw_kraus_block(2, 100, g)[1])
+        states = block_diagonal_states(THEOREM1_FORWARD_BLOCK, g).reshape(-1, 2, 2, 2, 2)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
+        _, zero, states_a = rcc._conditional_states(rcc._mixed_branches(states, stack))
+        assert len(states_a) == zero.size and calls == []
+        # Dense states leave the bound undecided: one eigvalsh for the stack.
+        check_densities(densities_from_parts(complex_ginibre(g, (3, 3), 4)))
+        assert calls == [(4, 3, 3)]
+
+
+class TestReusedSpectra:
+    # Two checks of 0 <= N <= I read a spectrum already taken, not eigvalsh's.
+    # Each must still raise the ValueError that eigvalsh's spectrum raises.
+
+    def test_scaled_set_outside_the_unit_interval_raises(self, monkeypatch):
+        mats = draw_kraus_block(3, 20, SeededRng(20261019, 9).generator)[1]
+        summary_operators_from_parts(mats)
+        # A scale twice too large makes max eig(N) = 4.
+        sqrt = np.sqrt
+        monkeypatch.setattr(np, "sqrt", lambda x: sqrt(x) / 2)
+        with pytest.raises(ValueError, match=r"0 <= N <= I; spectrum spans") as reused:
+            summary_operators_from_parts(mats)
+        scaled, _ = sampling.scaled_kraus(mats)
+        with pytest.raises(ValueError) as recomputed:
+            branch_stacks(scaled)
+        assert str(reused.value) == str(recomputed.value)
+        assert str(reused.value).endswith(", 4.000000]")
+
+    def test_witness_with_beta_longer_than_one_raises(self, monkeypatch):
+        states = draw_noncq_states(20, 2, 3, SeededRng(20261019, 10).generator)
+        converse_witnesses(states, 2, 3)
+        # Halved norms leave |beta|^2 = 4.
+        norm = np.linalg.norm
+        monkeypatch.setattr(np.linalg, "norm", lambda *args, **kwargs: norm(*args, **kwargs) / 2)
+        with pytest.raises(ValueError, match=r"0 <= N <= I; spectrum spans \[0\.000e\+00, 4\.000000\]"):
+            converse_witnesses(states, 2, 3)
+        monkeypatch.setattr(rcc, "check_summaries", lambda n, spectrum: check_summaries(n))
+        with pytest.raises(ValueError, match=r"0 <= N <= I; spectrum spans \[.*, 4\.000000\]"):
+            converse_witnesses(states, 2, 3)
 
 
 # -- the stacked converse ---------------------------------------------------
