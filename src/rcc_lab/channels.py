@@ -146,27 +146,26 @@ def identity_deviation(stacks: np.ndarray) -> float:
     return float(np.abs(total - np.eye(total.shape[-1])).max(initial=0.0))
 
 
-def branch_stacks(kraus: np.ndarray, *, spectrum: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def branch_stacks(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Branches F^dagger F (..., K, d, d) of Kraus sets kraus (..., K, d, d), and their sums N (..., d, d).
 
     N is summed in index order (branch_sums), symmetrized and checked by
-    check_summaries with spectrum; a product that overflows gives a non-finite N, not a warning.
+    check_summaries; a product that overflows gives a non-finite N, not a warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         stack = kraus.conj().swapaxes(-1, -2) @ kraus
-        return stack, check_summaries(branch_sums(stack), spectrum=spectrum)
+        return stack, check_summaries(branch_sums(stack))
 
 
-def check_summaries(n: np.ndarray, *, spectrum: np.ndarray | None = None) -> np.ndarray:
+def check_summaries(n: np.ndarray) -> np.ndarray:
     """Symmetrize summary operators N stacked on leading axes and check 0 <= N <= I.
 
     Raises ValueError when an N holds a non-finite entry or an eigenvalue that
-    leaves [0, 1] by more than VALIDITY_ATOL. The eigenvalues are spectrum
-    (..., d) if the caller holds them, else eigvalsh's. Returns the symmetrized stack.
+    leaves [0, 1] by more than VALIDITY_ATOL. Returns the symmetrized stack.
     """
     n = (n + n.conj().swapaxes(-1, -2)) / 2
     require_finite(n, "summary operator")
-    evals = np.linalg.eigvalsh(n) if spectrum is None else spectrum
+    evals = np.linalg.eigvalsh(n)
     low, high = evals.min(initial=np.inf), evals.max(initial=-np.inf)
     if low < -VALIDITY_ATOL or high > 1.0 + VALIDITY_ATOL:
         raise ValueError(f"summary operator must satisfy 0 <= N <= I; spectrum spans [{low:.3e}, {high:.6f}]")

@@ -312,9 +312,8 @@ def average_rcc(psi: BipartitePureState, channel) -> RccReport:
     stack = branch_stack(channel, psi.dim_b)
     require_premises(w)
     _require_trace_preserving(stack)
-    partner = unit_amplitudes(maximally_entangled_partners(w[None]).reshape(1, -1)).reshape(w.shape)
     # One contraction for psi and its partner, whose A-marginal is I / dim_a.
-    unnorm = _unnormalized_branches(np.stack([w, partner]), stack)
+    unnorm = _unnormalized_branches(np.stack([w, maximally_entangled_partner(psi).coefficient_matrix]), stack)
     probs, zero, states = _conditional_states(unnorm[0])
     ent = concurrence(psi)
     offdiag = _lemma1_norms(w[None], stack[None])[0]
@@ -400,10 +399,7 @@ def converse_witnesses(rho: np.ndarray, dim_a: int, dim_b: int) -> tuple[np.ndar
     beta = (s @ vectors[np.arange(len(y)), part, :, j][..., None])[..., 0]
     # A zero beta, from parts that all vanish on the support, stays zero: N = 0.
     beta /= np.maximum(np.linalg.norm(beta, axis=-1, keepdims=True), np.finfo(float).tiny)
-    # beta beta^dagger has spectrum {0, ..., 0, |beta|^2}.
-    spectrum = np.zeros(beta.shape)
-    spectrum[:, -1] = np.sum(np.abs(beta) ** 2, axis=-1)
-    projectors = check_summaries(beta[:, :, None] * beta[:, None, :].conj(), spectrum=spectrum)
+    projectors = check_summaries(beta[:, :, None] * beta[:, None, :].conj())
     _, zero, states = _conditional_states(_mixed_branches(r4, projectors[:, None]))
     coherence = np.zeros(len(y))
     coherence[~zero[:, 0]] = l1_coherences(states)

@@ -78,15 +78,14 @@ def draw_ensemble_block(dim_b: int, n: int, g: np.random.Generator):
     return counts, _ginibre_sets(g, counts, dim_b, stacked=False), g.integers(1, counts)
 
 
-def scaled_kraus(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kraus sets (..., count, d, d), each scaled so that max eig(N) = 1, and the spectra (..., d) of the scaled N.
+def scaled_kraus(mats: np.ndarray) -> np.ndarray:
+    """Kraus sets stacked as (..., count, d, d), each scaled so that max eig(N) = 1.
 
     Zero matrices padding a set change neither its scale nor the rest of it.
     """
     n = (mats.conj().swapaxes(-1, -2) @ mats).sum(axis=-3)
-    evals = np.linalg.eigvalsh((n + n.conj().swapaxes(-1, -2)) / 2)
-    scale = 1.0 / np.sqrt(evals.max(axis=-1))
-    return scale[..., None, None, None] * mats, evals * scale[..., None] ** 2
+    top = np.linalg.eigvalsh((n + n.conj().swapaxes(-1, -2)) / 2).max(axis=-1)
+    return (1.0 / np.sqrt(top))[..., None, None, None] * mats
 
 
 def isometry_kraus(z: np.ndarray) -> np.ndarray:
@@ -102,7 +101,7 @@ def isometry_kraus(z: np.ndarray) -> np.ndarray:
 def kraus_operation_from_parts(counts: np.ndarray, mats: np.ndarray, k: int = 0) -> KrausOperation:
     """The operation random_kraus_operation builds from row k of a draw_kraus_block."""
     count = int(counts[k])
-    return KrausOperation(list(scaled_kraus(mats[k, :count])[0]), label=f"random-kraus[{count}]")
+    return KrausOperation(list(scaled_kraus(mats[k, :count])), label=f"random-kraus[{count}]")
 
 
 def tp_channel_from_parts(counts: np.ndarray, z: np.ndarray, k: int = 0) -> KrausOperation:
@@ -147,10 +146,9 @@ def coefficient_matrices_from_parts(weights: np.ndarray, ginibre: np.ndarray) ->
 def summary_operators_from_parts(mats: np.ndarray) -> np.ndarray:
     """Summary operators (n, d, d) of the Kraus sets mats (n, count, d, d) of a draw_kraus_block.
 
-    Entry k is the N of kraus_operation_from_parts at row k; branch_stacks checks it on scaled_kraus's spectra.
+    Entry k is the N of kraus_operation_from_parts at row k (channels.branch_stacks).
     """
-    scaled, spectra = scaled_kraus(mats)
-    return branch_stacks(scaled, spectrum=spectra)[1]
+    return branch_stacks(scaled_kraus(mats))[1]
 
 
 def branch_stacks_from_parts(z: np.ndarray, splits: np.ndarray | None = None) -> np.ndarray:

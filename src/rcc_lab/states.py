@@ -28,6 +28,9 @@ from .linalg import (
 # normalized B-side vectors never divide by a vanishing weight.
 SCHMIDT_WEIGHT_CUTOFF = 1e-12
 
+# Smallest stack on which check_densities tries the Gershgorin bound before eigvalsh.
+GERSHGORIN_MIN_STACK = 64
+
 
 class DensityMatrix:
     """Hermitian, unit-trace, positive semidefinite operator.
@@ -56,9 +59,9 @@ def check_densities(m: np.ndarray) -> np.ndarray:
 
     Raises NotHermitian, BadTrace or NotPositive, in that order of checks,
     with the worst deviation over the stack; each tolerance is VALIDITY_ATOL.
-    A non-finite entry fails the first check. Positivity is certified by the Gershgorin
-    bound min_i (2 m_ii - sum_j |m_ij|), else decided by eigvalsh over the whole stack.
-    Returns the traces.
+    A non-finite entry fails the first check. On a stack of GERSHGORIN_MIN_STACK matrices
+    or more, positivity is certified by the Gershgorin bound min_i (2 m_ii - sum_j |m_ij|)
+    where it can; otherwise eigvalsh decides it over the whole stack. Returns the traces.
     """
     # (m + m^dagger) / 2 is built in place in m^dagger, so at most m - m^dagger joins them.
     mh = np.conjugate(m.swapaxes(-1, -2), order="C")
@@ -72,8 +75,10 @@ def check_densities(m: np.ndarray) -> np.ndarray:
         raise BadTrace(f"trace deviates from 1 by {trace_dev:.3e}")
     mh += m
     mh /= 2
-    gershgorin = 2 * mh.real.diagonal(0, -2, -1) - np.abs(mh).sum(axis=-1)
-    if not gershgorin.min(initial=np.inf) >= -VALIDITY_ATOL:
+    # The bound costs a few microseconds per call, which only a large stack repays.
+    if mh.size < GERSHGORIN_MIN_STACK * mh.shape[-1] ** 2 or not (
+        (2 * mh.real.diagonal(0, -2, -1) - np.abs(mh).sum(axis=-1)).min(initial=np.inf) >= -VALIDITY_ATOL
+    ):
         low = float(np.linalg.eigvalsh(mh).min(initial=np.inf))
         if not low >= -VALIDITY_ATOL:
             raise NotPositive(f"minimum eigenvalue {low:.3e} is below -{VALIDITY_ATOL}")

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from rcc_lab import coherence, experiments, rcc, sampling
-from rcc_lab.channels import ChannelEnsemble, KrausOperation, branch_stacks, check_summaries, kraus_operation_to_json
+from rcc_lab import coherence, experiments, rcc
+from rcc_lab.channels import ChannelEnsemble, KrausOperation, kraus_operation_to_json
 from rcc_lab.coherence import is_incoherent_quantum, l1_coherence
 from rcc_lab.errors import BadTrace, NotHermitian, NotPositive, SearchExhausted, ZeroProbability
 from rcc_lab.experiments import FORWARD_COHERENCE_ATOL, THEOREM1_FORWARD_BLOCK, VERIFY_BLOCK, SuiteReport, verify_theorem1
@@ -29,7 +29,7 @@ from rcc_lab.sampling import (
     random_noncq_state,
     summary_operators_from_parts,
 )
-from rcc_lab.states import BipartitePureState, DensityMatrix, check_densities
+from rcc_lab.states import GERSHGORIN_MIN_STACK, BipartitePureState, DensityMatrix, check_densities
 
 
 def block_diagonal_states(n, g):
@@ -356,25 +356,32 @@ def density_verdict(m):
     return None
 
 
+def among_certified(m):
+    # m last in a stack of GERSHGORIN_MIN_STACK matrices, the others I / d, which
+    # the bound certifies: the stack's verdict is m's, reached through the bound.
+    d = m.shape[-1]
+    return np.concatenate([np.broadcast_to(np.eye(d) / d, (GERSHGORIN_MIN_STACK - 1, d, d)), m[None]])
+
+
 class TestGershgorinCertificate:
     def stacks(self):
-        g = SeededRng(20261019, 7).generator
+        g, n = SeededRng(20261019, 7).generator, GERSHGORIN_MIN_STACK
         for d in (2, 3, 4):
-            yield densities_from_parts(complex_ginibre(g, (d, d), 40))
-            yield spectral_stack(0.0, 40, d, g, rotate=False)
+            yield densities_from_parts(complex_ginibre(g, (d, d), n))
+            yield spectral_stack(0.0, n, d, g, rotate=False)
             for lowest in (-VALIDITY_ATOL * (1 - 1e-3), -VALIDITY_ATOL * (1 + 1e-3)):
-                yield spectral_stack(lowest, 40, d, g, rotate=False)
-                yield spectral_stack(lowest, 40, d, g)
+                yield spectral_stack(lowest, n, d, g, rotate=False)
+                yield spectral_stack(lowest, n, d, g)
         yield rare_branch_states(300, g)
 
     def test_the_bound_never_passes_what_eigvalsh_rejects(self):
         for stack in self.stacks():
             assert density_verdict(stack) == eigvalsh_verdict(stack)
             for m in stack:
-                assert density_verdict(m) == eigvalsh_verdict(m)
+                assert density_verdict(among_certified(m)) == eigvalsh_verdict(m)
         # The rare branches of ROADMAP item 1 are still rejected, not certified.
         rare = rare_branch_states(100, SeededRng(20261019, 11).generator)
-        assert sum(density_verdict(m) is not None for m in rare) > 10
+        assert sum(density_verdict(among_certified(m)) is not None for m in rare) > 10
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entries_never_pass(self, bad):
@@ -383,51 +390,24 @@ class TestGershgorinCertificate:
             with pytest.raises(NotHermitian):
                 check_densities(stack)
 
-    def test_forward_blocks_skip_eigvalsh(self, monkeypatch):
+    def test_only_large_stacks_try_the_bound(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
         # theorem1's forward half: block-diagonal states against the
         # operations' N stack give diagonal conditional states.
         g = SeededRng(20261019, 8).generator
         stack = summary_operators_from_parts(draw_kraus_block(2, 100, g)[1])
         states = block_diagonal_states(THEOREM1_FORWARD_BLOCK, g).reshape(-1, 2, 2, 2, 2)
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
+        calls.clear()
         _, zero, states_a = rcc._conditional_states(rcc._mixed_branches(states, stack))
-        assert len(states_a) == zero.size and calls == []
+        assert len(states_a) == zero.size >= GERSHGORIN_MIN_STACK and calls == []
+        # A smaller stack, such as compute's, goes straight to eigvalsh.
+        check_densities(states_a[: GERSHGORIN_MIN_STACK - 1])
+        assert calls == [(GERSHGORIN_MIN_STACK - 1, 2, 2)]
         # Dense states leave the bound undecided: one eigvalsh for the stack.
-        check_densities(densities_from_parts(complex_ginibre(g, (3, 3), 4)))
-        assert calls == [(4, 3, 3)]
-
-
-class TestReusedSpectra:
-    # Two checks of 0 <= N <= I read a spectrum already taken, not eigvalsh's.
-    # Each must still raise the ValueError that eigvalsh's spectrum raises.
-
-    def test_scaled_set_outside_the_unit_interval_raises(self, monkeypatch):
-        mats = draw_kraus_block(3, 20, SeededRng(20261019, 9).generator)[1]
-        summary_operators_from_parts(mats)
-        # A scale twice too large makes max eig(N) = 4.
-        sqrt = np.sqrt
-        monkeypatch.setattr(np, "sqrt", lambda x: sqrt(x) / 2)
-        with pytest.raises(ValueError, match=r"0 <= N <= I; spectrum spans") as reused:
-            summary_operators_from_parts(mats)
-        scaled, _ = sampling.scaled_kraus(mats)
-        with pytest.raises(ValueError) as recomputed:
-            branch_stacks(scaled)
-        assert str(reused.value) == str(recomputed.value)
-        assert str(reused.value).endswith(", 4.000000]")
-
-    def test_witness_with_beta_longer_than_one_raises(self, monkeypatch):
-        states = draw_noncq_states(20, 2, 3, SeededRng(20261019, 10).generator)
-        converse_witnesses(states, 2, 3)
-        # Halved norms leave |beta|^2 = 4.
-        norm = np.linalg.norm
-        monkeypatch.setattr(np.linalg, "norm", lambda *args, **kwargs: norm(*args, **kwargs) / 2)
-        with pytest.raises(ValueError, match=r"0 <= N <= I; spectrum spans \[0\.000e\+00, 4\.000000\]"):
-            converse_witnesses(states, 2, 3)
-        monkeypatch.setattr(rcc, "check_summaries", lambda n, spectrum: check_summaries(n))
-        with pytest.raises(ValueError, match=r"0 <= N <= I; spectrum spans \[.*, 4\.000000\]"):
-            converse_witnesses(states, 2, 3)
+        check_densities(densities_from_parts(complex_ginibre(g, (3, 3), GERSHGORIN_MIN_STACK)))
+        assert calls[1:] == [(GERSHGORIN_MIN_STACK, 3, 3)]
 
 
 # -- the stacked converse ---------------------------------------------------
