@@ -131,6 +131,18 @@ def branch_stack(channel, dim_b: int, *, post_selected: bool = False) -> np.ndar
     return channel.n_operator()[None] if post_selected else channel.branch_n_stack()
 
 
+def branch_factors(channel) -> np.ndarray:
+    """Kraus factors F (K, J, d, d) of branch_stack(channel, d), whose branch k is sum_j F_kj^dagger F_kj.
+
+    A KrausOperation has one factor per branch, (K, 1, d, d); swapping the first two axes keeps
+    it whole as one post-selected outcome. A ChannelEnsemble zero-pads its members' Kraus sets.
+    """
+    if isinstance(channel, KrausOperation):
+        return np.array(channel.kraus)[:, None]
+    width = max(len(op.kraus) for op in channel.operations)
+    return np.array([op.kraus + (np.zeros_like(op.kraus[0]),) * (width - len(op.kraus)) for op in channel.operations])
+
+
 def branch_sums(stacks: np.ndarray) -> np.ndarray:
     """sum_k N_k of branch stacks (..., K, d, d) in index order; zero padding adds exact zeros."""
     # 1x1 branches are never added pairwise (numpy's sum does so from K = 9 on).

@@ -37,6 +37,7 @@ from .sampling import (
     incoherent_quantum_states_from_parts,
     isometry_kraus,
     kraus_operation_from_parts,
+    scaled_kraus,
     summary_operators_from_parts,
     tp_channel_from_parts,
 )
@@ -430,13 +431,12 @@ def _draw_pair(dim, n, g):
 
 
 def _paired_branches(parts):
-    # One contraction per (state, operation) pair of a _draw_pair block: w, N,
-    # the probabilities, the kept branches (rcc._conditional_states) and their coherence.
+    # w, N, probabilities, kept indices and their coherence of a _draw_pair block, each operation one outcome.
     schmidt, (_, mats) = parts
     w = coefficient_matrices_from_parts(*schmidt)
-    n_ops = summary_operators_from_parts(mats)
-    probs, zero, states = rcc._conditional_states(rcc._unnormalized_branches(w, n_ops[:, None])[:, 0])
-    return w, n_ops, probs, np.flatnonzero(~zero), l1_coherences(states)
+    kraus = scaled_kraus(mats)
+    probs, zero, states = rcc._pure_outcomes(w, kraus[:, None])
+    return w, branch_stacks(kraus)[1], probs[:, 0], np.flatnonzero(~zero[:, 0]), l1_coherences(states)
 
 
 def _operation_json(ops, k) -> dict:

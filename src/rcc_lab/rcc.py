@@ -1,21 +1,20 @@
 """Remote-coherence engine.
 
-Everything subsystem A can gain from an operation on B is driven by the
-operation's summary operator N: the unnormalized conditional state of A is
-W N^T W^dagger for a pure state with coefficient matrix W, and the matching
-contraction of the joint density matrix in the mixed case. On top of that
-single contraction this module builds per-outcome records, channel averages,
-the upper bounds relating averages to entanglement, and the two-qubit
-factorization law.
+Channel averages, the bounds relating them to entanglement and the two-qubit
+factorization law are driven by each branch's summary operator N, through
+W N^T W^dagger for a pure state with coefficient matrix W. Conditional states
+contract the joint density matrix with N in the mixed case; in the pure case
+they are the Gram matrices X X^dagger of X = W [F_1^T | F_2^T | ...] over the
+Kraus factors F, whose rounding error stays relative to the branch probability.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channels import KrausOperation, branch_stack, check_summaries, identity_deviation
+from .channels import KrausOperation, branch_factors, branch_stack, check_summaries, identity_deviation
 from .coherence import block_diagonal_mask, l1_coherences
 from .errors import NotTracePreserving, SearchExhausted, WrongDimension, ZeroProbability
 from .linalg import VALIDITY_ATOL, complete_orthonormal_basis, matrix_to_json
@@ -24,15 +23,14 @@ from .states import (
     DensityMatrix,
     batch_concurrence,
     check_densities,
-    concurrence,
     joint_matrix,
     require_premises,
     schmidt_rows,
     unit_amplitudes,
 )
 
-# Branches with probability below this cutoff have no conditional state; in
-# averages they contribute exactly zero and are flagged instead of raising.
+# Branches with probability below this cutoff have no conditional state: average_rcc
+# flags them, post_operation_state_a and outcome_coherence_bound raise ZeroProbability.
 ZERO_PROBABILITY_CUTOFF = 1e-14
 
 # Denominator cutoff for the factorization ratio.
@@ -78,25 +76,22 @@ class RccReport:
     factorization_ratio: float | None
 
 
+def _require_probability(prob: float) -> None:
+    if prob < ZERO_PROBABILITY_CUTOFF:
+        raise ZeroProbability(f"branch probability {prob:.3e} is below {ZERO_PROBABILITY_CUTOFF}")
+
+
 def _require_trace_preserving(stacks: np.ndarray) -> None:
     # stacks (..., K, d, d) are the branch stacks of whole channels, the ones being averaged.
     if identity_deviation(stacks) >= VALIDITY_ATOL:
         raise NotTracePreserving(_NOT_WHOLE)
 
 
-def _require_probability(prob: float) -> None:
-    if prob < ZERO_PROBABILITY_CUTOFF:
-        raise ZeroProbability(f"branch probability {prob:.3e} is below {ZERO_PROBABILITY_CUTOFF}")
-
-
 def _unnormalized_branches(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    # W N_k^T W^dagger for every state W in w (..., da, db) and every branch
-    # N_k of stack. A stack (p, db, db) is shared by all states; a stack
-    # (n, p, db, db) gives each state of w (n, da, db) its own branches. The
-    # result has w's leading axes, then p, then (da, da). [W N_1^T | W N_2^T
-    # | ...] is one matrix product (for all states at once when shared),
-    # then one batched product per state; each state's numbers do not depend
-    # on how many states share the call.
+    # W N_k^T W^dagger (for the averages and bounds) of every state W in w (..., da, db) and branch N_k of
+    # stack, (p, db, db) shared or (n, p, db, db) per state of w (n, da, db); the result has w's leading axes,
+    # then p, then (da, da). [W N_1^T | W N_2^T | ...] is one product (for all states at once when shared), then
+    # one batched product per state; each state's numbers do not depend on how many states share the call.
     da, db = w.shape[-2:]
     n = w.size // (da * db)
     p = stack.shape[-3]
@@ -128,30 +123,37 @@ def _conditional_states(unnorm: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     """
     probs = unnorm.trace(axis1=-2, axis2=-1).real
     zero = probs < ZERO_PROBABILITY_CUTOFF
-    kept = ~zero
-    states = unnorm[kept]
-    states /= probs[kept][:, None, None]
+    states = unnorm[~zero]
+    states /= probs[~zero][:, None, None]
     states += states.conj().swapaxes(-1, -2)
     states /= 2
     states /= check_densities(states).real[:, None, None]
     return probs, zero, states
 
 
+def _pure_branches(w: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    # Branches X X^dagger (n, K, da, da), X = W [F_k1^T | ... | F_kJ^T], of states w (n, da, db) under Kraus
+    # factors (n, K, J, db, db). Padding factors add exact zeros; no state's numbers depend on the others.
+    n, k, j, db, _ = factors.shape
+    xt = factors.reshape(n, k, j * db, db) @ w.swapaxes(-1, -2)[:, None]
+    return xt.swapaxes(-1, -2) @ xt.conj()
+
+
+def _pure_outcomes(w: np.ndarray, factors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return _conditional_states(_pure_branches(w, factors))
+
+
 def _offdiag_mass(unnorm: np.ndarray) -> np.ndarray:
-    # sum_k p_k C(rho_k) is the off-diagonal modulus sum of the unnormalized
-    # branch states (..., K, d, d), so vanishing branches contribute zero by
-    # themselves.
+    # sum_k p_k C(rho_k) is the off-diagonal modulus sum of the unnormalized branch states
+    # (..., K, d, d), so vanishing branches contribute zero by themselves.
     mods = np.abs(unnorm)
     return mods.sum(axis=(-3, -2, -1)) - np.einsum("...kii->...", mods)
 
 
-def _lemma1_norms(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
-    # sqrt(sum_{j<i} |G[j, i]|^2) per state of w (n, da, db) and branch N_k
-    # of its stack (n, K, db, db), with G[j, i] = <beta_j| N_k |beta_i> over
-    # the Schmidt B-vectors from the rows of W (states.schmidt_rows), which
-    # need the diagonal-marginal premise. Rows at or below
-    # SCHMIDT_WEIGHT_CUTOFF are zero and add nothing.
-    rows, _ = schmidt_rows(w)
+def _lemma1_norms(rows: np.ndarray, stacks: np.ndarray) -> np.ndarray:
+    # sqrt(sum_{j<i} |G[j, i]|^2) per state and branch N_k of its stack (n, K, db, db), with G[j, i] =
+    # <beta_j| N_k |beta_i> over the Schmidt B-vectors rows (n, da, db) of states.schmidt_rows (under
+    # the diagonal-marginal premise); rows at or below SCHMIDT_WEIGHT_CUTOFF are zero and add nothing.
     g = rows.conj()[:, None] @ stacks @ rows.swapaxes(-1, -2)[:, None]
     return np.sqrt(np.sum(np.abs(np.triu(g, 1)) ** 2, axis=(-2, -1)))
 
@@ -190,15 +192,24 @@ def maximally_entangled_partners(w: np.ndarray) -> np.ndarray:
     Row i is beta_i^T / sqrt(da), before the renormalization that
     BipartitePureState (or states.unit_amplitudes) applies.
     """
-    n, d, db = w.shape
-    if db < d:
-        raise WrongDimension(f"partner needs dim_b >= dim_a, got {db} < {d}")
+    _require_partner_dims(w)
     require_premises(w)
-    rows, keep = schmidt_rows(w)
+    return _partners(*schmidt_rows(w))
+
+
+def _require_partner_dims(w: np.ndarray) -> None:
+    if w.shape[-1] < w.shape[-2]:
+        raise WrongDimension(f"partner needs dim_b >= dim_a, got {w.shape[-1]} < {w.shape[-2]}")
+
+
+def _partners(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    # maximally_entangled_partners from the schmidt_rows (n, da, db) of checked states.
+    n, d, db = rows.shape
+    partners = rows / np.sqrt(d)
     for i in np.flatnonzero(~keep.all(axis=1)):
         basis = rows[i, keep[i]].T
-        rows[i, ~keep[i]] = complete_orthonormal_basis(basis, db)[:, basis.shape[1] : d].T
-    return rows / np.sqrt(d)
+        partners[i, ~keep[i]] = complete_orthonormal_basis(basis, db)[:, basis.shape[1] : d].T / np.sqrt(d)
+    return partners
 
 
 def outcome_coherence_bounds(w: np.ndarray, n_ops: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -209,14 +220,14 @@ def outcome_coherence_bounds(w: np.ndarray, n_ops: np.ndarray, probs: np.ndarray
     ZERO_PROBABILITY_CUTOFF. Raises PremiseViolated as the scalar route does.
     """
     require_premises(w)
-    return batch_concurrence(w) / probs * _lemma1_norms(w, n_ops[:, None])[:, 0]
+    return batch_concurrence(w) / probs * _lemma1_norms(schmidt_rows(w)[0], n_ops[:, None])[:, 0]
 
 
 def tight_average_bounds(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
     """tight_average_bound of each state of w (n, da, db) and its branch stack (n, K, db, db)."""
     require_premises(w)
     _require_trace_preserving(stacks)
-    return batch_concurrence(w) * _lemma1_norms(w, stacks).sum(axis=-1)
+    return batch_concurrence(w) * _lemma1_norms(schmidt_rows(w)[0], stacks).sum(axis=-1)
 
 
 def average_coherence_bounds(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
@@ -234,21 +245,19 @@ def average_coherence_bounds(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
 def post_operation_state_a(state, op: KrausOperation, dim_a=None, dim_b=None):
     """Conditional state of A after op post-selects on B, with its probability.
 
-    Pure inputs contract the coefficient matrix, rho' = W N^T W^dagger / p;
+    Pure inputs take op's Kraus factors, rho' = sum_j W F_j^T (W F_j^T)^dagger / p;
     density-matrix inputs (which need explicit dims) contract the joint state
     with N directly. Raises ZeroProbability when the branch has essentially
     no support on the state.
     """
     if isinstance(state, BipartitePureState):
-        n = branch_stack(op, state.dim_b, post_selected=True)
-        unnorm = _unnormalized_branches(state.coefficient_matrix, n)
+        branch_stack(op, state.dim_b, post_selected=True)
+        probs, _, states = _pure_outcomes(state.coefficient_matrix[None], branch_factors(op).swapaxes(0, 1)[None])
     else:
-        raw = joint_matrix(state, dim_a, dim_b)
-        n = branch_stack(op, dim_b, post_selected=True)
-        unnorm = _mixed_branches(raw.reshape(dim_a, dim_b, dim_a, dim_b), n)
-    probs, _, states = _conditional_states(unnorm)
-    _require_probability(float(probs[0]))
-    return DensityMatrix(states[0], validate=False), float(probs[0])
+        r4 = joint_matrix(state, dim_a, dim_b).reshape(dim_a, dim_b, dim_a, dim_b)
+        probs, _, states = _conditional_states(_mixed_branches(r4, branch_stack(op, dim_b, post_selected=True)))
+    _require_probability(float(probs.flat[0]))
+    return DensityMatrix(states[0], validate=False), float(probs.flat[0])
 
 
 def average_coherence(psi: BipartitePureState, channel) -> float:
@@ -279,11 +288,11 @@ def outcome_coherence_bound(psi: BipartitePureState, op: KrausOperation) -> floa
     """Upper bound (E / p') sqrt(sum_{j<i} |N_ji|^2) on one branch's coherence.
 
     N_ji is evaluated in psi's Schmidt B-basis, which needs A's marginal to
-    start diagonal (PremiseViolated otherwise).
+    start diagonal (PremiseViolated otherwise). p' is post_operation_state_a's.
     """
     n = branch_stack(op, psi.dim_b, post_selected=True)
     w = psi.coefficient_matrix[None]
-    probs = _unnormalized_branches(w, n[:, None])[:, 0].trace(axis1=-2, axis2=-1).real
+    probs = _pure_branches(w, branch_factors(op).swapaxes(0, 1)[None]).trace(axis1=-2, axis2=-1).real[:, 0]
     _require_probability(float(probs[0]))
     return float(outcome_coherence_bounds(w, n, probs)[0])
 
@@ -305,47 +314,42 @@ def tight_average_bound(psi: BipartitePureState, channel) -> float:
 def average_rcc(psi: BipartitePureState, channel) -> RccReport:
     """Full per-outcome report for a trace-preserving channel or ensemble.
 
-    Zero-probability branches are kept in the outcome list, flagged, and
-    contribute zero to the average and to the bound list.
+    Zero-probability branches are kept in the outcome list, flagged, with bound 0.0. The
+    average and bounds are average_coherence's, tight_average_bound's and average_coherence_bound's.
     """
-    w = psi.coefficient_matrix
-    stack = branch_stack(channel, psi.dim_b)
+    w = psi.coefficient_matrix[None]
+    stack = branch_stack(channel, psi.dim_b)[None]
     require_premises(w)
     _require_trace_preserving(stack)
-    # One contraction for psi and its partner, whose A-marginal is I / dim_a.
-    unnorm = _unnormalized_branches(np.stack([w, maximally_entangled_partner(psi).coefficient_matrix]), stack)
-    probs, zero, states = _conditional_states(unnorm[0])
-    ent = concurrence(psi)
-    offdiag = _lemma1_norms(w[None], stack[None])[0]
+    _require_partner_dims(w)
+    rows, keep = schmidt_rows(w)
+    partner = unit_amplitudes(_partners(rows, keep).reshape(1, -1)).reshape(w.shape)
+    probs, zero, states = _pure_outcomes(w, branch_factors(channel)[None])
+    ent = float(batch_concurrence(w)[0])
+    offdiag = _lemma1_norms(rows, stack)
+    average, maxent_average = (float(_offdiag_mass(_unnormalized_branches(v, stack))[0]) for v in (w, partner))
 
-    outcomes: list[OutcomeRecord] = []
-    bounds: list[float] = []
+    outcomes, bounds = [], []
     kept = zip(states, l1_coherences(states).tolist())
-    for prob, flagged, branch_offdiag in zip(probs.tolist(), zero.tolist(), offdiag):
+    for prob, flagged, branch_offdiag in zip(probs[0].tolist(), zero[0].tolist(), offdiag[0]):
         if flagged:
             outcomes.append(OutcomeRecord(prob, None, 0.0, zero_probability=True))
             bounds.append(0.0)
-            continue
-        state_a, coherence = next(kept)
-        outcomes.append(OutcomeRecord(prob, DensityMatrix(state_a, validate=False), coherence))
-        bounds.append(float(ent / prob * branch_offdiag))
+        else:
+            state_a, coherence = next(kept)
+            outcomes.append(OutcomeRecord(prob, DensityMatrix(state_a, validate=False), coherence))
+            bounds.append(float(ent / prob * branch_offdiag))
 
-    average = float(sum(o.probability * o.coherence for o in outcomes))
-    maxent_average = float(_offdiag_mass(unnorm[1]))
-    bound_via_partner = float(psi.dim_a / 2 * ent * maxent_average)
-    tight = float(ent * offdiag.sum())
-    ratio = None
-    if psi.dim_a == 2 and psi.dim_b == 2 and maxent_average > RATIO_DENOMINATOR_CUTOFF:
-        ratio = float(average / maxent_average)
+    ratio_defined = psi.dim_a == psi.dim_b == 2 and maxent_average > RATIO_DENOMINATOR_CUTOFF
     return RccReport(
         outcomes=tuple(outcomes),
         average_rcc=average,
         entanglement=ent,
         lemma1_bounds=tuple(bounds),
-        theorem3_bound=bound_via_partner,
-        tighter_bound=tight,
+        theorem3_bound=float(psi.dim_a / 2 * ent * maxent_average),
+        tighter_bound=float(ent * offdiag.sum(axis=-1)[0]),
         maxent_average_rcc=maxent_average,
-        factorization_ratio=ratio,
+        factorization_ratio=average / maxent_average if ratio_defined else None,
     )
 
 
@@ -354,19 +358,14 @@ def factorization_check(psi: BipartitePureState, channel) -> tuple[float | None,
 
     Returns (ratio, holds); the ratio is None when the partner average
     vanishes, in which case the law holds exactly when the average itself
-    vanishes.
+    vanishes. The numbers are average_rcc's.
     """
     if psi.dim_a != 2 or psi.dim_b != 2:
-        raise WrongDimension(
-            f"factorization law is a 2x2 statement, got {psi.dim_a}x{psi.dim_b}"
-        )
-    average = average_coherence(psi, channel)
-    ent = concurrence(psi)
-    maxent_average = average_coherence(maximally_entangled_partner(psi), channel)
-    if maxent_average > RATIO_DENOMINATOR_CUTOFF:
-        ratio = average / maxent_average
-        return float(ratio), bool(abs(average - ent * maxent_average) < FACTORIZATION_ATOL)
-    return None, bool(average < FACTORIZATION_ATOL)
+        raise WrongDimension(f"factorization law is a 2x2 statement, got {psi.dim_a}x{psi.dim_b}")
+    report = average_rcc(psi, channel)
+    if report.factorization_ratio is None:
+        return None, bool(report.average_rcc < FACTORIZATION_ATOL)
+    return report.factorization_ratio, bool(abs(report.average_rcc - report.entanglement * report.maxent_average_rcc) < FACTORIZATION_ATOL)
 
 
 def converse_witnesses(rho: np.ndarray, dim_a: int, dim_b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -425,24 +424,12 @@ def find_creating_operation(rho_ab, dim_a: int, dim_b: int) -> KrausOperation | 
 
 
 def report_to_json(report: RccReport) -> dict:
-    """JSON-ready dict mirroring the RccReport fields."""
-    outcomes = []
-    for rec in report.outcomes:
-        outcomes.append(
-            {
-                "probability": rec.probability,
-                "coherence": rec.coherence,
-                "zero_probability": rec.zero_probability,
-                "state_a": None if rec.state_a is None else matrix_to_json(rec.state_a.matrix),
-            }
-        )
-    return {
-        "outcomes": outcomes,
-        "average_rcc": report.average_rcc,
-        "entanglement": report.entanglement,
-        "lemma1_bounds": list(report.lemma1_bounds),
-        "theorem3_bound": report.theorem3_bound,
-        "tighter_bound": report.tighter_bound,
-        "maxent_average_rcc": report.maxent_average_rcc,
-        "factorization_ratio": report.factorization_ratio,
-    }
+    """JSON-ready dict mirroring the RccReport fields, in their order."""
+    doc = {field.name: getattr(report, field.name) for field in fields(report)}
+    doc["outcomes"] = [
+        {"probability": rec.probability, "coherence": rec.coherence, "zero_probability": rec.zero_probability,
+         "state_a": None if rec.state_a is None else matrix_to_json(rec.state_a.matrix)}
+        for rec in report.outcomes
+    ]
+    doc["lemma1_bounds"] = list(report.lemma1_bounds)
+    return doc

@@ -63,18 +63,19 @@ def check_densities(m: np.ndarray) -> np.ndarray:
     or more, positivity is certified by the Gershgorin bound min_i (2 m_ii - sum_j |m_ij|)
     where it can; otherwise eigvalsh decides it over the whole stack. Returns the traces.
     """
-    # (m + m^dagger) / 2 is built in place in m^dagger, so at most m - m^dagger joins them.
+    # (m + m^dagger) / 2 is built in place as m + (m^dagger - m) / 2, finite once the Hermiticity check passes.
     mh = np.conjugate(m.swapaxes(-1, -2), order="C")
     with np.errstate(over="ignore", invalid="ignore"):
-        herm = float(np.abs(m - mh).max(initial=0.0))
+        mh -= m
+        herm = float(np.abs(mh).max(initial=0.0))
     if not herm <= VALIDITY_ATOL:
         raise NotHermitian(f"max |m - m^dagger| = {herm:.3e} exceeds tolerance {VALIDITY_ATOL}")
     traces = m.trace(axis1=-2, axis2=-1)
     trace_dev = float(np.abs(traces - 1.0).max(initial=0.0))
     if not trace_dev <= VALIDITY_ATOL:
         raise BadTrace(f"trace deviates from 1 by {trace_dev:.3e}")
-    mh += m
     mh /= 2
+    mh += m
     # The bound costs a few microseconds per call, which only a large stack repays.
     if mh.size < GERSHGORIN_MIN_STACK * mh.shape[-1] ** 2 or not (
         (2 * mh.real.diagonal(0, -2, -1) - np.abs(mh).sum(axis=-1)).min(initial=np.inf) >= -VALIDITY_ATOL

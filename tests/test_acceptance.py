@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from rcc_lab.channels import creation_witnesses, phase_damping
+from rcc_lab.channels import branch_stacks, creation_witnesses, phase_damping
 from rcc_lab.coherence import l1_coherence, l1_coherences
 from rcc_lab.experiments import VERIFY_BLOCK, ExperimentConfig, run_fig1
 from rcc_lab.linalg import SeededRng
@@ -17,7 +17,7 @@ from rcc_lab.rcc import (
     CONVERSE_COHERENCE_TARGET,
     _conditional_states,
     _mixed_branches,
-    _unnormalized_branches,
+    _pure_outcomes,
     average_coherence,
     average_coherence_bounds,
     average_coherences,
@@ -37,8 +37,10 @@ from rcc_lab.sampling import (
     draw_schmidt_block,
     draw_tp_block,
     incoherent_quantum_states_from_parts,
+    isometry_kraus,
     random_density_matrix,
     random_tp_channel,
+    scaled_kraus,
     summary_operators_from_parts,
 )
 from rcc_lab.states import BipartitePureState, batch_concurrence, unit_amplitudes
@@ -162,7 +164,8 @@ def test_commutator_criterion_agrees_with_direct_computation():
 
     Pairs are drawn per block of VERIFY_BLOCK from one stream, the states'
     block then the operations' block, and evaluated on the stacked routes:
-    the paired contraction and creation_witnesses.
+    the outcome routine, each operation's Kraus set kept whole, and
+    creation_witnesses.
     """
     g = SeededRng(20260812, 0).generator
     checked = 0
@@ -172,11 +175,12 @@ def test_commutator_criterion_agrees_with_direct_computation():
         for start in range(0, 10_000, VERIFY_BLOCK):
             n = min(VERIFY_BLOCK, 10_000 - start)
             w = coefficient_matrices_from_parts(*draw_schmidt_block(dim, dim, n, g))
-            n_ops = summary_operators_from_parts(draw_kraus_block(dim, n, g)[1])
-            _, zero, states = _conditional_states(_unnormalized_branches(w, n_ops[:, None])[:, 0])
+            kraus = scaled_kraus(draw_kraus_block(dim, n, g)[1])
+            n_ops = branch_stacks(kraus)[1]
+            _, zero, states = _pure_outcomes(w, kraus[:, None])
             achieved = l1_coherences(states)
             clear = (achieved < 1e-9) | (achieved > 1e-6)
-            kept = np.flatnonzero(~zero)[clear]
+            kept = np.flatnonzero(~zero[:, 0])[clear]
             predicted = creation_witnesses(w[kept], n_ops[kept]) >= 0
             checked += n
             excluded += n - len(kept)
@@ -195,9 +199,9 @@ def test_bound_ordering_full_sweep():
 
     Pairs are drawn per block of VERIFY_BLOCK from one stream, the states'
     block then the channels' block, and evaluated on the stacked routes with
-    the channels' zero-padded branch stacks: each branch F^dagger F as its own
-    outcome against outcome_coherence_bounds (padding branches have
-    probability 0 and are skipped), and
+    the channels' zero-padded Kraus blocks: each block F as its own outcome
+    against outcome_coherence_bounds with its branch F^dagger F (padding
+    blocks have probability 0 and are skipped), and
     branch_averages <= tight_average_bounds <= average_coherence_bounds.
     """
     g = SeededRng(20260813, 0).generator
@@ -207,9 +211,11 @@ def test_bound_ordering_full_sweep():
         for start in range(0, 10_000, VERIFY_BLOCK):
             n = min(VERIFY_BLOCK, 10_000 - start)
             w = coefficient_matrices_from_parts(*draw_schmidt_block(dim, dim, n, g))
-            stacks = branch_stacks_from_parts(draw_tp_block(dim, n, g)[1])
+            z = draw_tp_block(dim, n, g)[1]
+            stacks = branch_stacks_from_parts(z)
             pairs, n_ops = np.repeat(w, stacks.shape[1], axis=0), stacks.reshape(-1, dim, dim)
-            probs, zero, branches = _conditional_states(_unnormalized_branches(pairs, n_ops[:, None])[:, 0])
+            probs, zero, branches = _pure_outcomes(w, isometry_kraus(z)[:, :, None])
+            probs, zero = probs.reshape(-1), zero.reshape(-1)
             bounds = outcome_coherence_bounds(pairs[~zero], n_ops[~zero], probs[~zero])
             worst_outcome = max(worst_outcome, float(np.max(l1_coherences(branches) - bounds, initial=-np.inf)))
             tight = tight_average_bounds(w, stacks)

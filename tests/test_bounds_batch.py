@@ -16,13 +16,15 @@ import json
 import numpy as np
 import pytest
 
-from rcc_lab import experiments, rcc
+from rcc_lab import channels, experiments, rcc, states
 from rcc_lab.channels import (
+    ChannelEnsemble,
     KrausOperation,
     ensemble_to_json,
     is_trace_preserving,
     kraus_operation_to_json,
     phase_damping,
+    projective_measurement,
     check_summaries,
 )
 from rcc_lab.coherence import l1_coherence
@@ -216,14 +218,14 @@ def test_forced_violations_pick_the_same_worst_case(monkeypatch, suite, seed, sa
 
 def test_lemma1_contracts_each_pair_once(monkeypatch):
     contracted = []
-    kernel = rcc._unnormalized_branches
+    routine = rcc._pure_outcomes
 
-    def counting(w, stack):
-        out = kernel(w, stack)
-        contracted.append(int(np.prod(out.shape[:-2])))
+    def counting(w, factors):
+        out = routine(w, factors)
+        contracted.append(out[0].size)
         return out
 
-    monkeypatch.setattr(rcc, "_unnormalized_branches", counting)
+    monkeypatch.setattr(rcc, "_pure_outcomes", counting)
     report = run_verify("lemma1", VERIFY_BLOCK + 5, 3)
     assert sum(contracted) == report.checked == 3 * (VERIFY_BLOCK + 5)
     # One call per block: two blocks for each of d = 2, 3, 4.
@@ -285,6 +287,59 @@ def test_average_rcc_checks_kind_and_dimension_premise_trace_then_partner():
     assert raised(rcc.average_rcc, coherent, half)[0] is PremiseViolated
     assert raised(rcc.average_rcc, diagonal, half)[0] is NotTracePreserving
     assert raised(rcc.average_rcc, diagonal, whole) == (WrongDimension, "partner needs dim_b >= dim_a, got 2 < 3")
+
+
+# -- average_rcc as a view of the stacked routines ------------------------
+
+
+def report_pairs():
+    rng = SeededRng(20261019, 21)
+    for dim_a, dim_b in ((2, 2), (2, 3), (3, 3), (3, 4), (4, 4)):
+        yield random_schmidt_state(dim_a, dim_b, rng), random_tp_channel(dim_b, rng)
+        yield random_schmidt_state(dim_a, dim_b, rng), random_channel_ensemble(dim_b, rng)
+    # One zero-probability branch: the projector onto |2> misses B's support.
+    basis = np.array([[1, 1, 0], [1, -1, 0], [0, 0, np.sqrt(2)]]) / np.sqrt(2)
+    yield BipartitePureState.from_schmidt([0.7, 0.3], np.eye(3)), projective_measurement(basis)
+
+
+@pytest.mark.parametrize("psi, channel", list(report_pairs()))
+def test_average_rcc_is_a_view_of_the_stacked_routines(psi, channel):
+    report = rcc.average_rcc(psi, channel)
+    assert report.average_rcc == rcc.average_coherence(psi, channel)
+    assert report.tighter_bound == rcc.tight_average_bound(psi, channel)
+    assert report.theorem3_bound == rcc.average_coherence_bound(psi, channel)
+    if isinstance(channel, ChannelEnsemble):
+        operations = channel.operations
+    else:
+        operations = [KrausOperation([f]) for f in channel.kraus]
+    assert len(report.outcomes) == len(operations)
+    for outcome, op in zip(report.outcomes, operations):
+        if outcome.zero_probability:
+            with pytest.raises(ZeroProbability):
+                rcc.post_operation_state_a(psi, op)
+            continue
+        state, prob = rcc.post_operation_state_a(psi, op)
+        assert outcome.probability == prob
+        assert np.array_equal(outcome.state_a.matrix, state.matrix)
+
+
+@pytest.mark.parametrize("route", [rcc.average_rcc, rcc.factorization_check])
+def test_each_precondition_runs_once(monkeypatch, route):
+    psi = random_schmidt_state(2, 2, SeededRng(20261019, 22))
+    channel = random_channel_ensemble(2, SeededRng(20261019, 23))
+    calls = []
+    for name in ("require_premises", "schmidt_rows", "identity_deviation"):
+        original = getattr(rcc, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        for module in (rcc, states, channels):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    route(psi, channel)
+    assert sorted(calls) == ["identity_deviation", "require_premises", "schmidt_rows"]
 
 
 @pytest.mark.parametrize("scale, accepted", [(0.999, True), (1.001, False)])

@@ -23,6 +23,7 @@ from rcc_lab.sampling import random_channel_ensemble, random_schmidt_state, rand
 from rcc_lab.states import BipartitePureState, state_to_json
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def write_json(path, obj):
@@ -245,13 +246,13 @@ COMPUTE_CASES = {
 # sha256 of the stdout of `rcc-lab compute` on each COMPUTE_CASES pair. As
 # with VERIFY_DIGESTS, record every change together with its cause.
 COMPUTE_DIGESTS = {
-    "bell_hadamard": "aa017a07a0217b98530c0ce77973cfb112cf38d3b04be8b6900f2d59997da0af",
-    "tilted_phase_damping": "8fac715317ed7a7af19e8f3b0d0fb44727d1f53a723cbdd1f55ff8cce5fdbee3",
-    "tp_channel_d3": "57a28877e993912dff2f17fb52bffaf43bf9e665c57aeeb85266b741784f7ee2",
-    "ensemble_d3": "116c8a527b459c17e7f0eec4ce3b0aadf8fe5599fe34ed0cf7c1631d6b9cf223",
-    "tp_channel_d4": "2371433ce54a8b5ee05575ef82c5b736ccd593c343eb78d847020b52bdbf63f2",
-    "ensemble_d4": "6de10ca080243bb5598107e8954d3c3e881d0d9715051ac4d096b0e134a1c4f5",
-    "wide_b_zero_branch": "4da3d66fc7ff9f21aa4b237c1ea1ab18e3244a2b2efd08c8fceb13f40dce62a7",
+    "bell_hadamard": "ab19c1b27ff3ecea780e51f4f4d2e3542bde3d0c42c48179a948d7641ae7f48d",
+    "tilted_phase_damping": "e56795c408cb2d1e8ce30a289ff17d35f61384be83e2340f031a0d0c113a29fb",
+    "tp_channel_d3": "6d66dc16599ebd5736a2f545c518c62aa19707db7ff15bd0a5a3d40bc1ebc237",
+    "ensemble_d3": "87d064271b6c46181a6f4754245e5dfda0b02bd64e60793692981a1e7cb29ce3",
+    "tp_channel_d4": "63b966f86a04a00eab43b68a21499e9424a3b3edebdac75a8c3361c118692063",
+    "ensemble_d4": "f879188deaf5b868cede436865f47a4963a6836c91e8b9a337a7efcb5c8a2d40",
+    "wide_b_zero_branch": "da6aa8b001d65c866501bb168ed43a7dabbfd9b0926ef33294a5963873bdc21b",
 }
 
 
@@ -313,6 +314,17 @@ class TestComputeCommand:
         assert abs(doc["average_rcc"] - 1.0) < 1e-9
         assert len(doc["outcomes"]) == 2
         assert abs(doc["factorization_ratio"] - 1.0) < 1e-9
+
+    @pytest.mark.filterwarnings("error")
+    def test_rare_branch_is_valid_input(self, capsys):
+        # A 2x3 state at weights (0.5, 0.5) (SeededRng(20261019, 17), the
+        # Schmidt vectors u_0, u_1 of a Haar basis u), measured in the QR basis
+        # of [u_2 + 1e-5 u_0, u_0, u_1]: the first outcome has p = 5e-11. Its
+        # conditional state, divided by p, must still pass the positivity check.
+        state, channel = (os.path.join(DATA, f"rare_branch.{kind}.json") for kind in ("state", "channel"))
+        assert main(["compute", "--state", state, "--channel", channel]) == 0
+        first = json.loads(capsys.readouterr().out)["outcomes"][0]
+        assert not first["zero_probability"] and 4e-11 < first["probability"] < 6e-11
 
     def test_block_diagonal_pure_state_yields_zero(self, tmp_path, capsys):
         # |0>|+> is pure and block-diagonal on A, so nothing can be created

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -308,6 +310,17 @@ class TestStackedDensityCheck:
         assert str(stacked.value) == str(single.value)
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("big", [1e200, 1e308])
+    def test_entries_near_the_float_limit_are_not_positive(self, big):
+        # Finite and Hermitian, with eigenvalues 0.5 +- big: no overflow on the way to NotPositive.
+        m = np.array([[0.5, big], [big, 0.5]], dtype=complex)
+        message = re.escape(f"minimum eigenvalue {-big:.3e} is below")
+        with pytest.raises(NotPositive, match=message):
+            check_densities(m)
+        with pytest.raises(NotPositive, match=message):
+            DensityMatrix(m)
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [[[np.nan, 0], [0, 1]], [[0.5, np.nan], [np.nan, 0.5]], [[np.inf, 0], [0, 1]]])
     def test_non_finite_stacks_fail_the_first_check(self, bad):
         # Every comparison with NaN is False, so each test is written to fail on it.
@@ -329,8 +342,11 @@ def spectral_stack(lowest, n, d, g, rotate=True):
 def rare_branch_states(n, g):
     # Conditional states of a projector onto v within 1e-5 of the null space
     # of W, a 2x3 state of Schmidt rank 2 with diagonal A-marginal, so that
-    # p is about 1e-10: divided by p and symmetrized as rcc._conditional_states
-    # does. Their lowest eigenvalues reach well below -VALIDITY_ATOL.
+    # p is about 1e-10, taken through N as W N^T W^dagger, divided by p and
+    # symmetrized. The absolute rounding of that product puts their lowest
+    # eigenvalues well below -VALIDITY_ATOL: hard input for check_densities.
+    # The engine takes pure conditional states from Kraus factors instead
+    # (rcc._pure_outcomes, tests/test_rare_branches.py), which keeps them valid.
     states = []
     for u in unitary_from_ginibre(complex_ginibre(g, (3, 3), n)):
         w = np.sqrt(0.5) * u[:, :2].T
