@@ -489,8 +489,9 @@ def verify_theorem3(samples: int, seed: int) -> SuiteReport:
     """Average ordering: achieved <= branch-resolved bound <= partner bound.
 
     Even samples draw a trace-preserving channel, odd ones an ensemble: a
-    block draws its states, then its channels, then its ensembles. All meet
-    in one stack of branch stacks, padded with zero branches, which add 0.
+    block draws its states, then its channels, then its ensembles. Both meet
+    in one QR, one stack of branch stacks, padded with zero branches, which
+    add 0, and one rcc._average_bounds pass.
     """
 
     def draw(dim, n, g):
@@ -499,12 +500,10 @@ def verify_theorem3(samples: int, seed: int) -> SuiteReport:
     def evaluate(dim, parts):
         schmidt, ((_, z), ensembles) = parts
         w = coefficient_matrices_from_parts(*schmidt)
-        even, odd = branch_stacks_from_parts(z), branch_stacks_from_parts(*ensembles[1:])
-        stacks = np.zeros((len(w), max(even.shape[1], 2), dim, dim), dtype=np.complex128)
-        stacks[0::2, : even.shape[1]] = even
-        stacks[1::2, :2] = odd
-        tight = rcc.tight_average_bounds(w, stacks)
-        gaps = np.maximum(rcc.branch_averages(w, stacks) - tight, tight - rcc.average_coherence_bounds(w, stacks))
+        stacks = branch_stacks_from_parts(z, ensembles[1:])
+        average, rows, ent, partner_average = rcc._average_bounds(w, stacks)
+        tight = ent * rcc._lemma1_norms(rows, stacks).sum(axis=-1)
+        gaps = np.maximum(average - tight, tight - dim / 2 * ent * partner_average)
         return np.arange(len(w)), gaps, gaps > BOUND_ATOL
 
     def channel_json(blocks, k):
@@ -524,9 +523,10 @@ def verify_theorem4(samples: int, seed: int) -> SuiteReport:
     def evaluate(dim, parts):
         schmidt, (_, z) = parts
         w, stacks = coefficient_matrices_from_parts(*schmidt), branch_stacks_from_parts(z)
+        average, _, ent, partner_average = rcc._average_bounds(w, stacks)
         # For two qubits the Theorem 3 bound (d / 2) E <C>_maxent is exactly
         # E <C>_maxent, the law's right-hand side.
-        devs = np.abs(rcc.branch_averages(w, stacks) - rcc.average_coherence_bounds(w, stacks))
+        devs = np.abs(average - dim / 2 * ent * partner_average)
         return np.arange(len(w)), devs, devs >= rcc.FACTORIZATION_ATOL
 
     replay = _replay(lambda channels, k: kraus_operation_to_json(tp_channel_from_parts(*channels, k)), "deviation")

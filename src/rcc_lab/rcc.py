@@ -11,6 +11,7 @@ Kraus factors F, whose rounding error stays relative to the branch probability.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cache
 
 import numpy as np
 
@@ -150,12 +151,18 @@ def _offdiag_mass(unnorm: np.ndarray) -> np.ndarray:
     return mods.sum(axis=(-3, -2, -1)) - np.einsum("...kii->...", mods)
 
 
+@cache
+def _strict_upper(d: int) -> np.ndarray:
+    # 1 above the diagonal of a d x d matrix, 0 elsewhere: multiplied in, it zeroes what np.triu(., 1) zeroes.
+    return np.triu(np.ones((d, d)), 1)
+
+
 def _lemma1_norms(rows: np.ndarray, stacks: np.ndarray) -> np.ndarray:
     # sqrt(sum_{j<i} |G[j, i]|^2) per state and branch N_k of its stack (n, K, db, db), with G[j, i] =
     # <beta_j| N_k |beta_i> over the Schmidt B-vectors rows (n, da, db) of states.schmidt_rows (under
     # the diagonal-marginal premise); rows at or below SCHMIDT_WEIGHT_CUTOFF are zero and add nothing.
     g = rows.conj()[:, None] @ stacks @ rows.swapaxes(-1, -2)[:, None]
-    return np.sqrt(np.sum(np.abs(np.triu(g, 1)) ** 2, axis=(-2, -1)))
+    return np.sqrt(np.sum(np.abs(g) ** 2 * _strict_upper(g.shape[-1]), axis=(-2, -1)))
 
 
 def branch_averages(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
@@ -242,6 +249,20 @@ def average_coherence_bounds(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
     return w.shape[-2] / 2 * batch_concurrence(w) * _offdiag_mass(_unnormalized_branches(partners, stacks))
 
 
+def _average_bounds(w: np.ndarray, stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    # branch_averages (n,), Schmidt rows (n, da, db), concurrence E (n,) and partner average (n,) of w and stacks as
+    # branch_averages takes them; premise, trace preservation and dim_b >= dim_a are checked once each, in that order.
+    # tight_average_bounds is E * _lemma1_norms(rows, stacks).sum(-1), average_coherence_bounds da / 2 * E * partner
+    # average, bit for bit. The norms are left to the callers that read them (theorem4 does not).
+    require_premises(w)
+    _require_trace_preserving(stacks)
+    _require_partner_dims(w)
+    rows, keep = schmidt_rows(w)
+    partners = unit_amplitudes(_partners(rows, keep).reshape(len(w), -1)).reshape(w.shape)
+    average, partner_average = (_offdiag_mass(_unnormalized_branches(v, stacks)) for v in (w, partners))
+    return average, rows, batch_concurrence(w), partner_average
+
+
 def post_operation_state_a(state, op: KrausOperation, dim_a=None, dim_b=None):
     """Conditional state of A after op post-selects on B, with its probability.
 
@@ -319,15 +340,10 @@ def average_rcc(psi: BipartitePureState, channel) -> RccReport:
     """
     w = psi.coefficient_matrix[None]
     stack = branch_stack(channel, psi.dim_b)[None]
-    require_premises(w)
-    _require_trace_preserving(stack)
-    _require_partner_dims(w)
-    rows, keep = schmidt_rows(w)
-    partner = unit_amplitudes(_partners(rows, keep).reshape(1, -1)).reshape(w.shape)
+    averages, rows, ents, maxent_averages = _average_bounds(w, stack)
     probs, zero, states = _pure_outcomes(w, branch_factors(channel)[None])
-    ent = float(batch_concurrence(w)[0])
     offdiag = _lemma1_norms(rows, stack)
-    average, maxent_average = (float(_offdiag_mass(_unnormalized_branches(v, stack))[0]) for v in (w, partner))
+    average, ent, maxent_average = float(averages[0]), float(ents[0]), float(maxent_averages[0])
 
     outcomes, bounds = [], []
     kept = zip(states, l1_coherences(states).tolist())

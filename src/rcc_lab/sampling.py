@@ -91,7 +91,8 @@ def scaled_kraus(mats: np.ndarray) -> np.ndarray:
 def isometry_kraus(z: np.ndarray) -> np.ndarray:
     """Kraus blocks (..., count, d, d) of the QR isometries of z (..., count * d, d).
 
-    Zero rows padding z give zero blocks and leave the other blocks as they are.
+    Zero rows padding z give zero blocks. They change the QR call, so the other blocks match those of the
+    unpadded z up to rounding: about one Q in 10^4 moves in its last bits.
     """
     q, _ = np.linalg.qr(z)
     d = z.shape[-1]
@@ -151,20 +152,28 @@ def summary_operators_from_parts(mats: np.ndarray) -> np.ndarray:
     return branch_stacks(scaled_kraus(mats))[1]
 
 
-def branch_stacks_from_parts(z: np.ndarray, splits: np.ndarray | None = None) -> np.ndarray:
-    """Branch stacks (n, K, dim_b, dim_b) of the channels of isometry parts z (n, K * dim_b, dim_b).
+def branch_stacks_from_parts(z: np.ndarray, ensembles: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Branch stacks (n, K, dim_b, dim_b) of the channels of a draw_tp_block's isometry parts z (n, K * dim_b, dim_b).
 
-    Without splits (a draw_tp_block), channel k has one branch F^dagger F per
-    Kraus block, padded with zeros; with the splits of a draw_ensemble_block,
-    its two member sums: its branches, the other member's zeroed, added in order.
-    channels.branch_stacks checks each whole channel, check_summaries each member.
+    Channel k has one branch F^dagger F per Kraus block, padded with zeros; channels.branch_stacks checks each.
+    With a draw_ensemble_block's (ensemble_z, splits) of len(z) or len(z) - 1 rows, channel k takes row 2k, at
+    least two branches wide, and ensemble k row 2k + 1: its member sums, of its first splits[k] branches and of
+    the rest, checked by check_summaries. One QR takes both parts, zero-padded to one height (see isometry_kraus).
     """
-    stack = branch_stacks(isometry_kraus(z))[0]
-    if splits is None:
-        return stack
+    if ensembles is None:
+        return branch_stacks(isometry_kraus(z))[0]
+    (ensemble_z, splits), (height, d) = ensembles, z.shape[1:]
+    n = len(z) + len(ensemble_z)
+    parts = np.zeros((n, max(height, ensemble_z.shape[1]), d), dtype=np.complex128)
+    parts[0::2, :height] = z
+    parts[1::2, : ensemble_z.shape[1]] = ensemble_z
+    stack = branch_stacks(isometry_kraus(parts))[0]
     first = np.arange(stack.shape[1]) < splits[:, None]
     keep = np.stack([first, ~first], axis=1)[..., None, None]
-    return check_summaries(branch_sums(np.where(keep, stack[:, None], 0)))
+    stacks = np.zeros((n, max(height // d, 2), d, d), dtype=np.complex128)
+    stacks[0::2, : height // d] = stack[0::2, : height // d]
+    stacks[1::2, :2] = check_summaries(branch_sums(np.where(keep, stack[1::2, None], 0)))
+    return stacks
 
 
 def random_schmidt_parts(dim_a: int, dim_b: int, rng: SeededRng):

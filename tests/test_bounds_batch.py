@@ -16,7 +16,7 @@ import json
 import numpy as np
 import pytest
 
-from rcc_lab import channels, experiments, rcc, states
+from rcc_lab import channels, experiments, rcc, sampling, states
 from rcc_lab.channels import (
     ChannelEnsemble,
     KrausOperation,
@@ -323,23 +323,88 @@ def test_average_rcc_is_a_view_of_the_stacked_routines(psi, channel):
         assert np.array_equal(outcome.state_a.matrix, state.matrix)
 
 
-@pytest.mark.parametrize("route", [rcc.average_rcc, rcc.factorization_check])
-def test_each_precondition_runs_once(monkeypatch, route):
-    psi = random_schmidt_state(2, 2, SeededRng(20261019, 22))
-    channel = random_channel_ensemble(2, SeededRng(20261019, 23))
+def count_calls(monkeypatch, names):
+    # Wrap each named rcc_lab function in every module that holds it; returns the list of names called.
     calls = []
-    for name in ("require_premises", "schmidt_rows", "identity_deviation"):
+    for name in names:
         original = getattr(rcc, name)
 
         def counting(*args, _name=name, _original=original):
             calls.append(_name)
             return _original(*args)
 
-        for module in (rcc, states, channels):
+        for module in (rcc, states, channels, sampling, experiments):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+PRECONDITIONS = ("batch_concurrence", "identity_deviation", "require_premises", "schmidt_rows")
+
+
+@pytest.mark.parametrize("route", [rcc.average_rcc, rcc.factorization_check])
+def test_each_precondition_runs_once(monkeypatch, route):
+    psi = random_schmidt_state(2, 2, SeededRng(20261019, 22))
+    channel = random_channel_ensemble(2, SeededRng(20261019, 23))
+    calls = count_calls(monkeypatch, PRECONDITIONS)
     route(psi, channel)
-    assert sorted(calls) == ["identity_deviation", "require_premises", "schmidt_rows"]
+    assert sorted(calls) == list(PRECONDITIONS)
+
+
+@pytest.mark.parametrize("suite, blocks", [("theorem3", 3), ("theorem4", 1)])
+def test_each_precondition_runs_once_per_sweep_block(monkeypatch, suite, blocks):
+    # 40 samples make one block per dimension: three for theorem3 (d = 2, 3, 4), one for theorem4.
+    calls = count_calls(monkeypatch, PRECONDITIONS + ("check_summaries",))
+    shapes = []
+    qr = np.linalg.qr
+
+    def counting_qr(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    run_verify(suite, 40, 5)
+    for name in PRECONDITIONS:
+        assert calls.count(name) == blocks
+    # One QR for the states' Haar bases (square Ginibre matrices), one for every channel's isometry
+    # (tall parts); theorem3 checks its whole sets once and its ensemble members once.
+    tall = [shape[-2] > shape[-1] for shape in shapes]
+    assert tall.count(False) == tall.count(True) == blocks
+    assert calls.count("check_summaries") == (2 if suite == "theorem3" else 1) * blocks
+
+
+@pytest.mark.parametrize("suite", ["theorem3", "theorem4"])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sweep_gaps_equal_the_public_stacked_routines(monkeypatch, suite, seed):
+    # Every block's gaps, bit for bit, from branch_averages, tight_average_bounds and
+    # average_coherence_bounds on the same states and padded branch stacks.
+    passes, recorded = [], []
+    shared = rcc._average_bounds
+    record = experiments._record
+
+    def keeping(w, stacks):
+        passes.append((w, stacks))
+        return shared(w, stacks)
+
+    def recording(report, checked, kept, values, flagged, replay):
+        recorded.append(values)
+        return record(report, checked, kept, values, flagged, replay)
+
+    monkeypatch.setattr(rcc, "_average_bounds", keeping)
+    monkeypatch.setattr(experiments, "_record", recording)
+    run_verify(suite, VERIFY_BLOCK + 5, seed)
+    assert len(passes) == len(recorded) == (6 if suite == "theorem3" else 2)
+    padded = 0
+    for (w, stacks), values in zip(passes, recorded):
+        average, partner_bound = rcc.branch_averages(w, stacks), rcc.average_coherence_bounds(w, stacks)
+        if suite == "theorem3":
+            tight = rcc.tight_average_bounds(w, stacks)
+            expected = np.maximum(average - tight, tight - partner_bound)
+        else:
+            expected = np.abs(average - partner_bound)
+        assert np.array_equal(values, expected)
+        padded += int((~stacks.any(axis=(-2, -1))).any())
+    assert padded > 0
 
 
 @pytest.mark.parametrize("scale, accepted", [(0.999, True), (1.001, False)])
@@ -391,6 +456,7 @@ def test_sweeps_check_the_premise_on_the_block(monkeypatch, suite):
 
 @pytest.mark.parametrize("suite", ["theorem3", "theorem4"])
 def test_sweeps_check_that_channels_are_whole(monkeypatch, suite):
+    # theorem3 builds its channels and ensembles in one call, theorem4 its channels.
     stacks_of = experiments.branch_stacks_from_parts
 
     def halved(*parts):

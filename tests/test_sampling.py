@@ -12,6 +12,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from rcc_lab.channels import branch_stacks
 from rcc_lab.linalg import SeededRng, complex_ginibre, unitary_from_ginibre
 from rcc_lab.sampling import (
     branch_stacks_from_parts,
@@ -23,6 +24,7 @@ from rcc_lab.sampling import (
     draw_tp_block,
     ensemble_from_parts,
     incoherent_quantum_states_from_parts,
+    isometry_kraus,
     kraus_operation_from_parts,
     random_channel_ensemble,
     random_density_matrix,
@@ -146,8 +148,8 @@ def test_empty_blocks_draw_nothing():
     assert summary_operators_from_parts(mats).shape == (0, 2, 2)
     counts, z = draw_tp_block(3, 0, g)
     assert branch_stacks_from_parts(z).shape[0] == 0
-    counts, z, splits = draw_ensemble_block(3, 0, g)
-    assert branch_stacks_from_parts(z, splits).shape == (0, 2, 3, 3)
+    counts, ensemble_z, splits = draw_ensemble_block(3, 0, g)
+    assert branch_stacks_from_parts(z, (ensemble_z, splits)).shape == (0, 2, 3, 3)
     assert incoherent_quantum_states_from_parts(*draw_incoherent_quantum_block(2, 2, 0, g)).shape == (0, 4, 4)
     assert g.random() == twin.random()
 
@@ -181,7 +183,8 @@ def test_block_rows_equal_the_one_element_views(d, kraus_count):
         kraus, channels, ensembles = fixed_count_blocks(d, kraus_count, g)
     n_ops = summary_operators_from_parts(kraus[1])
     stacks = branch_stacks_from_parts(channels[1])
-    members = branch_stacks_from_parts(*ensembles[1:])
+    # Even rows the channels, padded to the ensembles' height for the shared QR; odd rows the ensembles.
+    both = branch_stacks_from_parts(channels[1], ensembles[1:])
     q, blocks = draw_incoherent_quantum_block(d, 2, N, g)
     states = incoherent_quantum_states_from_parts(q, blocks)
     for k in range(N):
@@ -191,8 +194,35 @@ def test_block_rows_equal_the_one_element_views(d, kraus_count):
         count = channels[0][k]
         assert np.array_equal(stacks[k, :count], tp_channel_from_parts(*channels, k).branch_n_stack())
         assert not stacks[k, count:].any()
-        assert np.array_equal(members[k], ensemble_from_parts(*ensembles, k).branch_n_stack())
+        np.testing.assert_allclose(both[2 * k, :count], stacks[k, :count], rtol=0, atol=1e-15)
+        assert not both[2 * k, count:].any()
+        assert np.array_equal(both[2 * k + 1, :2], ensemble_from_parts(*ensembles, k).branch_n_stack())
+        assert not both[2 * k + 1, 2:].any()
         assert np.array_equal(states[k], incoherent_quantum_states_from_parts(q[k : k + 1], blocks[k : k + 1])[0])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_one_padded_qr_gives_the_separate_qrs(d):
+    # branch_stacks_from_parts(z, ensembles) takes one QR over the channels' and the ensembles' isometry parts,
+    # zero-padded to the taller height. The taller set's matrices keep their LAPACK call, so their Kraus
+    # blocks are the separate QR's bit for bit; padding rows give exact zeros. A padded matrix takes a
+    # taller call, and its blocks agree with its separate QR to rounding: about one Q in 10^4 moves in its
+    # last bits, as padding a set of two Kraus blocks to three already does.
+    g = SeededRng(46, d).generator
+    _, z = draw_tp_block(d, 2000, g)
+    _, ensemble_z, splits = draw_ensemble_block(d, 2000, g)
+    height = ensemble_z.shape[1]
+    assert z.shape[1] < height
+    parts = np.zeros((len(z) + len(ensemble_z), height, d), dtype=np.complex128)
+    parts[: len(z), : z.shape[1]] = z
+    parts[len(z) :] = ensemble_z
+    blocks = isometry_kraus(parts)
+    assert np.array_equal(blocks[len(z) :], isometry_kraus(ensemble_z))
+    channel_blocks = blocks[: len(z), : z.shape[1] // d]
+    assert not blocks[: len(z), z.shape[1] // d :].any()
+    np.testing.assert_allclose(channel_blocks, isometry_kraus(z), rtol=0, atol=1e-15)
+    stacks = branch_stacks_from_parts(z, (ensemble_z, splits))
+    assert np.array_equal(stacks[: 2 * len(z) : 2, : z.shape[1] // d], branch_stacks(channel_blocks)[0])
 
 
 @pytest.mark.parametrize("d", [2, 3])
