@@ -113,14 +113,14 @@ class ChannelEnsemble:
         return f"ChannelEnsemble(dim_b={self.dim_b}, members={len(self.operations)})"
 
 
-def branch_stack(channel, dim_b: int, *, post_selected: bool = False) -> np.ndarray:
-    """Branch stack of channel, checked to be a channel on a B of dimension dim_b.
+def channel_branches(channel, dim_b: int, *, post_selected: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Branch stack (K, d, d) and Kraus factors F (K, J, d, d) of channel, checked to act on a B of dimension dim_b.
 
-    A KrausOperation has one branch F_n^dagger F_n per Kraus operator and a
-    ChannelEnsemble one member N per member. With post_selected, channel must
-    be a single KrausOperation kept whole as one outcome: its stack is N alone,
-    shape (1, d, d). Raises TypeError for any other kind, then ValueError when
-    channel.dim_b differs from dim_b.
+    Branch k is sum_j F_kj^dagger F_kj. A KrausOperation has one branch F_n^dagger F_n per Kraus
+    operator, factors (K, 1, d, d); a ChannelEnsemble one member N per member, its members' Kraus sets
+    zero-padded to one width. With post_selected, channel must be a single KrausOperation kept whole
+    as one outcome: stack (1, d, d) holding N, factors (1, K, d, d). Raises TypeError for any other
+    kind, then ValueError when channel.dim_b differs from dim_b.
     """
     kinds = KrausOperation if post_selected else (KrausOperation, ChannelEnsemble)
     if not isinstance(channel, kinds):
@@ -128,19 +128,12 @@ def branch_stack(channel, dim_b: int, *, post_selected: bool = False) -> np.ndar
         raise TypeError(f"expected {expected}, got {type(channel).__name__}")
     if channel.dim_b != dim_b:
         raise ValueError(f"channel dimension {channel.dim_b} does not match dim_b={dim_b}")
-    return channel.n_operator()[None] if post_selected else channel.branch_n_stack()
-
-
-def branch_factors(channel) -> np.ndarray:
-    """Kraus factors F (K, J, d, d) of branch_stack(channel, d), whose branch k is sum_j F_kj^dagger F_kj.
-
-    A KrausOperation has one factor per branch, (K, 1, d, d); swapping the first two axes keeps
-    it whole as one post-selected outcome. A ChannelEnsemble zero-pads its members' Kraus sets.
-    """
-    if isinstance(channel, KrausOperation):
-        return np.array(channel.kraus)[:, None]
-    width = max(len(op.kraus) for op in channel.operations)
-    return np.array([op.kraus + (np.zeros_like(op.kraus[0]),) * (width - len(op.kraus)) for op in channel.operations])
+    if isinstance(channel, ChannelEnsemble):
+        width = max(len(op.kraus) for op in channel.operations)
+        pad = [op.kraus + (np.zeros_like(op.kraus[0]),) * (width - len(op.kraus)) for op in channel.operations]
+        return channel.branch_n_stack(), np.array(pad)
+    kraus = np.array(channel.kraus)
+    return (channel.n_operator()[None], kraus[None]) if post_selected else (channel.branch_n_stack(), kraus[:, None])
 
 
 def branch_sums(stacks: np.ndarray) -> np.ndarray:
@@ -268,7 +261,7 @@ def creates_coherence(psi: BipartitePureState, op: KrausOperation) -> tuple[bool
 
     Returns (True, witness), witness the smallest failing row, or (False, None) when op is inert.
     """
-    n = branch_stack(op, psi.dim_b, post_selected=True)
+    n, _ = channel_branches(op, psi.dim_b, post_selected=True)
     witness = int(creation_witnesses(psi.coefficient_matrix[None], n)[0])
     return (True, witness) if witness >= 0 else (False, None)
 

@@ -435,7 +435,7 @@ def _paired_branches(parts):
     schmidt, (_, mats) = parts
     w = coefficient_matrices_from_parts(*schmidt)
     kraus = scaled_kraus(mats)
-    probs, zero, states = rcc._pure_outcomes(w, kraus[:, None])
+    probs, zero, states = rcc._conditional_states(rcc._pure_branches(w, kraus[:, None]))
     return w, branch_stacks(kraus)[1], probs[:, 0], np.flatnonzero(~zero[:, 0]), l1_coherences(states)
 
 

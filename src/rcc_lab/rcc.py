@@ -15,7 +15,7 @@ from functools import cache
 
 import numpy as np
 
-from .channels import KrausOperation, branch_factors, branch_stack, check_summaries, identity_deviation
+from .channels import KrausOperation, channel_branches, check_summaries, identity_deviation
 from .coherence import block_diagonal_mask, l1_coherences
 from .errors import NotTracePreserving, SearchExhausted, WrongDimension, ZeroProbability
 from .linalg import VALIDITY_ATOL, complete_orthonormal_basis, matrix_to_json
@@ -140,10 +140,6 @@ def _pure_branches(w: np.ndarray, factors: np.ndarray) -> np.ndarray:
     return xt.swapaxes(-1, -2) @ xt.conj()
 
 
-def _pure_outcomes(w: np.ndarray, factors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return _conditional_states(_pure_branches(w, factors))
-
-
 def _offdiag_mass(unnorm: np.ndarray) -> np.ndarray:
     # sum_k p_k C(rho_k) is the off-diagonal modulus sum of the unnormalized branch states
     # (..., K, d, d), so vanishing branches contribute zero by themselves.
@@ -187,7 +183,7 @@ def average_coherences(w: np.ndarray, channels) -> np.ndarray:
     """
     da, db = w.shape[-2:]
     require_premises(w)
-    stacks = np.stack([branch_stack(channel, db) for channel in channels])
+    stacks = np.stack([channel_branches(channel, db)[0] for channel in channels])
     _require_trace_preserving(stacks)
     unnorm = _unnormalized_branches(w, stacks.reshape(-1, db, db))
     return _offdiag_mass(unnorm.reshape(w.shape[:-2] + stacks.shape[:2] + (da, da)))
@@ -272,11 +268,11 @@ def post_operation_state_a(state, op: KrausOperation, dim_a=None, dim_b=None):
     no support on the state.
     """
     if isinstance(state, BipartitePureState):
-        branch_stack(op, state.dim_b, post_selected=True)
-        probs, _, states = _pure_outcomes(state.coefficient_matrix[None], branch_factors(op).swapaxes(0, 1)[None])
+        _, factors = channel_branches(op, state.dim_b, post_selected=True)
+        probs, _, states = _conditional_states(_pure_branches(state.coefficient_matrix[None], factors[None]))
     else:
         r4 = joint_matrix(state, dim_a, dim_b).reshape(dim_a, dim_b, dim_a, dim_b)
-        probs, _, states = _conditional_states(_mixed_branches(r4, branch_stack(op, dim_b, post_selected=True)))
+        probs, _, states = _conditional_states(_mixed_branches(r4, channel_branches(op, dim_b, post_selected=True)[0]))
     _require_probability(float(probs.flat[0]))
     return DensityMatrix(states[0], validate=False), float(probs.flat[0])
 
@@ -289,7 +285,7 @@ def average_coherence(psi: BipartitePureState, channel) -> float:
     off-diagonal modulus sum of the unnormalized branch state, vanishing
     branches contribute zero without any special casing.
     """
-    return float(branch_averages(psi.coefficient_matrix[None], branch_stack(channel, psi.dim_b)[None])[0])
+    return float(branch_averages(psi.coefficient_matrix[None], channel_branches(channel, psi.dim_b)[0][None])[0])
 
 
 def maximally_entangled_partner(psi: BipartitePureState) -> BipartitePureState:
@@ -311,16 +307,16 @@ def outcome_coherence_bound(psi: BipartitePureState, op: KrausOperation) -> floa
     N_ji is evaluated in psi's Schmidt B-basis, which needs A's marginal to
     start diagonal (PremiseViolated otherwise). p' is post_operation_state_a's.
     """
-    n = branch_stack(op, psi.dim_b, post_selected=True)
+    n, factors = channel_branches(op, psi.dim_b, post_selected=True)
     w = psi.coefficient_matrix[None]
-    probs = _pure_branches(w, branch_factors(op).swapaxes(0, 1)[None]).trace(axis1=-2, axis2=-1).real[:, 0]
+    probs = _pure_branches(w, factors[None]).trace(axis1=-2, axis2=-1).real[:, 0]
     _require_probability(float(probs[0]))
     return float(outcome_coherence_bounds(w, n, probs)[0])
 
 
 def average_coherence_bound(psi: BipartitePureState, channel) -> float:
     """Average bound (dim_a / 2) * E * average_coherence of the partner."""
-    return float(average_coherence_bounds(psi.coefficient_matrix[None], branch_stack(channel, psi.dim_b)[None])[0])
+    return float(average_coherence_bounds(psi.coefficient_matrix[None], channel_branches(channel, psi.dim_b)[0][None])[0])
 
 
 def tight_average_bound(psi: BipartitePureState, channel) -> float:
@@ -329,7 +325,7 @@ def tight_average_bound(psi: BipartitePureState, channel) -> float:
     Never exceeds average_coherence_bound (up to rounding) and both dominate
     the achieved average.
     """
-    return float(tight_average_bounds(psi.coefficient_matrix[None], branch_stack(channel, psi.dim_b)[None])[0])
+    return float(tight_average_bounds(psi.coefficient_matrix[None], channel_branches(channel, psi.dim_b)[0][None])[0])
 
 
 def average_rcc(psi: BipartitePureState, channel) -> RccReport:
@@ -339,9 +335,9 @@ def average_rcc(psi: BipartitePureState, channel) -> RccReport:
     average and bounds are average_coherence's, tight_average_bound's and average_coherence_bound's.
     """
     w = psi.coefficient_matrix[None]
-    stack = branch_stack(channel, psi.dim_b)[None]
+    stack, factors = (v[None] for v in channel_branches(channel, psi.dim_b))
     averages, rows, ents, maxent_averages = _average_bounds(w, stack)
-    probs, zero, states = _pure_outcomes(w, branch_factors(channel)[None])
+    probs, zero, states = _conditional_states(_pure_branches(w, factors))
     offdiag = _lemma1_norms(rows, stack)
     average, ent, maxent_average = float(averages[0]), float(ents[0]), float(maxent_averages[0])
 

@@ -17,7 +17,7 @@ from rcc_lab.rcc import (
     CONVERSE_COHERENCE_TARGET,
     _conditional_states,
     _mixed_branches,
-    _pure_outcomes,
+    _pure_branches,
     average_coherence,
     average_coherence_bounds,
     average_coherences,
@@ -177,7 +177,7 @@ def test_commutator_criterion_agrees_with_direct_computation():
             w = coefficient_matrices_from_parts(*draw_schmidt_block(dim, dim, n, g))
             kraus = scaled_kraus(draw_kraus_block(dim, n, g)[1])
             n_ops = branch_stacks(kraus)[1]
-            _, zero, states = _pure_outcomes(w, kraus[:, None])
+            _, zero, states = _conditional_states(_pure_branches(w, kraus[:, None]))
             achieved = l1_coherences(states)
             clear = (achieved < 1e-9) | (achieved > 1e-6)
             kept = np.flatnonzero(~zero[:, 0])[clear]
@@ -214,7 +214,7 @@ def test_bound_ordering_full_sweep():
             z = draw_tp_block(dim, n, g)[1]
             stacks = branch_stacks_from_parts(z)
             pairs, n_ops = np.repeat(w, stacks.shape[1], axis=0), stacks.reshape(-1, dim, dim)
-            probs, zero, branches = _pure_outcomes(w, isometry_kraus(z)[:, :, None])
+            probs, zero, branches = _conditional_states(_pure_branches(w, isometry_kraus(z)[:, :, None]))
             probs, zero = probs.reshape(-1), zero.reshape(-1)
             bounds = outcome_coherence_bounds(pairs[~zero], n_ops[~zero], probs[~zero])
             worst_outcome = max(worst_outcome, float(np.max(l1_coherences(branches) - bounds, initial=-np.inf)))

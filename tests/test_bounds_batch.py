@@ -218,14 +218,14 @@ def test_forced_violations_pick_the_same_worst_case(monkeypatch, suite, seed, sa
 
 def test_lemma1_contracts_each_pair_once(monkeypatch):
     contracted = []
-    routine = rcc._pure_outcomes
+    routine = rcc._pure_branches
 
     def counting(w, factors):
         out = routine(w, factors)
-        contracted.append(out[0].size)
+        contracted.append(out.shape[0] * out.shape[1])
         return out
 
-    monkeypatch.setattr(rcc, "_pure_outcomes", counting)
+    monkeypatch.setattr(rcc, "_pure_branches", counting)
     report = run_verify("lemma1", VERIFY_BLOCK + 5, 3)
     assert sum(contracted) == report.checked == 3 * (VERIFY_BLOCK + 5)
     # One call per block: two blocks for each of d = 2, 3, 4.
@@ -313,7 +313,7 @@ def test_average_rcc_is_a_view_of_the_stacked_routines(psi, channel):
     else:
         operations = [KrausOperation([f]) for f in channel.kraus]
     assert len(report.outcomes) == len(operations)
-    for outcome, op in zip(report.outcomes, operations):
+    for outcome, op, bound in zip(report.outcomes, operations, report.lemma1_bounds):
         if outcome.zero_probability:
             with pytest.raises(ZeroProbability):
                 rcc.post_operation_state_a(psi, op)
@@ -321,6 +321,7 @@ def test_average_rcc_is_a_view_of_the_stacked_routines(psi, channel):
         state, prob = rcc.post_operation_state_a(psi, op)
         assert outcome.probability == prob
         assert np.array_equal(outcome.state_a.matrix, state.matrix)
+        assert bound == rcc.outcome_coherence_bound(psi, op)
 
 
 def count_calls(monkeypatch, names):

@@ -8,8 +8,8 @@ from rcc_lab.channels import (
     KrausOperation,
     bit_flip,
     bit_phase_flip,
-    branch_stack,
     branch_stacks,
+    channel_branches,
     channel_from_json,
     creates_coherence,
     creation_witnesses,
@@ -31,8 +31,10 @@ from rcc_lab.linalg import SeededRng, haar_random_unitary
 from rcc_lab.rcc import post_operation_state_a
 from rcc_lab.sampling import (
     kraus_operation_from_parts,
+    random_channel_ensemble,
     random_kraus_operation,
     random_schmidt_state,
+    random_tp_channel,
     summary_operators_from_parts,
 )
 from rcc_lab.states import BipartitePureState
@@ -123,29 +125,57 @@ class TestKrausOperation:
             assert not arr.flags.writeable
 
 
-class TestBranchStack:
+class TestChannelBranches:
     def test_whole_channels(self):
         op = phase_damping(0.5)
         ensemble = projective_measurement(HADAMARD)
-        assert branch_stack(op, 2) is op.branch_n_stack()
-        assert branch_stack(ensemble, 2) is ensemble.branch_n_stack()
+        assert channel_branches(op, 2)[0] is op.branch_n_stack()
+        assert channel_branches(ensemble, 2)[0] is ensemble.branch_n_stack()
 
     def test_post_selected_operation_is_one_branch(self):
         op = KrausOperation([np.diag([1.0, 0.5])])
-        stack = branch_stack(op, 2, post_selected=True)
+        stack, factors = channel_branches(op, 2, post_selected=True)
         assert stack.shape == (1, 2, 2)
         assert np.array_equal(stack[0], op.n_operator())
+        assert np.array_equal(factors, [op.kraus])
 
     @pytest.mark.parametrize("post_selected", [False, True])
     def test_wrong_kind_then_wrong_dimension(self, post_selected):
         with pytest.raises(TypeError, match="expected KrausOperation"):
-            branch_stack(np.eye(2), 3, post_selected=post_selected)
+            channel_branches(np.eye(2), 3, post_selected=post_selected)
         with pytest.raises(ValueError, match="channel dimension 2 does not match dim_b=3"):
-            branch_stack(phase_damping(0.5), 3, post_selected=post_selected)
+            channel_branches(phase_damping(0.5), 3, post_selected=post_selected)
 
     def test_ensemble_is_not_one_outcome(self):
         with pytest.raises(TypeError, match="expected KrausOperation, got ChannelEnsemble"):
-            branch_stack(projective_measurement(HADAMARD), 2, post_selected=True)
+            channel_branches(projective_measurement(HADAMARD), 2, post_selected=True)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_factors_rebuild_the_stack(self, dim):
+        # branch_stacks of the factors gives back the stack bit for bit: the per-Kraus
+        # branches of a whole operation, N of a post-selected one and of each member.
+        rng = SeededRng(20261019, dim)
+        unequal = 0
+        for _ in range(50):
+            op = random_tp_channel(dim, rng)
+            stack, factors = channel_branches(op, dim)
+            assert factors.shape == (len(op.kraus), 1, dim, dim)
+            assert np.array_equal(factors[:, 0], op.kraus)
+            assert np.array_equal(branch_stacks(factors)[0][:, 0], stack)
+            op = random_kraus_operation(dim, rng)
+            stack, factors = channel_branches(op, dim, post_selected=True)
+            assert factors.shape == (1, len(op.kraus), dim, dim)
+            assert np.array_equal(factors[0], op.kraus)
+            assert np.array_equal(branch_stacks(factors)[1], stack)
+            ensemble = random_channel_ensemble(dim, rng)
+            counts = [len(member.kraus) for member in ensemble.operations]
+            stack, factors = channel_branches(ensemble, dim)
+            assert factors.shape == (len(counts), max(counts), dim, dim)
+            for member, count, padded in zip(ensemble.operations, counts, factors):
+                assert np.array_equal(padded[:count], member.kraus) and not padded[count:].any()
+            assert np.array_equal(branch_stacks(factors)[1], stack)
+            unequal += len(set(counts)) > 1
+        assert unequal > 0
 
 
 class TestIdentityDeviation:

@@ -202,7 +202,7 @@ def recording(monkeypatch, module, name, sizes, size_of):
 def test_memory_grows_with_the_block_not_with_samples(monkeypatch):
     samples = 2 * VERIFY_BLOCK + 10
     contracted, mixed, criteria, oracle = [], [], [], []
-    recording(monkeypatch, rcc, "_pure_outcomes", contracted, lambda w, factors: len(w))
+    recording(monkeypatch, rcc, "_pure_branches", contracted, lambda w, factors: len(w))
     # The forward half meets one shared N stack (p, db, db), the converse
     # witness one projector per state (n, 1, db, db).
     recording(monkeypatch, rcc, "_mixed_branches", mixed, lambda r4, stack: (stack.ndim, len(r4)))

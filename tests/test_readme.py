@@ -1,9 +1,11 @@
-"""The README's library quick tour runs, and every value its comments state holds."""
+"""The README's library quick tour runs, every value its comments state holds, and the names it cites exist."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -28,3 +30,19 @@ def test_quick_tour_values():
         assert value == pytest.approx(expected, rel=0, abs=1e-12)
         stated.append(expected)
     assert stated == [0.3, 0.6, 0.6, 1.0]
+
+
+def test_module_references_resolve():
+    # Every `module.name` the README cites names an attribute of that rcc_lab module.
+    refs = re.findall(r"`([a-z_]+)\.([A-Za-z_]\w*)`", README.read_text())
+    assert refs
+    for module, name in refs:
+        assert hasattr(importlib.import_module(f"rcc_lab.{module}"), name), f"{module}.{name}"
+
+
+def test_tolerance_table_matches_the_constants():
+    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| ([^|]+?) \|", README.read_text(), re.M)
+    assert len(rows) == 12
+    for name, module, value in rows:
+        constant = getattr(importlib.import_module(f"rcc_lab.{module}"), name)
+        assert np.array_equal(constant, ast.literal_eval(value)), name

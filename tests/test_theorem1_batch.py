@@ -346,7 +346,7 @@ def rare_branch_states(n, g):
     # symmetrized. The absolute rounding of that product puts their lowest
     # eigenvalues well below -VALIDITY_ATOL: hard input for check_densities.
     # The engine takes pure conditional states from Kraus factors instead
-    # (rcc._pure_outcomes, tests/test_rare_branches.py), which keeps them valid.
+    # (rcc._pure_branches, tests/test_rare_branches.py), which keeps them valid.
     states = []
     for u in unitary_from_ginibre(complex_ginibre(g, (3, 3), n)):
         w = np.sqrt(0.5) * u[:, :2].T
