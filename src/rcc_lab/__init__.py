@@ -44,7 +44,6 @@ from .linalg import (
     matrix_to_json,
     partial_trace,
     random_pure_state,
-    svd,
 )
 from .rcc import (
     OutcomeRecord,
@@ -64,10 +63,8 @@ from .rcc import (
 from .states import (
     BipartitePureState,
     DensityMatrix,
-    SchmidtForm,
     concurrence,
     reduced_a,
-    schmidt_decompose,
     state_from_json,
     state_to_json,
 )

@@ -88,11 +88,10 @@ class ChannelEnsemble:
         ops = tuple(operations)
         if not ops:
             raise ValueError("ensemble needs at least one operation")
-        d = ops[0].dim_b
         for op in ops:
             if not isinstance(op, KrausOperation):
                 raise TypeError("ensemble members must be KrausOperation values")
-            if op.dim_b != d:
+            if op.dim_b != ops[0].dim_b:
                 raise ValueError("ensemble members must share one B dimension")
         stack = np.array([op.n_operator() for op in ops])
         dev = identity_deviation(stack)
@@ -101,7 +100,7 @@ class ChannelEnsemble:
                 f"member summary operators deviate from the identity by {dev:.3e}"
             )
         stack.setflags(write=False)
-        self.dim_b = int(d)
+        self.dim_b = int(ops[0].dim_b)
         self.operations = ops
         self._stack = stack
 

@@ -431,12 +431,13 @@ def _draw_pair(dim, n, g):
 
 
 def _paired_branches(parts):
-    # w, N, probabilities, kept indices and their coherence of a _draw_pair block, each operation one outcome.
+    # w, N, branches W N^T W^dagger, kept indices and their coherence of a _draw_pair block, each operation one outcome.
     schmidt, (_, mats) = parts
     w = coefficient_matrices_from_parts(*schmidt)
     kraus = scaled_kraus(mats)
-    probs, zero, states = rcc._conditional_states(rcc._pure_branches(w, kraus[:, None]))
-    return w, branch_stacks(kraus)[1], probs[:, 0], np.flatnonzero(~zero[:, 0]), l1_coherences(states)
+    grams = rcc._pure_branches(w, kraus[:, None])
+    _, zero, states = rcc._conditional_states(grams)
+    return w, branch_stacks(kraus)[1], grams[:, 0], np.flatnonzero(~zero[:, 0]), l1_coherences(states)
 
 
 def _operation_json(ops, k) -> dict:
@@ -473,13 +474,13 @@ def verify_theorem2(samples: int, seed: int) -> SuiteReport:
 def verify_lemma1(samples: int, seed: int) -> SuiteReport:
     """Per-outcome coherence never exceeds its Cauchy bound (tolerance BOUND_ATOL).
 
-    One contraction per (state, operation) pair gives both the conditional
-    state and the probability in the bound.
+    One contraction per (state, operation) pair gives the conditional state,
+    and the bound's probability and norm are read off the same branch.
     """
 
     def evaluate(dim, parts):
-        w, n_ops, probs, kept, achieved = _paired_branches(parts)
-        gaps = achieved - rcc.outcome_coherence_bounds(w[kept], n_ops[kept], probs[kept])
+        w, _, grams, kept, achieved = _paired_branches(parts)
+        gaps = achieved - rcc.outcome_coherence_bounds(w[kept], grams[kept])
         return kept, gaps, gaps > BOUND_ATOL
 
     return _sweep("lemma1", samples, seed, (2, 3, 4), _draw_pair, evaluate, _replay(_operation_json))

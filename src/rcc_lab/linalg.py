@@ -2,9 +2,8 @@
 
 Operators are plain 2-D complex128 numpy arrays in row-major layout. The
 helpers here pin down the conventions the rest of the package relies on:
-descending singular-value order, a deterministic phase gauge for
-singular vectors, and reproducible random sampling keyed by explicit
-(seed, stream) pairs.
+validity tolerances, orthonormal completion, and reproducible random
+sampling keyed by explicit (seed, stream) pairs.
 """
 
 from __future__ import annotations
@@ -45,35 +44,6 @@ def partial_trace(m, dim_a: int, dim_b: int) -> np.ndarray:
     if m.shape != (side, side):
         raise ValueError(f"operator side {m.shape} does not match dim_a*dim_b = {side}")
     return np.einsum("ijkj->ik", m.reshape(dim_a, dim_b, dim_a, dim_b))
-
-
-def _fix_column_phases(vectors: np.ndarray, partners: np.ndarray) -> None:
-    # Gauge choice: rotate each column so its largest-modulus entry is real
-    # positive; exact ties resolve to the lowest row index through argmax.
-    for k in range(vectors.shape[1]):
-        col = vectors[:, k]
-        idx = int(np.argmax(np.abs(col)))
-        mod = abs(col[idx])
-        if mod < 1e-300:
-            continue
-        phase = np.conj(col[idx] / mod)
-        vectors[:, k] *= phase
-        partners[:, k] *= phase
-
-
-def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Compact SVD m = u @ diag(s) @ v.conj().T with a deterministic gauge.
-
-    Singular values come back descending; each (u, v) column pair is rotated
-    so the largest-modulus entry of the u column is real positive. LAPACK
-    convergence failures surface as numpy.linalg.LinAlgError.
-    """
-    arr = as_complex_matrix(m)
-    u, s, vh = np.linalg.svd(arr, full_matrices=False)
-    v = vh.conj().T.copy()
-    u = u.copy()
-    _fix_column_phases(u, v)
-    return u, s, v
 
 
 def require_orthonormal_columns(cols: np.ndarray) -> None:

@@ -1,11 +1,11 @@
 """Remote-coherence engine.
 
-Channel averages, the bounds relating them to entanglement and the two-qubit
-factorization law are driven by each branch's summary operator N, through
-W N^T W^dagger for a pure state with coefficient matrix W. Conditional states
-contract the joint density matrix with N in the mixed case; in the pure case
-they are the Gram matrices X X^dagger of X = W [F_1^T | F_2^T | ...] over the
-Kraus factors F, whose rounding error stays relative to the branch probability.
+Channel averages, the average bounds and the two-qubit factorization law are
+driven by each branch's summary operator N, through W N^T W^dagger for a pure
+state with coefficient matrix W. Conditional states contract the joint density
+matrix with N in the mixed case; in the pure case they, and the per-outcome
+bounds, are read off the Gram matrices X X^dagger of X = W [F_1^T | F_2^T | ...]
+over the Kraus factors F, whose rounding error stays relative to the branch probability.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .coherence import block_diagonal_mask, l1_coherences
 from .errors import NotTracePreserving, SearchExhausted, WrongDimension, ZeroProbability
 from .linalg import VALIDITY_ATOL, complete_orthonormal_basis, matrix_to_json
 from .states import (
+    SCHMIDT_WEIGHT_CUTOFF,
     BipartitePureState,
     DensityMatrix,
     batch_concurrence,
@@ -161,6 +162,16 @@ def _lemma1_norms(rows: np.ndarray, stacks: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.abs(g) ** 2 * _strict_upper(g.shape[-1]), axis=(-2, -1)))
 
 
+def _gram_norms(w: np.ndarray, grams: np.ndarray) -> np.ndarray:
+    # _lemma1_norms read off the branches grams (n, K, da, da) of _pure_branches for states w (n, da, db): under the
+    # premise U_ij = sqrt(w_i w_j) <beta_j| N_k |beta_i>, so the sum is of |U_ij|^2 / (w_i w_j) over one strict triangle
+    # of the rows above SCHMIDT_WEIGHT_CUTOFF. U's rounding stays relative to the branch probability; that of N does not.
+    weights = (np.abs(w) ** 2).sum(axis=-1)
+    inv = np.divide(1.0, weights, out=np.zeros_like(weights), where=weights > SCHMIDT_WEIGHT_CUTOFF)
+    scale = inv[:, :, None] * inv[:, None, :] * _strict_upper(w.shape[-2])
+    return np.sqrt((np.abs(grams) ** 2 * scale[:, None]).sum(axis=(-2, -1)))
+
+
 def branch_averages(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
     """average_coherence of each state of w (n, da, db) under its own channel, shape (n,).
 
@@ -215,15 +226,17 @@ def _partners(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return partners
 
 
-def outcome_coherence_bounds(w: np.ndarray, n_ops: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """outcome_coherence_bound of paired states and operations, shape (n,).
+def outcome_coherence_bounds(w: np.ndarray, grams: np.ndarray) -> np.ndarray:
+    """outcome_coherence_bound of paired states and post-selected branches, shape (n,).
 
-    w (n, da, db) holds the states, n_ops (n, db, db) the summary operators
-    N and probs (n,) the branch probabilities, all at or above
-    ZERO_PROBABILITY_CUTOFF. Raises PremiseViolated as the scalar route does.
+    w (n, da, db) holds the states and grams (n, da, da) their unnormalized
+    branches X X^dagger, X = W [F_1^T | F_2^T | ...] over each operation's
+    Kraus operators F; their traces, the branch probabilities, must be at or
+    above ZERO_PROBABILITY_CUTOFF. Raises PremiseViolated as the scalar route does.
     """
     require_premises(w)
-    return batch_concurrence(w) / probs * _lemma1_norms(schmidt_rows(w)[0], n_ops[:, None])[:, 0]
+    probs = grams.trace(axis1=-2, axis2=-1).real
+    return batch_concurrence(w) / probs * _gram_norms(w, grams[:, None])[:, 0]
 
 
 def tight_average_bounds(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
@@ -305,13 +318,13 @@ def outcome_coherence_bound(psi: BipartitePureState, op: KrausOperation) -> floa
     """Upper bound (E / p') sqrt(sum_{j<i} |N_ji|^2) on one branch's coherence.
 
     N_ji is evaluated in psi's Schmidt B-basis, which needs A's marginal to
-    start diagonal (PremiseViolated otherwise). p' is post_operation_state_a's.
+    start diagonal (PremiseViolated otherwise); it is read off the branch
+    W N^T W^dagger whose trace is p', post_operation_state_a's probability.
     """
-    n, factors = channel_branches(op, psi.dim_b, post_selected=True)
     w = psi.coefficient_matrix[None]
-    probs = _pure_branches(w, factors[None]).trace(axis1=-2, axis2=-1).real[:, 0]
-    _require_probability(float(probs[0]))
-    return float(outcome_coherence_bounds(w, n, probs)[0])
+    grams = _pure_branches(w, channel_branches(op, psi.dim_b, post_selected=True)[1][None])[:, 0]
+    _require_probability(float(grams[0].trace().real))
+    return float(outcome_coherence_bounds(w, grams)[0])
 
 
 def average_coherence_bound(psi: BipartitePureState, channel) -> float:
@@ -331,26 +344,28 @@ def tight_average_bound(psi: BipartitePureState, channel) -> float:
 def average_rcc(psi: BipartitePureState, channel) -> RccReport:
     """Full per-outcome report for a trace-preserving channel or ensemble.
 
-    Zero-probability branches are kept in the outcome list, flagged, with bound 0.0. The
-    average and bounds are average_coherence's, tight_average_bound's and average_coherence_bound's.
+    Zero-probability branches are kept in the outcome list, flagged, with bound 0.0; the others'
+    bounds are outcome_coherence_bound's. The average and the average bounds are
+    average_coherence's, tight_average_bound's and average_coherence_bound's.
     """
     w = psi.coefficient_matrix[None]
     stack, factors = (v[None] for v in channel_branches(channel, psi.dim_b))
     averages, rows, ents, maxent_averages = _average_bounds(w, stack)
-    probs, zero, states = _conditional_states(_pure_branches(w, factors))
-    offdiag = _lemma1_norms(rows, stack)
+    grams = _pure_branches(w, factors)
+    probs, zero, states = _conditional_states(grams)
+    norms = _gram_norms(w, grams)
     average, ent, maxent_average = float(averages[0]), float(ents[0]), float(maxent_averages[0])
 
     outcomes, bounds = [], []
     kept = zip(states, l1_coherences(states).tolist())
-    for prob, flagged, branch_offdiag in zip(probs[0].tolist(), zero[0].tolist(), offdiag[0]):
+    for prob, flagged, norm in zip(probs[0].tolist(), zero[0].tolist(), norms[0]):
         if flagged:
             outcomes.append(OutcomeRecord(prob, None, 0.0, zero_probability=True))
             bounds.append(0.0)
         else:
             state_a, coherence = next(kept)
             outcomes.append(OutcomeRecord(prob, DensityMatrix(state_a, validate=False), coherence))
-            bounds.append(float(ent / prob * branch_offdiag))
+            bounds.append(float(ent / prob * norm))
 
     ratio_defined = psi.dim_a == psi.dim_b == 2 and maxent_average > RATIO_DENOMINATOR_CUTOFF
     return RccReport(
@@ -359,7 +374,7 @@ def average_rcc(psi: BipartitePureState, channel) -> RccReport:
         entanglement=ent,
         lemma1_bounds=tuple(bounds),
         theorem3_bound=float(psi.dim_a / 2 * ent * maxent_average),
-        tighter_bound=float(ent * offdiag.sum(axis=-1)[0]),
+        tighter_bound=float(ent * _lemma1_norms(rows, stack).sum(axis=-1)[0]),
         maxent_average_rcc=maxent_average,
         factorization_ratio=average / maxent_average if ratio_defined else None,
     )

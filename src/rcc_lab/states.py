@@ -1,9 +1,8 @@
 """Bipartite pure and mixed quantum states.
 
 Subsystem A's reference basis is the computational basis everywhere in this
-package. Schmidt machinery inherits the deterministic ordering and phase
-gauge of :mod:`rcc_lab.linalg`, so repeated decompositions of the same state
-agree bit for bit.
+package. The claims read a state's Schmidt vectors off the rows of its
+coefficient matrix (schmidt_rows), which keeps each beta_i paired with |i>.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from .linalg import (
     partial_trace,
     require_finite,
     require_orthonormal_columns,
-    svd,
 )
 
 # Schmidt weights below this are treated as exact zeros and dropped, so the
@@ -91,10 +89,10 @@ class BipartitePureState:
 
     Amplitude index i * dim_b + j holds the coefficient of |i>|j>. Vectors
     within 1e-9 of unit norm are renormalized exactly; anything worse is
-    rejected. The Schmidt form is computed lazily and cached.
+    rejected.
     """
 
-    __slots__ = ("dim_a", "dim_b", "amplitudes", "_schmidt")
+    __slots__ = ("dim_a", "dim_b", "amplitudes")
 
     def __init__(self, dim_a: int, dim_b: int, amplitudes):
         if dim_a < 1 or dim_b < 1:
@@ -109,7 +107,6 @@ class BipartitePureState:
         self.dim_a = int(dim_a)
         self.dim_b = int(dim_b)
         self.amplitudes = amp
-        self._schmidt = None
 
     @property
     def coefficient_matrix(self) -> np.ndarray:
@@ -182,26 +179,26 @@ class SchmidtForm:
 
 
 def schmidt_decompose(psi: BipartitePureState) -> SchmidtForm:
-    """Schmidt decomposition with zero weights dropped.
+    """Schmidt decomposition by an SVD of the coefficient matrix, weights at or below SCHMIDT_WEIGHT_CUTOFF dropped.
 
-    Weights are the squared singular values of the coefficient matrix;
-    values below SCHMIDT_WEIGHT_CUTOFF are discarded. The A-side vectors are
-    whatever the SVD returns, which at equal weights may be any rotation of
-    the computational pairs; under the diagonal-marginal premise use
-    schmidt_rows, which keeps every beta_i paired with |i>. The result is
-    cached on the state.
+    Weights come sorted descending. Each A-side vector's largest-modulus entry (the
+    first on ties) is made real positive, its B-side partner taking the conjugate
+    phase. At equal weights the A-side vectors may be any rotation of the
+    computational pairs; under the diagonal-marginal premise use schmidt_rows.
     """
-    if psi._schmidt is None:
-        u, s, v = svd(psi.coefficient_matrix)
-        weights = s.astype(float) ** 2
-        keep = weights > SCHMIDT_WEIGHT_CUTOFF
-        w = weights[keep]
-        basis_a = u[:, keep].copy()
-        basis_b = v.conj()[:, keep].copy()
-        for arr in (w, basis_a, basis_b):
-            arr.setflags(write=False)
-        psi._schmidt = SchmidtForm(w, basis_a, basis_b, int(keep.sum()))
-    return psi._schmidt
+    u, s, vh = np.linalg.svd(psi.coefficient_matrix, full_matrices=False)
+    top = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    # hypot, as abs() of one complex scalar computes it; np.abs of an array can differ in the last bit.
+    mod = np.hypot(top.real, top.imag)
+    phase = np.conj(np.divide(top, mod, out=np.ones_like(top), where=mod >= 1e-300))
+    u *= phase
+    v = vh.conj().T * phase
+    weights = s**2
+    keep = weights > SCHMIDT_WEIGHT_CUTOFF
+    form = SchmidtForm(weights[keep], u[:, keep], v.conj()[:, keep], int(keep.sum()))
+    for arr in (form.weights, form.basis_a, form.basis_b):
+        arr.setflags(write=False)
+    return form
 
 
 def require_premises(w: np.ndarray) -> None:

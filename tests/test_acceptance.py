@@ -200,8 +200,8 @@ def test_bound_ordering_full_sweep():
     Pairs are drawn per block of VERIFY_BLOCK from one stream, the states'
     block then the channels' block, and evaluated on the stacked routes with
     the channels' zero-padded Kraus blocks: each block F as its own outcome
-    against outcome_coherence_bounds with its branch F^dagger F (padding
-    blocks have probability 0 and are skipped), and
+    against outcome_coherence_bounds with its branch W F^T (W F^T)^dagger
+    (padding blocks have probability 0 and are skipped), and
     branch_averages <= tight_average_bounds <= average_coherence_bounds.
     """
     g = SeededRng(20260813, 0).generator
@@ -213,10 +213,11 @@ def test_bound_ordering_full_sweep():
             w = coefficient_matrices_from_parts(*draw_schmidt_block(dim, dim, n, g))
             z = draw_tp_block(dim, n, g)[1]
             stacks = branch_stacks_from_parts(z)
-            pairs, n_ops = np.repeat(w, stacks.shape[1], axis=0), stacks.reshape(-1, dim, dim)
-            probs, zero, branches = _conditional_states(_pure_branches(w, isometry_kraus(z)[:, :, None]))
-            probs, zero = probs.reshape(-1), zero.reshape(-1)
-            bounds = outcome_coherence_bounds(pairs[~zero], n_ops[~zero], probs[~zero])
+            pairs = np.repeat(w, stacks.shape[1], axis=0)
+            grams = _pure_branches(w, isometry_kraus(z)[:, :, None])
+            _, zero, branches = _conditional_states(grams)
+            zero = zero.reshape(-1)
+            bounds = outcome_coherence_bounds(pairs[~zero], grams.reshape(-1, dim, dim)[~zero])
             worst_outcome = max(worst_outcome, float(np.max(l1_coherences(branches) - bounds, initial=-np.inf)))
             tight = tight_average_bounds(w, stacks)
             worst_chain = max(

@@ -261,7 +261,8 @@ def test_coherent_marginal_raises_as_on_the_scalar_routes():
     assert raised(rcc.average_coherence_bounds, w, stacks) == expected
     assert raised(rcc.branch_averages, w, stacks) == expected
     assert raised(rcc.maximally_entangled_partners, w) == expected
-    assert raised(rcc.outcome_coherence_bounds, w, op.n_operator()[None], np.ones(1)) == expected
+    gram = w[0] @ op.n_operator().T @ w[0].conj().T
+    assert raised(rcc.outcome_coherence_bounds, w, gram[None]) == expected
 
 
 def test_non_trace_preserving_channel_raises_as_on_the_scalar_routes():

@@ -246,6 +246,10 @@ class TestStandardConstructors:
         total = sum(op.n_operator() for op in ensemble.operations)
         np.testing.assert_allclose(total, np.eye(2), atol=1e-12)
 
+    def test_projective_measurement_rejects_a_non_square_basis(self):
+        with pytest.raises(ValueError, match=r"^basis must be square, got shape \(2, 1\)$"):
+            projective_measurement(HADAMARD[:, :1])
+
     def test_projective_measurement_rejects_skewed_basis(self):
         with pytest.raises(ValueError, match="orthonormal"):
             projective_measurement(np.array([[1, 1], [0, 1]], dtype=complex))
@@ -265,6 +269,16 @@ class TestChannelEnsemble:
         with pytest.raises(NotTracePreserving, match="identity"):
             ChannelEnsemble([half])
         ChannelEnsemble([half, half])  # together they are a channel
+
+    def test_rejects_no_members(self):
+        with pytest.raises(ValueError, match="^ensemble needs at least one operation$"):
+            ChannelEnsemble([])
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_rejects_a_member_that_is_not_an_operation(self, first):
+        members = [np.eye(2), KrausOperation([np.eye(2)])]
+        with pytest.raises(TypeError, match="^ensemble members must be KrausOperation values$"):
+            ChannelEnsemble(members if first else members[::-1])
 
     def test_rejects_mixed_dimensions(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from rcc_lab import cli
+from rcc_lab import cli, rcc
 from rcc_lab.channels import (
     ChannelEnsemble,
     KrausOperation,
@@ -170,6 +170,27 @@ class TestFig1Command:
         assert target.read_bytes() == b""
         assert "field 'output_path'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ([1], "config must be a JSON object"),
+            ({"samples": 1, "seed": 2**64}, "field 'seed': must fit in unsigned 64 bits, got 18446744073709551616"),
+            ({"samples": 1, "damping_rates": []}, "field 'damping_rates': must not be empty"),
+        ],
+        ids=["not_an_object", "seed_too_large", "no_rates"],
+    )
+    def test_config_errors_are_usage_errors(self, tmp_path, capsys, config, message):
+        out = tmp_path / "x.csv"
+        assert main(["fig1", "--config", write_json(tmp_path / "config.json", config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_rates_flag_must_list_floats(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["fig1", "--samples", "1", "--rates", "0.1,x", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --rates must be a comma-separated float list, got '0.1,x'\n"
+        assert not out.exists()
+
     def test_unknown_config_field_rejected(self, tmp_path, capsys):
         config = write_json(tmp_path / "config.json", {"sample_count": 3})
         assert main(["fig1", "--config", config]) == 2
@@ -247,12 +268,12 @@ COMPUTE_CASES = {
 # with VERIFY_DIGESTS, record every change together with its cause.
 COMPUTE_DIGESTS = {
     "bell_hadamard": "ab19c1b27ff3ecea780e51f4f4d2e3542bde3d0c42c48179a948d7641ae7f48d",
-    "tilted_phase_damping": "e56795c408cb2d1e8ce30a289ff17d35f61384be83e2340f031a0d0c113a29fb",
-    "tp_channel_d3": "6d66dc16599ebd5736a2f545c518c62aa19707db7ff15bd0a5a3d40bc1ebc237",
+    "tilted_phase_damping": "acbf3cfbc6913c4c0035405531fa9c5530beaf7c7d3f2132fbb8429f1874eb59",
+    "tp_channel_d3": "33b52a771cc526f5bfdbc59435391c002a1217dcbe94813922aa667404f36b39",
     "ensemble_d3": "87d064271b6c46181a6f4754245e5dfda0b02bd64e60793692981a1e7cb29ce3",
-    "tp_channel_d4": "63b966f86a04a00eab43b68a21499e9424a3b3edebdac75a8c3361c118692063",
-    "ensemble_d4": "f879188deaf5b868cede436865f47a4963a6836c91e8b9a337a7efcb5c8a2d40",
-    "wide_b_zero_branch": "da6aa8b001d65c866501bb168ed43a7dabbfd9b0926ef33294a5963873bdc21b",
+    "tp_channel_d4": "93f6e872e02fd8624b56f3676111af0ab0b92bad314704215d8e8c42973f386c",
+    "ensemble_d4": "04dbf626d297dccc0f7389393a0760795393a0237bb34822c2ef69815e010150",
+    "wide_b_zero_branch": "6144b27d0ad98ee19cc87c8d2b75f4a60cd97547abebbeba50e8eff6d9423d68",
 }
 
 
@@ -285,6 +306,22 @@ class TestVerifyCommand:
         note = run_verify("theorem2", 2, 0).notes[0]
         band = re.search(r"ambiguity band \[([^,\]]+), ([^\]]+)\]", note)
         assert (float(band.group(1)), float(band.group(2))) == AMBIGUITY_BAND
+
+    def test_failing_suite_prints_a_replayable_worst_case(self, tmp_path, monkeypatch, capsys):
+        # With a zero tolerance every theorem4 sample's rounding is a violation: exit 1. The
+        # worst case, written back to files, replays through compute with the printed deviation.
+        monkeypatch.setattr(rcc, "FACTORIZATION_ATOL", 0.0)
+        assert main(["verify", "theorem4", "--samples", "4", "--seed", "0"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("suite=theorem4 checked=4 violations=4 ")
+        assert lines[-3] == "worst case (replay):" and lines[-1] == "FAIL"
+        worst = json.loads(lines[-2])
+        assert worst["deviation"] > 0.0
+        state = write_json(tmp_path / "state.json", worst["state"])
+        channel = write_json(tmp_path / "channel.json", worst["channel"])
+        assert main(["compute", "--state", state, "--channel", channel]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert abs(doc["average_rcc"] - doc["entanglement"] * doc["maxent_average_rcc"]) == worst["deviation"]
 
     def test_unknown_suite_rejected_by_parser(self):
         with pytest.raises(SystemExit):
@@ -342,6 +379,28 @@ class TestComputeCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "parse error" in err and "line 1" in err
+
+    @pytest.mark.parametrize(
+        "target, edit, message",
+        [
+            ("channel", lambda doc: [1, 2], "channel value must be a JSON object"),
+            ("channel", lambda doc: {**doc, "kraus": []}, "field 'kraus' must be a non-empty list of matrices"),
+            ("channel", lambda doc: {**doc, "label": 5}, "field 'label' must be a string"),
+            ("channel", lambda doc: {"operations": []}, "field 'operations' must be a non-empty list"),
+            ("state", lambda doc: [1, 2], "state value must be a JSON object"),
+            ("channel", lambda doc: {**doc, "kraus": [[1, 0]]}, "matrix value must be a JSON object"),
+        ],
+        ids=["channel_not_an_object", "no_kraus", "label_not_a_string", "no_operations", "state_not_an_object", "kraus_not_a_matrix"],
+    )
+    def test_malformed_documents_are_usage_errors(self, tmp_path, capsys, target, edit, message):
+        docs = {
+            "state": state_to_json(BipartitePureState(2, 2, np.array([1, 0, 0, 1]) / np.sqrt(2))),
+            "channel": kraus_operation_to_json(KrausOperation([np.eye(2)])),
+        }
+        docs[target] = edit(docs[target])
+        paths = [write_json(tmp_path / f"{kind}.json", doc) for kind, doc in docs.items()]
+        assert main(["compute", "--state", paths[0], "--channel", paths[1]]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(

@@ -12,7 +12,6 @@ from rcc_lab.linalg import (
     require_orthonormal_columns,
     stream_generators,
     stream_seed_words,
-    svd,
 )
 
 
@@ -49,52 +48,6 @@ class TestPartialTrace:
     def test_bad_side_rejected(self):
         with pytest.raises(ValueError, match="side"):
             partial_trace(np.eye(5), 2, 2)
-
-
-class TestSvd:
-    def test_identity_singular_values(self):
-        _, s, _ = svd(np.eye(3))
-        np.testing.assert_allclose(s, np.ones(3))
-
-    def test_descending_order(self):
-        _, s, _ = svd(np.diag([3.0, 4.0]))
-        np.testing.assert_allclose(s, [4.0, 3.0])
-
-    def test_reconstruction_fixed_hadamard_like(self):
-        w = np.array([[1, 1], [1, -1]], dtype=complex) / 2.0
-        u, s, v = svd(w)
-        assert np.linalg.norm(w - u @ np.diag(s) @ v.conj().T) < 1e-12
-
-    def test_reconstruction_random(self):
-        rng = SeededRng(13)
-        for dim in (2, 3, 5, 8, 16):
-            m = random_matrix(rng, dim, dim)
-            u, s, v = svd(m)
-            assert np.linalg.norm(m - u @ np.diag(s) @ v.conj().T) < 1e-10
-            np.testing.assert_allclose(u.conj().T @ u, np.eye(dim), atol=1e-10)
-            np.testing.assert_allclose(v.conj().T @ v, np.eye(dim), atol=1e-10)
-
-    def test_rectangular(self):
-        rng = SeededRng(14)
-        m = random_matrix(rng, 2, 4)
-        u, s, v = svd(m)
-        assert u.shape == (2, 2) and v.shape == (4, 2)
-        assert np.linalg.norm(m - u @ np.diag(s) @ v.conj().T) < 1e-12
-
-    def test_phase_gauge(self):
-        rng = SeededRng(15)
-        u, _, _ = svd(random_matrix(rng, 4, 4))
-        for k in range(4):
-            top = u[np.argmax(np.abs(u[:, k])), k]
-            assert abs(top.imag) < 1e-12 and top.real > 0
-
-    def test_deterministic(self):
-        rng = SeededRng(16)
-        m = random_matrix(rng, 5, 5)
-        first = svd(m)
-        second = svd(m)
-        for a, b in zip(first, second):
-            np.testing.assert_array_equal(a, b)
 
 
 class TestHaarSampling:

@@ -6,15 +6,18 @@ b_0 a probability p of order eps^2, here from 2e-14 to 1e-8. Every pure
 route must accept these valid inputs: a conditional state whose rounding
 error were absolute, about 1e-16, would reach -1e-16 / p after the division
 by p, far below -VALIDITY_ATOL. The probabilities and states are compared
-with a brute-force oracle, independent of the engine.
+with a brute-force oracle, independent of the engine. Each route's Lemma 1
+bound must still dominate the coherence: read off the operator N instead of
+the branch, its rounding would also grow as 1e-16 / p.
 """
 
 import numpy as np
 import pytest
 
 from rcc_lab import experiments, rcc
-from rcc_lab.channels import ChannelEnsemble, KrausOperation
+from rcc_lab.channels import ChannelEnsemble, KrausOperation, channel_branches
 from rcc_lab.coherence import l1_coherence
+from rcc_lab.experiments import BOUND_ATOL
 from rcc_lab.linalg import SeededRng, complete_orthonormal_basis, complex_ginibre, unitary_from_ginibre
 from rcc_lab.states import BipartitePureState
 
@@ -75,20 +78,28 @@ def test_rare_branches_on_every_pure_route(dim_a, dim_b, weights):
         channel = KrausOperation([rare[0] * np.sqrt(2.0)] + rest)
         ensemble = ChannelEnsemble([KrausOperation(rare), KrausOperation(rest)])
         for route, kraus in ((channel, [rare[0] * np.sqrt(2.0)]), (ensemble, rare)):
-            first = rcc.average_rcc(psi, route).outcomes[0]
+            report = rcc.average_rcc(psi, route)
+            first = report.outcomes[0]
             assert not first.zero_probability and 0.1 * p < first.probability < 10 * p
             assert_matches_oracle(first.probability, first.state_a.matrix, psi, kraus)
+            assert first.coherence <= report.lemma1_bounds[0] + BOUND_ATOL
         op = KrausOperation(rare)
         state, prob = rcc.post_operation_state_a(psi, op)
         assert_matches_oracle(prob, state.matrix, psi, rare)
-        # The bound divides by the same, checked, probability.
+        # The bound reads the same branch, whose trace is the checked probability.
         bound = rcc.outcome_coherence_bound(psi, op)
-        assert bound == rcc.outcome_coherence_bounds(psi.coefficient_matrix[None], op.n_operator()[None], np.array([prob]))[0]
+        w = psi.coefficient_matrix[None]
+        gram = rcc._pure_branches(w, channel_branches(op, psi.dim_b, post_selected=True)[1][None])[:, 0]
+        assert gram[0].trace().real == prob
+        assert bound == rcc.outcome_coherence_bounds(w, gram)[0]
+        assert l1_coherence(state.matrix) <= bound + BOUND_ATOL
 
     # The lemma1 and theorem2 block route, all cases in one block.
     parts = (np.array([case[0] for case in cases]), np.array([case[1] for case in cases])), (None, np.array([case[3] for case in cases]))
-    w, _, probs, kept, achieved = experiments._paired_branches(parts)
+    w, _, grams, kept, achieved = experiments._paired_branches(parts)
     assert kept.tolist() == list(range(len(cases)))
+    assert np.all(achieved <= rcc.outcome_coherence_bounds(w, grams) + BOUND_ATOL)
+    probs = grams.trace(axis1=-2, axis2=-1).real
     for k, (_, _, _, rare, _) in enumerate(cases):
         branch = oracle_branch(w[k].reshape(-1), dim_a, dim_b, rare)
         expected = float(np.trace(branch).real)

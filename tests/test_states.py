@@ -88,9 +88,31 @@ class TestSchmidt:
         np.testing.assert_allclose(form.basis_b[:, 0], HADAMARD[:, 0], atol=1e-12)
         np.testing.assert_allclose(form.basis_b[:, 1], HADAMARD[:, 1], atol=1e-12)
 
-    def test_cached(self):
-        psi = bell()
-        assert schmidt_decompose(psi) is schmidt_decompose(psi)
+    def test_descending_weights(self):
+        psi = BipartitePureState.from_schmidt([0.1, 0.3, 0.6], np.eye(3))
+        np.testing.assert_allclose(schmidt_decompose(psi).weights, [0.6, 0.3, 0.1], atol=1e-12)
+        rng = SeededRng(45)
+        for _ in range(100):
+            weights = schmidt_decompose(BipartitePureState(3, 4, random_pure_state(12, rng))).weights
+            assert np.all(np.diff(weights) <= 0)
+
+    def test_phase_gauge(self):
+        # Each A-side column's largest-modulus entry is real positive.
+        rng = SeededRng(15)
+        for dim_a, dim_b in ((4, 4), (2, 4), (4, 2)):
+            form = schmidt_decompose(BipartitePureState(dim_a, dim_b, random_pure_state(dim_a * dim_b, rng)))
+            for k in range(form.rank):
+                top = form.basis_a[np.argmax(np.abs(form.basis_a[:, k])), k]
+                assert abs(top.imag) < 1e-12 and top.real > 0
+
+    def test_deterministic(self):
+        psi = BipartitePureState(3, 3, random_pure_state(9, SeededRng(16)))
+        first, second = schmidt_decompose(psi), schmidt_decompose(psi)
+        assert first.rank == second.rank
+        for name in ("weights", "basis_a", "basis_b"):
+            a, b = getattr(first, name), getattr(second, name)
+            np.testing.assert_array_equal(a, b)
+            assert not a.flags.writeable
 
     def test_reconstruction_sweep(self):
         rng = SeededRng(41)
@@ -112,6 +134,12 @@ class TestSchmidt:
         form = schmidt_decompose(psi)
         gram = form.basis_b.conj().T @ form.basis_b
         np.testing.assert_allclose(gram, np.eye(form.rank), atol=1e-10)
+
+    def test_basis_a_orthonormal(self):
+        rng = SeededRng(17)
+        for dim_a, dim_b in ((2, 2), (3, 5), (5, 5), (8, 8), (16, 16)):
+            form = schmidt_decompose(BipartitePureState(dim_a, dim_b, random_pure_state(dim_a * dim_b, rng)))
+            np.testing.assert_allclose(form.basis_a.conj().T @ form.basis_a, np.eye(form.rank), atol=1e-10)
 
 
 class TestConcurrence:
