@@ -89,10 +89,14 @@ class ExperimentConfig:
             raise ValueError(f"field 'samples': must be at least 1, got {self.samples}")
         if not self.damping_rates:
             raise ValueError("field 'damping_rates': must not be empty")
-        for r in self.damping_rates:
+        for i, r in enumerate(self.damping_rates):
             if isinstance(r, bool) or not isinstance(r, numbers.Real):
                 raise ValueError(f"field 'damping_rates': rate {r!r} is not a real number")
-            if not 0.0 <= float(r) <= 1.0:
+            try:
+                rate = float(r)
+            except OverflowError:
+                raise ValueError(f"field 'damping_rates': rate {i} is too large for a float") from None
+            if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"field 'damping_rates': rate {r} lies outside [0, 1]")
         _require_int("field 'seed'", self.seed)
         if not 0 <= self.seed < 2**64:
@@ -502,8 +506,8 @@ def verify_theorem3(samples: int, seed: int) -> SuiteReport:
         schmidt, ((_, z), ensembles) = parts
         w = coefficient_matrices_from_parts(*schmidt)
         stacks = branch_stacks_from_parts(z, ensembles[1:])
-        average, rows, ent, partner_average = rcc._average_bounds(w, stacks)
-        tight = ent * rcc._lemma1_norms(rows, stacks).sum(axis=-1)
+        average, branches, ent, partner_average = rcc._average_bounds(w, stacks)
+        tight = ent * rcc._gram_norms(w, branches).sum(axis=-1)
         gaps = np.maximum(average - tight, tight - dim / 2 * ent * partner_average)
         return np.arange(len(w)), gaps, gaps > BOUND_ATOL
 

@@ -275,7 +275,10 @@ def complex_from_json_pairs(pairs: list, what: str) -> np.ndarray:
             raise ValueError(f"{what} {k} must be a [re, im] pair")
         if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in pair):
             raise ValueError(f"{what} {k} must hold two numbers")
-        data[k] = complex(*pair)
+        try:
+            data[k] = complex(*pair)
+        except OverflowError:
+            raise ValueError(f"{what} {k} holds a number too large for a float") from None
     return data
 
 

@@ -92,18 +92,21 @@ def _require_trace_preserving(stacks: np.ndarray) -> None:
 def _unnormalized_branches(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
     # W N_k^T W^dagger (for the averages and bounds) of every state W in w (..., da, db) and branch N_k of
     # stack, (p, db, db) shared or (n, p, db, db) per state of w (n, da, db); the result has w's leading axes,
-    # then p, then (da, da). [W N_1^T | W N_2^T | ...] is one product (for all states at once when shared), then
-    # one batched product per state; each state's numbers do not depend on how many states share the call.
+    # then p, then (da, da). Shared, [W N_1^T | W N_2^T | ...] is one product for all states at once. Per state,
+    # the branches run down the rows of both products, V = [N_1; N_2; ...] W^T and then [V_1^T; V_2^T; ...]
+    # W^dagger, so each state's numbers depend neither on how many states nor on how many zero branches share the call.
     da, db = w.shape[-2:]
     n = w.size // (da * db)
     p = stack.shape[-3]
     states = w.reshape(n, da, db)
     if stack.ndim == 3:
         wn = states.reshape(n * da, db) @ stack.reshape(p * db, db).T
+        out = (wn.reshape(n, da * p, db) @ states.conj().swapaxes(1, 2)).reshape(n, da, p, da).swapaxes(1, 2)
     else:
-        wn = states @ stack.reshape(n, p * db, db).swapaxes(1, 2)
-    out = wn.reshape(n, da * p, db) @ states.conj().swapaxes(1, 2)
-    return out.reshape(n, da, p, da).swapaxes(1, 2).reshape(w.shape[:-2] + (p, da, da))
+        v = stack.reshape(n, p * db, db) @ states.swapaxes(1, 2)
+        vt = v.reshape(n, p, db, da).swapaxes(2, 3).reshape(n, p * da, db)
+        out = vt @ states.conj().swapaxes(1, 2)
+    return out.reshape(w.shape[:-2] + (p, da, da))
 
 
 def _mixed_branches(r4: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -154,22 +157,17 @@ def _strict_upper(d: int) -> np.ndarray:
     return np.triu(np.ones((d, d)), 1)
 
 
-def _lemma1_norms(rows: np.ndarray, stacks: np.ndarray) -> np.ndarray:
-    # sqrt(sum_{j<i} |G[j, i]|^2) per state and branch N_k of its stack (n, K, db, db), with G[j, i] =
-    # <beta_j| N_k |beta_i> over the Schmidt B-vectors rows (n, da, db) of states.schmidt_rows (under
-    # the diagonal-marginal premise); rows at or below SCHMIDT_WEIGHT_CUTOFF are zero and add nothing.
-    g = rows.conj()[:, None] @ stacks @ rows.swapaxes(-1, -2)[:, None]
-    return np.sqrt(np.sum(np.abs(g) ** 2 * _strict_upper(g.shape[-1]), axis=(-2, -1)))
-
-
-def _gram_norms(w: np.ndarray, grams: np.ndarray) -> np.ndarray:
-    # _lemma1_norms read off the branches grams (n, K, da, da) of _pure_branches for states w (n, da, db): under the
-    # premise U_ij = sqrt(w_i w_j) <beta_j| N_k |beta_i>, so the sum is of |U_ij|^2 / (w_i w_j) over one strict triangle
-    # of the rows above SCHMIDT_WEIGHT_CUTOFF. U's rounding stays relative to the branch probability; that of N does not.
+def _gram_norms(w: np.ndarray, branches: np.ndarray) -> np.ndarray:
+    # Lemma 1's sqrt(sum_{j<i} |<beta_j| N_k |beta_i>|^2) per state W of w (n, da, db) and its branch
+    # U = W N_k^T W^dagger in branches (n, K, da, da): the W N^T W^dagger of _unnormalized_branches or the
+    # Grams X X^dagger of _pure_branches. Under the diagonal-marginal premise
+    # U_ij = sqrt(w_i w_j) <beta_j| N_k |beta_i>, so the sum is of |U_ij|^2 / (w_i w_j) over one strict triangle
+    # of the rows above SCHMIDT_WEIGHT_CUTOFF. A Gram's rounding stays relative to the branch probability, as the
+    # per-outcome bound's division by it needs; the average bounds do not divide.
     weights = (np.abs(w) ** 2).sum(axis=-1)
     inv = np.divide(1.0, weights, out=np.zeros_like(weights), where=weights > SCHMIDT_WEIGHT_CUTOFF)
     scale = inv[:, :, None] * inv[:, None, :] * _strict_upper(w.shape[-2])
-    return np.sqrt((np.abs(grams) ** 2 * scale[:, None]).sum(axis=(-2, -1)))
+    return np.sqrt((np.abs(branches) ** 2 * scale[:, None]).sum(axis=(-2, -1)))
 
 
 def branch_averages(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
@@ -243,7 +241,7 @@ def tight_average_bounds(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
     """tight_average_bound of each state of w (n, da, db) and its branch stack (n, K, db, db)."""
     require_premises(w)
     _require_trace_preserving(stacks)
-    return batch_concurrence(w) * _lemma1_norms(schmidt_rows(w)[0], stacks).sum(axis=-1)
+    return batch_concurrence(w) * _gram_norms(w, _unnormalized_branches(w, stacks)).sum(axis=-1)
 
 
 def average_coherence_bounds(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
@@ -259,17 +257,17 @@ def average_coherence_bounds(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
 
 
 def _average_bounds(w: np.ndarray, stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    # branch_averages (n,), Schmidt rows (n, da, db), concurrence E (n,) and partner average (n,) of w and stacks as
-    # branch_averages takes them; premise, trace preservation and dim_b >= dim_a are checked once each, in that order.
-    # tight_average_bounds is E * _lemma1_norms(rows, stacks).sum(-1), average_coherence_bounds da / 2 * E * partner
-    # average, bit for bit. The norms are left to the callers that read them (theorem4 does not).
+    # branch_averages (n,), branches W N_k^T W^dagger (n, K, da, da), concurrence E (n,) and partner average (n,)
+    # of w and stacks as branch_averages takes them; premise, trace preservation and dim_b >= dim_a are checked once
+    # each, in that order. tight_average_bounds is E * _gram_norms(w, branches).sum(-1), average_coherence_bounds
+    # da / 2 * E * partner average, bit for bit. The norms are left to the callers that read them (theorem4 does not).
     require_premises(w)
     _require_trace_preserving(stacks)
     _require_partner_dims(w)
-    rows, keep = schmidt_rows(w)
-    partners = unit_amplitudes(_partners(rows, keep).reshape(len(w), -1)).reshape(w.shape)
-    average, partner_average = (_offdiag_mass(_unnormalized_branches(v, stacks)) for v in (w, partners))
-    return average, rows, batch_concurrence(w), partner_average
+    partners = unit_amplitudes(_partners(*schmidt_rows(w)).reshape(len(w), -1)).reshape(w.shape)
+    branches = _unnormalized_branches(w, stacks)
+    partner_average = _offdiag_mass(_unnormalized_branches(partners, stacks))
+    return _offdiag_mass(branches), branches, batch_concurrence(w), partner_average
 
 
 def post_operation_state_a(state, op: KrausOperation, dim_a=None, dim_b=None):
@@ -350,7 +348,7 @@ def average_rcc(psi: BipartitePureState, channel) -> RccReport:
     """
     w = psi.coefficient_matrix[None]
     stack, factors = (v[None] for v in channel_branches(channel, psi.dim_b))
-    averages, rows, ents, maxent_averages = _average_bounds(w, stack)
+    averages, branches, ents, maxent_averages = _average_bounds(w, stack)
     grams = _pure_branches(w, factors)
     probs, zero, states = _conditional_states(grams)
     norms = _gram_norms(w, grams)
@@ -374,7 +372,7 @@ def average_rcc(psi: BipartitePureState, channel) -> RccReport:
         entanglement=ent,
         lemma1_bounds=tuple(bounds),
         theorem3_bound=float(psi.dim_a / 2 * ent * maxent_average),
-        tighter_bound=float(ent * _lemma1_norms(rows, stack).sum(axis=-1)[0]),
+        tighter_bound=float(ent * _gram_norms(w, branches).sum(axis=-1)[0]),
         maxent_average_rcc=maxent_average,
         factorization_ratio=average / maxent_average if ratio_defined else None,
     )

@@ -574,3 +574,24 @@ def test_scalar_views_are_one_element_stacks():
             BipartitePureState(3, 4, partners[i].reshape(-1)).amplitudes,
             rcc.maximally_entangled_partner(psi).amplitudes,
         )
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("dim_b_extra", [0, 1])
+def test_per_state_branches_ignore_padding_and_block_size(d, dim_b_extra):
+    # Each state's W N_k^T W^dagger and tight bound, bit for bit, whether its stack is padded with 1 to 3
+    # zero branches or not, and whether it is one row of a 32-state block or a one-element call.
+    db = d + dim_b_extra
+    rng = SeededRng(21, 10 * d + dim_b_extra)
+    w = np.array([random_schmidt_state(d, db, rng).coefficient_matrix for _ in range(32)])
+    channels = [tp_channel_from_parts(np.array([2]), complex_ginibre(rng.generator, (2 * db, db))[None]) for _ in w]
+    stacks = np.array([channel.branch_n_stack() for channel in channels])
+    branches, tight = rcc._unnormalized_branches(w, stacks), rcc.tight_average_bounds(w, stacks)
+    for pad in (0, 1, 2, 3):
+        padded = np.concatenate([stacks, np.zeros((32, pad, db, db), dtype=stacks.dtype)], axis=1)
+        block = rcc._unnormalized_branches(w, padded)
+        assert np.array_equal(block[:, :2], branches) and not block[:, 2:].any()
+        assert np.array_equal(rcc.tight_average_bounds(w, padded), tight)
+        for i in range(len(w)):
+            assert np.array_equal(rcc._unnormalized_branches(w[i : i + 1], padded[i : i + 1])[0, :2], branches[i])
+            assert rcc.tight_average_bounds(w[i : i + 1], padded[i : i + 1])[0] == tight[i]

@@ -176,8 +176,10 @@ class TestFig1Command:
             ([1], "config must be a JSON object"),
             ({"samples": 1, "seed": 2**64}, "field 'seed': must fit in unsigned 64 bits, got 18446744073709551616"),
             ({"samples": 1, "damping_rates": []}, "field 'damping_rates': must not be empty"),
+            # A 401-digit JSON integer is a Python int that no float holds.
+            ({"samples": 1, "damping_rates": [0.5, 10**400]}, "field 'damping_rates': rate 1 is too large for a float"),
         ],
-        ids=["not_an_object", "seed_too_large", "no_rates"],
+        ids=["not_an_object", "seed_too_large", "no_rates", "rate_too_large"],
     )
     def test_config_errors_are_usage_errors(self, tmp_path, capsys, config, message):
         out = tmp_path / "x.csv"
@@ -267,13 +269,13 @@ COMPUTE_CASES = {
 # sha256 of the stdout of `rcc-lab compute` on each COMPUTE_CASES pair. As
 # with VERIFY_DIGESTS, record every change together with its cause.
 COMPUTE_DIGESTS = {
-    "bell_hadamard": "ab19c1b27ff3ecea780e51f4f4d2e3542bde3d0c42c48179a948d7641ae7f48d",
-    "tilted_phase_damping": "acbf3cfbc6913c4c0035405531fa9c5530beaf7c7d3f2132fbb8429f1874eb59",
-    "tp_channel_d3": "33b52a771cc526f5bfdbc59435391c002a1217dcbe94813922aa667404f36b39",
+    "bell_hadamard": "eecd714c308209a0444d27d92269b343ec8b4cfc195338b7c6031d5779a69a78",
+    "tilted_phase_damping": "5f0cefcfab0dffc21da75aa9e7696d7596f783822295e5d9fa9aad0978196e73",
+    "tp_channel_d3": "d1418d5f2a8d70d16e3e65a2c749861b70e0a6c86d2dabf326a2918b5cf701b9",
     "ensemble_d3": "87d064271b6c46181a6f4754245e5dfda0b02bd64e60793692981a1e7cb29ce3",
-    "tp_channel_d4": "93f6e872e02fd8624b56f3676111af0ab0b92bad314704215d8e8c42973f386c",
-    "ensemble_d4": "04dbf626d297dccc0f7389393a0760795393a0237bb34822c2ef69815e010150",
-    "wide_b_zero_branch": "6144b27d0ad98ee19cc87c8d2b75f4a60cd97547abebbeba50e8eff6d9423d68",
+    "tp_channel_d4": "1455b86427f16a9d357e025c61d5b0293f9991e6e51e3deeadf42f04b775f812",
+    "ensemble_d4": "1ed401b0b58590f0b7bc9c2ce3d08a14683e1180be37d09b69ab2f0d360a2098",
+    "wide_b_zero_branch": "5c3822b0fd807539dcc840e3bbd91e6a83411fc7099912485609d4d461b45a61",
 }
 
 
@@ -389,8 +391,28 @@ class TestComputeCommand:
             ("channel", lambda doc: {"operations": []}, "field 'operations' must be a non-empty list"),
             ("state", lambda doc: [1, 2], "state value must be a JSON object"),
             ("channel", lambda doc: {**doc, "kraus": [[1, 0]]}, "matrix value must be a JSON object"),
+            # 401-digit JSON integers are Python ints that no float holds.
+            (
+                "state",
+                lambda doc: {**doc, "amplitudes": [[1, 0], [0, 0], [0, 0], [0, -(10**400)]]},
+                "amplitude 3 holds a number too large for a float",
+            ),
+            (
+                "channel",
+                lambda doc: {**doc, "kraus": [{**doc["kraus"][0], "entries": [[1, 0], [10**400, 0], [0, 0], [1, 0]]}]},
+                "entry 1 holds a number too large for a float",
+            ),
         ],
-        ids=["channel_not_an_object", "no_kraus", "label_not_a_string", "no_operations", "state_not_an_object", "kraus_not_a_matrix"],
+        ids=[
+            "channel_not_an_object",
+            "no_kraus",
+            "label_not_a_string",
+            "no_operations",
+            "state_not_an_object",
+            "kraus_not_a_matrix",
+            "amplitude_too_large",
+            "kraus_entry_too_large",
+        ],
     )
     def test_malformed_documents_are_usage_errors(self, tmp_path, capsys, target, edit, message):
         docs = {

@@ -395,7 +395,7 @@ class TestGershgorinCertificate:
             assert density_verdict(stack) == eigvalsh_verdict(stack)
             for m in stack:
                 assert density_verdict(among_certified(m)) == eigvalsh_verdict(m)
-        # The rare branches of ROADMAP item 1 are still rejected, not certified.
+        # The rare branches of ROADMAP item 3 are still rejected, not certified.
         rare = rare_branch_states(100, SeededRng(20261019, 11).generator)
         assert sum(density_verdict(among_certified(m)) is not None for m in rare) > 10
 
