@@ -29,15 +29,18 @@ def _parse_rates(text: str):
 
 
 def _load_json_file(path: str, kind: str):
+    # json.loads takes the bytes and detects UTF-8, -16 or -32 (RFC 8259), a BOM included, whatever the locale.
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            return json.loads(fh.read())
     except OSError as exc:
         raise ValueError(f"cannot read {kind} file {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(
             f"parse error in {kind} file {path!r} at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"parse error in {kind} file {path!r}: {exc}") from exc
 
 
 @functools.cache
@@ -118,7 +121,7 @@ def _cmd_compute(args) -> int:
     psi = state_from_json(_load_json_file(args.state, "state"))
     channel = channel_from_json(_load_json_file(args.channel, "channel"))
     report = average_rcc(psi, channel)
-    print(json.dumps(report_to_json(report), indent=2))
+    print(json.dumps(report_to_json(report), indent=2, check_circular=False))
     return 0
 
 

@@ -251,11 +251,11 @@ def random_pure_state(d: int, rng: SeededRng) -> np.ndarray:
 def matrix_to_json(m) -> dict:
     """JSON-ready dict {"rows", "cols", "entries"} with row-major [re, im] pairs."""
     arr = as_complex_matrix(m)
-    flat = arr.ravel()
     return {
         "rows": int(arr.shape[0]),
         "cols": int(arr.shape[1]),
-        "entries": [[float(z.real), float(z.imag)] for z in flat],
+        # A float64 view lists the parts as plain floats, with no numpy scalar per entry.
+        "entries": arr.ravel().view(np.float64).reshape(-1, 2).tolist(),
     }
 
 
@@ -269,17 +269,18 @@ def json_positive_int(obj: dict, key: str) -> int:
 
 def complex_from_json_pairs(pairs: list, what: str) -> np.ndarray:
     """Complex vector from [re, im] pairs; errors name `what` and the index."""
-    data = np.empty(len(pairs), dtype=np.complex128)
+    values = []
     for k, pair in enumerate(pairs):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ValueError(f"{what} {k} must be a [re, im] pair")
-        if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in pair):
+        re, im = pair
+        if not (isinstance(re, (int, float)) and isinstance(im, (int, float))) or bool in (type(re), type(im)):
             raise ValueError(f"{what} {k} must hold two numbers")
         try:
-            data[k] = complex(*pair)
+            values.append(complex(re, im))
         except OverflowError:
             raise ValueError(f"{what} {k} holds a number too large for a float") from None
-    return data
+    return np.array(values, dtype=np.complex128)
 
 
 def matrix_from_json(obj) -> np.ndarray:

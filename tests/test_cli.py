@@ -1,12 +1,16 @@
+import codecs
 import csv
 import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rcc_lab
 from rcc_lab import cli, rcc
 from rcc_lab.channels import (
     ChannelEnsemble,
@@ -111,6 +115,16 @@ class TestFig1Command:
         assert main(["fig1", "--config", config, "--out", str(override)]) == 0
         assert override.exists()
         assert len(override.read_text().splitlines()) == 1 + 2
+
+    def test_config_file_with_a_bom(self, tmp_path, capsys):
+        config = {"samples": 2, "damping_rates": [0.5], "seed": 11, "output_path": str(tmp_path / "c.csv")}
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(codecs.BOM_UTF8 + json.dumps(config).encode())
+        runs = []
+        for path in (write_json(tmp_path / "config.json", config), str(bom)):
+            assert main(["fig1", "--config", path]) == 0
+            runs.append((capsys.readouterr().out, (tmp_path / "c.csv").read_bytes()))
+        assert runs[0] == runs[1]
 
     def test_invalid_rate_is_usage_error(self, tmp_path, capsys):
         code = main(["fig1", "--samples", "1", "--rates", "1.5", "--out", str(tmp_path / "x.csv")])
@@ -423,6 +437,52 @@ class TestComputeCommand:
         paths = [write_json(tmp_path / f"{kind}.json", doc) for kind, doc in docs.items()]
         assert main(["compute", "--state", paths[0], "--channel", paths[1]]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    # JSON input as RFC 8259 reads it, whatever the locale: the state and a channel whose label is
+    # not ASCII, in UTF-8 with and without a BOM, UTF-16 (with a BOM, and little-endian without) and UTF-32.
+    ENCODED_PAIR = (
+        state_to_json(BipartitePureState.from_schmidt([0.9, 0.1], HADAMARD)),
+        {**kraus_operation_to_json(phase_damping(0.5)), "label": "déphasage"},
+    )
+
+    def ascii_report(self, tmp_path, capsys):
+        paths = [write_json(tmp_path / f"{kind}.json", doc) for kind, doc in zip(("state", "channel"), self.ENCODED_PAIR)]
+        assert main(["compute", "--state", paths[0], "--channel", paths[1]]) == 0
+        return capsys.readouterr().out
+
+    def encoded_pair(self, tmp_path, encoding):
+        paths = []
+        for kind, doc in zip(("state", "channel"), self.ENCODED_PAIR):
+            path = tmp_path / f"{kind}.{encoding}.json"
+            path.write_bytes(json.dumps(doc, ensure_ascii=False).encode(encoding))
+            paths.append(str(path))
+        return paths
+
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig", "utf-16", "utf-16-le", "utf-32"])
+    def test_input_encodings_give_the_same_report(self, tmp_path, capsys, encoding):
+        want = self.ascii_report(tmp_path, capsys)
+        state, channel = self.encoded_pair(tmp_path, encoding)
+        assert main(["compute", "--state", state, "--channel", channel]) == 0
+        assert capsys.readouterr().out == want
+
+    def test_input_encoding_ignores_the_c_locale(self, tmp_path, capsys):
+        # Under LC_ALL=C without UTF-8 mode, Python opens text files as ASCII.
+        want = self.ascii_report(tmp_path, capsys)
+        src = os.path.dirname(os.path.dirname(rcc_lab.__file__))
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONPATH": src}
+        state, channel = self.encoded_pair(tmp_path, "utf-8")
+        run = subprocess.run(
+            [sys.executable, "-m", "rcc_lab.cli", "compute", "--state", state, "--channel", channel],
+            env=env, capture_output=True, timeout=60,
+        )
+        assert (run.returncode, run.stderr, run.stdout.decode()) == (0, b"", want)
+
+    def test_invalid_byte_names_the_file(self, tmp_path, capsys):
+        channel = tmp_path / "channel.json"
+        channel.write_bytes(json.dumps(self.ENCODED_PAIR[1]).encode()[:-1] + b"\xff}")
+        assert main(["compute", "--state", bell_file(tmp_path), "--channel", str(channel)]) == 2
+        prefix = f"error: parse error in channel file {str(channel)!r}: 'utf-8' codec can't decode byte 0xff"
+        assert capsys.readouterr().err.startswith(prefix)
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(
