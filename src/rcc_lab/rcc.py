@@ -104,8 +104,8 @@ def _unnormalized_branches(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
         out = (wn.reshape(n, da * p, db) @ states.conj().swapaxes(1, 2)).reshape(n, da, p, da).swapaxes(1, 2)
     else:
         v = stack.reshape(n, p * db, db) @ states.swapaxes(1, 2)
-        v = v.reshape(n, p, db, da).swapaxes(2, 3).reshape(n, p * da, db)
-        out = v @ states.conj().swapaxes(1, 2)
+        vt = v.reshape(n, p, db, da).swapaxes(2, 3).reshape(n, p * da, db)
+        out = vt @ states.conj().swapaxes(1, 2)
     return out.reshape(w.shape[:-2] + (p, da, da))
 
 
@@ -128,10 +128,8 @@ def _conditional_states(unnorm: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     """
     probs = unnorm.trace(axis1=-2, axis2=-1).real
     zero = probs < ZERO_PROBABILITY_CUTOFF
-    # Without a zero branch nothing is masked out, and every branch is divided as it stands.
-    d = unnorm.shape[-1]
-    states, kept = (unnorm[~zero], probs[~zero]) if zero.any() else (unnorm.reshape(-1, d, d), probs.reshape(-1))
-    states = states / kept[:, None, None]
+    states = unnorm[~zero]
+    states /= probs[~zero][:, None, None]
     states += states.conj().swapaxes(-1, -2)
     states /= 2
     states /= check_densities(states).real[:, None, None]
@@ -266,12 +264,10 @@ def _average_bounds(w: np.ndarray, stacks: np.ndarray) -> tuple[np.ndarray, np.n
     require_premises(w)
     _require_trace_preserving(stacks)
     _require_partner_dims(w)
-    n = len(w)
-    partners = unit_amplitudes(_partners(*schmidt_rows(w)).reshape(n, -1)).reshape(w.shape)
-    # One per-state contraction serves the states and their partners, [w; partners] against [stacks; stacks].
-    branches = _unnormalized_branches(np.concatenate([w, partners]), np.concatenate([stacks, stacks]))
-    masses = _offdiag_mass(branches)
-    return masses[:n], branches[:n], batch_concurrence(w), masses[n:]
+    partners = unit_amplitudes(_partners(*schmidt_rows(w)).reshape(len(w), -1)).reshape(w.shape)
+    branches = _unnormalized_branches(w, stacks)
+    partner_average = _offdiag_mass(_unnormalized_branches(partners, stacks))
+    return _offdiag_mass(branches), branches, batch_concurrence(w), partner_average
 
 
 def post_operation_state_a(state, op: KrausOperation, dim_a=None, dim_b=None):
@@ -355,8 +351,7 @@ def average_rcc(psi: BipartitePureState, channel) -> RccReport:
     averages, branches, ents, maxent_averages = _average_bounds(w, stack)
     grams = _pure_branches(w, factors)
     probs, zero, states = _conditional_states(grams)
-    # One norm pass: lemma1's over the Grams, then the tight bound's over the branches.
-    norms, tight = np.split(_gram_norms(w, np.concatenate([grams, branches], axis=1)), 2, axis=1)
+    norms = _gram_norms(w, grams)
     average, ent, maxent_average = float(averages[0]), float(ents[0]), float(maxent_averages[0])
 
     outcomes, bounds = [], []
@@ -377,7 +372,7 @@ def average_rcc(psi: BipartitePureState, channel) -> RccReport:
         entanglement=ent,
         lemma1_bounds=tuple(bounds),
         theorem3_bound=float(psi.dim_a / 2 * ent * maxent_average),
-        tighter_bound=float(ent * tight.sum(axis=-1)[0]),
+        tighter_bound=float(ent * _gram_norms(w, branches).sum(axis=-1)[0]),
         maxent_average_rcc=maxent_average,
         factorization_ratio=average / maxent_average if ratio_defined else None,
     )

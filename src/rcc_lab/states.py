@@ -72,8 +72,8 @@ def check_densities(m: np.ndarray) -> np.ndarray:
     trace_dev = float(np.abs(traces - 1.0).max(initial=0.0))
     if not trace_dev <= VALIDITY_ATOL:
         raise BadTrace(f"trace deviates from 1 by {trace_dev:.3e}")
-    # An exactly Hermitian m is its own symmetric part; rebuilt, it could differ only in the sign of a zero.
-    mh = m if herm == 0 else np.add(np.divide(mh, 2, out=mh), m, out=mh)
+    mh /= 2
+    mh += m
     # The bound costs a few microseconds per call, which only a large stack repays.
     if mh.size < GERSHGORIN_MIN_STACK * mh.shape[-1] ** 2 or not (
         (2 * mh.real.diagonal(0, -2, -1) - np.abs(mh).sum(axis=-1)).min(initial=np.inf) >= -VALIDITY_ATOL
@@ -136,9 +136,8 @@ def unit_amplitudes(amp: np.ndarray) -> np.ndarray:
     Rejects non-finite entries and any vector whose norm is off 1 by more
     than VALIDITY_ATOL; finite entries whose squares overflow give an infinite norm.
     """
-    # np.linalg.norm's own formula for a 2-norm along one axis, without its dispatch.
     with np.errstate(over="ignore"):
-        norm = np.sqrt((require_finite(amp, "amplitudes").conj() * amp).real.sum(axis=-1, keepdims=True))
+        norm = np.linalg.norm(require_finite(amp, "amplitudes"), axis=-1, keepdims=True)
     worst = float(norm.flat[np.argmax(np.abs(norm - 1.0))])
     if not abs(worst - 1.0) <= VALIDITY_ATOL:
         raise ValueError(f"amplitude norm {worst:.12g} deviates from 1 beyond {VALIDITY_ATOL}")

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from rcc_lab.linalg import (
     SeededRng,
     complete_orthonormal_basis,
+    complex_from_json_pairs,
+    complex_ginibre,
     haar_random_unitary,
     matrix_from_json,
     matrix_to_json,
@@ -13,6 +17,7 @@ from rcc_lab.linalg import (
     stream_generators,
     stream_seed_words,
 )
+from rcc_lab.states import DensityMatrix
 
 
 def random_matrix(rng, rows, cols):
@@ -215,3 +220,73 @@ class TestCompleteBasis:
         first = complete_orthonormal_basis(u[:, :2], 4)
         second = complete_orthonormal_basis(u[:, :2], 4)
         np.testing.assert_array_equal(first, second)
+
+
+def scalar_complex_from_json_pairs(pairs, what):
+    # complex_from_json_pairs writing each pair into a preallocated array, its entries tested by a generator.
+    data = np.empty(len(pairs), dtype=np.complex128)
+    for k, pair in enumerate(pairs):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ValueError(f"{what} {k} must be a [re, im] pair")
+        if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in pair):
+            raise ValueError(f"{what} {k} must hold two numbers")
+        try:
+            data[k] = complex(*pair)
+        except OverflowError:
+            raise ValueError(f"{what} {k} holds a number too large for a float") from None
+    return data
+
+
+def outcome_or_error(route, *args):
+    # (result, None) or (None, (type, message)) of route(*args).
+    try:
+        return route(*args), None
+    except Exception as exc:
+        return None, (type(exc), str(exc))
+
+
+JSON_PAIRS = {
+    "numbers": [[1, 0], [0.5, -0.25], [-0.0, 0.0], [3, -2.0], [1e308, -1e-308]],
+    "empty": [],
+    "bool_re": [[1, 0], [True, 0]],
+    "bool_im": [[0, False]],
+    "string": [[1, 0], [0, 0], ["1", 0]],
+    "null": [[None, 0]],
+    "one_entry": [[1, 0], [1]],
+    "three_entries": [[1, 2, 3]],
+    "not_a_pair": [[1, 0], {"re": 1, "im": 0}],
+    "too_large": [[0, 0], [0, -(10**400)]],
+    "first_error_wins": [[10**400, 0], ["a", 0], [1]],
+    "tuple_pairs": [(1, 2), (3.5, -0.0)],
+}
+
+
+class TestJsonBoundary:
+    @pytest.mark.parametrize("case", list(JSON_PAIRS))
+    def test_complex_from_json_pairs_keeps_every_message(self, case):
+        # The same array, bit for bit, or the same error type and per-index message as the scalar form.
+        got, got_error = outcome_or_error(complex_from_json_pairs, JSON_PAIRS[case], "amplitude")
+        want, want_error = outcome_or_error(scalar_complex_from_json_pairs, JSON_PAIRS[case], "amplitude")
+        assert got_error == want_error
+        if want_error is None:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            np.array([[0.5, -0.0 + 0.25j], [-0.0 - 0.25j, -0.0]]),
+            complex_ginibre(SeededRng(13).generator, (3, 4)).T,
+            DensityMatrix(np.eye(3) / 3).matrix,
+            [[1, 2], [3, 4]],
+        ],
+        ids=["signed_zeros", "transposed_view", "read_only", "nested_list"],
+    )
+    def test_matrix_to_json_lists_plain_floats(self, m):
+        doc = matrix_to_json(m)
+        arr = np.asarray(m, dtype=complex)
+        assert (doc["rows"], doc["cols"]) == arr.shape
+        want = [[float(z.real), float(z.imag)] for z in arr.ravel()]
+        assert all(type(x) is float for pair in doc["entries"] for x in pair)
+        # Equal with the signs of zeros, which == alone does not compare.
+        signs = [[math.copysign(1, x) for x in pair] for pair in doc["entries"]]
+        assert doc["entries"] == want and signs == [[math.copysign(1, x) for x in pair] for pair in want]
