@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import stack_sum
 from .states import joint_matrix, operator_matrix
 
 CLASSIFICATION_ATOL = 1e-9
@@ -23,7 +24,7 @@ def l1_coherence(rho) -> float:
 def l1_coherences(m: np.ndarray) -> np.ndarray:
     """l1_coherence of matrices stacked on leading axes."""
     a = np.abs(m)
-    return a.sum(axis=(-2, -1)) - np.trace(a, axis1=-2, axis2=-1)
+    return stack_sum(a, axes=2) - stack_sum(a.diagonal(0, -2, -1))
 
 
 def is_incoherent(rho) -> bool:

@@ -103,8 +103,8 @@ class ExperimentConfig:
             raise ValueError(f"field 'seed': must fit in unsigned 64 bits, got {self.seed}")
         if not isinstance(self.output_path, str) or not self.output_path:
             raise ValueError(f"field 'output_path': must be a non-empty path string, got {self.output_path!r}")
-        if self.plot_path is not None and not isinstance(self.plot_path, str):
-            raise ValueError(f"field 'plot_path': must be a path string or null, got {self.plot_path!r}")
+        if self.plot_path is not None and (not isinstance(self.plot_path, str) or not self.plot_path):
+            raise ValueError(f"field 'plot_path': must be a non-empty path string or null, got {self.plot_path!r}")
 
     @classmethod
     def from_mapping(cls, obj: dict) -> "ExperimentConfig":

@@ -18,13 +18,13 @@ import numpy as np
 from .channels import KrausOperation, channel_branches, check_summaries, identity_deviation
 from .coherence import block_diagonal_mask, l1_coherences
 from .errors import NotTracePreserving, SearchExhausted, WrongDimension, ZeroProbability
-from .linalg import VALIDITY_ATOL, complete_orthonormal_basis, matrix_to_json
+from .linalg import VALIDITY_ATOL, complete_orthonormal_basis, matrix_to_json, stack_sum
 from .states import (
     SCHMIDT_WEIGHT_CUTOFF,
     BipartitePureState,
     DensityMatrix,
     batch_concurrence,
-    check_densities,
+    check_traces_and_positivity,
     joint_matrix,
     require_premises,
     schmidt_rows,
@@ -123,16 +123,16 @@ def _conditional_states(unnorm: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     """Probabilities and zero-probability mask, shape (...), of branches unnorm (..., d, d).
 
     Also returns the conditional states (kept, d, d) of the branches at or above
-    ZERO_PROBABILITY_CUTOFF, in order: divided by their probability, symmetrized,
-    validated (check_densities) and renormalized to unit trace, as DensityMatrix does.
+    ZERO_PROBABILITY_CUTOFF, in order: divided by their probability, symmetrized (exactly Hermitian,
+    so only traces and positivity are checked) and renormalized to unit trace, as DensityMatrix does.
     """
-    probs = unnorm.trace(axis1=-2, axis2=-1).real
+    probs = stack_sum(unnorm.diagonal(0, -2, -1)).real
     zero = probs < ZERO_PROBABILITY_CUTOFF
     states = unnorm[~zero]
     states /= probs[~zero][:, None, None]
     states += states.conj().swapaxes(-1, -2)
     states /= 2
-    states /= check_densities(states).real[:, None, None]
+    states /= check_traces_and_positivity(states).real[:, None, None]
     return probs, zero, states
 
 
@@ -233,7 +233,7 @@ def outcome_coherence_bounds(w: np.ndarray, grams: np.ndarray) -> np.ndarray:
     above ZERO_PROBABILITY_CUTOFF. Raises PremiseViolated as the scalar route does.
     """
     require_premises(w)
-    probs = grams.trace(axis1=-2, axis2=-1).real
+    probs = stack_sum(grams.diagonal(0, -2, -1)).real
     return batch_concurrence(w) / probs * _gram_norms(w, grams[:, None])[:, 0]
 
 
@@ -410,7 +410,7 @@ def converse_witnesses(rho: np.ndarray, dim_a: int, dim_b: int) -> tuple[np.ndar
         return np.zeros((len(rho), dim_b, dim_b), dtype=np.complex128), np.zeros(len(rho)), block_diagonal
     r4 = rho.reshape(-1, dim_a, dim_b, dim_a, dim_b)
     blocks = r4.swapaxes(2, 3)
-    weights, basis = np.linalg.eigh(np.trace(blocks, axis1=1, axis2=2))
+    weights, basis = np.linalg.eigh(stack_sum(blocks.diagonal(0, 1, 2)))
     # Kept weights bound beta's branch probability from below, far above
     # ZERO_PROBABILITY_CUTOFF; dropped ones are rounding off the support.
     support = weights > VALIDITY_ATOL * weights[:, -1:]

@@ -15,7 +15,7 @@ import numpy as np
 
 from .channels import ChannelEnsemble, KrausOperation, branch_stacks, branch_sums, check_summaries
 from .coherence import block_diagonal_mask
-from .linalg import SeededRng, complex_ginibre, unitary_from_ginibre
+from .linalg import SeededRng, complex_ginibre, stack_sum, unitary_from_ginibre
 from .states import BipartitePureState, DensityMatrix, schmidt_coefficients, unit_amplitudes
 
 
@@ -122,7 +122,7 @@ def ensemble_from_parts(counts: np.ndarray, z: np.ndarray, splits: np.ndarray, k
 def densities_from_parts(z: np.ndarray) -> np.ndarray:
     """Ginibre-induced density matrices z z^dagger / tr(z z^dagger) of z (..., d, d)."""
     m = z @ z.conj().swapaxes(-1, -2)
-    return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
+    return m / stack_sum(m.diagonal(0, -2, -1)).real[..., None, None]
 
 
 def incoherent_quantum_states_from_parts(q: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ from .linalg import (
     partial_trace,
     require_finite,
     require_orthonormal_columns,
+    stack_sum,
 )
 
 # Schmidt weights below this are treated as exact zeros and dropped, so the
@@ -57,9 +58,7 @@ def check_densities(m: np.ndarray) -> np.ndarray:
 
     Raises NotHermitian, BadTrace or NotPositive, in that order of checks,
     with the worst deviation over the stack; each tolerance is VALIDITY_ATOL.
-    A non-finite entry fails the first check. On a stack of GERSHGORIN_MIN_STACK matrices
-    or more, positivity is certified by the Gershgorin bound min_i (2 m_ii - sum_j |m_ij|)
-    where it can; otherwise eigvalsh decides it over the whole stack. Returns the traces.
+    A non-finite entry fails the first check. Returns the traces.
     """
     # (m + m^dagger) / 2 is built in place as m + (m^dagger - m) / 2, finite once the Hermiticity check passes.
     mh = np.conjugate(m.swapaxes(-1, -2), order="C")
@@ -68,19 +67,35 @@ def check_densities(m: np.ndarray) -> np.ndarray:
         herm = float(np.abs(mh).max(initial=0.0))
     if not herm <= VALIDITY_ATOL:
         raise NotHermitian(f"max |m - m^dagger| = {herm:.3e} exceeds tolerance {VALIDITY_ATOL}")
-    traces = m.trace(axis1=-2, axis2=-1)
-    trace_dev = float(np.abs(traces - 1.0).max(initial=0.0))
-    if not trace_dev <= VALIDITY_ATOL:
-        raise BadTrace(f"trace deviates from 1 by {trace_dev:.3e}")
     mh /= 2
     mh += m
-    # The bound costs a few microseconds per call, which only a large stack repays.
-    if mh.size < GERSHGORIN_MIN_STACK * mh.shape[-1] ** 2 or not (
-        (2 * mh.real.diagonal(0, -2, -1) - np.abs(mh).sum(axis=-1)).min(initial=np.inf) >= -VALIDITY_ATOL
-    ):
-        low = float(np.linalg.eigvalsh(mh).min(initial=np.inf))
-        if not low >= -VALIDITY_ATOL:
-            raise NotPositive(f"minimum eigenvalue {low:.3e} is below -{VALIDITY_ATOL}")
+    return check_traces_and_positivity(m, mh)
+
+
+def check_traces_and_positivity(m: np.ndarray, mh: np.ndarray | None = None) -> np.ndarray:
+    """The traces of m, after check_densities' trace and positivity checks on m and mh = (m + m^dagger) / 2.
+
+    Without mh, m must be exactly Hermitian, as (u + u^dagger) / 2 is; a failing check then reruns as
+    check_densities(m), so a non-finite entry still raises NotHermitian. Positivity of a stack of GERSHGORIN_MIN_STACK
+    matrices or more is certified by the Gershgorin bound min_i (2 m_ii - sum_j |m_ij|) where it can, else by eigvalsh.
+    """
+    h = m if mh is None else mh
+    traces = stack_sum(m.diagonal(0, -2, -1))
+    trace_dev = float(np.abs(traces - 1.0).max(initial=0.0))
+    try:
+        if not trace_dev <= VALIDITY_ATOL:
+            raise BadTrace(f"trace deviates from 1 by {trace_dev:.3e}")
+        # The bound costs a few microseconds per call, which only a large stack repays.
+        if h.size < GERSHGORIN_MIN_STACK * h.shape[-1] ** 2 or not (
+            (2 * h.real.diagonal(0, -2, -1) - stack_sum(np.abs(h))).min(initial=np.inf) >= -VALIDITY_ATOL
+        ):
+            low = float(np.linalg.eigvalsh(h).min(initial=np.inf))
+            if not low >= -VALIDITY_ATOL:
+                raise NotPositive(f"minimum eigenvalue {low:.3e} is below -{VALIDITY_ATOL}")
+    except (BadTrace, NotPositive, np.linalg.LinAlgError):
+        if mh is None:
+            check_densities(m)
+        raise
     return traces
 
 

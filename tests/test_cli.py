@@ -162,6 +162,7 @@ class TestFig1Command:
             ({"damping_rates": 0.5}, "damping_rates"),
             ({"plot_path": ["plot.svg"]}, "plot_path"),
             ({"output_path": ["x.csv"]}, "output_path"),
+            ({"plot_path": ""}, "plot_path"),
         ],
     )
     def test_config_values_of_the_wrong_type_are_usage_errors(self, tmp_path, capsys, fields, name):
@@ -169,6 +170,12 @@ class TestFig1Command:
         config = write_json(tmp_path / "config.json", {"samples": 1, "output_path": str(out), **fields})
         assert main(["fig1", "--config", config]) == 2
         assert f"field '{name}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_plot_flag_is_a_usage_error_before_sampling(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        assert main(["fig1", "--samples", "3", "--out", str(out), "--plot", ""]) == 2
+        assert "field 'plot_path'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_config_output_path_is_not_a_file_descriptor(self, tmp_path, capsys):
@@ -575,6 +582,8 @@ class TestExperimentConfig:
             ExperimentConfig(damping_rates=(2.0,)).validate()
         with pytest.raises(ValueError, match="output_path"):
             ExperimentConfig(output_path="").validate()
+        with pytest.raises(ValueError, match="field 'plot_path'"):
+            ExperimentConfig(plot_path="").validate()
 
     def test_run_fig1_summary_fields(self, tmp_path):
         config = ExperimentConfig(

@@ -16,6 +16,7 @@ from rcc_lab.linalg import (
     require_orthonormal_columns,
     stream_generators,
     stream_seed_words,
+    unitary_from_ginibre,
 )
 from rcc_lab.states import DensityMatrix
 
@@ -66,14 +67,16 @@ class TestHaarSampling:
         np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
 
     def test_first_entry_moment(self):
-        # Haar moment E|U_ij|^2 = 1/d, checked by Monte Carlo at d = 2
-        rng = SeededRng(23)
-        total = 0.0
-        n = 100_000
-        for _ in range(n):
-            u = haar_random_unitary(2, rng)
-            total += abs(u[0, 0]) ** 2
-        assert abs(total / n - 0.5) < 0.01
+        # Haar moment E|U_ij|^2 = 1/d, checked by Monte Carlo at d = 2 on one
+        # block of 100 000 unitaries, drawn as the engine draws its bases.
+        u = unitary_from_ginibre(complex_ginibre(SeededRng(23).generator, (2, 2), 100_000))
+        assert abs(float(np.mean(np.abs(u[:, 0, 0]) ** 2)) - 0.5) < 0.01
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_scalar_draw_is_the_one_element_block(self, d):
+        for stream in (0, 1, 7):
+            block = unitary_from_ginibre(complex_ginibre(SeededRng(23, stream).generator, (d, d), 1))
+            assert haar_random_unitary(d, SeededRng(23, stream)).tobytes() == block[0].tobytes()
 
     def test_deterministic_streams(self):
         a = haar_random_unitary(3, SeededRng(24, 5))
