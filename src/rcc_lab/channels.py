@@ -16,6 +16,7 @@ from .linalg import (
     VALIDITY_ATOL,
     as_complex_matrix,
     complete_orthonormal_basis,
+    frozen_eye,
     json_positive_int,
     matrix_from_json,
     matrix_to_json,
@@ -39,7 +40,7 @@ class KrausOperation:
     are first-class values here.
     """
 
-    __slots__ = ("dim_b", "kraus", "label", "_n", "_stack")
+    __slots__ = ("dim_b", "kraus", "label", "_factors", "_n", "_stack")
 
     def __init__(self, kraus, label: str = ""):
         mats = [as_complex_matrix(f) for f in kraus]
@@ -58,6 +59,7 @@ class KrausOperation:
         self.dim_b = int(d)
         self.kraus = tuple(mats)
         self.label = label
+        self._factors = mats
         self._n = n
         self._stack = stack
 
@@ -131,7 +133,7 @@ def channel_branches(channel, dim_b: int, *, post_selected: bool = False) -> tup
         width = max(len(op.kraus) for op in channel.operations)
         pad = [op.kraus + (np.zeros_like(op.kraus[0]),) * (width - len(op.kraus)) for op in channel.operations]
         return channel.branch_n_stack(), np.array(pad)
-    kraus = np.array(channel.kraus)
+    kraus = channel._factors
     return (channel.n_operator()[None], kraus[None]) if post_selected else (channel.branch_n_stack(), kraus[:, None])
 
 
@@ -147,7 +149,7 @@ def branch_sums(stacks: np.ndarray) -> np.ndarray:
 def identity_deviation(stacks: np.ndarray) -> float:
     """Largest entry of |sum_k N_k - I| over branch stacks (..., K, d, d); near 0 for trace-preserving wholes."""
     total = branch_sums(stacks)
-    return float(np.abs(total - np.eye(total.shape[-1])).max(initial=0.0))
+    return float(np.abs(total - frozen_eye(total.shape[-1])).max(initial=0.0))
 
 
 def branch_stacks(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

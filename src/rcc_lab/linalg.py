@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -24,6 +25,13 @@ def require_finite(arr: np.ndarray, what: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{what} holds a non-finite entry")
     return arr
+
+
+@cache
+def frozen_eye(d: int, dtype=float) -> np.ndarray:
+    """np.eye(d, dtype=dtype), built once and read-only."""
+    (eye := np.eye(d, dtype=dtype)).setflags(write=False)
+    return eye
 
 
 def stack_sum(x: np.ndarray, axes: int = 1) -> np.ndarray:
@@ -68,7 +76,7 @@ def partial_trace(m, dim_a: int, dim_b: int) -> np.ndarray:
 def require_orthonormal_columns(cols: np.ndarray) -> None:
     """Raise ValueError unless the columns of cols (..., n, k) are orthonormal within VALIDITY_ATOL."""
     with np.errstate(over="ignore", invalid="ignore"):
-        dev = float(np.max(np.abs(cols.conj().swapaxes(-1, -2) @ cols - np.eye(cols.shape[-1]))))
+        dev = float(np.abs(cols.conj().swapaxes(-1, -2) @ cols - frozen_eye(cols.shape[-1])).max(initial=0.0))
     if not dev <= VALIDITY_ATOL:  # an overflowing Gram matrix gives inf or NaN, and fails
         raise ValueError(f"basis columns deviate from orthonormal by {dev:.3e}")
 

@@ -23,7 +23,7 @@ from .states import (
     SCHMIDT_WEIGHT_CUTOFF,
     BipartitePureState,
     DensityMatrix,
-    batch_concurrence,
+    _marginal_concurrence,
     check_traces_and_positivity,
     joint_matrix,
     require_premises,
@@ -232,16 +232,16 @@ def outcome_coherence_bounds(w: np.ndarray, grams: np.ndarray) -> np.ndarray:
     Kraus operators F; their traces, the branch probabilities, must be at or
     above ZERO_PROBABILITY_CUTOFF. Raises PremiseViolated as the scalar route does.
     """
-    require_premises(w)
+    rho_a = require_premises(w)
     probs = stack_sum(grams.diagonal(0, -2, -1)).real
-    return batch_concurrence(w) / probs * _gram_norms(w, grams[:, None])[:, 0]
+    return _marginal_concurrence(rho_a) / probs * _gram_norms(w, grams[:, None])[:, 0]
 
 
 def tight_average_bounds(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
     """tight_average_bound of each state of w (n, da, db) and its branch stack (n, K, db, db)."""
-    require_premises(w)
+    rho_a = require_premises(w)
     _require_trace_preserving(stacks)
-    return batch_concurrence(w) * _gram_norms(w, _unnormalized_branches(w, stacks)).sum(axis=-1)
+    return _marginal_concurrence(rho_a) * _gram_norms(w, _unnormalized_branches(w, stacks)).sum(axis=-1)
 
 
 def average_coherence_bounds(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
@@ -250,10 +250,11 @@ def average_coherence_bounds(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
     For two qubits this is E times the partner average, the right-hand side
     of the factorization law.
     """
-    partners = maximally_entangled_partners(w)
+    _require_partner_dims(w)
+    rho_a = require_premises(w)
     _require_trace_preserving(stacks)
-    partners = unit_amplitudes(partners.reshape(len(w), -1)).reshape(w.shape)
-    return w.shape[-2] / 2 * batch_concurrence(w) * _offdiag_mass(_unnormalized_branches(partners, stacks))
+    partners = unit_amplitudes(_partners(*schmidt_rows(w)).reshape(len(w), w.shape[-2] * w.shape[-1])).reshape(w.shape)
+    return w.shape[-2] / 2 * _marginal_concurrence(rho_a) * _offdiag_mass(_unnormalized_branches(partners, stacks))
 
 
 def _average_bounds(w: np.ndarray, stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -261,13 +262,13 @@ def _average_bounds(w: np.ndarray, stacks: np.ndarray) -> tuple[np.ndarray, np.n
     # of w and stacks as branch_averages takes them; premise, trace preservation and dim_b >= dim_a are checked once
     # each, in that order. tight_average_bounds is E * _gram_norms(w, branches).sum(-1), average_coherence_bounds
     # da / 2 * E * partner average, bit for bit. The norms are left to the callers that read them (theorem4 does not).
-    require_premises(w)
+    rho_a = require_premises(w)
     _require_trace_preserving(stacks)
     _require_partner_dims(w)
-    partners = unit_amplitudes(_partners(*schmidt_rows(w)).reshape(len(w), -1)).reshape(w.shape)
+    partners = unit_amplitudes(_partners(*schmidt_rows(w)).reshape(len(w), w.shape[-2] * w.shape[-1])).reshape(w.shape)
     branches = _unnormalized_branches(w, stacks)
     partner_average = _offdiag_mass(_unnormalized_branches(partners, stacks))
-    return _offdiag_mass(branches), branches, batch_concurrence(w), partner_average
+    return _offdiag_mass(branches), branches, _marginal_concurrence(rho_a), partner_average
 
 
 def post_operation_state_a(state, op: KrausOperation, dim_a=None, dim_b=None):

@@ -23,15 +23,13 @@ def _ginibre_sets(g: np.random.Generator, counts: np.ndarray, d: int, stacked: b
     # Ginibre sets, set k holding counts[k] matrices then zeros, from one call:
     # stacked, complex_ginibre(g, (d, d), counts[k])'s numbers, shape (n, max count, d, d);
     # else complex_ginibre(g, (counts[k] * d, d))'s, shape (n, max count * d, d).
+    # Kept rows of parts take the draw in index order: stacked, a matrix's (re, im) pair; else a real or imaginary block.
     keep = np.arange(counts.max(initial=0)) < counts[:, None]
     n, top = keep.shape
-    if stacked:
-        shape, mask = (n, top, 2, d, d), keep[:, :, None, None, None]
-    else:
-        shape, mask = (n, 2, top * d, d), np.repeat(keep, d, axis=1)[:, None, :, None]
-    parts = np.zeros(shape)
-    parts[np.broadcast_to(mask, shape)] = g.standard_normal(2 * d * d * int(counts.sum()))
-    re, im = np.moveaxis(parts, 2 if stacked else 1, 0)
+    rows = keep if stacked else keep[:, None].repeat(2, axis=1)
+    parts = np.zeros(rows.shape + (d * d * (2 if stacked else 1),))
+    parts[rows] = g.standard_normal(2 * d * d * int(counts.sum())).reshape(-1, parts.shape[-1])
+    re, im = np.moveaxis(parts.reshape((n, top, 2, d, d) if stacked else (n, 2, top * d, d)), 2 if stacked else 1, 0)
     return (re + 1j * im) / np.sqrt(2.0)
 
 
@@ -141,7 +139,7 @@ def coefficient_matrices_from_parts(weights: np.ndarray, ginibre: np.ndarray) ->
     QR, then from_schmidt's and BipartitePureState's checks over the stack.
     """
     w = schmidt_coefficients(weights, unitary_from_ginibre(ginibre))
-    return unit_amplitudes(w.reshape(len(w), -1)).reshape(w.shape)
+    return unit_amplitudes(w.reshape(len(w), w.shape[1] * w.shape[2])).reshape(w.shape)
 
 
 def summary_operators_from_parts(mats: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ from .linalg import (
     VALIDITY_ATOL,
     as_complex_matrix,
     complex_from_json_pairs,
+    frozen_eye,
     json_positive_int,
     partial_trace,
     require_finite,
@@ -112,7 +113,7 @@ class BipartitePureState:
     def __init__(self, dim_a: int, dim_b: int, amplitudes):
         if dim_a < 1 or dim_b < 1:
             raise ValueError(f"dimensions must be positive, got ({dim_a}, {dim_b})")
-        amp = np.asarray(amplitudes, dtype=np.complex128).reshape(-1).copy()
+        amp = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
         if amp.size != dim_a * dim_b:
             raise ValueError(
                 f"amplitudes must have dim_a*dim_b = {dim_a * dim_b} entries, got {amp.size}"
@@ -153,8 +154,8 @@ def unit_amplitudes(amp: np.ndarray) -> np.ndarray:
     """
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(require_finite(amp, "amplitudes"), axis=-1, keepdims=True)
-    worst = float(norm.flat[np.argmax(np.abs(norm - 1.0))])
-    if not abs(worst - 1.0) <= VALIDITY_ATOL:
+    if not np.abs(norm - 1.0).max(initial=0.0) <= VALIDITY_ATOL:
+        worst = float(norm.flat[np.argmax(np.abs(norm - 1.0))])
         raise ValueError(f"amplitude norm {worst:.12g} deviates from 1 beyond {VALIDITY_ATOL}")
     return amp / norm
 
@@ -216,14 +217,17 @@ def schmidt_decompose(psi: BipartitePureState) -> SchmidtForm:
     return form
 
 
-def require_premises(w: np.ndarray) -> None:
-    """Raise PremiseViolated unless each A-marginal of w (..., dim_a, dim_b) is diagonal within VALIDITY_ATOL."""
-    offdiag = float(marginal_offdiag(w).max(initial=0.0))
+def require_premises(w: np.ndarray) -> np.ndarray:
+    """A-marginals W W^dagger of w (..., dim_a, dim_b); PremiseViolated unless each is diagonal within VALIDITY_ATOL."""
+    rho_a = w @ w.conj().swapaxes(-1, -2)
+    # The diagonal is zeroed by selection: a product would turn an infinite diagonal entry into NaN, which passes.
+    offdiag = float(np.where(frozen_eye(w.shape[-2], bool), 0.0, np.abs(rho_a)).max(initial=0.0))
     if offdiag >= VALIDITY_ATOL:
         raise PremiseViolated(
             f"subsystem A starts with off-diagonal weight {offdiag:.3e}; "
             "claims 2-5 are stated for a diagonal A-marginal only"
         )
+    return rho_a
 
 
 def schmidt_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -248,7 +252,11 @@ def concurrence(psi: BipartitePureState) -> float:
 
 def batch_concurrence(w: np.ndarray) -> np.ndarray:
     """concurrence of normalized coefficient matrices stacked on leading axes."""
-    rho_a = w @ w.conj().swapaxes(-1, -2)
+    return _marginal_concurrence(w @ w.conj().swapaxes(-1, -2))
+
+
+def _marginal_concurrence(rho_a: np.ndarray) -> np.ndarray:
+    # sqrt(2 (1 - tr(rho_A^2))) of A-marginals rho_a (..., d, d), as require_premises returns them.
     purity = np.einsum("...ii->...", rho_a @ rho_a).real
     return np.sqrt(np.maximum(0.0, 2.0 * (1.0 - purity)))
 
@@ -256,9 +264,7 @@ def batch_concurrence(w: np.ndarray) -> np.ndarray:
 def marginal_offdiag(w: np.ndarray) -> np.ndarray:
     """Largest off-diagonal modulus of W W^dagger, A's marginal, per leading index."""
     marginal = np.abs(w @ w.conj().swapaxes(-1, -2))
-    diag = np.arange(marginal.shape[-1])
-    marginal[..., diag, diag] = 0.0
-    return marginal.max(axis=(-2, -1), initial=0.0)
+    return np.where(frozen_eye(w.shape[-2], bool), 0.0, marginal).max(axis=(-2, -1), initial=0.0)
 
 
 def operator_matrix(state) -> np.ndarray:

@@ -341,7 +341,7 @@ def count_calls(monkeypatch, names):
     return calls
 
 
-PRECONDITIONS = ("batch_concurrence", "identity_deviation", "require_premises", "schmidt_rows")
+PRECONDITIONS = ("_marginal_concurrence", "identity_deviation", "require_premises", "schmidt_rows")
 
 
 @pytest.mark.parametrize("route", [rcc.average_rcc, rcc.factorization_check])

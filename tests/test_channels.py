@@ -140,6 +140,21 @@ class TestChannelBranches:
         assert np.array_equal(factors, [op.kraus])
 
     @pytest.mark.parametrize("post_selected", [False, True])
+    def test_operation_factors_are_its_stored_kraus_stack(self, post_selected):
+        # The stack is built once, from a copy of the input: a later change to the caller's arrays changes nothing.
+        mats = [np.diag([1.0, 0.5]).astype(complex), np.diag([0.0, np.sqrt(0.75)]).astype(complex)]
+        op = KrausOperation(mats)
+        expected = np.array(op.kraus)
+        mats[0][0, 0] = 7.0
+        for _ in range(2):
+            _, factors = channel_branches(op, 2, post_selected=post_selected)
+            assert factors.tobytes() == (expected[None] if post_selected else expected[:, None]).tobytes()
+            assert not factors.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                factors[0, 0, 0, 0] = 0.0
+        assert np.array_equal(op.kraus, expected)
+
+    @pytest.mark.parametrize("post_selected", [False, True])
     def test_wrong_kind_then_wrong_dimension(self, post_selected):
         with pytest.raises(TypeError, match="expected KrausOperation"):
             channel_branches(np.eye(2), 3, post_selected=post_selected)

@@ -96,12 +96,16 @@ class TestRandomPureState:
         assert abs(abs(v[0]) - 1.0) < 1e-12
 
     def test_overlap_moment(self):
-        rng = SeededRng(27)
-        total = 0.0
+        # The stream of 100 000 random_pure_state(2, .) calls in one draw: each call takes two real parts,
+        # then two imaginary ones.
         n = 100_000
-        for _ in range(n):
-            total += abs(random_pure_state(2, rng)[0]) ** 2
-        assert abs(total / n - 0.5) < 0.01
+        parts = SeededRng(27).generator.standard_normal((n, 2, 2))
+        z = parts[:, 0] + 1j * parts[:, 1]
+        rng = SeededRng(27)
+        for row in z[:50]:
+            assert (row / np.linalg.norm(row)).tobytes() == random_pure_state(2, rng).tobytes()
+        moment = np.mean(np.abs(z[:, 0]) ** 2 / np.sum(np.abs(z) ** 2, axis=1))
+        assert abs(moment - 0.5) < 0.01
 
     def test_replays_identically(self):
         a = random_pure_state(3, SeededRng(28, 2))

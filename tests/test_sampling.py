@@ -15,6 +15,7 @@ import pytest
 from rcc_lab.channels import branch_stacks
 from rcc_lab.linalg import SeededRng, complex_ginibre, unitary_from_ginibre
 from rcc_lab.sampling import (
+    _ginibre_sets,
     branch_stacks_from_parts,
     coefficient_matrices_from_parts,
     draw_ensemble_block,
@@ -151,6 +152,32 @@ def test_empty_blocks_draw_nothing():
     counts, ensemble_z, splits = draw_ensemble_block(3, 0, g)
     assert branch_stacks_from_parts(z, (ensemble_z, splits)).shape == (0, 2, 3, 3)
     assert incoherent_quantum_states_from_parts(*draw_incoherent_quantum_block(2, 2, 0, g)).shape == (0, 4, 4)
+    assert g.random() == twin.random()
+
+
+def element_mask_ginibre_sets(g, counts, d, stacked):
+    # _ginibre_sets as first written: the draw scattered through a broadcast mask of every element kept.
+    keep = np.arange(counts.max(initial=0)) < counts[:, None]
+    n, top = keep.shape
+    if stacked:
+        shape, mask = (n, top, 2, d, d), keep[:, :, None, None, None]
+    else:
+        shape, mask = (n, 2, top * d, d), np.repeat(keep, d, axis=1)[:, None, :, None]
+    parts = np.zeros(shape)
+    parts[np.broadcast_to(mask, shape)] = g.standard_normal(2 * d * d * int(counts.sum()))
+    re, im = np.moveaxis(parts, 2 if stacked else 1, 0)
+    return (re + 1j * im) / np.sqrt(2.0)
+
+
+@pytest.mark.parametrize("counts", [[1, 3, 2, 3, 1, 2], [3, 0, 1], [2, 2, 2, 2], [4], []])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("stacked", [True, False])
+def test_ginibre_sets_equal_the_element_mask_scatter(stacked, d, counts):
+    counts = np.array(counts, dtype=np.int64)
+    g, twin = SeededRng(45, d).generator, SeededRng(45, d).generator
+    sets, expected = _ginibre_sets(g, counts, d, stacked), element_mask_ginibre_sets(twin, counts, d, stacked)
+    assert sets.shape == expected.shape and sets.dtype == expected.dtype
+    assert sets.tobytes() == expected.tobytes()
     assert g.random() == twin.random()
 
 

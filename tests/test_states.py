@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from rcc_lab import linalg, states
-from rcc_lab.errors import BadTrace, NotHermitian, NotPositive
+from rcc_lab.errors import BadTrace, NotHermitian, NotPositive, PremiseViolated
 from rcc_lab.linalg import (
     SeededRng,
     as_complex_matrix,
@@ -121,12 +123,9 @@ class TestSchmidt:
                 psi = BipartitePureState(dim_a, dim_b, random_pure_state(dim_a * dim_b, rng))
                 form = schmidt_decompose(psi)
                 assert abs(form.weights.sum() - 1.0) < 1e-9
-                rebuilt = np.zeros(dim_a * dim_b, dtype=complex)
-                for k in range(form.rank):
-                    rebuilt += np.sqrt(form.weights[k]) * np.kron(
-                        form.basis_a[:, k], form.basis_b[:, k]
-                    )
-                assert np.linalg.norm(rebuilt - psi.amplitudes) < 1e-9
+                # sum_k sqrt(w_k) a_k b_k^T is the coefficient matrix, whose rows flatten to sum_k sqrt(w_k) a_k (x) b_k.
+                rebuilt = (form.basis_a * np.sqrt(form.weights)) @ form.basis_b.T
+                assert np.linalg.norm(rebuilt.reshape(-1) - psi.amplitudes) < 1e-9
 
     def test_basis_b_orthonormal(self):
         rng = SeededRng(42)
@@ -208,6 +207,73 @@ class TestReducedA:
             2, 2, np.kron(HADAMARD, np.eye(2)) @ coherent.amplitudes
         )
         assert states.marginal_offdiag(rotated.coefficient_matrix) > 0.1
+
+
+class TestPremisePass:
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 2), (2, 3), (3, 3), (4, 5)])
+    def test_returns_the_marginals_it_checked(self, dims):
+        # Diagonal marginals: coefficient matrices with one nonzero entry per column, stacked on two leading axes.
+        dim_a, dim_b = dims
+        g = SeededRng(46, dim_a).generator
+        w = g.standard_normal((3, 5, dim_a, dim_b)) + 1j * g.standard_normal((3, 5, dim_a, dim_b))
+        w *= np.arange(dim_b) % dim_a == np.arange(dim_a)[:, None]
+        rho_a = states.require_premises(w)
+        assert rho_a.tobytes() == (w @ w.conj().swapaxes(-1, -2)).tobytes()
+
+    def test_violation_message(self):
+        rotated = np.kron(HADAMARD, np.eye(2)) @ zero_plus().amplitudes
+        message = (
+            "^subsystem A starts with off-diagonal weight 5.000e-01; "
+            "claims 2-5 are stated for a diagonal A-marginal only$"
+        )
+        with pytest.raises(PremiseViolated, match=message):
+            states.require_premises(rotated.reshape(1, 2, 2))
+
+    @pytest.mark.parametrize(
+        "w, expected",
+        [
+            # An infinite diagonal entry is dropped, not multiplied by zero into NaN: the finite
+            # off-diagonal weight still fails the check.
+            ([[1e200, 0], [1, 1]], "1.000e+200"),
+            ([[1e200, 1e200], [1e200, 1e200]], "inf"),
+            ([[1e200, 0], [0, 1]], None),
+        ],
+    )
+    def test_infinite_diagonal(self, w, expected):
+        w = np.array([w], dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            offdiag = states.marginal_offdiag(w)
+            if expected is None:
+                states.require_premises(w)
+                assert offdiag[0] == 0.0
+            else:
+                with pytest.raises(PremiseViolated, match=re.escape(f"off-diagonal weight {expected};")):
+                    states.require_premises(w)
+                assert f"{offdiag[0]:.3e}" == expected
+
+
+class TestUnitAmplitudes:
+    @pytest.mark.parametrize(
+        "amp, worst",
+        [
+            ([1.1, 0], "1.1"),
+            ([[1.02, 0], [0, 0.95], [1, 0]], "0.95"),
+            ([[1, 0], [0, 1.1]], "1.1"),
+            # Finite entries whose squares overflow give an infinite norm, without a warning.
+            ([1e160, 0], "inf"),
+        ],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_reports_the_worst_norm(self, amp, worst):
+        with pytest.raises(ValueError, match=f"^amplitude norm {worst} deviates from 1 beyond 1e-09$"):
+            unit_amplitudes(np.array(amp, dtype=complex))
+
+    def test_pure_state_keeps_no_view_of_its_input(self):
+        amp = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+        psi, twin = BipartitePureState(2, 2, amp), BipartitePureState(2, 2, amp.copy())
+        amp[0] = 1.0
+        np.testing.assert_array_equal(psi.amplitudes, twin.amplitudes)
+        assert not psi.amplitudes.flags.writeable
 
 
 class TestJointMatrix:
