@@ -84,7 +84,7 @@ class ChannelEnsemble:
     test that averaging applies (identity_deviation).
     """
 
-    __slots__ = ("dim_b", "operations", "_stack")
+    __slots__ = ("dim_b", "operations", "_factors", "_stack")
 
     def __init__(self, operations):
         ops = tuple(operations)
@@ -101,9 +101,14 @@ class ChannelEnsemble:
             raise NotTracePreserving(
                 f"member summary operators deviate from the identity by {dev:.3e}"
             )
-        stack.setflags(write=False)
+        factors = np.zeros((len(ops), max(len(op.kraus) for op in ops)) + stack.shape[1:], dtype=np.complex128)
+        for member, op in zip(factors, ops):
+            member[: len(op.kraus)] = op._factors
+        for arr in (factors, stack):
+            arr.setflags(write=False)
         self.dim_b = int(ops[0].dim_b)
         self.operations = ops
+        self._factors = factors
         self._stack = stack
 
     def branch_n_stack(self) -> np.ndarray:
@@ -119,9 +124,9 @@ def channel_branches(channel, dim_b: int, *, post_selected: bool = False) -> tup
 
     Branch k is sum_j F_kj^dagger F_kj. A KrausOperation has one branch F_n^dagger F_n per Kraus
     operator, factors (K, 1, d, d); a ChannelEnsemble one member N per member, its members' Kraus sets
-    zero-padded to one width. With post_selected, channel must be a single KrausOperation kept whole
-    as one outcome: stack (1, d, d) holding N, factors (1, K, d, d). Raises TypeError for any other
-    kind, then ValueError when channel.dim_b differs from dim_b.
+    zero-padded to one width, stored when it is built. With post_selected, channel must be a single
+    KrausOperation kept whole as one outcome: stack (1, d, d) holding N, factors (1, K, d, d). Raises
+    TypeError for any other kind, then ValueError when channel.dim_b differs from dim_b.
     """
     kinds = KrausOperation if post_selected else (KrausOperation, ChannelEnsemble)
     if not isinstance(channel, kinds):
@@ -130,9 +135,7 @@ def channel_branches(channel, dim_b: int, *, post_selected: bool = False) -> tup
     if channel.dim_b != dim_b:
         raise ValueError(f"channel dimension {channel.dim_b} does not match dim_b={dim_b}")
     if isinstance(channel, ChannelEnsemble):
-        width = max(len(op.kraus) for op in channel.operations)
-        pad = [op.kraus + (np.zeros_like(op.kraus[0]),) * (width - len(op.kraus)) for op in channel.operations]
-        return channel.branch_n_stack(), np.array(pad)
+        return channel.branch_n_stack(), channel._factors
     kraus = channel._factors
     return (channel.n_operator()[None], kraus[None]) if post_selected else (channel.branch_n_stack(), kraus[:, None])
 

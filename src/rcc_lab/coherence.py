@@ -22,9 +22,9 @@ def l1_coherence(rho) -> float:
 
 
 def l1_coherences(m: np.ndarray) -> np.ndarray:
-    """l1_coherence of matrices stacked on leading axes."""
-    a = np.abs(m)
-    return stack_sum(a, axes=2) - stack_sum(a.diagonal(0, -2, -1))
+    """l1_coherence of matrices stacked on leading axes, each read in C order whatever m's memory layout."""
+    a = np.abs(np.ascontiguousarray(m))
+    return stack_sum(a.reshape(a.shape[:-2] + (a.shape[-1] ** 2,))) - stack_sum(a.diagonal(0, -2, -1))
 
 
 def is_incoherent(rho) -> bool:

@@ -9,6 +9,7 @@ report violations instead of raising.
 from __future__ import annotations
 
 import numbers
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -105,6 +106,8 @@ class ExperimentConfig:
             raise ValueError(f"field 'output_path': must be a non-empty path string, got {self.output_path!r}")
         if self.plot_path is not None and (not isinstance(self.plot_path, str) or not self.plot_path):
             raise ValueError(f"field 'plot_path': must be a non-empty path string or null, got {self.plot_path!r}")
+        if self.plot_path is not None and os.path.realpath(self.plot_path) == os.path.realpath(self.output_path):
+            raise ValueError(f"field 'plot_path': names the same file as output_path {self.output_path!r}")
 
     @classmethod
     def from_mapping(cls, obj: dict) -> "ExperimentConfig":

@@ -34,19 +34,15 @@ def frozen_eye(d: int, dtype=float) -> np.ndarray:
     return eye
 
 
-def stack_sum(x: np.ndarray, axes: int = 1) -> np.ndarray:
-    """np.add.reduce of x over its last axis (axes=1) or last two (axes=2), bit for bit but for NaN payloads.
+def stack_sum(x: np.ndarray) -> np.ndarray:
+    """np.add.reduce of x over its last axis, bit for bit but for NaN payloads.
 
-    numpy adds fewer than 8 real (4 complex) terms one by one from +0, in one inner loop per sum: in index order,
-    and over two axes row by row where the rows follow each other in memory. Here each term is one vector add over
-    the stack. Other layouts, and longer sums, whose order depends on length and layout, are numpy's reduction.
+    numpy adds fewer than 8 real (4 complex) terms one by one from +0 in index order, in one inner loop per sum.
+    Here each term is one vector add over the stack. Longer sums, whose order depends on length, are numpy's reduction.
     """
-    n = x.shape[-1] * (x.shape[-2] if axes == 2 else 1)
-    rows = axes == 1 or x.strides[-2] == x.shape[-1] * x.strides[-1]
-    if not (0 < n < (4 if x.dtype.kind == "c" else 8) and rows):
-        return np.add.reduce(x, axis=(-2, -1)[-axes:])
-    if axes == 2:
-        x = x.reshape(x.shape[:-2] + (n,))
+    n = x.shape[-1]
+    if not 0 < n < (4 if x.dtype.kind == "c" else 8):
+        return np.add.reduce(x, axis=-1)
     total = x[..., 0] + 0.0
     for k in range(1, n):
         total = total + x[..., k]  # += costs about 1 us more per term on a small stack
@@ -238,19 +234,16 @@ def haar_random_unitary(d: int, rng: SeededRng) -> np.ndarray:
     """Haar-distributed d x d unitary: complex Ginibre, QR, phase fix."""
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    return unitary_from_ginibre(complex_ginibre(rng.generator, (d, d)))
+    return unitary_from_ginibre(complex_ginibre(rng.generator, (d, d), 1)[0])
 
 
-def complex_ginibre(g: np.random.Generator, shape, count: int | None = None) -> np.ndarray:
-    """Complex Ginibre array of the given shape, entries of unit variance.
+def complex_ginibre(g: np.random.Generator, shape, count: int) -> np.ndarray:
+    """count complex Ginibre arrays of the given shape, stacked on a new leading axis, entries of unit variance.
 
-    All real parts are drawn first, then all imaginary parts; with count, so
-    are count arrays stacked on a new leading axis, in one generator call.
+    Each array draws all its real parts first, then all its imaginary parts; all count arrays come from one generator call.
     """
-    parts = g.standard_normal((2, *shape) if count is None else (count, 2, *shape))
-    if count is not None:
-        parts = parts.swapaxes(0, 1)
-    return (parts[0] + 1j * parts[1]) / _SQRT2
+    parts = g.standard_normal((count, 2, *shape))
+    return (parts[:, 0] + 1j * parts[:, 1]) / _SQRT2
 
 
 def unitary_from_ginibre(z: np.ndarray) -> np.ndarray:

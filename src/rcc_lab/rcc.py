@@ -90,23 +90,19 @@ def _require_trace_preserving(stacks: np.ndarray) -> None:
 
 
 def _unnormalized_branches(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    # W N_k^T W^dagger (for the averages and bounds) of every state W in w (..., da, db) and branch N_k of
-    # stack, (p, db, db) shared or (n, p, db, db) per state of w (n, da, db); the result has w's leading axes,
-    # then p, then (da, da). Shared, [W N_1^T | W N_2^T | ...] is one product for all states at once. Per state,
-    # the branches run down the rows of both products, V = [N_1; N_2; ...] W^T and then [V_1^T; V_2^T; ...]
-    # W^dagger, so each state's numbers depend neither on how many states nor on how many zero branches share the call.
-    da, db = w.shape[-2:]
-    n = w.size // (da * db)
+    # W N_k^T W^dagger (for the averages and bounds) of every state W in w (n, da, db) and branch N_k of
+    # stack, (p, db, db) shared or (n, p, db, db) per state; the result is (n, p, da, da). Shared,
+    # [W N_1^T | W N_2^T | ...] is one product for all states at once. Per state, the branches run down the rows
+    # of both products, V = [N_1; N_2; ...] W^T and then [V_1^T; V_2^T; ...] W^dagger, so each state's numbers
+    # depend neither on how many states nor on how many zero branches share the call.
+    n, da, db = w.shape
     p = stack.shape[-3]
-    states = w.reshape(n, da, db)
     if stack.ndim == 3:
-        wn = states.reshape(n * da, db) @ stack.reshape(p * db, db).T
-        out = (wn.reshape(n, da * p, db) @ states.conj().swapaxes(1, 2)).reshape(n, da, p, da).swapaxes(1, 2)
-    else:
-        v = stack.reshape(n, p * db, db) @ states.swapaxes(1, 2)
-        vt = v.reshape(n, p, db, da).swapaxes(2, 3).reshape(n, p * da, db)
-        out = vt @ states.conj().swapaxes(1, 2)
-    return out.reshape(w.shape[:-2] + (p, da, da))
+        wn = w.reshape(n * da, db) @ stack.reshape(p * db, db).T
+        return (wn.reshape(n, da * p, db) @ w.conj().swapaxes(1, 2)).reshape(n, da, p, da).swapaxes(1, 2)
+    v = stack.reshape(n, p * db, db) @ w.swapaxes(1, 2)
+    vt = v.reshape(n, p, db, da).swapaxes(2, 3).reshape(n, p * da, db)
+    return (vt @ w.conj().swapaxes(1, 2)).reshape(n, p, da, da)
 
 
 def _mixed_branches(r4: np.ndarray, stack: np.ndarray) -> np.ndarray:

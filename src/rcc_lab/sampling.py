@@ -22,7 +22,7 @@ from .states import BipartitePureState, DensityMatrix, schmidt_coefficients, uni
 def _ginibre_sets(g: np.random.Generator, counts: np.ndarray, d: int, stacked: bool) -> np.ndarray:
     # Ginibre sets, set k holding counts[k] matrices then zeros, from one call:
     # stacked, complex_ginibre(g, (d, d), counts[k])'s numbers, shape (n, max count, d, d);
-    # else complex_ginibre(g, (counts[k] * d, d))'s, shape (n, max count * d, d).
+    # else complex_ginibre(g, (counts[k] * d, d), 1)[0]'s, shape (n, max count * d, d).
     # Kept rows of parts take the draw in index order: stacked, a matrix's (re, im) pair; else a real or imaginary block.
     keep = np.arange(counts.max(initial=0)) < counts[:, None]
     n, top = keep.shape
@@ -191,7 +191,7 @@ def random_schmidt_state(dim_a: int, dim_b: int, rng: SeededRng) -> BipartitePur
 
 def random_density_matrix(dim: int, rng: SeededRng) -> DensityMatrix:
     """Ginibre-induced random density matrix."""
-    return DensityMatrix(densities_from_parts(complex_ginibre(rng.generator, (dim, dim))), validate=False)
+    return DensityMatrix(densities_from_parts(complex_ginibre(rng.generator, (dim, dim), 1)[0]), validate=False)
 
 
 def random_incoherent_quantum_state(dim_a: int, dim_b: int, rng: SeededRng) -> DensityMatrix:

@@ -169,7 +169,10 @@ def schmidt_coefficients(weights: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """
     if weights.shape[-1] < 1 or np.any(weights < 0):
         raise ValueError("weights must be non-negative and non-empty")
-    total = weights.sum(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):
+        total = weights.sum(axis=-1, keepdims=True)
+    if not np.isfinite(total).all():  # non-negative weights: an infinite or NaN weight, or an overflowing sum
+        raise ValueError("weights must be finite, with a finite sum")
     if np.any(total <= 0):
         raise ValueError("weights must have positive sum")
     k = weights.shape[-1]
@@ -259,12 +262,6 @@ def _marginal_concurrence(rho_a: np.ndarray) -> np.ndarray:
     # sqrt(2 (1 - tr(rho_A^2))) of A-marginals rho_a (..., d, d), as require_premises returns them.
     purity = np.einsum("...ii->...", rho_a @ rho_a).real
     return np.sqrt(np.maximum(0.0, 2.0 * (1.0 - purity)))
-
-
-def marginal_offdiag(w: np.ndarray) -> np.ndarray:
-    """Largest off-diagonal modulus of W W^dagger, A's marginal, per leading index."""
-    marginal = np.abs(w @ w.conj().swapaxes(-1, -2))
-    return np.where(frozen_eye(w.shape[-2], bool), 0.0, marginal).max(axis=(-2, -1), initial=0.0)
 
 
 def operator_matrix(state) -> np.ndarray:

@@ -560,7 +560,7 @@ def test_scalar_views_are_one_element_stacks():
     rng = SeededRng(9)
     psis = [random_schmidt_state(3, 4, rng) for _ in range(5)]
     # Two Kraus operators each, so that the branch stacks stack.
-    channels = [tp_channel_from_parts(np.array([2]), complex_ginibre(rng.generator, (8, 4))[None]) for _ in psis]
+    channels = [tp_channel_from_parts(np.array([2]), complex_ginibre(rng.generator, (8, 4), 1)) for _ in psis]
     w = np.array([psi.coefficient_matrix for psi in psis])
     stacks = np.array([channel.branch_n_stack() for channel in channels])
     tight = rcc.tight_average_bounds(w, stacks)
@@ -584,7 +584,7 @@ def test_per_state_branches_ignore_padding_and_block_size(d, dim_b_extra):
     db = d + dim_b_extra
     rng = SeededRng(21, 10 * d + dim_b_extra)
     w = np.array([random_schmidt_state(d, db, rng).coefficient_matrix for _ in range(32)])
-    channels = [tp_channel_from_parts(np.array([2]), complex_ginibre(rng.generator, (2 * db, db))[None]) for _ in w]
+    channels = [tp_channel_from_parts(np.array([2]), complex_ginibre(rng.generator, (2 * db, db), 1)) for _ in w]
     stacks = np.array([channel.branch_n_stack() for channel in channels])
     branches, tight = rcc._unnormalized_branches(w, stacks), rcc.tight_average_bounds(w, stacks)
     for pad in (0, 1, 2, 3):

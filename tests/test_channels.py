@@ -30,6 +30,8 @@ from rcc_lab.errors import NotTracePreserving, PremiseViolated
 from rcc_lab.linalg import SeededRng, haar_random_unitary
 from rcc_lab.rcc import post_operation_state_a
 from rcc_lab.sampling import (
+    draw_ensemble_block,
+    ensemble_from_parts,
     kraus_operation_from_parts,
     random_channel_ensemble,
     random_kraus_operation,
@@ -153,6 +155,21 @@ class TestChannelBranches:
             with pytest.raises(ValueError, match="read-only"):
                 factors[0, 0, 0, 0] = 0.0
         assert np.array_equal(op.kraus, expected)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_ensemble_factors_are_built_once(self, d):
+        # Each member's Kraus stack, then zeros up to the widest member: read-only, the same array on every call.
+        parts = draw_ensemble_block(d, 8, SeededRng(25, d).generator)
+        for ensemble in [ensemble_from_parts(*parts, k) for k in range(8)]:
+            _, factors = channel_branches(ensemble, d)
+            assert channel_branches(ensemble, d)[1] is factors
+            assert not factors.flags.writeable
+            width = max(len(op.kraus) for op in ensemble.operations)
+            assert factors.shape == (len(ensemble.operations), width, d, d)
+            for member, op in zip(factors, ensemble.operations):
+                k = len(op.kraus)
+                assert member[:k].tobytes() == np.array(op.kraus).tobytes()
+                assert member[k:].tobytes() == np.zeros((width - k, d, d), dtype=complex).tobytes()
 
     @pytest.mark.parametrize("post_selected", [False, True])
     def test_wrong_kind_then_wrong_dimension(self, post_selected):

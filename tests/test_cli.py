@@ -178,6 +178,19 @@ class TestFig1Command:
         assert "field 'plot_path'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_plot_path_naming_the_csv_is_a_usage_error_before_any_write(self, tmp_path, capsys, monkeypatch, from_config):
+        # The SVG would overwrite the CSV; ./rows.csv and rows.csv are one file.
+        monkeypatch.chdir(tmp_path)
+        if from_config:
+            config = {"samples": 2, "output_path": "rows.csv", "plot_path": "./rows.csv"}
+            args = ["--config", write_json(tmp_path / "config.json", config)]
+        else:
+            args = ["--samples", "2", "--out", "rows.csv", "--plot", str(tmp_path / "rows.csv")]
+        assert main(["fig1", *args]) == 2
+        assert "field 'plot_path': names the same file as output_path 'rows.csv'" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == (["config.json"] if from_config else [])
+
     def test_config_output_path_is_not_a_file_descriptor(self, tmp_path, capsys):
         # open() takes an int as a descriptor: it would write the CSV into it and close it.
         target = tmp_path / "descriptor.txt"

@@ -35,7 +35,6 @@ ROUTINES = {
     "require_premises": (lambda: states.require_premises(W), (0, DIM_A, DIM_A)),
     "schmidt_rows": (lambda: states.schmidt_rows(W), [(0, DIM_A, DIM_B), (0, DIM_A)]),
     "batch_concurrence": (lambda: states.batch_concurrence(W), (0,)),
-    "marginal_offdiag": (lambda: states.marginal_offdiag(W), (0,)),
     "branch_sums": (lambda: branch_sums(STACKS), (0, DIM_B, DIM_B)),
     "identity_deviation": (lambda: np.array(identity_deviation(STACKS)), ()),
     "branch_stacks": (lambda: branch_stacks(STACKS), [(0, 2, DIM_B, DIM_B), (0, DIM_B, DIM_B)]),

@@ -145,7 +145,7 @@ class TestAverageCoherences:
         rng = SeededRng(91)
         for dim_a, dim_b in ((2, 2), (3, 3), (2, 3)):
             states = [random_schmidt_state(dim_a, dim_b, rng) for _ in range(6)]
-            channels = [tp_channel_from_parts(np.array([3]), complex_ginibre(rng.generator, (3 * dim_b, dim_b))[None]) for _ in range(4)]
+            channels = [tp_channel_from_parts(np.array([3]), complex_ginibre(rng.generator, (3 * dim_b, dim_b), 1)) for _ in range(4)]
             stacked = np.stack([psi.coefficient_matrix for psi in states])
             batch = average_coherences(stacked, channels)
             assert batch.shape == (len(states), len(channels))

@@ -282,7 +282,7 @@ class TestJsonBoundary:
         "m",
         [
             np.array([[0.5, -0.0 + 0.25j], [-0.0 - 0.25j, -0.0]]),
-            complex_ginibre(SeededRng(13).generator, (3, 4)).T,
+            complex_ginibre(SeededRng(13).generator, (3, 4), 1)[0].T,
             DensityMatrix(np.eye(3) / 3).matrix,
             [[1, 2], [3, 4]],
         ],

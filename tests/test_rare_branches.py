@@ -45,11 +45,11 @@ def rare_cases(dim_a, dim_b, weights, seed):
     g = SeededRng(seed, dim_a * 10 + dim_b).generator
     for p in PROBABILITIES:
         for _ in range(DRAWS):
-            ginibre = complex_ginibre(g, (dim_b, dim_b))
+            ginibre = complex_ginibre(g, (dim_b, dim_b), 1)[0]
             u = unitary_from_ginibre(ginibre)
             w = np.full(dim_a, 1.0 / dim_a) if weights == "equal" else g.dirichlet(np.ones(dim_a))
             # A random direction c in B's support, so that A's conditional state is coherent.
-            c = complex_ginibre(g, (dim_a,))
+            c = complex_ginibre(g, (dim_a,), 1)[0]
             c /= np.linalg.norm(c)
             v = u[:, dim_a] + np.sqrt(p / np.sum(w * np.abs(c) ** 2)) * (u[:, :dim_a] @ c)
             basis = complete_orthonormal_basis((v / np.linalg.norm(v))[:, None], dim_b)

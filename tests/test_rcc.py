@@ -46,8 +46,8 @@ from rcc_lab.states import (
     BipartitePureState,
     DensityMatrix,
     concurrence,
-    marginal_offdiag,
     reduced_a,
+    require_premises,
     schmidt_decompose,
 )
 
@@ -279,7 +279,8 @@ class TestMaximallyEntangledPartner:
         for _ in range(20):
             psi = random_schmidt_state(2, 3, rng)
             partner = maximally_entangled_partner(psi)
-            assert marginal_offdiag(partner.coefficient_matrix) < 1e-12
+            rho_a = require_premises(partner.coefficient_matrix[None])[0]
+            assert np.abs(rho_a - np.diag(rho_a.diagonal())).max() < 1e-12
 
     def test_low_rank_state_completed(self):
         product = BipartitePureState(2, 2, [1, 0, 0, 0])

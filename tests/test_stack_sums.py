@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from rcc_lab import experiments, rcc
-from rcc_lab.coherence import l1_coherences
+from rcc_lab.coherence import l1_coherence, l1_coherences
 from rcc_lab.errors import BadTrace, NotHermitian, NotPositive
 from rcc_lab.experiments import THEOREM1_FORWARD_BLOCK, THEOREM1_OPERATIONS
 from rcc_lab.linalg import SeededRng, complex_ginibre, stack_sum
@@ -94,13 +94,26 @@ def test_stack_sum_is_numpys_reduction_bit_for_bit(layout, complex_):
 @pytest.mark.parametrize("complex_", [False, True])
 @pytest.mark.parametrize("layout", list(TWO_AXES))
 def test_stack_sum_over_matrices_is_numpys_reduction_bit_for_bit(layout, complex_):
+    # l1_coherences takes stack_sum over each matrix's moduli, flattened in C order: numpy's two-axis reduction of them.
     g = SeededRng(20261020, 100 + len(layout)).generator
     for stack in STACKS:
-        for rows in range(9):
-            for cols in range(9):
-                x = TWO_AXES[layout](g, stack, rows, cols, complex_)
-                with np.errstate(all="ignore"):
-                    assert_bits_equal(stack_sum(x, axes=2), np.add.reduce(x, axis=(-2, -1)))
+        for d in range(9):
+            x = TWO_AXES[layout](g, stack, d, d, complex_)
+            a = np.abs(np.ascontiguousarray(x))
+            with np.errstate(all="ignore"):
+                want = np.add.reduce(a, axis=(-2, -1)) - np.add.reduce(a.diagonal(0, -2, -1), axis=-1)
+                assert_bits_equal(l1_coherences(x), want)
+
+
+def test_l1_coherence_does_not_depend_on_the_memory_layout():
+    g = SeededRng(20261020, 200).generator
+    for d in (3, 4, 5):
+        m = densities_from_parts(complex_ginibre(g, (d, d), 400))
+        got = l1_coherences(m)
+        for copy in (np.asfortranarray(m), m.swapaxes(-1, -2).copy().swapaxes(-1, -2)):
+            assert l1_coherences(copy).tobytes() == got.tobytes()
+        for k in range(len(m)):
+            assert l1_coherence(np.asfortranarray(m[k])) == l1_coherence(m[k]) == got[k]
 
 
 def test_short_sums_start_from_positive_zero():

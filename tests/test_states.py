@@ -201,12 +201,15 @@ class TestReducedA:
             reduced_a(2 * rho, 2, 2)
 
     def test_marginal_offdiag(self):
-        assert states.marginal_offdiag(tilted().coefficient_matrix) < 1e-12
+        # The premise pass checks, and returns, A's marginal W W^dagger.
+        rho_a = states.require_premises(tilted().coefficient_matrix[None])[0]
+        assert np.abs(rho_a - np.diag(rho_a.diagonal())).max() < 1e-12
         coherent = zero_plus()
         rotated = BipartitePureState(
             2, 2, np.kron(HADAMARD, np.eye(2)) @ coherent.amplitudes
         )
-        assert states.marginal_offdiag(rotated.coefficient_matrix) > 0.1
+        with pytest.raises(PremiseViolated, match="off-diagonal weight 5.000e-01;"):
+            states.require_premises(rotated.coefficient_matrix[None])
 
 
 class TestPremisePass:
@@ -242,14 +245,12 @@ class TestPremisePass:
     def test_infinite_diagonal(self, w, expected):
         w = np.array([w], dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
-            offdiag = states.marginal_offdiag(w)
             if expected is None:
-                states.require_premises(w)
-                assert offdiag[0] == 0.0
+                rho_a = states.require_premises(w)
+                assert rho_a[0, 0, 1] == rho_a[0, 1, 0] == 0.0
             else:
                 with pytest.raises(PremiseViolated, match=re.escape(f"off-diagonal weight {expected};")):
                     states.require_premises(w)
-                assert f"{offdiag[0]:.3e}" == expected
 
 
 class TestUnitAmplitudes:
@@ -387,6 +388,13 @@ class TestNonFiniteEntries:
     def test_from_schmidt(self, bad):
         with pytest.raises(ValueError, match="^basis_b holds a non-finite entry$"):
             BipartitePureState.from_schmidt([0.5, 0.5], with_entry(HADAMARD, bad))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("weights", [[np.inf, 1.0], [1e308, 1e308], [np.nan, 1.0]])
+    def test_from_schmidt_weights(self, weights):
+        # A non-finite weight, or weights whose sum overflows, name the weights, with no warning on the way.
+        with pytest.raises(ValueError, match="^weights must be finite, with a finite sum$"):
+            BipartitePureState.from_schmidt(weights, HADAMARD)
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_entries_are_rejected_without_a_warning(self):

@@ -352,7 +352,7 @@ def rare_branch_states(n, g):
         w = np.sqrt(0.5) * u[:, :2].T
         v = u[:, 2] + 1e-5 * u[:, 0]
         v /= np.linalg.norm(v)
-        unnorm = rcc._unnormalized_branches(w, np.outer(v, v.conj())[None])[0]
+        unnorm = rcc._unnormalized_branches(w[None], np.outer(v, v.conj())[None])[0, 0]
         state = unnorm / np.trace(unnorm).real
         states.append((state + state.conj().T) / 2)
     return np.array(states)
@@ -582,7 +582,7 @@ class TestStackedDraws:
             q, blocks = draw_incoherent_quantum_block(3, 2, 1, new)
             np.testing.assert_array_equal(q[0], old.dirichlet(np.ones(3)))
             np.testing.assert_array_equal(blocks[0], [ginibre(old, (2, 2)) for _ in range(3)])
-            np.testing.assert_array_equal(complex_ginibre(new, (6, 2)), ginibre(old, (6, 2)))
+            np.testing.assert_array_equal(complex_ginibre(new, (6, 2), 1)[0], ginibre(old, (6, 2)))
         assert new.random() == old.random()
 
 
