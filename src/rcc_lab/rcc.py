@@ -89,6 +89,13 @@ def _require_trace_preserving(stacks: np.ndarray) -> None:
         raise NotTracePreserving(_NOT_WHOLE)
 
 
+def _stacked(w: np.ndarray) -> np.ndarray:
+    # w, once it is checked to stack coefficient matrices as the public stacked routines take them.
+    if w.ndim != 3:
+        raise ValueError(f"w must have shape (n, dim_a, dim_b), got {w.shape}")
+    return w
+
+
 def _unnormalized_branches(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
     # W N_k^T W^dagger (for the averages and bounds) of every state W in w (n, da, db) and branch N_k of
     # stack, (p, db, db) shared or (n, p, db, db) per state; the result is (n, p, da, da). Shared,
@@ -174,7 +181,7 @@ def branch_averages(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
     operators of an ensemble. Zero branches padding a stack add 0. Raises
     PremiseViolated and NotTracePreserving as average_coherence does.
     """
-    require_premises(w)
+    require_premises(_stacked(w))
     _require_trace_preserving(stacks)
     return _offdiag_mass(_unnormalized_branches(w, stacks))
 
@@ -187,7 +194,7 @@ def average_coherences(w: np.ndarray, channels) -> np.ndarray:
     (n, len(channels)). The checks and errors are those of average_coherence.
     """
     da, db = w.shape[-2:]
-    require_premises(w)
+    require_premises(_stacked(w))
     stacks = np.stack([channel_branches(channel, db)[0] for channel in channels])
     _require_trace_preserving(stacks)
     unnorm = _unnormalized_branches(w, stacks.reshape(-1, db, db))
@@ -200,7 +207,7 @@ def maximally_entangled_partners(w: np.ndarray) -> np.ndarray:
     Row i is beta_i^T / sqrt(da), before the renormalization that
     BipartitePureState (or states.unit_amplitudes) applies.
     """
-    _require_partner_dims(w)
+    _require_partner_dims(_stacked(w))
     require_premises(w)
     return _partners(*schmidt_rows(w))
 
@@ -228,14 +235,14 @@ def outcome_coherence_bounds(w: np.ndarray, grams: np.ndarray) -> np.ndarray:
     Kraus operators F; their traces, the branch probabilities, must be at or
     above ZERO_PROBABILITY_CUTOFF. Raises PremiseViolated as the scalar route does.
     """
-    rho_a = require_premises(w)
+    rho_a = require_premises(_stacked(w))
     probs = stack_sum(grams.diagonal(0, -2, -1)).real
     return _marginal_concurrence(rho_a) / probs * _gram_norms(w, grams[:, None])[:, 0]
 
 
 def tight_average_bounds(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
     """tight_average_bound of each state of w (n, da, db) and its branch stack (n, K, db, db)."""
-    rho_a = require_premises(w)
+    rho_a = require_premises(_stacked(w))
     _require_trace_preserving(stacks)
     return _marginal_concurrence(rho_a) * _gram_norms(w, _unnormalized_branches(w, stacks)).sum(axis=-1)
 
@@ -246,7 +253,7 @@ def average_coherence_bounds(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
     For two qubits this is E times the partner average, the right-hand side
     of the factorization law.
     """
-    _require_partner_dims(w)
+    _require_partner_dims(_stacked(w))
     rho_a = require_premises(w)
     _require_trace_preserving(stacks)
     partners = unit_amplitudes(_partners(*schmidt_rows(w)).reshape(len(w), w.shape[-2] * w.shape[-1])).reshape(w.shape)

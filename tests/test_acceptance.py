@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from rcc_lab.channels import branch_stacks, creation_witnesses, phase_damping
-from rcc_lab.coherence import l1_coherence, l1_coherences
+from rcc_lab.coherence import l1_coherences
 from rcc_lab.experiments import VERIFY_BLOCK, ExperimentConfig, run_fig1
 from rcc_lab.linalg import SeededRng
 from rcc_lab.rcc import (
@@ -44,20 +44,9 @@ from rcc_lab.sampling import (
     summary_operators_from_parts,
 )
 from rcc_lab.states import BipartitePureState, batch_concurrence, unit_amplitudes
+from reference import mixed_branch, post_coherence
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-
-
-def brute_branch_marginal(rho, dim_a, dim_b, f):
-    # Independent oracle route: explicit (I (x) F) sandwich plus loop trace.
-    big = np.kron(np.eye(dim_a, dtype=complex), f)
-    after = big @ rho @ big.conj().T
-    marg = np.zeros((dim_a, dim_a), dtype=complex)
-    for i in range(dim_a):
-        for k in range(dim_a):
-            for j in range(dim_b):
-                marg[i, k] += after[i * dim_b + j, k * dim_b + j]
-    return marg
 
 
 def test_factorization_law_full_sweep():
@@ -123,7 +112,7 @@ def test_block_diagonal_states_are_useless_and_others_are_not():
     per VERIFY_BLOCK block-diagonal states, then the non-block-diagonal states
     per VERIFY_BLOCK, evaluated on the stacked routes: the forward states
     against the whole N stack, the converse states through converse_witnesses,
-    whose witnesses an explicit (I (x) P) rho (I (x) P) sandwich re-measures.
+    whose witnesses the reference's (I (x) P) rho (I (x) P) sandwich re-measures.
     """
     g = SeededRng(20260811, 0).generator
     operations = summary_operators_from_parts(draw_kraus_block(2, 100, g)[1])
@@ -145,11 +134,8 @@ def test_block_diagonal_states_are_useless_and_others_are_not():
         assert not block_diagonal.any()
         found = reached > CONVERSE_COHERENCE_TARGET
         exhaustions += int(np.sum(~found))
-        big = np.kron(np.eye(2), witnesses[found])
-        after = (big @ states[found] @ big.conj().swapaxes(-1, -2)).reshape(-1, 2, 2, 2, 2)
-        marginals = np.einsum("nijkj->nik", after)
-        created = l1_coherences(marginals) / np.trace(marginals, axis1=1, axis2=2).real
-        successes += int(np.sum(created > 1e-6))
+        marginals = mixed_branch(states[found], 2, 2, [witnesses[found]])
+        successes += sum(post_coherence(marginal) > 1e-6 for marginal in marginals)
     assert exhaustions == 0
     assert successes == 1_000
     print(
@@ -244,10 +230,10 @@ def test_closed_form_oracles():
         rho = np.outer(equal.amplitudes, equal.amplitudes.conj())
         oracle = 0.0
         for f in channel.kraus:
-            unnorm = brute_branch_marginal(rho, 2, 2, f)
+            unnorm = mixed_branch(rho, 2, 2, [f])
             prob = float(np.trace(unnorm).real)
             if prob >= 1e-14:
-                oracle += prob * l1_coherence(unnorm / prob)
+                oracle += prob * post_coherence(unnorm)
         worst = max(worst, abs(oracle - r))
 
     tilted = BipartitePureState.from_schmidt([0.9, 0.1], HADAMARD)
@@ -266,14 +252,8 @@ def test_no_signaling_identity():
         dim = 2 if k % 2 == 0 else 3
         rho = random_density_matrix(dim * dim, rng).matrix
         channel = random_tp_channel(dim, rng)
-        before = np.zeros((dim, dim), dtype=complex)
-        for i in range(dim):
-            for m in range(dim):
-                for j in range(dim):
-                    before[i, m] += rho[i * dim + j, m * dim + j]
-        after = np.zeros((dim, dim), dtype=complex)
-        for f in channel.kraus:
-            after += brute_branch_marginal(rho, dim, dim, f)
+        before = mixed_branch(rho, dim, dim, [np.eye(dim)])
+        after = mixed_branch(rho, dim, dim, channel.kraus)
         worst = max(worst, float(np.max(np.abs(after - before))))
     assert worst < 1e-10
     print(f"\n[acceptance] no-signaling identity: PASS max marginal deviation {worst:.3e}")

@@ -7,12 +7,8 @@ catch that in the ordinary test suite.
 
 import functools
 import importlib
-import sys
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-
-import spans  # noqa: E402
+import spans  # bench/spans.py, on sys.path through tests/conftest.py
 
 
 def test_every_layer_target_resolves():

@@ -7,11 +7,12 @@ pad each channel's branch stack with zero branches to the block's width, as
 the sweep does: the padding changes how numpy groups the terms of a sum, and
 at d = 2 the bounds hold with equality, so the last bits of the excess are
 the padding's; there the reference evaluates the padded stack and checks that
-the scalar API agrees to 1e-12. The oracles at the end use only np.kron and
-an explicit partial trace.
+the scalar API agrees to 1e-12. The scalar views at the end are held to the
+brute-force reference of tests/reference.py.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -51,6 +52,8 @@ from rcc_lab.sampling import (
     tp_channel_from_parts,
 )
 from rcc_lab.states import BipartitePureState, concurrence, state_to_json
+from reference import amplitudes, average_coherence, l1, offdiag_norm, pure_branch, summary_operator
+from reference import concurrence as reference_concurrence
 
 SEEDS = (0, 5, 13)
 SIZES = (1, 2, 33, VERIFY_BLOCK + 5)
@@ -278,6 +281,24 @@ def test_non_trace_preserving_channel_raises_as_on_the_scalar_routes():
     assert raised(rcc.average_coherence_bounds, w, stacks) == expected
 
 
+# One state given as a (dim_a, dim_b) matrix, not as a stack of one: each public stacked routine's other arguments.
+DAMPING = phase_damping(0.3)
+ONE_STATE = {
+    "branch_averages": (DAMPING.branch_n_stack(),),
+    "average_coherences": ([DAMPING],),
+    "maximally_entangled_partners": (),
+    "tight_average_bounds": (DAMPING.branch_n_stack(),),
+    "average_coherence_bounds": (DAMPING.branch_n_stack(),),
+    "outcome_coherence_bounds": (np.eye(2) / 2,),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_STATE))
+def test_a_single_coefficient_matrix_is_a_value_error(name):
+    with pytest.raises(ValueError, match=re.escape("w must have shape (n, dim_a, dim_b), got (2, 2)")):
+        getattr(rcc, name)(np.eye(2) / np.sqrt(2), *ONE_STATE[name])
+
+
 def test_average_rcc_checks_kind_and_dimension_premise_trace_then_partner():
     # A 3x2 state has no maximally entangled partner; every other check comes first.
     diagonal = BipartitePureState(3, 2, np.sqrt([0.6, 0, 0, 0.4, 0, 0]))
@@ -469,40 +490,7 @@ def test_sweeps_check_that_channels_are_whole(monkeypatch, suite):
         run_verify(suite, 4, 0)
 
 
-# -- scalar views against a brute-force oracle ----------------------------
-
-
-def oracle_branch(amp, dim_a, dim_b, kraus):
-    # tr_B of sum_F (I (x) F) |psi><psi| (I (x) F)^dagger.
-    rho = np.outer(amp, amp.conj())
-    out = np.zeros((dim_a * dim_b, dim_a * dim_b), dtype=complex)
-    for f in kraus:
-        big = np.kron(np.eye(dim_a), f)
-        out += big @ rho @ big.conj().T
-    return np.einsum("ijkj->ik", out.reshape(dim_a, dim_b, dim_a, dim_b))
-
-
-def oracle_l1(m):
-    return float(np.abs(m).sum() - np.abs(np.diag(m)).sum())
-
-
-def oracle_concurrence(amp, dim_a, dim_b):
-    rho_a = oracle_branch(amp, dim_a, dim_b, [np.eye(dim_b)])
-    return float(np.sqrt(max(0.0, 2.0 * (1.0 - np.trace(rho_a @ rho_a).real))))
-
-
-def oracle_norm(n, betas):
-    g = betas.conj().T @ n @ betas
-    return float(np.sqrt(sum(abs(g[j, i]) ** 2 for i in range(len(g)) for j in range(i))))
-
-
-def oracle_average(amp, dim_a, dim_b, branches):
-    return sum(oracle_l1(oracle_branch(amp, dim_a, dim_b, kraus)) for kraus in branches)
-
-
-def schmidt_amplitudes(weights, basis):
-    # sum_i sqrt(w_i) |i> (x) |beta_i> with the columns of basis as beta_i.
-    return sum(np.sqrt(w) * np.kron(np.eye(len(weights))[i], basis[:, i]) for i, w in enumerate(weights))
+# -- scalar views against the brute-force reference -----------------------
 
 
 def hard_inputs():
@@ -525,17 +513,17 @@ def test_scalar_views_match_the_oracle(weights, basis):
     d, dim_b = len(weights), basis.shape[0]
     rng = SeededRng(d * 10 + dim_b)
     psi = BipartitePureState.from_schmidt(weights, basis)
-    amp = schmidt_amplitudes(weights, basis)
+    amp = amplitudes(weights, basis)
     kept = weights > 0
     betas = basis[:, kept]
-    ent = oracle_concurrence(amp, d, dim_b)
+    ent = reference_concurrence(amp, d, dim_b)
 
     op = random_kraus_operation(dim_b, rng)
-    branch = oracle_branch(amp, d, dim_b, op.kraus)
+    branch = pure_branch(amp, d, dim_b, op.kraus)
     prob = np.trace(branch).real
-    expected = ent / prob * oracle_norm(sum(f.conj().T @ f for f in op.kraus), betas)
+    expected = ent / prob * offdiag_norm(summary_operator(op.kraus), betas, kept.sum())
     assert abs(rcc.outcome_coherence_bound(psi, op) - expected) <= 1e-12
-    assert oracle_l1(branch) / prob <= expected + 1e-10
+    assert l1(branch) / prob <= expected + 1e-10
 
     partner = rcc.maximally_entangled_partner(psi).coefficient_matrix
     assert np.max(np.abs(partner[kept] - betas.T / np.sqrt(d))) <= 1e-12
@@ -546,12 +534,12 @@ def test_scalar_views_match_the_oracle(weights, basis):
             branches = [[f] for f in channel.kraus]
         else:
             branches = [member.kraus for member in channel.operations]
-        summaries = [sum(f.conj().T @ f for f in kraus) for kraus in branches]
-        tight = ent * sum(oracle_norm(n, betas) for n in summaries)
+        summaries = [summary_operator(kraus) for kraus in branches]
+        tight = ent * sum(offdiag_norm(n, betas, kept.sum()) for n in summaries)
         assert abs(rcc.tight_average_bound(psi, channel) - tight) <= 1e-12
-        partner_bound = d / 2 * ent * oracle_average(partner.reshape(-1), d, dim_b, branches)
+        partner_bound = d / 2 * ent * average_coherence(partner.reshape(-1), d, dim_b, branches)
         assert abs(rcc.average_coherence_bound(psi, channel) - partner_bound) <= 1e-12
-        average = oracle_average(amp, d, dim_b, branches)
+        average = average_coherence(amp, d, dim_b, branches)
         assert average <= tight + 1e-10 and tight <= partner_bound + 1e-10
 
 

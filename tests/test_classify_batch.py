@@ -3,7 +3,7 @@
 The reference loops below take the sweep's block draws and evaluate them one
 sample at a time: one state and one channel object per row, built as the
 random_* samplers build them, through the scalar API, with the nosignal
-oracle as one (I (x) F) sandwich and one partial trace per Kraus operator.
+oracle as the reference's (I (x) F) sandwich and explicit trace over B.
 The stacked sweeps must give equal reports (==), worst case included.
 """
 
@@ -20,7 +20,6 @@ from rcc_lab.linalg import (
     complex_ginibre,
     haar_random_unitary,
     matrix_to_json,
-    partial_trace,
     unitary_from_ginibre,
 )
 from rcc_lab.sampling import (
@@ -33,6 +32,7 @@ from rcc_lab.sampling import (
     tp_channel_from_parts,
 )
 from rcc_lab.states import BipartitePureState, state_to_json
+from reference import mixed_branch, post_coherence, pure_branch, square_root
 
 SEEDS = (0, 5, 13)
 # theorem2 sweeps samples // 2 per dimension, so the last size crosses a
@@ -92,15 +92,6 @@ def scalar_theorem2(samples, seed):
     return SuiteReport("theorem2", checked, violations, excluded, max_violation, worst, band_note(excluded, checked))
 
 
-def marginal_after_channel(rho, dim, op):
-    eye = np.eye(dim, dtype=np.complex128)
-    total = np.zeros((dim, dim), dtype=np.complex128)
-    for f in op.kraus:
-        big = np.kron(eye, f)
-        total += partial_trace(big @ rho @ big.conj().T, dim, dim)
-    return total
-
-
 def scalar_nosignal(samples, seed):
     checked = violations = 0
     max_violation = 0.0
@@ -117,8 +108,9 @@ def scalar_nosignal(samples, seed):
             rho = densities_from_parts(states[k // 2])
             channel = tp_channel_from_parts(*tp, k // 2)
             checked += 1
-            before = partial_trace(rho, dim, dim)
-            dev = float(np.max(np.abs(marginal_after_channel(rho, dim, channel) - before)))
+            # The sweep's oracle is program output: the reference forms the same sums in float64.
+            before = mixed_branch(rho, dim, dim, [np.eye(dim)], np.complex128)
+            dev = float(np.max(np.abs(mixed_branch(rho, dim, dim, channel.kraus, np.complex128) - before)))
             if dev >= experiments.NOSIGNAL_ATOL:
                 violations += 1
                 if dev > max_violation:
@@ -226,16 +218,6 @@ def test_memory_grows_with_the_block_not_with_samples(monkeypatch):
 # -- the stacked criterion on hard inputs ---------------------------------
 
 
-def oracle_coherence(psi, op):
-    # A's coherence after op's single Kraus operator F, through an explicit
-    # (I (x) F) sandwich and partial trace; None for a zero branch.
-    big = np.kron(np.eye(psi.dim_a), op.kraus[0])
-    after = big @ np.outer(psi.amplitudes, psi.amplitudes.conj()) @ big.conj().T
-    branch = np.einsum("ijkj->ik", after.reshape(psi.dim_a, psi.dim_b, psi.dim_a, psi.dim_b))
-    prob = np.trace(branch).real
-    return None if prob < 1e-14 else float(np.abs(branch).sum() - np.abs(np.diag(branch)).sum()) / prob
-
-
 def hard_cases():
     # (psi, N, expected) with expected True (creates), False (inert) or None
     # (decided by the oracle only).
@@ -271,17 +253,11 @@ def hard_cases():
 CASES = list(hard_cases())
 
 
-def operation_with_summary(n):
-    # The single Kraus operator sqrt(N); its summary operator is N up to rounding.
-    values, vectors = np.linalg.eigh(n)
-    return KrausOperation([(vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.conj().T])
-
-
 def test_stack_elements_equal_the_scalar_criterion():
     # One stack per (dim_a, dim_b); each element must equal the scalar view,
     # both the boolean and the witness.
     for shape in sorted({(psi.dim_a, psi.dim_b) for psi, _, _ in CASES}):
-        cases = [(psi, operation_with_summary(n)) for psi, n, _ in CASES if (psi.dim_a, psi.dim_b) == shape]
+        cases = [(psi, KrausOperation([square_root(n)])) for psi, n, _ in CASES if (psi.dim_a, psi.dim_b) == shape]
         w = np.array([psi.coefficient_matrix for psi, _ in cases])
         witnesses = creation_witnesses(w, np.array([op.n_operator() for _, op in cases]))
         for (psi, op), witness in zip(cases, witnesses.tolist()):
@@ -291,11 +267,12 @@ def test_stack_elements_equal_the_scalar_criterion():
 def test_hard_inputs_agree_with_the_oracle():
     decided = 0
     for psi, n, expected in CASES:
-        op = operation_with_summary(n)
+        op = KrausOperation([square_root(n)])
         created = creation_witnesses(psi.coefficient_matrix[None], op.n_operator()[None])[0] >= 0
         if expected is not None:
             assert created == expected
-        achieved = oracle_coherence(psi, op)
+        branch = pure_branch(psi.amplitudes, psi.dim_a, psi.dim_b, op.kraus)
+        achieved = post_coherence(branch) if np.trace(branch).real >= 1e-14 else None
         if achieved is None:
             assert not created
         elif not 1e-9 <= achieved <= 1e-6:

@@ -20,23 +20,12 @@ from rcc_lab.coherence import l1_coherence
 from rcc_lab.experiments import BOUND_ATOL
 from rcc_lab.linalg import SeededRng, complete_orthonormal_basis, complex_ginibre, unitary_from_ginibre
 from rcc_lab.states import BipartitePureState
+from reference import post_coherence, pure_branch
 
 PROBABILITIES = (2e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
 DRAWS = 3
 PROBABILITY_RTOL = 1e-9
 STATE_ATOL = 1e-8
-
-
-def oracle_branch(amp, dim_a, dim_b, kraus):
-    # Unnormalized tr_B of sum_F (I (x) F) |psi><psi| (I (x) F)^dagger. Formed
-    # from phi = (I (x) F) psi, whose rounding is relative to sqrt(p), in
-    # extended precision: the sandwich of |psi><psi| itself would cancel
-    # down to p with an absolute error of about 1e-16.
-    out = 0
-    for f in kraus:
-        phi = (np.kron(np.eye(dim_a), f).astype(np.clongdouble) @ amp.astype(np.clongdouble)).reshape(dim_a, dim_b)
-        out = out + phi @ phi.conj().T
-    return out
 
 
 def rare_cases(dim_a, dim_b, weights, seed):
@@ -60,7 +49,7 @@ def rare_cases(dim_a, dim_b, weights, seed):
 
 
 def assert_matches_oracle(prob, state, psi, kraus):
-    branch = oracle_branch(psi.amplitudes, psi.dim_a, psi.dim_b, kraus)
+    branch = pure_branch(psi.amplitudes, psi.dim_a, psi.dim_b, kraus)
     expected = float(np.trace(branch).real)
     assert abs(prob - expected) <= PROBABILITY_RTOL * expected
     assert np.max(np.abs(state - (branch / expected).astype(np.complex128))) <= STATE_ATOL
@@ -101,7 +90,7 @@ def test_rare_branches_on_every_pure_route(dim_a, dim_b, weights):
     assert np.all(achieved <= rcc.outcome_coherence_bounds(w, grams) + BOUND_ATOL)
     probs = grams.trace(axis1=-2, axis2=-1).real
     for k, (_, _, _, rare, _) in enumerate(cases):
-        branch = oracle_branch(w[k].reshape(-1), dim_a, dim_b, rare)
+        branch = pure_branch(w[k].reshape(-1), dim_a, dim_b, rare)
         expected = float(np.trace(branch).real)
         assert abs(probs[k] - expected) <= PROBABILITY_RTOL * expected
-        assert abs(achieved[k] - l1_coherence((branch / expected).astype(np.complex128))) <= dim_a**2 * STATE_ATOL
+        assert abs(achieved[k] - post_coherence(branch)) <= dim_a**2 * STATE_ATOL

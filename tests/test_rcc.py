@@ -50,6 +50,8 @@ from rcc_lab.states import (
     require_premises,
     schmidt_decompose,
 )
+from reference import average_coherence as reference_average
+from reference import mixed_branch, post_coherence, pure_branch
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 E01 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -69,46 +71,6 @@ def tilted():
 
 def plus_projector():
     return KrausOperation([np.outer(HADAMARD[:, 0], HADAMARD[:, 0].conj())], label="project[+]")
-
-
-def brute_branch_marginal(rho, dim_a, dim_b, f):
-    """Oracle route: (I (x) F) rho (I (x) F)^dagger, B traced out by loops."""
-    big = np.kron(np.eye(dim_a, dtype=complex), f)
-    after = big @ rho @ big.conj().T
-    marg = np.zeros((dim_a, dim_a), dtype=complex)
-    for i in range(dim_a):
-        for k in range(dim_a):
-            for j in range(dim_b):
-                marg[i, k] += after[i * dim_b + j, k * dim_b + j]
-    return marg
-
-
-def brute_operation_marginal(rho, dim_a, dim_b, op):
-    total = np.zeros((dim_a, dim_a), dtype=complex)
-    for f in op.kraus:
-        total += brute_branch_marginal(rho, dim_a, dim_b, f)
-    return total
-
-
-def oracle_coherence(rho, dim_a, dim_b, op):
-    """A's coherence after op post-selects B, through the kron oracle."""
-    marg = brute_operation_marginal(rho, dim_a, dim_b, op)
-    return l1_coherence(marg / np.trace(marg).real)
-
-
-def brute_average(psi, branches):
-    """Oracle for the average: per-branch post-selection from first principles."""
-    rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
-    total = 0.0
-    for kraus_list in branches:
-        unnorm = np.zeros((psi.dim_a, psi.dim_a), dtype=complex)
-        for f in kraus_list:
-            unnorm += brute_branch_marginal(rho, psi.dim_a, psi.dim_b, f)
-        prob = float(np.trace(unnorm).real)
-        if prob < 1e-14:
-            continue
-        total += prob * l1_coherence(unnorm / prob)
-    return total
 
 
 class TestPostOperationState:
@@ -151,8 +113,7 @@ class TestPostOperationState:
         for _ in range(100):
             psi = BipartitePureState(2, 2, random_pure_state(4, rng))
             op = random_kraus_operation(2, rng)
-            rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
-            unnorm = brute_operation_marginal(rho, 2, 2, op)
+            unnorm = pure_branch(psi.amplitudes, 2, 2, op.kraus)
             prob_oracle = float(np.trace(unnorm).real)
             if prob_oracle < 1e-12:
                 continue
@@ -203,14 +164,14 @@ class TestAverageCoherence:
     def test_closed_form_matches_brute_force(self, r):
         psi = hadamard_correlated()
         branches = [(f,) for f in phase_damping(r).kraus]
-        assert abs(brute_average(psi, branches) - r) < 1e-12
+        assert abs(reference_average(psi.amplitudes, psi.dim_a, psi.dim_b, branches) - r) < 1e-12
 
     def test_closed_form_tilted(self):
         psi = tilted()
         got = average_coherence(psi, phase_damping(0.5))
         assert abs(got - 0.3) < 1e-12
         branches = [(f,) for f in phase_damping(0.5).kraus]
-        assert abs(brute_average(psi, branches) - 0.3) < 1e-12
+        assert abs(reference_average(psi.amplitudes, psi.dim_a, psi.dim_b, branches) - 0.3) < 1e-12
 
     def test_bell_under_phase_damping_gains_nothing(self):
         for r in (0.1, 0.5, 0.9):
@@ -239,14 +200,15 @@ class TestAverageCoherence:
             psi = random_schmidt_state(2, 2, rng)
             channel = random_tp_channel(2, rng)
             branches = [(f,) for f in channel.kraus]
-            assert abs(average_coherence(psi, channel) - brute_average(psi, branches)) < 1e-10
+            expected = reference_average(psi.amplitudes, psi.dim_a, psi.dim_b, branches)
+            assert abs(average_coherence(psi, channel) - expected) < 1e-10
 
     def test_ensemble_branches_are_member_operations(self):
         rng = SeededRng(76)
         psi = random_schmidt_state(2, 2, rng)
         ensemble = random_channel_ensemble(2, rng)
         branches = [tuple(op.kraus) for op in ensemble.operations]
-        assert abs(average_coherence(psi, ensemble) - brute_average(psi, branches)) < 1e-10
+        assert abs(average_coherence(psi, ensemble) - reference_average(psi.amplitudes, psi.dim_a, psi.dim_b, branches)) < 1e-10
 
     def test_premise_enforced(self):
         coherent = BipartitePureState(2, 2, np.array([1, 0, 1, 0]) / np.sqrt(2))
@@ -432,7 +394,7 @@ class TestFindCreatingOperation:
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
     def test_witness_beats_largest_off_block_entry(self, dims, eps, monkeypatch):
         # Nearly block-diagonal states. With the target at 0 every witness is
-        # returned, and the kron oracle measures what it creates: provably at
+        # returned, and the reference measures what it creates: provably at
         # least the largest entry of an off-diagonal block.
         monkeypatch.setattr(rcc, "CONVERSE_COHERENCE_TARGET", 0.0)
         dim_a, dim_b = dims
@@ -447,7 +409,7 @@ class TestFindCreatingOperation:
             if op is None:
                 assert largest < 1e-9
                 continue
-            assert oracle_coherence(rho, dim_a, dim_b, op) >= largest
+            assert post_coherence(mixed_branch(rho, dim_a, dim_b, op.kraus)) >= largest
 
     def test_anti_hermitian_block(self):
         # X_01 = i a Z, with Z the Pauli Z in the Hadamard basis of B, has no
@@ -457,7 +419,7 @@ class TestFindCreatingOperation:
         z = HADAMARD @ np.diag([1.0, -1.0]) @ HADAMARD
         rho = np.eye(4, dtype=complex) / 4 + np.kron(E01, 1j * a * z) + np.kron(E01.T, -1j * a * z)
         op = find_creating_operation(rho, 2, 2)
-        assert oracle_coherence(rho, 2, 2, op) == pytest.approx(4 * a, abs=1e-12)
+        assert post_coherence(mixed_branch(rho, 2, 2, op.kraus)) == pytest.approx(4 * a, abs=1e-12)
 
     def test_whitening_maximizes_coherence_per_probability(self):
         # X_01 = diag(c0, c1) with c0 > c1, but B's |1> carries far less
@@ -465,7 +427,7 @@ class TestFindCreatingOperation:
         weights, c = np.array([0.98, 0.02]), np.array([0.02, 0.009])
         rho = np.kron(np.eye(2), np.diag(weights) / 2) + np.kron(E01 + E01.T, np.diag(c))
         op = find_creating_operation(rho, 2, 2)
-        assert oracle_coherence(rho, 2, 2, op) == pytest.approx(2 * c[1] / weights[1], rel=1e-12)
+        assert post_coherence(mixed_branch(rho, 2, 2, op.kraus)) == pytest.approx(2 * c[1] / weights[1], rel=1e-12)
 
     def test_rank_deficient_b_marginal(self):
         # B confined to a 2-dimensional subspace of C^3: whitening on the
@@ -500,11 +462,8 @@ class TestNoSignaling:
         for _ in range(100):
             rho = random_density_matrix(4, rng)
             channel = random_tp_channel(2, rng)
-            before = np.zeros((2, 2), dtype=complex)
-            for i in range(2):
-                for k in range(2):
-                    before[i, k] = rho.matrix[i * 2, k * 2] + rho.matrix[i * 2 + 1, k * 2 + 1]
-            after = brute_operation_marginal(rho.matrix, 2, 2, channel)
+            before = mixed_branch(rho.matrix, 2, 2, [np.eye(2)])
+            after = mixed_branch(rho.matrix, 2, 2, channel.kraus)
             assert np.max(np.abs(after - before)) < 1e-10
 
 

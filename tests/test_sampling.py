@@ -198,10 +198,15 @@ def fixed_count_blocks(d, count, g):
 
 
 # At d = 1 with 9 or more Kraus operators a numpy sum over a stack adds the
-# 1x1 branches pairwise, not in index order.
-@pytest.mark.parametrize("d, kraus_count", [(2, None), (3, None), (4, None), (1, 9), (1, 17)], ids=["2", "3", "4", "1-9", "1-17"])
-def test_block_rows_equal_the_one_element_views(d, kraus_count):
-    g = SeededRng(45, d).generator
+# 1x1 branches pairwise, not in index order. Seeds 57 and 224 draw a padded
+# QR that moves in the last bits of a channel's and an ensemble's row.
+@pytest.mark.parametrize(
+    "seed, d, kraus_count",
+    [(45, 2, None), (45, 3, None), (45, 4, None), (45, 1, 9), (45, 1, 17), (57, 3, None), (224, 4, None)],
+    ids=["2", "3", "4", "1-9", "1-17", "3-seed57", "4-seed224"],
+)
+def test_block_rows_equal_the_one_element_views(seed, d, kraus_count):
+    g = SeededRng(seed, d).generator
     weights, z = draw_schmidt_block(d, d + 1, N, g)
     w = coefficient_matrices_from_parts(weights, z)
     if kraus_count is None:
@@ -218,12 +223,17 @@ def test_block_rows_equal_the_one_element_views(d, kraus_count):
         psi = BipartitePureState.from_schmidt(weights[k], unitary_from_ginibre(z[k])[:, :d])
         assert np.array_equal(w[k], psi.coefficient_matrix)
         assert np.array_equal(n_ops[k], kraus_operation_from_parts(*kraus, k).n_operator())
+        # Bit for bit, the rows of the same QR call on row k's zero-padded parts; the one-element views,
+        # whose QR calls are unpadded, to rounding (see isometry_kraus).
+        row, ensemble_row = channels[1][k : k + 1], (ensembles[1][k : k + 1], ensembles[2][k : k + 1])
+        assert np.array_equal(stacks[k], branch_stacks_from_parts(row)[0])
+        assert np.array_equal(both[2 * k : 2 * k + 2], branch_stacks_from_parts(row, ensemble_row))
         count = channels[0][k]
-        assert np.array_equal(stacks[k, :count], tp_channel_from_parts(*channels, k).branch_n_stack())
+        np.testing.assert_allclose(stacks[k, :count], tp_channel_from_parts(*channels, k).branch_n_stack(), rtol=0, atol=1e-15)
         assert not stacks[k, count:].any()
         np.testing.assert_allclose(both[2 * k, :count], stacks[k, :count], rtol=0, atol=1e-15)
         assert not both[2 * k, count:].any()
-        assert np.array_equal(both[2 * k + 1, :2], ensemble_from_parts(*ensembles, k).branch_n_stack())
+        np.testing.assert_allclose(both[2 * k + 1, :2], ensemble_from_parts(*ensembles, k).branch_n_stack(), rtol=0, atol=1e-15)
         assert not both[2 * k + 1, 2:].any()
         assert np.array_equal(states[k], incoherent_quantum_states_from_parts(q[k : k + 1], blocks[k : k + 1])[0])
 

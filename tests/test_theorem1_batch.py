@@ -14,7 +14,6 @@ from rcc_lab.linalg import (
     complex_ginibre,
     haar_random_unitary,
     matrix_to_json,
-    partial_trace,
     unitary_from_ginibre,
 )
 from rcc_lab.rcc import average_rcc, converse_witnesses, find_creating_operation, post_operation_state_a
@@ -32,6 +31,7 @@ from rcc_lab.sampling import (
     summary_operators_from_parts,
 )
 from rcc_lab.states import GERSHGORIN_MIN_STACK, BipartitePureState, DensityMatrix, check_densities
+from reference import mixed_branch, post_coherence, square_root
 
 
 def block_diagonal_states(n, g):
@@ -205,7 +205,7 @@ class TestHardInputs:
         rng = SeededRng(62)
         rho = random_density_matrix(6, rng).matrix
         state_a, prob = post_operation_state_a(rho, KrausOperation([np.eye(3)]), 2, 3)
-        marginal = partial_trace(rho, 2, 3)
+        marginal = mixed_branch(rho, 2, 3, [np.eye(3)])
         assert abs(prob - 1.0) < 1e-12
         np.testing.assert_allclose(state_a.matrix, marginal, atol=1e-12)
         block = block_state([0.3, 0.7], [random_density_matrix(3, rng).matrix for _ in range(2)])
@@ -230,11 +230,6 @@ class TestHardInputs:
             np.testing.assert_array_equal(states[k], np.diag([1.0, 0.0]))
         with pytest.raises(ZeroProbability):
             post_operation_state_a(rho, ops[-1], 2, 2)
-
-
-def partial_trace_oracle(rho, dim_a, dim_b, n_op):
-    # tr_B[(I (x) N) rho] through an explicit Kronecker product and partial trace.
-    return partial_trace(np.kron(np.eye(dim_a), n_op) @ rho, dim_a, dim_b)
 
 
 def kernel_inputs(dim_a, dim_b, n, p):
@@ -265,14 +260,13 @@ class TestMixedBranchKernel:
         dim_a, dim_b = dims
         rho, r4, shared, per_state = kernel_inputs(dim_a, dim_b, 6, 7)
         shared_out, per_state_out = rcc._mixed_branches(r4, shared), rcc._mixed_branches(r4, per_state)
-        # An einsum oracle for the whole stack, and the explicit sandwich per (state, branch).
+        # An einsum oracle for the whole stack, and the reference's sandwich with the Kraus operator sqrt(N)
+        # for every (state, branch).
         np.testing.assert_allclose(shared_out, np.einsum("nijkl,plj->npik", r4, shared), rtol=0, atol=1e-13)
-        for k in range(6):
-            for q in range(7):
-                oracle = partial_trace_oracle(rho[k], dim_a, dim_b, shared[q])
-                np.testing.assert_allclose(shared_out[k, q], oracle, rtol=0, atol=1e-13)
-                oracle = partial_trace_oracle(rho[k], dim_a, dim_b, per_state[k, q])
-                np.testing.assert_allclose(per_state_out[k, q], oracle, rtol=0, atol=1e-13)
+        oracle = mixed_branch(rho[:, None], dim_a, dim_b, [square_root(shared)])
+        np.testing.assert_allclose(shared_out, oracle, rtol=0, atol=1e-13)
+        oracle = mixed_branch(rho[:, None], dim_a, dim_b, [square_root(per_state)])
+        np.testing.assert_allclose(per_state_out, oracle, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
     def test_empty_stacks_give_empty_results(self, dims):
@@ -471,13 +465,6 @@ def scalar_view(rho, dim_a, dim_b, monkeypatch):
     return op.kraus[0], info.value.best_value
 
 
-def kron_coherence(rho, dim_a, dim_b, projector):
-    # A's coherence after the projector on B, through (I (x) P) rho (I (x) P).
-    big = np.kron(np.eye(dim_a), projector)
-    branch = partial_trace(big @ rho @ big, dim_a, dim_b)
-    return l1_coherence(branch / np.trace(branch).real)
-
-
 class TestStackedWitness:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("dims", DIMS)
@@ -509,7 +496,7 @@ class TestStackedWitness:
             else:
                 np.testing.assert_allclose(view[0], witness, rtol=0, atol=1e-12)
                 assert view[1] == pytest.approx(reached, rel=0, abs=1e-12)
-            assert kron_coherence(rho, dim_a, dim_b, witness) == pytest.approx(reached, rel=1e-9, abs=1e-15)
+            assert post_coherence(mixed_branch(rho, dim_a, dim_b, [witness])) == pytest.approx(reached, rel=1e-9, abs=1e-15)
             # The witness beats the largest off-block entry (test_rcc).
             assert reached >= largest_off_block(rho, dim_a, dim_b) * (1 - 1e-9)
 
