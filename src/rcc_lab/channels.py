@@ -16,6 +16,7 @@ from .linalg import (
     VALIDITY_ATOL,
     as_complex_matrix,
     complete_orthonormal_basis,
+    converted,
     frozen_eye,
     json_positive_int,
     matrix_from_json,
@@ -187,7 +188,7 @@ def is_trace_preserving(channel) -> bool:
 
 
 def _check_unit_interval(name: str, value: float) -> float:
-    v = float(value)
+    v = converted(name, float, value)
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {v}")
     return v
@@ -282,7 +283,7 @@ def inert_operation(psi: BipartitePureState, n_values) -> KrausOperation:
     creates_coherence it requires a diagonal A-marginal (PremiseViolated
     otherwise).
     """
-    vals = np.asarray(n_values, dtype=float).reshape(-1)
+    vals = converted("n_values", np.asarray, n_values, dtype=float).reshape(-1)
     if vals.size == 0:
         raise ValueError("n_values must not be empty")
     if float(vals.min()) < 0.0 or float(vals.max()) > 1.0:

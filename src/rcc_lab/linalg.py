@@ -20,6 +20,14 @@ VALIDITY_ATOL = 1e-9
 _SQRT2 = float(np.sqrt(2.0))
 
 
+def converted(name: str, convert, value, **kwargs):
+    """convert(value, **kwargs); a value it cannot convert is a ValueError that names the argument name."""
+    try:
+        return convert(value, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be numeric: {exc}") from exc
+
+
 def require_finite(arr: np.ndarray, what: str) -> np.ndarray:
     """arr, after a ValueError naming what if any entry is NaN or infinite."""
     if not np.isfinite(arr).all():
@@ -121,11 +129,12 @@ class SeededRng:
     stream_id: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 <= int(self.seed) < 2**64:
+        seed, stream_id = converted("seed", int, self.seed), converted("stream_id", int, self.stream_id)
+        if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if int(self.stream_id) < 0:
+        if stream_id < 0:
             raise ValueError("stream_id must be non-negative")
-        seq = np.random.SeedSequence(int(self.seed), spawn_key=(int(self.stream_id),))
+        seq = np.random.SeedSequence(seed, spawn_key=(stream_id,))
         self.generator = np.random.Generator(np.random.PCG64(seq))
 
 

@@ -16,6 +16,7 @@ from .linalg import (
     VALIDITY_ATOL,
     as_complex_matrix,
     complex_from_json_pairs,
+    converted,
     frozen_eye,
     json_positive_int,
     partial_trace,
@@ -113,7 +114,7 @@ class BipartitePureState:
     def __init__(self, dim_a: int, dim_b: int, amplitudes):
         if dim_a < 1 or dim_b < 1:
             raise ValueError(f"dimensions must be positive, got ({dim_a}, {dim_b})")
-        amp = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
+        amp = converted("amplitudes", np.asarray, amplitudes, dtype=np.complex128).reshape(-1)
         if amp.size != dim_a * dim_b:
             raise ValueError(
                 f"amplitudes must have dim_a*dim_b = {dim_a * dim_b} entries, got {amp.size}"
@@ -142,7 +143,7 @@ class BipartitePureState:
         """
         if (basis := np.asarray(basis_b, dtype=np.complex128)).ndim != 2:
             raise ValueError(f"basis_b: expected a 2-D matrix, got ndim={basis.ndim}")
-        coeff = schmidt_coefficients(np.asarray(weights, dtype=float).reshape(-1), basis)
+        coeff = schmidt_coefficients(converted("weights", np.asarray, weights, dtype=float).reshape(-1), basis)
         return cls(*coeff.shape, coeff.reshape(-1))
 
 

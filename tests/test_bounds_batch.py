@@ -52,6 +52,7 @@ from rcc_lab.sampling import (
     tp_channel_from_parts,
 )
 from rcc_lab.states import BipartitePureState, concurrence, state_to_json
+from oracle import concurrence as float64_concurrence
 from reference import amplitudes, average_coherence, l1, offdiag_norm, pure_branch, summary_operator
 from reference import concurrence as reference_concurrence
 
@@ -506,6 +507,14 @@ def hard_inputs():
             weights = rng.generator.dirichlet(np.ones(d))
             weights[1] = 0.0
             yield weights / weights.sum(), haar_random_unitary(d + 1, rng)[:, :d]
+
+
+@pytest.mark.parametrize("weights, basis", list(hard_inputs()))
+def test_the_reference_concurrence_agrees_with_float64(weights, basis):
+    # Away from product states, bench/oracle.py's float64 purity route is accurate.
+    d, dim_b = len(weights), basis.shape[0]
+    amp = amplitudes(weights, basis)
+    assert abs(reference_concurrence(amp, d, dim_b) - float64_concurrence(amp, d, dim_b)) <= 1e-12
 
 
 @pytest.mark.parametrize("weights, basis", list(hard_inputs()))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import rcc_lab
-from rcc_lab import cli, rcc
+from rcc_lab import experiments, rcc
 from rcc_lab.channels import (
     ChannelEnsemble,
     KrausOperation,
@@ -238,7 +238,7 @@ class TestUnexpectedErrors:
         def crash(*args):
             raise RuntimeError("could not draw a non-block-diagonal state")
 
-        monkeypatch.setattr(cli, "run_verify", crash)
+        monkeypatch.setattr(experiments, "run_verify", crash)
         assert main(["verify", "theorem1", "--samples", "1"]) == 3
         err = capsys.readouterr().err
         assert "Traceback" in err and "RuntimeError" in err
@@ -247,7 +247,7 @@ class TestUnexpectedErrors:
         def interrupted(*args):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(cli, "run_verify", interrupted)
+        monkeypatch.setattr(experiments, "run_verify", interrupted)
         with pytest.raises(KeyboardInterrupt):
             main(["verify", "theorem1", "--samples", "1"])
 
@@ -359,9 +359,11 @@ class TestVerifyCommand:
         doc = json.loads(capsys.readouterr().out)
         assert abs(doc["average_rcc"] - doc["entanglement"] * doc["maxent_average_rcc"]) == worst["deviation"]
 
-    def test_unknown_suite_rejected_by_parser(self):
-        with pytest.raises(SystemExit):
-            main(["verify", "theorem9"])
+    def test_unknown_suite_rejected_by_parser(self, capsys):
+        # run_verify, not argparse, checks the name: the parser loads no experiment driver.
+        assert main(["verify", "theorem9"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown suite 'theorem9'" in err and all(suite in err for suite in experiments.VERIFY_SUITES)
 
     def test_run_verify_validates_samples(self):
         with pytest.raises(ValueError, match="samples"):
@@ -398,6 +400,21 @@ class TestComputeCommand:
         assert main(["compute", "--state", state, "--channel", channel]) == 0
         first = json.loads(capsys.readouterr().out)["outcomes"][0]
         assert not first["zero_probability"] and 4e-11 < first["probability"] < 6e-11
+
+    def test_a_fresh_interpreter_loads_no_experiment_driver(self):
+        script = (
+            "import json, sys; from rcc_lab.cli import main; code = main(sys.argv[1:]); "
+            "print(json.dumps(sorted(sys.modules)), file=sys.stderr); sys.exit(code)"
+        )
+        state, channel = (os.path.join(DATA, f"rare_branch.{kind}.json") for kind in ("state", "channel"))
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(rcc_lab.__file__))}
+        run = subprocess.run(
+            [sys.executable, "-W", "error", "-c", script, "compute", "--state", state, "--channel", channel],
+            env=env, capture_output=True, timeout=60,
+        )
+        assert run.returncode == 0 and json.loads(run.stdout)["outcomes"]
+        loaded = set(json.loads(run.stderr))
+        assert "rcc_lab.rcc" in loaded and not loaded & {"rcc_lab.experiments", "rcc_lab.sampling"}
 
     def test_block_diagonal_pure_state_yields_zero(self, tmp_path, capsys):
         # |0>|+> is pure and block-diagonal on A, so nothing can be created

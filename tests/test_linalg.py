@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rcc_lab.channels import bit_flip, bit_phase_flip, depolarizing, inert_operation, phase_damping, phase_flip
 from rcc_lab.linalg import (
     SeededRng,
     complete_orthonormal_basis,
@@ -18,7 +19,7 @@ from rcc_lab.linalg import (
     stream_seed_words,
     unitary_from_ginibre,
 )
-from rcc_lab.states import DensityMatrix
+from rcc_lab.states import BipartitePureState, DensityMatrix
 
 
 def random_matrix(rng, rows, cols):
@@ -119,6 +120,43 @@ class TestSeededRng:
             SeededRng(-1)
         with pytest.raises(ValueError):
             SeededRng(0, -3)
+
+
+BELL = BipartitePureState(2, 2, np.array([1, 0, 0, 1]) / np.sqrt(2))
+# Public arguments read as numbers: (call, arguments, the argument's name).
+NOT_NUMERIC = {
+    "phase_damping-str": (phase_damping, ("x",), "r"),
+    "phase_damping-none": (phase_damping, (None,), "r"),
+    "depolarizing-str": (depolarizing, ("x",), "p"),
+    "bit_flip-none": (bit_flip, (None,), "p"),
+    "phase_flip-str": (phase_flip, ("x",), "p"),
+    "bit_phase_flip-str": (bit_phase_flip, ("x",), "p"),
+    "from_schmidt-str": (BipartitePureState.from_schmidt, ("ab", np.eye(2)), "weights"),
+    "inert_operation-str": (inert_operation, (BELL, "x"), "n_values"),
+    "seeded_rng-str": (SeededRng, ("x",), "seed"),
+    "seeded_rng-none": (SeededRng, (None,), "seed"),
+    "seeded_rng-stream-str": (SeededRng, (0, "x"), "stream_id"),
+    "pure_state-str": (BipartitePureState, (2, 2, "abcd"), "amplitudes"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(NOT_NUMERIC))
+def test_a_value_that_is_not_a_number_is_named(case):
+    call, args, name = NOT_NUMERIC[case]
+    with pytest.raises(ValueError, match=f"^{name} must be numeric: "):
+        call(*args)
+
+
+def test_numeric_strings_stay_accepted():
+    assert phase_damping("0.25").label == phase_damping(0.25).label
+    assert SeededRng("5", "2").generator.random() == SeededRng(5, 2).generator.random()
+    assert np.array_equal(
+        BipartitePureState.from_schmidt(["0.5", "0.5"], np.eye(2)).amplitudes,
+        BipartitePureState.from_schmidt([0.5, 0.5], np.eye(2)).amplitudes,
+    )
+    assert np.array_equal(BipartitePureState(2, 2, ["1", "0", "0", "0"]).amplitudes, [1, 0, 0, 0])
+    assert np.array_equal(inert_operation(BELL, ["1", "0.5"]).kraus, inert_operation(BELL, [1, 0.5]).kraus)
 
 
 # Run entropy of one word (seeds below 2**32) and of two; the ids past 299
