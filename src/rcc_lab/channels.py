@@ -284,6 +284,8 @@ def inert_operation(psi: BipartitePureState, n_values) -> KrausOperation:
     otherwise).
     """
     vals = converted("n_values", np.asarray, n_values, dtype=float).reshape(-1)
+    if np.isnan(vals).any():  # None converts to NaN
+        raise ValueError(f"n_values must be numeric: got {n_values!r}")
     if vals.size == 0:
         raise ValueError("n_values must not be empty")
     if float(vals.min()) < 0.0 or float(vals.max()) > 1.0:

@@ -399,7 +399,7 @@ def _record(report, checked, kept, values, flagged, replay) -> None:
     report.violations += int(flagged.sum())
     if flagged.any():
         j = np.flatnonzero(flagged)[np.argmax(values[flagged])]
-        if values[j] > report.max_violation:
+        if report.worst_case is None or values[j] > report.max_violation:
             report.max_violation = float(values[j])
             report.worst_case = replay(int(kept[j]), report.max_violation)
 

@@ -106,7 +106,7 @@ def scalar_lemma1(samples, seed):
             gap = l1_coherence(state_a) - bound
             if gap > experiments.BOUND_ATOL:
                 violations += 1
-                if gap > max_violation:
+                if worst is None or gap > max_violation:
                     max_violation = gap
                     worst = {"state": state_to_json(psi), "channel": kraus_operation_to_json(op), "excess": gap}
     return SuiteReport("lemma1", checked, violations, excluded, max_violation, worst)
@@ -142,7 +142,7 @@ def scalar_theorem3(samples, seed):
             gap = max(average - tight, tight - partner_bound)
             if gap > experiments.BOUND_ATOL:
                 violations += 1
-                if gap > max_violation:
+                if worst is None or gap > max_violation:
                     max_violation = gap
                     worst = {"state": state_to_json(psi), "channel": channel_json, "excess": gap}
     return SuiteReport("theorem3", checked, violations, 0, max_violation, worst)
@@ -170,7 +170,7 @@ def scalar_theorem4(samples, seed):
             assert abs(dev - abs(rcc.average_coherence(psi, channel) - ent * maxent)) <= 1e-12
             if dev >= rcc.FACTORIZATION_ATOL:
                 violations += 1
-                if dev > max_violation:
+                if worst is None or dev > max_violation:
                     max_violation = dev
                     worst = {"state": state_to_json(psi), "channel": kraus_operation_to_json(channel), "deviation": dev}
     return SuiteReport("theorem4", checked, violations, 0, max_violation, worst)
@@ -592,3 +592,13 @@ def test_per_state_branches_ignore_padding_and_block_size(d, dim_b_extra):
         for i in range(len(w)):
             assert np.array_equal(rcc._unnormalized_branches(w[i : i + 1], padded[i : i + 1])[0, :2], branches[i])
             assert rcc.tight_average_bounds(w[i : i + 1], padded[i : i + 1])[0] == tight[i]
+
+
+def test_a_sweep_records_a_worst_case_below_zero(monkeypatch):
+    # BOUND_ATOL = -1 flags every check; without d = 2 every Lemma 1 gap is strict, so every flagged value is negative.
+    sweep = experiments._sweep
+    monkeypatch.setattr(experiments, "BOUND_ATOL", -1.0)
+    monkeypatch.setattr(experiments, "_sweep", lambda suite, samples, seed, dims, *rest: sweep(suite, samples, seed, (3, 4), *rest))
+    report = experiments.run_verify("lemma1", 40, 5)
+    assert report.violations == report.checked == 80
+    assert report.worst_case is not None and report.worst_case["excess"] == report.max_violation < 0

@@ -415,6 +415,8 @@ class TestComputeCommand:
         assert run.returncode == 0 and json.loads(run.stdout)["outcomes"]
         loaded = set(json.loads(run.stderr))
         assert "rcc_lab.rcc" in loaded and not loaded & {"rcc_lab.experiments", "rcc_lab.sampling"}
+        # Only the seeding of random streams loads numpy.random, which costs milliseconds at start-up.
+        assert "numpy.random" not in loaded
 
     def test_block_diagonal_pure_state_yields_zero(self, tmp_path, capsys):
         # |0>|+> is pure and block-diagonal on A, so nothing can be created

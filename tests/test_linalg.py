@@ -133,6 +133,7 @@ NOT_NUMERIC = {
     "bit_phase_flip-str": (bit_phase_flip, ("x",), "p"),
     "from_schmidt-str": (BipartitePureState.from_schmidt, ("ab", np.eye(2)), "weights"),
     "inert_operation-str": (inert_operation, (BELL, "x"), "n_values"),
+    "inert_operation-none": (inert_operation, (BELL, None), "n_values"),
     "seeded_rng-str": (SeededRng, ("x",), "seed"),
     "seeded_rng-none": (SeededRng, (None,), "seed"),
     "seeded_rng-stream-str": (SeededRng, (0, "x"), "stream_id"),
@@ -190,12 +191,19 @@ class TestStreamSeeding:
 
     @pytest.mark.parametrize("seed", STREAM_SEEDS)
     def test_generators_replay_seeded_rng(self, seed):
-        seen = set()
         for i, g in zip(STREAM_IDS, stream_generators(seed, STREAM_IDS)):
-            seen.add(id(g))
             for got, want in zip(first_draws(g), first_draws(SeededRng(seed, i).generator)):
                 np.testing.assert_array_equal(got, want)
-        assert len(seen) == 1  # one reused generator
+
+    def test_generators_stay_valid_after_the_next_step(self):
+        # Two generators of one call, held together and drawn in turn: each keeps its own stream.
+        ids = [4, 2**40]
+        held = list(stream_generators(7, ids))
+        wants = [SeededRng(7, i).generator for i in ids]
+        for _ in range(2):
+            for g, want in zip(held, wants):
+                for got, expected in zip(first_draws(g), first_draws(want)):
+                    np.testing.assert_array_equal(got, expected)
 
     def test_ids_in_any_order_and_type(self):
         # Ids of different lengths interleaved, repeated, and given as an array.
@@ -206,9 +214,23 @@ class TestStreamSeeding:
         assert stream_seed_words(3, []).shape == (0, 4)
         assert list(stream_generators(3, range(0))) == []
 
+    @pytest.mark.filterwarnings("error")
     def test_rejects_what_seeded_rng_rejects(self):
-        for seed, ids in ((-1, [0]), (2**64, [0]), (0, [3, -1])):
-            with pytest.raises(ValueError) as want:
+        # A bool or a float would silently select another stream: SeededRng(0.9) that of seed 0, SeededRng(True) that of seed 1.
+        cases = (
+            (-1, [0], "seed"),
+            (2**64, [0], "seed"),
+            ("x", [0], "seed"),
+            (0.9, [0], "seed"),
+            (True, [0], "seed"),
+            (np.float64(5.0), [0], "seed"),
+            (np.True_, [0], "seed"),
+            (0, [3, -1], "stream_id"),
+            (0, [2, 1.0], "stream_id"),
+            (0, [False], "stream_id"),
+        )
+        for seed, ids, name in cases:
+            with pytest.raises(ValueError, match=f"^{name} ") as want:
                 for i in ids:
                     SeededRng(seed, i)
             with pytest.raises(ValueError) as got:

@@ -121,13 +121,8 @@ SWEEP = experiments._sweep
 
 def strict_sweep(suite, samples, seed, dims, draw, evaluate, worst_case):
     # experiments._sweep without d = 2, where the Lemma 1 and Theorem 3 bounds hold with equality: at d >= 3 every
-    # gap is strict and negative. A worst case is recorded only above 0, so the sweep gets each gap's margin below
-    # the bound, -gap, and prints the margin of one sample.
-    def margins(dim, parts):
-        kept, gaps, flagged = evaluate(dim, parts)
-        return kept, -gaps, flagged
-
-    return SWEEP(suite, samples, seed, tuple(dim for dim in dims if dim != 2), draw, margins, worst_case)
+    # gap is strict and negative, and the sweep prints the gap nearest the bound.
+    return SWEEP(suite, samples, seed, tuple(dim for dim in dims if dim != 2), draw, evaluate, worst_case)
 
 
 # suite, the settings that make every check (or, for theorem2, most) violate, the printed key and its re-derivation.
@@ -135,18 +130,8 @@ def strict_sweep(suite, samples, seed, dims, draw, evaluate, worst_case):
 FORCED = {
     "lemma1": ("lemma1", {(experiments, "BOUND_ATOL"): -1.0}, "excess", lemma1_excess),
     "theorem3": ("theorem3", {(experiments, "BOUND_ATOL"): -1.0}, "excess", theorem3_excess),
-    "lemma1-strict": (
-        "lemma1",
-        {(experiments, "BOUND_ATOL"): -1.0, (experiments, "_sweep"): strict_sweep},
-        "excess",
-        lambda worst: -lemma1_excess(worst),
-    ),
-    "theorem3-strict": (
-        "theorem3",
-        {(experiments, "BOUND_ATOL"): -1.0, (experiments, "_sweep"): strict_sweep},
-        "excess",
-        lambda worst: -theorem3_excess(worst),
-    ),
+    "lemma1-strict": ("lemma1", {(experiments, "BOUND_ATOL"): -1.0, (experiments, "_sweep"): strict_sweep}, "excess", lemma1_excess),
+    "theorem3-strict": ("theorem3", {(experiments, "BOUND_ATOL"): -1.0, (experiments, "_sweep"): strict_sweep}, "excess", theorem3_excess),
     "theorem4": ("theorem4", {(rcc, "FACTORIZATION_ATOL"): -1.0}, "deviation", theorem4_deviation),
     "theorem2": ("theorem2", {(experiments, "AMBIGUITY_BAND"): (10.0, 20.0)}, "post_coherence", theorem2_post_coherence),
     "nosignal": ("nosignal", {(experiments, "NOSIGNAL_ATOL"): -1.0}, "deviation", nosignal_deviation),
