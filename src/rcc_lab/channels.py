@@ -18,9 +18,10 @@ from .linalg import (
     complete_orthonormal_basis,
     converted,
     frozen_eye,
-    json_positive_int,
+    json_fields,
     matrix_from_json,
     matrix_to_json,
+    positive_int,
     require_finite,
     require_orthonormal_columns,
 )
@@ -321,13 +322,8 @@ def ensemble_to_json(ensemble: ChannelEnsemble) -> dict:
 
 def kraus_operation_from_json(obj) -> KrausOperation:
     """Inverse of kraus_operation_to_json with field-named errors."""
-    if not isinstance(obj, dict):
-        raise ValueError("channel value must be a JSON object")
-    for key in ("dim_b", "kraus"):
-        if key not in obj:
-            raise ValueError(f"channel object is missing field '{key}'")
-    dim_b = json_positive_int(obj, "dim_b")
-    mats = obj["kraus"]
+    dim_b, mats = json_fields(obj, "channel", ("dim_b", "kraus"))
+    dim_b = positive_int("field 'dim_b'", dim_b)
     if not isinstance(mats, list) or not mats:
         raise ValueError("field 'kraus' must be a non-empty list of matrices")
     kraus = [matrix_from_json(m) for m in mats]

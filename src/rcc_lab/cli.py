@@ -11,6 +11,7 @@ error, 3 unexpected error (a crash; the traceback goes to stderr).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -58,16 +59,19 @@ def _build_parser() -> argparse.ArgumentParser:
     fig1.add_argument("--out", type=str, default=None, help="CSV output path")
     fig1.add_argument("--plot", type=str, default=None, help="optional SVG output path")
     fig1.add_argument("--config", type=str, default=None, help="JSON config file; flags override it")
+    fig1.set_defaults(run=_cmd_fig1)
 
     verify = sub.add_parser("verify", help="run a property sweep and report violations")
     # run_verify checks the name, so that the parser needs no experiment driver.
     verify.add_argument("suite", help="suite to run; an unknown name lists them")
     verify.add_argument("--samples", type=int, default=1000, help="sweep size (per dimension where applicable)")
     verify.add_argument("--seed", type=int, default=0)
+    verify.set_defaults(run=_cmd_verify)
 
     compute = sub.add_parser("compute", help="full report for one state/channel pair (JSON on stdout)")
     compute.add_argument("--state", type=str, required=True, help="pure-state JSON file")
     compute.add_argument("--channel", type=str, required=True, help="channel or ensemble JSON file")
+    compute.set_defaults(run=_cmd_compute)
 
     return parser
 
@@ -75,20 +79,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_fig1(args) -> int:
     from .experiments import ExperimentConfig, run_fig1
 
-    if args.config is not None:
-        config = ExperimentConfig.from_mapping(_load_json_file(args.config, "config"))
-    else:
-        config = ExperimentConfig()
-    if args.samples is not None:
-        config.samples = args.samples
-    if args.rates is not None:
-        config.damping_rates = _parse_rates(args.rates)
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.out is not None:
-        config.output_path = args.out
-    if args.plot is not None:
-        config.plot_path = args.plot
+    config = ExperimentConfig.from_mapping({} if args.config is None else _load_json_file(args.config, "config"))
+    rates = None if args.rates is None else _parse_rates(args.rates)
+    flags = {"samples": args.samples, "damping_rates": rates, "seed": args.seed, "output_path": args.out, "plot_path": args.plot}
+    config = dataclasses.replace(config, **{name: value for name, value in flags.items() if value is not None})
 
     summary = run_fig1(config)
     print(f"wrote {summary.rows} rows to {summary.csv_path}")
@@ -131,15 +125,9 @@ def _cmd_compute(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "fig1":
-            return _cmd_fig1(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "compute":
-            return _cmd_compute(args)
+        return args.run(args)
     except (ValueError, RccLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -149,7 +137,6 @@ def main(argv=None) -> int:
 
         traceback.print_exc()
         return 3
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -72,10 +72,25 @@ def partial_trace(m, dim_a: int, dim_b: int) -> np.ndarray:
     The result carries the trace of the input.
     """
     m = as_complex_matrix(m)
+    dim_a, dim_b = joint_dims(m, dim_a, dim_b)
+    return np.einsum("ijkj->ik", m.reshape(dim_a, dim_b, dim_a, dim_b))
+
+
+def positive_int(name: str, value) -> int:
+    """value as an int, after a ValueError naming name unless it is an integer of at least 1; a bool is not one."""
+    # An exact int skips the numbers.Integral test, an ABC lookup of about 0.4 us.
+    if (type(value) is int or not isinstance(value, bool) and isinstance(value, numbers.Integral)) and value >= 1:
+        return int(value)
+    raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
+def joint_dims(m: np.ndarray, dim_a, dim_b) -> tuple[int, int]:
+    """(dim_a, dim_b) as positive ints, after a ValueError unless the operator m is (dim_a*dim_b) square."""
+    dim_a, dim_b = positive_int("dim_a", dim_a), positive_int("dim_b", dim_b)
     side = dim_a * dim_b
     if m.shape != (side, side):
         raise ValueError(f"operator side {m.shape} does not match dim_a*dim_b = {side}")
-    return np.einsum("ijkj->ik", m.reshape(dim_a, dim_b, dim_a, dim_b))
+    return dim_a, dim_b
 
 
 def require_orthonormal_columns(cols: np.ndarray) -> None:
@@ -264,12 +279,25 @@ def matrix_to_json(m) -> dict:
     }
 
 
-def json_positive_int(obj: dict, key: str) -> int:
-    """obj[key] as a positive integer; JSON true/false are not integers here."""
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"field '{key}' must be a positive integer, got {value!r}")
-    return value
+def json_fields(obj, kind: str, keys: tuple) -> list:
+    """obj[key] for each key, after a ValueError unless obj is a JSON object holding every key; kind names the value."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{kind} value must be a JSON object")
+    values = []
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{kind} object is missing field '{key}'")
+        values.append(obj[key])
+    return values
+
+
+def json_pairs(obj: dict, key: str, count: int, rule: str, what: str) -> np.ndarray:
+    """Complex vector from obj[key], a list of count [re, im] pairs; rule says how count follows from the dimensions."""
+    pairs = obj[key]
+    if not isinstance(pairs, list) or len(pairs) != count:
+        got = len(pairs) if isinstance(pairs, list) else type(pairs).__name__
+        raise ValueError(f"field '{key}' must list {rule} = {count} pairs, got {got}")
+    return complex_from_json_pairs(pairs, what)
 
 
 def complex_from_json_pairs(pairs: list, what: str) -> np.ndarray:
@@ -290,16 +318,7 @@ def complex_from_json_pairs(pairs: list, what: str) -> np.ndarray:
 
 def matrix_from_json(obj) -> np.ndarray:
     """Inverse of matrix_to_json; ValueError messages name the offending field."""
-    if not isinstance(obj, dict):
-        raise ValueError("matrix value must be a JSON object")
-    for key in ("rows", "cols", "entries"):
-        if key not in obj:
-            raise ValueError(f"matrix object is missing field '{key}'")
-    rows = json_positive_int(obj, "rows")
-    cols = json_positive_int(obj, "cols")
-    entries = obj["entries"]
-    if not isinstance(entries, list) or len(entries) != rows * cols:
-        raise ValueError(
-            f"field 'entries' must list rows*cols = {rows * cols} pairs, got {len(entries) if isinstance(entries, list) else type(entries).__name__}"
-        )
-    return require_finite(complex_from_json_pairs(entries, "entry").reshape(rows, cols), "field 'entries'")
+    rows, cols, _ = json_fields(obj, "matrix", ("rows", "cols", "entries"))
+    rows, cols = positive_int("field 'rows'", rows), positive_int("field 'cols'", cols)
+    entries = json_pairs(obj, "entries", rows * cols, "rows*cols", "entry")
+    return require_finite(entries.reshape(rows, cols), "field 'entries'")

@@ -15,11 +15,14 @@ from .errors import BadTrace, NotHermitian, NotPositive, PremiseViolated
 from .linalg import (
     VALIDITY_ATOL,
     as_complex_matrix,
-    complex_from_json_pairs,
     converted,
     frozen_eye,
-    json_positive_int,
+    joint_dims,
+    json_fields,
+    json_pairs,
+    matrix_to_json,
     partial_trace,
+    positive_int,
     require_finite,
     require_orthonormal_columns,
     stack_sum,
@@ -112,8 +115,7 @@ class BipartitePureState:
     __slots__ = ("dim_a", "dim_b", "amplitudes")
 
     def __init__(self, dim_a: int, dim_b: int, amplitudes):
-        if dim_a < 1 or dim_b < 1:
-            raise ValueError(f"dimensions must be positive, got ({dim_a}, {dim_b})")
+        dim_a, dim_b = positive_int("dim_a", dim_a), positive_int("dim_b", dim_b)
         amp = converted("amplitudes", np.asarray, amplitudes, dtype=np.complex128).reshape(-1)
         if amp.size != dim_a * dim_b:
             raise ValueError(
@@ -121,8 +123,8 @@ class BipartitePureState:
             )
         amp = unit_amplitudes(amp)
         amp.setflags(write=False)
-        self.dim_a = int(dim_a)
-        self.dim_b = int(dim_b)
+        self.dim_a = dim_a
+        self.dim_b = dim_b
         self.amplitudes = amp
 
     @property
@@ -282,9 +284,7 @@ def joint_matrix(state, dim_a: int | None, dim_b: int | None) -> np.ndarray:
     m = operator_matrix(state)
     if dim_a is None or dim_b is None:
         raise ValueError("dim_a and dim_b are required for density-matrix input")
-    side = dim_a * dim_b
-    if m.shape != (side, side):
-        raise ValueError(f"operator side {m.shape} does not match dim_a*dim_b = {side}")
+    joint_dims(m, dim_a, dim_b)
     return m
 
 
@@ -302,25 +302,12 @@ def reduced_a(state, dim_a: int | None = None, dim_b: int | None = None) -> Dens
 
 
 def state_to_json(psi: BipartitePureState) -> dict:
-    """JSON-ready dict {"dim_a", "dim_b", "amplitudes"} with [re, im] pairs."""
-    return {
-        "dim_a": psi.dim_a,
-        "dim_b": psi.dim_b,
-        "amplitudes": [[float(z.real), float(z.imag)] for z in psi.amplitudes],
-    }
+    """JSON-ready dict {"dim_a", "dim_b", "amplitudes"} with [re, im] pairs, in matrix_to_json's encoding."""
+    return {"dim_a": psi.dim_a, "dim_b": psi.dim_b, "amplitudes": matrix_to_json(psi.coefficient_matrix)["entries"]}
 
 
 def state_from_json(obj) -> BipartitePureState:
     """Inverse of state_to_json; ValueError messages name the offending field."""
-    if not isinstance(obj, dict):
-        raise ValueError("state value must be a JSON object")
-    for key in ("dim_a", "dim_b", "amplitudes"):
-        if key not in obj:
-            raise ValueError(f"state object is missing field '{key}'")
-    dim_a = json_positive_int(obj, "dim_a")
-    dim_b = json_positive_int(obj, "dim_b")
-    pairs = obj["amplitudes"]
-    if not isinstance(pairs, list) or len(pairs) != dim_a * dim_b:
-        raise ValueError(f"field 'amplitudes' must list dim_a*dim_b = {dim_a * dim_b} pairs")
-    amp = complex_from_json_pairs(pairs, "amplitude")
-    return BipartitePureState(dim_a, dim_b, amp)
+    dim_a, dim_b, _ = json_fields(obj, "state", ("dim_a", "dim_b", "amplitudes"))
+    dim_a, dim_b = positive_int("field 'dim_a'", dim_a), positive_int("field 'dim_b'", dim_b)
+    return BipartitePureState(dim_a, dim_b, json_pairs(obj, "amplitudes", dim_a * dim_b, "dim_a*dim_b", "amplitude"))

@@ -466,6 +466,9 @@ def test_summary_check_raises_as_kraus_operation_does():
     # One bad operator anywhere in a stack fails the whole stack.
     with pytest.raises(ValueError, match="0 <= N <= I"):
         check_summaries(np.stack([np.eye(2) / 2, big.conj().T @ big]))
+    # eigvalsh gives a NaN summary the spectrum [0.0, -0.0] (numpy 2.4.6), inside [0, 1]: the finiteness scan must stay.
+    with pytest.raises(ValueError, match="^summary operator holds a non-finite entry$"):
+        check_summaries(np.array([[[np.nan, 0.0], [0.0, 0.5]]]))
 
 
 @pytest.mark.parametrize("suite", ["lemma1", "theorem3", "theorem4"])

@@ -116,6 +116,30 @@ class TestFig1Command:
         assert override.exists()
         assert len(override.read_text().splitlines()) == 1 + 2
 
+    @pytest.mark.parametrize(
+        "flag, field, text, value",
+        [
+            ("--samples", "samples", "3", 3),
+            ("--rates", "damping_rates", "0.1,0.9", [0.1, 0.9]),
+            ("--seed", "seed", "12", 12),
+            ("--out", "output_path", "flag.csv", "flag.csv"),
+            ("--plot", "plot_path", "flag.svg", "flag.svg"),
+        ],
+    )
+    def test_each_flag_overrides_only_its_config_field(self, tmp_path, monkeypatch, flag, field, text, value):
+        monkeypatch.chdir(tmp_path)
+        file_fields = {"samples": 2, "damping_rates": [0.5], "seed": 11, "output_path": "file.csv", "plot_path": "file.svg"}
+        configs = []
+        real_run = experiments.run_fig1
+
+        def recording_run(config):
+            configs.append(config)
+            return real_run(config)
+
+        monkeypatch.setattr(experiments, "run_fig1", recording_run)
+        assert main(["fig1", "--config", write_json(tmp_path / "config.json", file_fields), flag, text]) == 0
+        assert configs == [ExperimentConfig.from_mapping({**file_fields, field: value})]
+
     def test_config_file_with_a_bom(self, tmp_path, capsys):
         config = {"samples": 2, "damping_rates": [0.5], "seed": 11, "output_path": str(tmp_path / "c.csv")}
         bom = tmp_path / "bom.json"
@@ -443,6 +467,7 @@ class TestComputeCommand:
             ("channel", lambda doc: {**doc, "label": 5}, "field 'label' must be a string"),
             ("channel", lambda doc: {"operations": []}, "field 'operations' must be a non-empty list"),
             ("state", lambda doc: [1, 2], "state value must be a JSON object"),
+            ("state", lambda doc: {**doc, "amplitudes": doc["amplitudes"][:3]}, "field 'amplitudes' must list dim_a*dim_b = 4 pairs, got 3"),
             ("channel", lambda doc: {**doc, "kraus": [[1, 0]]}, "matrix value must be a JSON object"),
             # 401-digit JSON integers are Python ints that no float holds.
             (
@@ -462,6 +487,7 @@ class TestComputeCommand:
             "label_not_a_string",
             "no_operations",
             "state_not_an_object",
+            "amplitude_count",
             "kraus_not_a_matrix",
             "amplitude_too_large",
             "kraus_entry_too_large",

@@ -1,9 +1,12 @@
+import json
 import re
 
 import numpy as np
 import pytest
 
 from rcc_lab import linalg, states
+from rcc_lab.channels import KrausOperation
+from rcc_lab.coherence import is_incoherent_quantum
 from rcc_lab.errors import BadTrace, NotHermitian, NotPositive, PremiseViolated
 from rcc_lab.linalg import (
     SeededRng,
@@ -13,6 +16,7 @@ from rcc_lab.linalg import (
     matrix_to_json,
     random_pure_state,
 )
+from rcc_lab.rcc import post_operation_state_a
 from rcc_lab.states import (
     BipartitePureState,
     DensityMatrix,
@@ -300,6 +304,30 @@ class TestJointMatrix:
             joint_matrix(np.ones((6, 4)), 2, 3)
 
 
+# Public routes that check a dimension, each fed (dim_a, dim_b); the joint operators are a Bell state's.
+DIMENSION_ROUTES = {
+    "BipartitePureState": lambda a, b: BipartitePureState(a, b, np.array([1, 0, 0, 1]) / np.sqrt(2)),
+    "post_operation_state_a": lambda a, b: post_operation_state_a(bell().density(), KrausOperation([np.diag([1.0, 0.0])]), a, b),
+    "reduced_a": lambda a, b: reduced_a(bell().density(), a, b),
+    "is_incoherent_quantum": lambda a, b: is_incoherent_quantum(bell().density().matrix, a, b),
+    "partial_trace": lambda a, b: linalg.partial_trace(bell().density().matrix, a, b),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [True, 2.0, "2", 0, -1, np.int64(2)], ids=repr)
+@pytest.mark.parametrize("name", ["dim_a", "dim_b"])
+@pytest.mark.parametrize("route", list(DIMENSION_ROUTES))
+def test_a_dimension_is_a_positive_integer_that_is_not_a_bool(route, name, value):
+    # One rule, linalg.positive_int: a float, a string or a bool is rejected by name, a numpy integer is accepted.
+    dims = {"dim_a": 2, "dim_b": 2, name: value}
+    if isinstance(value, np.integer):
+        DIMENSION_ROUTES[route](dims["dim_a"], dims["dim_b"])
+        return
+    with pytest.raises(ValueError, match=f"^{name} must be a positive integer, got {re.escape(repr(value))}$"):
+        DIMENSION_ROUTES[route](dims["dim_a"], dims["dim_b"])
+
+
 class TestValidateDensity:
     def test_accepts_maximally_mixed(self):
         dm = DensityMatrix(np.eye(2) / 2)
@@ -346,6 +374,14 @@ class TestStateJson:
     def test_wrong_count(self):
         with pytest.raises(ValueError, match="amplitudes"):
             state_from_json({"dim_a": 2, "dim_b": 2, "amplitudes": [[1.0, 0.0]]})
+
+    def test_amplitudes_share_the_matrix_encoding(self):
+        # A signed zero and a subnormal part survive, and the text equals a per-entry float encoding.
+        psi = BipartitePureState(2, 2, [1.0, complex(5e-324, -0.0), complex(-0.0, -0.0), 0.0])
+        text = json.dumps(state_to_json(psi)["amplitudes"])
+        assert text == json.dumps(matrix_to_json(psi.coefficient_matrix)["entries"])
+        assert text == json.dumps([[float(z.real), float(z.imag)] for z in psi.amplitudes])
+        assert text == "[[1.0, 0.0], [5e-324, -0.0], [-0.0, 0.0], [0.0, 0.0]]"
 
 
 NON_FINITE = [np.nan, np.inf, -np.inf]
