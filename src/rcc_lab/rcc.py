@@ -131,8 +131,9 @@ def _conditional_states(unnorm: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     """
     probs = stack_sum(unnorm.diagonal(0, -2, -1)).real
     zero = probs < ZERO_PROBABILITY_CUTOFF
-    states = unnorm[~zero]
-    states /= probs[~zero][:, None, None]
+    kept = ~zero
+    states = unnorm[kept]
+    states /= probs[kept][:, None, None]
     states += states.conj().swapaxes(-1, -2)
     states /= 2
     states /= check_traces_and_positivity(states).real[:, None, None]
@@ -168,7 +169,7 @@ def _gram_norms(w: np.ndarray, branches: np.ndarray) -> np.ndarray:
     # of the rows above SCHMIDT_WEIGHT_CUTOFF. A Gram's rounding stays relative to the branch probability, as the
     # per-outcome bound's division by it needs; the average bounds do not divide.
     weights = (np.abs(w) ** 2).sum(axis=-1)
-    inv = np.divide(1.0, weights, out=np.zeros_like(weights), where=weights > SCHMIDT_WEIGHT_CUTOFF)
+    inv = np.divide(1.0, weights, out=np.zeros(weights.shape), where=weights > SCHMIDT_WEIGHT_CUTOFF)
     scale = inv[:, :, None] * inv[:, None, :] * _strict_upper(w.shape[-2])
     return np.sqrt((np.abs(branches) ** 2 * scale[:, None]).sum(axis=(-2, -1)))
 
@@ -221,7 +222,7 @@ def _partners(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
     # maximally_entangled_partners from the schmidt_rows (n, da, db) of checked states.
     n, d, db = rows.shape
     partners = rows / np.sqrt(d)
-    for i in np.flatnonzero(~keep.all(axis=1)):
+    for i in (~keep.all(axis=1)).nonzero()[0]:
         basis = rows[i, keep[i]].T
         partners[i, ~keep[i]] = complete_orthonormal_basis(basis, db)[:, basis.shape[1] : d].T / np.sqrt(d)
     return partners

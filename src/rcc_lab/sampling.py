@@ -15,7 +15,7 @@ import numpy as np
 
 from .channels import ChannelEnsemble, KrausOperation, branch_stacks, branch_sums, check_summaries
 from .coherence import block_diagonal_mask
-from .linalg import SeededRng, complex_ginibre, stack_sum, unitary_from_ginibre
+from .linalg import _SQRT2, SeededRng, complex_ginibre, positive_int, stack_sum, unitary_from_ginibre
 from .states import BipartitePureState, DensityMatrix, schmidt_coefficients, unit_amplitudes
 
 
@@ -29,8 +29,8 @@ def _ginibre_sets(g: np.random.Generator, counts: np.ndarray, d: int, stacked: b
     rows = keep if stacked else keep[:, None].repeat(2, axis=1)
     parts = np.zeros(rows.shape + (d * d * (2 if stacked else 1),))
     parts[rows] = g.standard_normal(2 * d * d * int(counts.sum())).reshape(-1, parts.shape[-1])
-    re, im = np.moveaxis(parts.reshape((n, top, 2, d, d) if stacked else (n, 2, top * d, d)), 2 if stacked else 1, 0)
-    return (re + 1j * im) / np.sqrt(2.0)
+    parts = parts.reshape((n, top, 2, d, d) if stacked else (n, 2, top * d, d))
+    return (parts[..., 0, :, :] + 1j * parts[..., 1, :, :]) / _SQRT2
 
 
 def draw_schmidt_block(dim_a: int, dim_b: int, n: int, g: np.random.Generator):
@@ -42,8 +42,8 @@ def draw_schmidt_block(dim_a: int, dim_b: int, n: int, g: np.random.Generator):
     if dim_b < dim_a:
         raise ValueError(f"need dim_b >= dim_a, got {dim_b} < {dim_a}")
     if dim_a == 2:
-        first = g.random(n)
-        weights = np.stack([first, 1.0 - first], axis=-1)
+        first = g.random((n, 1))
+        weights = np.concatenate([first, 1.0 - first], axis=1)
     else:
         weights = g.dirichlet(np.ones(dim_a), n)
     return weights, complex_ginibre(g, (dim_b, dim_b), n)
@@ -179,24 +179,24 @@ def random_schmidt_parts(dim_a: int, dim_b: int, rng: SeededRng):
 
     The basis columns are the first dim_a columns of a Haar unitary on B.
     """
-    weights, ginibre = draw_schmidt_block(dim_a, dim_b, 1, rng.generator)
+    weights, ginibre = draw_schmidt_block(positive_int("dim_a", dim_a), positive_int("dim_b", dim_b), 1, rng.generator)
     return weights[0], unitary_from_ginibre(ginibre[0])[:, :dim_a]
 
 
 def random_schmidt_state(dim_a: int, dim_b: int, rng: SeededRng) -> BipartitePureState:
     """Random pure state with a diagonal A-marginal (Schmidt form by build)."""
-    weights, basis = random_schmidt_parts(dim_a, dim_b, rng)
-    return BipartitePureState.from_schmidt(weights, basis)
+    return BipartitePureState.from_schmidt(*random_schmidt_parts(dim_a, dim_b, rng))
 
 
 def random_density_matrix(dim: int, rng: SeededRng) -> DensityMatrix:
     """Ginibre-induced random density matrix."""
+    dim = positive_int("dim", dim)
     return DensityMatrix(densities_from_parts(complex_ginibre(rng.generator, (dim, dim), 1)[0]), validate=False)
 
 
 def random_incoherent_quantum_state(dim_a: int, dim_b: int, rng: SeededRng) -> DensityMatrix:
     """Random block-diagonal state sum_i q_i |i><i| (x) rho_i."""
-    parts = draw_incoherent_quantum_block(dim_a, dim_b, 1, rng.generator)
+    parts = draw_incoherent_quantum_block(positive_int("dim_a", dim_a), positive_int("dim_b", dim_b), 1, rng.generator)
     return DensityMatrix(incoherent_quantum_states_from_parts(*parts)[0], validate=False)
 
 
@@ -223,7 +223,8 @@ def draw_noncq_states(count: int, dim_a: int, dim_b: int, g: np.random.Generator
 
 def random_noncq_state(dim_a: int, dim_b: int, rng: SeededRng) -> DensityMatrix:
     """Random density matrix conditioned on failing the block-diagonal test."""
-    return DensityMatrix(draw_noncq_states(1, dim_a, dim_b, rng.generator)[0], validate=False)
+    states = draw_noncq_states(1, positive_int("dim_a", dim_a), positive_int("dim_b", dim_b), rng.generator)
+    return DensityMatrix(states[0], validate=False)
 
 
 def random_kraus_operation(dim_b: int, rng: SeededRng) -> KrausOperation:
@@ -231,14 +232,14 @@ def random_kraus_operation(dim_b: int, rng: SeededRng) -> KrausOperation:
 
     Covers trace-decreasing and nearly trace-preserving cases alike.
     """
-    return kraus_operation_from_parts(*draw_kraus_block(dim_b, 1, rng.generator))
+    return kraus_operation_from_parts(*draw_kraus_block(positive_int("dim_b", dim_b), 1, rng.generator))
 
 
 def random_tp_channel(dim_b: int, rng: SeededRng) -> KrausOperation:
     """Random trace-preserving channel from an isometry split into blocks."""
-    return tp_channel_from_parts(*draw_tp_block(dim_b, 1, rng.generator))
+    return tp_channel_from_parts(*draw_tp_block(positive_int("dim_b", dim_b), 1, rng.generator))
 
 
 def random_channel_ensemble(dim_b: int, rng: SeededRng) -> ChannelEnsemble:
     """Random ensemble: a trace-preserving Kraus set split into two members."""
-    return ensemble_from_parts(*draw_ensemble_block(dim_b, 1, rng.generator))
+    return ensemble_from_parts(*draw_ensemble_block(positive_int("dim_b", dim_b), 1, rng.generator))

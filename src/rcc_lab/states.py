@@ -118,9 +118,7 @@ class BipartitePureState:
         dim_a, dim_b = positive_int("dim_a", dim_a), positive_int("dim_b", dim_b)
         amp = converted("amplitudes", np.asarray, amplitudes, dtype=np.complex128).reshape(-1)
         if amp.size != dim_a * dim_b:
-            raise ValueError(
-                f"amplitudes must have dim_a*dim_b = {dim_a * dim_b} entries, got {amp.size}"
-            )
+            raise ValueError(f"amplitudes must have dim_a*dim_b = {dim_a * dim_b} entries, got {amp.size}")
         amp = unit_amplitudes(amp)
         amp.setflags(write=False)
         self.dim_a = dim_a
@@ -149,14 +147,14 @@ class BipartitePureState:
         return cls(*coeff.shape, coeff.reshape(-1))
 
 
+@np.errstate(over="ignore")
 def unit_amplitudes(amp: np.ndarray) -> np.ndarray:
-    """Amplitude vectors (last axis) divided by their norms.
+    """Amplitude vectors (last axis) divided by their norms, by np.linalg.norm's formula for one axis.
 
     Rejects non-finite entries and any vector whose norm is off 1 by more
     than VALIDITY_ATOL; finite entries whose squares overflow give an infinite norm.
     """
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(require_finite(amp, "amplitudes"), axis=-1, keepdims=True)
+    norm = np.sqrt(np.add.reduce((require_finite(amp, "amplitudes").conj() * amp).real, axis=-1, keepdims=True))
     if not np.abs(norm - 1.0).max(initial=0.0) <= VALIDITY_ATOL:
         worst = float(norm.flat[np.argmax(np.abs(norm - 1.0))])
         raise ValueError(f"amplitude norm {worst:.12g} deviates from 1 beyond {VALIDITY_ATOL}")
@@ -170,13 +168,13 @@ def schmidt_coefficients(weights: np.ndarray, basis: np.ndarray) -> np.ndarray:
     one orthonormal column per weight (extra columns are ignored). Leading
     axes are batch axes. The result is not normalized as a vector.
     """
-    if weights.shape[-1] < 1 or np.any(weights < 0):
+    if weights.shape[-1] < 1 or (weights < 0).any():
         raise ValueError("weights must be non-negative and non-empty")
     with np.errstate(over="ignore"):
         total = weights.sum(axis=-1, keepdims=True)
     if not np.isfinite(total).all():  # non-negative weights: an infinite or NaN weight, or an overflowing sum
         raise ValueError("weights must be finite, with a finite sum")
-    if np.any(total <= 0):
+    if (total <= 0).any():
         raise ValueError("weights must have positive sum")
     k = weights.shape[-1]
     if basis.shape[-1] < k:
@@ -226,8 +224,8 @@ def schmidt_decompose(psi: BipartitePureState) -> SchmidtForm:
 def require_premises(w: np.ndarray) -> np.ndarray:
     """A-marginals W W^dagger of w (..., dim_a, dim_b); PremiseViolated unless each is diagonal within VALIDITY_ATOL."""
     rho_a = w @ w.conj().swapaxes(-1, -2)
-    # The diagonal is zeroed by selection: a product would turn an infinite diagonal entry into NaN, which passes.
-    offdiag = float(np.where(frozen_eye(w.shape[-2], bool), 0.0, np.abs(rho_a)).max(initial=0.0))
+    # The diagonal is left out by selection: a product would turn an infinite diagonal entry into NaN, which passes.
+    offdiag = float(np.abs(rho_a).max(initial=0.0, where=~frozen_eye(w.shape[-2], bool)))
     if offdiag >= VALIDITY_ATOL:
         raise PremiseViolated(
             f"subsystem A starts with off-diagonal weight {offdiag:.3e}; "
@@ -245,9 +243,9 @@ def schmidt_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w_i at or below SCHMIDT_WEIGHT_CUTOFF come back as zeros; the second
     result, shape (..., dim_a), marks the rows kept.
     """
-    weights = np.sum(np.abs(w) ** 2, axis=-1)
+    weights = (np.abs(w) ** 2).sum(axis=-1)
     keep = weights > SCHMIDT_WEIGHT_CUTOFF
-    rows = np.divide(w, np.sqrt(weights)[..., None], out=np.zeros_like(w), where=keep[..., None])
+    rows = np.divide(w, np.sqrt(weights)[..., None], out=np.zeros(w.shape, w.dtype), where=keep[..., None])
     return rows, keep
 
 

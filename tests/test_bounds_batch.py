@@ -11,6 +11,7 @@ the scalar API agrees to 1e-12. The scalar views at the end are held to the
 brute-force reference of tests/reference.py.
 """
 
+import hashlib
 import json
 import re
 
@@ -553,6 +554,46 @@ def test_scalar_views_match_the_oracle(weights, basis):
         assert abs(rcc.average_coherence_bound(psi, channel) - partner_bound) <= 1e-12
         average = average_coherence(amp, d, dim_b, branches)
         assert average <= tight + 1e-10 and tight <= partner_bound + 1e-10
+
+
+def hard_grid():
+    # The kind of input the bench's hard slice draws, from numpy alone: equal and near-equal Schmidt weights with
+    # a Haar B-basis, dim_b = d and d + 1, one sub-normalised operation (1 or 2 Kraus operators, max eig(N) = 0.999)
+    # and one two-block isometry channel per state.
+    g = np.random.default_rng(20161008)
+
+    def ginibre(rows, cols):
+        return (g.standard_normal((rows, cols)) + 1j * g.standard_normal((rows, cols))) / np.sqrt(2.0)
+
+    for d in (2, 3, 4):
+        for dim_b in (d, d + 1):
+            for k, gap in enumerate((0.0, 1e-14, 1e-12, 1e-9) * 3):
+                weights = 1.0 / d + gap * (np.arange(d) - (d - 1) / 2)
+                q, r = np.linalg.qr(ginibre(dim_b, dim_b))
+                basis = q * (np.diag(r) / np.abs(np.diag(r)))
+                op = [ginibre(dim_b, dim_b) for _ in range(1 + k % 2)]
+                top = np.linalg.eigvalsh(sum(f.conj().T @ f for f in op)).max()
+                iso, _ = np.linalg.qr(ginibre(2 * dim_b, dim_b))
+                yield d, dim_b, amplitudes(weights, basis), [f * np.sqrt(0.999 / top) for f in op], [iso[:dim_b], iso[dim_b:]]
+
+
+# sha256 of the reprs of the four one-state values on every hard_grid input. Every change must be deliberate:
+# record the new digest together with its cause.
+HARD_GRID_DIGEST = "04057b7ba7d61d9a7e8b8d4fb016d82a339bffbef60926caabfa4183cd1606ec"
+
+
+def test_the_one_state_views_keep_their_bits_on_hard_inputs():
+    values = []
+    for d, dim_b, amp, op, kraus in hard_grid():
+        psi, channel = BipartitePureState(d, dim_b, amp), KrausOperation(kraus)
+        values += [
+            rcc.outcome_coherence_bound(psi, KrausOperation(op)),
+            rcc.tight_average_bound(psi, channel),
+            rcc.average_coherence_bound(psi, channel),
+            rcc.average_coherence(psi, channel),
+        ]
+    assert len(values) == 4 * 72
+    assert hashlib.sha256(repr(values).encode()).hexdigest() == HARD_GRID_DIGEST
 
 
 def test_scalar_views_are_one_element_stacks():

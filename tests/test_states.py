@@ -1,10 +1,11 @@
+import inspect
 import json
 import re
 
 import numpy as np
 import pytest
 
-from rcc_lab import linalg, states
+from rcc_lab import linalg, sampling, states
 from rcc_lab.channels import KrausOperation
 from rcc_lab.coherence import is_incoherent_quantum
 from rcc_lab.errors import BadTrace, NotHermitian, NotPositive, PremiseViolated
@@ -304,28 +305,42 @@ class TestJointMatrix:
             joint_matrix(np.ones((6, 4)), 2, 3)
 
 
-# Public routes that check a dimension, each fed (dim_a, dim_b); the joint operators are a Bell state's.
+# Public routes that check a dimension, each called with its dimensions by their argument names; the joint
+# operators are a Bell state's, the random samplers draw from one fixed stream.
 DIMENSION_ROUTES = {
-    "BipartitePureState": lambda a, b: BipartitePureState(a, b, np.array([1, 0, 0, 1]) / np.sqrt(2)),
-    "post_operation_state_a": lambda a, b: post_operation_state_a(bell().density(), KrausOperation([np.diag([1.0, 0.0])]), a, b),
-    "reduced_a": lambda a, b: reduced_a(bell().density(), a, b),
-    "is_incoherent_quantum": lambda a, b: is_incoherent_quantum(bell().density().matrix, a, b),
-    "partial_trace": lambda a, b: linalg.partial_trace(bell().density().matrix, a, b),
+    "BipartitePureState": lambda dim_a, dim_b: BipartitePureState(dim_a, dim_b, np.array([1, 0, 0, 1]) / np.sqrt(2)),
+    "post_operation_state_a": lambda dim_a, dim_b: post_operation_state_a(
+        bell().density(), KrausOperation([np.diag([1.0, 0.0])]), dim_a, dim_b
+    ),
+    "reduced_a": lambda dim_a, dim_b: reduced_a(bell().density(), dim_a, dim_b),
+    "is_incoherent_quantum": lambda dim_a, dim_b: is_incoherent_quantum(bell().density().matrix, dim_a, dim_b),
+    "partial_trace": lambda dim_a, dim_b: linalg.partial_trace(bell().density().matrix, dim_a, dim_b),
+    "haar_random_unitary": lambda d: haar_random_unitary(d, SeededRng(3)),
+    "random_pure_state": lambda d: random_pure_state(d, SeededRng(3)),
+    "random_schmidt_parts": lambda dim_a, dim_b: sampling.random_schmidt_parts(dim_a, dim_b, SeededRng(3)),
+    "random_schmidt_state": lambda dim_a, dim_b: sampling.random_schmidt_state(dim_a, dim_b, SeededRng(3)),
+    "random_density_matrix": lambda dim: sampling.random_density_matrix(dim, SeededRng(3)),
+    "random_incoherent_quantum_state": lambda dim_a, dim_b: sampling.random_incoherent_quantum_state(dim_a, dim_b, SeededRng(3)),
+    "random_noncq_state": lambda dim_a, dim_b: sampling.random_noncq_state(dim_a, dim_b, SeededRng(3)),
+    "random_kraus_operation": lambda dim_b: sampling.random_kraus_operation(dim_b, SeededRng(3)),
+    "random_tp_channel": lambda dim_b: sampling.random_tp_channel(dim_b, SeededRng(3)),
+    "random_channel_ensemble": lambda dim_b: sampling.random_channel_ensemble(dim_b, SeededRng(3)),
 }
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("value", [True, 2.0, "2", 0, -1, np.int64(2)], ids=repr)
-@pytest.mark.parametrize("name", ["dim_a", "dim_b"])
-@pytest.mark.parametrize("route", list(DIMENSION_ROUTES))
+@pytest.mark.parametrize(
+    "route, name", [(route, name) for route, call in DIMENSION_ROUTES.items() for name in inspect.signature(call).parameters]
+)
 def test_a_dimension_is_a_positive_integer_that_is_not_a_bool(route, name, value):
     # One rule, linalg.positive_int: a float, a string or a bool is rejected by name, a numpy integer is accepted.
-    dims = {"dim_a": 2, "dim_b": 2, name: value}
+    dims = dict.fromkeys(inspect.signature(DIMENSION_ROUTES[route]).parameters, 2) | {name: value}
     if isinstance(value, np.integer):
-        DIMENSION_ROUTES[route](dims["dim_a"], dims["dim_b"])
+        DIMENSION_ROUTES[route](**dims)
         return
     with pytest.raises(ValueError, match=f"^{name} must be a positive integer, got {re.escape(repr(value))}$"):
-        DIMENSION_ROUTES[route](dims["dim_a"], dims["dim_b"])
+        DIMENSION_ROUTES[route](**dims)
 
 
 class TestValidateDensity:
