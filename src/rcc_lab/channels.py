@@ -45,7 +45,7 @@ class KrausOperation:
     __slots__ = ("dim_b", "kraus", "label", "_factors", "_n", "_stack")
 
     def __init__(self, kraus, label: str = ""):
-        mats = [as_complex_matrix(f) for f in kraus]
+        mats = [as_complex_matrix(f, bounded=True) for f in kraus]
         if not mats:
             raise ValueError("at least one Kraus operator is required")
         d = mats[0].shape[0]
@@ -155,12 +155,11 @@ def identity_deviation(stacks: np.ndarray) -> float:
     return float(np.abs(total - frozen_eye(total.shape[-1])).max(initial=0.0))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # as a decorator it costs about 1 us less per call than a with block
 def branch_stacks(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Branches F^dagger F (..., K, d, d) of Kraus sets kraus (..., K, d, d), and their sums N (..., d, d).
 
     N is summed in index order (branch_sums), symmetrized and checked by
-    check_summaries; a product that overflows gives a non-finite N, not a warning.
+    check_summaries. Every factor entry must lie within ENTRY_BOUND, as KrausOperation checks.
     """
     stack = kraus.conj().swapaxes(-1, -2) @ kraus
     return stack, check_summaries(branch_sums(stack))
@@ -232,7 +231,7 @@ def bit_phase_flip(p) -> KrausOperation:
 
 def projective_measurement(basis) -> ChannelEnsemble:
     """Ensemble of rank-1 projectors onto the given orthonormal basis columns."""
-    b = as_complex_matrix(basis)
+    b = as_complex_matrix(basis, bounded=True)
     if b.shape[0] != b.shape[1]:
         raise ValueError(f"basis must be square, got shape {b.shape}")
     require_orthonormal_columns(b)

@@ -3,7 +3,8 @@
 Subcommands: ``fig1`` (the phase-damping scatter experiment), ``verify``
 (property sweeps), and ``compute`` (one report for a state/channel pair).
 Exit codes: 0 success or all-pass, 1 property violation, 2 usage or parse
-error, 3 unexpected error (a crash; the traceback goes to stderr).
+error, 3 unexpected error (a crash; the traceback goes to stderr), 4 stdout
+closed early (a reader that quit, as ``head`` does; the rest is dropped).
 ``fig1`` and ``verify`` import the experiment drivers when they run, so
 ``compute`` loads only the engine.
 """
@@ -14,6 +15,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 
 from .channels import channel_from_json
@@ -127,7 +129,12 @@ def _cmd_compute(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        print(end="", flush=True)  # a closed pipe fails here, not at exit; without a stdout (None) print does nothing
+        return code
+    except BrokenPipeError:  # Python's documented recipe: stdout goes to devnull, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 4
     except (ValueError, RccLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -257,6 +257,7 @@ def scatter_svg(blue_points, red_points, rate_levels) -> str:
     ys = [p[1] for p in blue_points] + [p[1] for p in red_points]
     y_max = max(1.0, max(ys) if ys else 1.0) * 1.05
     x_max = 1.05
+    red = "rgb(200,30,30)"
 
     def px(x: float) -> float:
         return left + span_x * min(max(x / x_max, 0.0), 1.0)
@@ -281,14 +282,8 @@ def scatter_svg(blue_points, red_points, rate_levels) -> str:
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         x_val = frac * x_max
         y_val = frac * y_max
-        parts.append(
-            f'<text x="{px(x_val):.1f}" y="{height - bottom + 18}" font-size="11" '
-            f'text-anchor="middle">{x_val:.2f}</text>'
-        )
-        parts.append(
-            f'<text x="{left - 8}" y="{py(y_val):.1f}" font-size="11" '
-            f'text-anchor="end" dominant-baseline="middle">{y_val:.2f}</text>'
-        )
+        parts.append(f'<text x="{px(x_val):.1f}" y="{height - bottom + 18}" font-size="11" text-anchor="middle">{x_val:.2f}</text>')
+        parts.append(f'<text x="{left - 8}" y="{py(y_val):.1f}" font-size="11" text-anchor="end" dominant-baseline="middle">{y_val:.2f}</text>')
     parts.append(
         f'<text x="{left + span_x / 2:.1f}" y="{height - 12}" font-size="13" '
         'text-anchor="middle">entanglement (concurrence)</text>'
@@ -297,32 +292,14 @@ def scatter_svg(blue_points, red_points, rate_levels) -> str:
         f'<text x="16" y="{top + span_y / 2:.1f}" font-size="13" text-anchor="middle" '
         f'transform="rotate(-90 16 {top + span_y / 2:.1f})">average coherence / ratio</text>'
     )
-    for ent, avg, rate in blue_points:
-        parts.append(
-            f'<circle cx="{px(ent):.1f}" cy="{py(avg):.1f}" r="2" '
-            f'fill="{blue_shade(rate)}" fill-opacity="0.6"/>'
-        )
-    for ent, ratio in red_points:
-        parts.append(
-            f'<circle cx="{px(ent):.1f}" cy="{py(ratio):.1f}" r="2" '
-            'fill="rgb(200,30,30)" fill-opacity="0.6"/>'
-        )
-    legend_y = top + 10
-    for rate in rate_levels:
-        parts.append(
-            f'<circle cx="{width - right - 130}" cy="{legend_y}" r="4" fill="{blue_shade(rate)}"/>'
-        )
-        parts.append(
-            f'<text x="{width - right - 120}" y="{legend_y + 4}" font-size="11">'
-            f"average, r={rate:g}</text>"
-        )
-        legend_y += 16
-    parts.append(
-        f'<circle cx="{width - right - 130}" cy="{legend_y}" r="4" fill="rgb(200,30,30)"/>'
-    )
-    parts.append(
-        f'<text x="{width - right - 120}" y="{legend_y + 4}" font-size="11">ratio</text>'
-    )
+    dots = [(ent, avg, blue_shade(rate)) for ent, avg, rate in blue_points] + [(ent, q, red) for ent, q in red_points]
+    for x, y, fill in dots:
+        parts.append(f'<circle cx="{px(x):.1f}" cy="{py(y):.1f}" r="2" fill="{fill}" fill-opacity="0.6"/>')
+    legend = [(blue_shade(rate), f"average, r={rate:g}") for rate in rate_levels] + [(red, "ratio")]
+    for k, (fill, label) in enumerate(legend):
+        legend_y = top + 10 + 16 * k
+        parts.append(f'<circle cx="{width - right - 130}" cy="{legend_y}" r="4" fill="{fill}"/>')
+        parts.append(f'<text x="{width - right - 120}" y="{legend_y + 4}" font-size="11">{label}</text>')
     parts.append("</svg>")
     return "\n".join(parts)
 

@@ -18,6 +18,9 @@ import numpy as np
 # Absolute tolerance for validity checks (Hermiticity, unitarity, trace).
 VALIDITY_ATOL = 1e-9
 
+# Largest entry modulus of a physical input: a valid one is within 1 + d * VALIDITY_ATOL, and products stay finite.
+ENTRY_BOUND = 2.0
+
 _SQRT2 = float(np.sqrt(2.0))
 
 
@@ -33,6 +36,14 @@ def require_finite(arr: np.ndarray, what: str) -> np.ndarray:
     """arr, after a ValueError naming what if any entry is NaN or infinite."""
     if not np.isfinite(arr).all():
         raise ValueError(f"{what} holds a non-finite entry")
+    return arr
+
+
+def require_bounded(arr: np.ndarray, what: str) -> np.ndarray:
+    """arr, after require_finite's ValueError, or a ValueError naming what if an entry's modulus exceeds ENTRY_BOUND."""
+    if not (top := np.abs(arr).max(initial=0.0)) <= ENTRY_BOUND:  # NaN fails too
+        require_finite(arr, what)
+        raise ValueError(f"{what} holds an entry of modulus {top:.3e}, above {ENTRY_BOUND}")
     return arr
 
 
@@ -58,12 +69,12 @@ def stack_sum(x: np.ndarray) -> np.ndarray:
     return total
 
 
-def as_complex_matrix(m) -> np.ndarray:
-    """Coerce input to a finite 2-D complex128 array."""
+def as_complex_matrix(m, *, bounded: bool = False) -> np.ndarray:
+    """Coerce input to a finite 2-D complex128 array; a bounded one also passes require_bounded."""
     arr = np.asarray(m, dtype=np.complex128)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={arr.ndim}")
-    return require_finite(arr, "matrix")
+    return (require_bounded if bounded else require_finite)(arr, "matrix")
 
 
 def partial_trace(m, dim_a: int, dim_b: int) -> np.ndarray:
@@ -93,11 +104,10 @@ def joint_dims(m: np.ndarray, dim_a, dim_b) -> tuple[int, int]:
     return dim_a, dim_b
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def require_orthonormal_columns(cols: np.ndarray) -> None:
     """Raise ValueError unless the columns of cols (..., n, k) are orthonormal within VALIDITY_ATOL."""
     dev = float(np.abs(cols.conj().swapaxes(-1, -2) @ cols - frozen_eye(cols.shape[-1])).max(initial=0.0))
-    if not dev <= VALIDITY_ATOL:  # an overflowing Gram matrix gives inf or NaN, and fails
+    if not dev <= VALIDITY_ATOL:
         raise ValueError(f"basis columns deviate from orthonormal by {dev:.3e}")
 
 
@@ -110,7 +120,7 @@ def complete_orthonormal_basis(columns, dim: int) -> np.ndarray:
     """
     cols: list[np.ndarray] = []
     if columns is not None:
-        arr = as_complex_matrix(columns)
+        arr = as_complex_matrix(columns, bounded=True)
         if arr.shape[0] != dim:
             raise ValueError(f"columns live in dimension {arr.shape[0]}, expected {dim}")
         cols = [arr[:, k].copy() for k in range(arr.shape[1])]

@@ -18,7 +18,7 @@ import numpy as np
 from .channels import KrausOperation, channel_branches, check_summaries, identity_deviation
 from .coherence import block_diagonal_mask, l1_coherences
 from .errors import NotTracePreserving, SearchExhausted, WrongDimension, ZeroProbability
-from .linalg import VALIDITY_ATOL, complete_orthonormal_basis, matrix_to_json, stack_sum
+from .linalg import VALIDITY_ATOL, complete_orthonormal_basis, matrix_to_json, require_bounded, stack_sum
 from .states import (
     SCHMIDT_WEIGHT_CUTOFF,
     BipartitePureState,
@@ -42,11 +42,6 @@ FACTORIZATION_ATOL = 1e-9
 
 # A's coherence the converse witness (find_creating_operation) must exceed.
 CONVERSE_COHERENCE_TARGET = 1e-6
-
-_NOT_WHOLE = (
-    "averaging needs a trace-preserving channel; wrap post-selected "
-    "operations into a ChannelEnsemble instead"
-)
 
 
 @dataclass(frozen=True)
@@ -86,14 +81,15 @@ def _require_probability(prob: float) -> None:
 def _require_trace_preserving(stacks: np.ndarray) -> None:
     # stacks (..., K, d, d) are the branch stacks of whole channels, the ones being averaged.
     if identity_deviation(stacks) >= VALIDITY_ATOL:
-        raise NotTracePreserving(_NOT_WHOLE)
+        raise NotTracePreserving("averaging needs a trace-preserving channel; wrap post-selected operations into a ChannelEnsemble instead")
 
 
-def _stacked(w: np.ndarray) -> np.ndarray:
-    # w, once it is checked to stack coefficient matrices as the public stacked routines take them.
-    if w.ndim != 3:
-        raise ValueError(f"w must have shape (n, dim_a, dim_b), got {w.shape}")
-    return w
+def _stacked(arr, name: str = "w", shape: str = "(n, dim_a, dim_b)") -> np.ndarray:
+    # Argument name of a public stacked routine as a complex array through require_bounded, once it has the axes of shape.
+    # The routine then runs its core, _<routine>; a scalar view calls the core, as its objects were checked when built.
+    if (arr := require_bounded(np.asarray(arr, dtype=np.complex128), name)).ndim != shape.count(",") + 1:
+        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+    return arr
 
 
 def _unnormalized_branches(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -182,7 +178,11 @@ def branch_averages(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
     operators of an ensemble. Zero branches padding a stack add 0. Raises
     PremiseViolated and NotTracePreserving as average_coherence does.
     """
-    require_premises(_stacked(w))
+    return _branch_averages(_stacked(w), _stacked(stacks, "stacks", "(n, K, dim_b, dim_b)"))
+
+
+def _branch_averages(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
+    require_premises(w)
     _require_trace_preserving(stacks)
     return _offdiag_mass(_unnormalized_branches(w, stacks))
 
@@ -194,8 +194,8 @@ def average_coherences(w: np.ndarray, channels) -> np.ndarray:
     channels must all have the same number of outcomes. Returns shape
     (n, len(channels)). The checks and errors are those of average_coherence.
     """
-    da, db = w.shape[-2:]
-    require_premises(_stacked(w))
+    da, db = (w := _stacked(w)).shape[-2:]
+    require_premises(w)
     stacks = np.stack([channel_branches(channel, db)[0] for channel in channels])
     _require_trace_preserving(stacks)
     unnorm = _unnormalized_branches(w, stacks.reshape(-1, db, db))
@@ -208,7 +208,7 @@ def maximally_entangled_partners(w: np.ndarray) -> np.ndarray:
     Row i is beta_i^T / sqrt(da), before the renormalization that
     BipartitePureState (or states.unit_amplitudes) applies.
     """
-    _require_partner_dims(_stacked(w))
+    _require_partner_dims(w := _stacked(w))
     require_premises(w)
     return _partners(*schmidt_rows(w))
 
@@ -228,6 +228,12 @@ def _partners(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return partners
 
 
+def _partner_averages(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
+    # average_coherence of each checked state's renormalized maximally_entangled_partner under its branch stack.
+    partners = unit_amplitudes(_partners(*schmidt_rows(w)).reshape(len(w), w.shape[-2] * w.shape[-1])).reshape(w.shape)
+    return _offdiag_mass(_unnormalized_branches(partners, stacks))
+
+
 def outcome_coherence_bounds(w: np.ndarray, grams: np.ndarray) -> np.ndarray:
     """outcome_coherence_bound of paired states and post-selected branches, shape (n,).
 
@@ -236,14 +242,22 @@ def outcome_coherence_bounds(w: np.ndarray, grams: np.ndarray) -> np.ndarray:
     Kraus operators F; their traces, the branch probabilities, must be at or
     above ZERO_PROBABILITY_CUTOFF. Raises PremiseViolated as the scalar route does.
     """
-    rho_a = require_premises(_stacked(w))
+    return _outcome_coherence_bounds(_stacked(w), _stacked(grams, "grams", "(n, dim_a, dim_a)"))
+
+
+def _outcome_coherence_bounds(w: np.ndarray, grams: np.ndarray) -> np.ndarray:
+    rho_a = require_premises(w)
     probs = stack_sum(grams.diagonal(0, -2, -1)).real
     return _marginal_concurrence(rho_a) / probs * _gram_norms(w, grams[:, None])[:, 0]
 
 
 def tight_average_bounds(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
     """tight_average_bound of each state of w (n, da, db) and its branch stack (n, K, db, db)."""
-    rho_a = require_premises(_stacked(w))
+    return _tight_average_bounds(_stacked(w), _stacked(stacks, "stacks", "(n, K, dim_b, dim_b)"))
+
+
+def _tight_average_bounds(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
+    rho_a = require_premises(w)
     _require_trace_preserving(stacks)
     return _marginal_concurrence(rho_a) * _gram_norms(w, _unnormalized_branches(w, stacks)).sum(axis=-1)
 
@@ -254,11 +268,14 @@ def average_coherence_bounds(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
     For two qubits this is E times the partner average, the right-hand side
     of the factorization law.
     """
-    _require_partner_dims(_stacked(w))
+    return _average_coherence_bounds(_stacked(w), _stacked(stacks, "stacks", "(n, K, dim_b, dim_b)"))
+
+
+def _average_coherence_bounds(w: np.ndarray, stacks: np.ndarray) -> np.ndarray:
+    _require_partner_dims(w)
     rho_a = require_premises(w)
     _require_trace_preserving(stacks)
-    partners = unit_amplitudes(_partners(*schmidt_rows(w)).reshape(len(w), w.shape[-2] * w.shape[-1])).reshape(w.shape)
-    return w.shape[-2] / 2 * _marginal_concurrence(rho_a) * _offdiag_mass(_unnormalized_branches(partners, stacks))
+    return w.shape[-2] / 2 * _marginal_concurrence(rho_a) * _partner_averages(w, stacks)
 
 
 def _average_bounds(w: np.ndarray, stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -269,10 +286,8 @@ def _average_bounds(w: np.ndarray, stacks: np.ndarray) -> tuple[np.ndarray, np.n
     rho_a = require_premises(w)
     _require_trace_preserving(stacks)
     _require_partner_dims(w)
-    partners = unit_amplitudes(_partners(*schmidt_rows(w)).reshape(len(w), w.shape[-2] * w.shape[-1])).reshape(w.shape)
     branches = _unnormalized_branches(w, stacks)
-    partner_average = _offdiag_mass(_unnormalized_branches(partners, stacks))
-    return _offdiag_mass(branches), branches, _marginal_concurrence(rho_a), partner_average
+    return _offdiag_mass(branches), branches, _marginal_concurrence(rho_a), _partner_averages(w, stacks)
 
 
 def post_operation_state_a(state, op: KrausOperation, dim_a=None, dim_b=None):
@@ -301,7 +316,7 @@ def average_coherence(psi: BipartitePureState, channel) -> float:
     off-diagonal modulus sum of the unnormalized branch state, vanishing
     branches contribute zero without any special casing.
     """
-    return float(branch_averages(psi.coefficient_matrix[None], channel_branches(channel, psi.dim_b)[0][None])[0])
+    return float(_branch_averages(psi.coefficient_matrix[None], channel_branches(channel, psi.dim_b)[0][None])[0])
 
 
 def maximally_entangled_partner(psi: BipartitePureState) -> BipartitePureState:
@@ -327,12 +342,12 @@ def outcome_coherence_bound(psi: BipartitePureState, op: KrausOperation) -> floa
     w = psi.coefficient_matrix[None]
     grams = _pure_branches(w, channel_branches(op, psi.dim_b, post_selected=True)[1][None])[:, 0]
     _require_probability(float(grams[0].trace().real))
-    return float(outcome_coherence_bounds(w, grams)[0])
+    return float(_outcome_coherence_bounds(w, grams)[0])
 
 
 def average_coherence_bound(psi: BipartitePureState, channel) -> float:
     """Average bound (dim_a / 2) * E * average_coherence of the partner."""
-    return float(average_coherence_bounds(psi.coefficient_matrix[None], channel_branches(channel, psi.dim_b)[0][None])[0])
+    return float(_average_coherence_bounds(psi.coefficient_matrix[None], channel_branches(channel, psi.dim_b)[0][None])[0])
 
 
 def tight_average_bound(psi: BipartitePureState, channel) -> float:
@@ -341,7 +356,7 @@ def tight_average_bound(psi: BipartitePureState, channel) -> float:
     Never exceeds average_coherence_bound (up to rounding) and both dominate
     the achieved average.
     """
-    return float(tight_average_bounds(psi.coefficient_matrix[None], channel_branches(channel, psi.dim_b)[0][None])[0])
+    return float(_tight_average_bounds(psi.coefficient_matrix[None], channel_branches(channel, psi.dim_b)[0][None])[0])
 
 
 def average_rcc(psi: BipartitePureState, channel) -> RccReport:

@@ -23,7 +23,7 @@ from .linalg import (
     matrix_to_json,
     partial_trace,
     positive_int,
-    require_finite,
+    require_bounded,
     require_orthonormal_columns,
     stack_sum,
 )
@@ -65,11 +65,10 @@ def check_densities(m: np.ndarray) -> np.ndarray:
     with the worst deviation over the stack; each tolerance is VALIDITY_ATOL.
     A non-finite entry fails the first check. Returns the traces.
     """
-    # (m + m^dagger) / 2 is built in place as m + (m^dagger - m) / 2, finite once the Hermiticity check passes.
+    # (m + m^dagger) / 2 is built in place as m + (m^dagger - m) / 2.
     mh = np.conjugate(m.swapaxes(-1, -2), order="C")
-    with np.errstate(over="ignore", invalid="ignore"):
-        mh -= m
-        herm = float(np.abs(mh).max(initial=0.0))
+    mh -= m
+    herm = float(np.abs(mh).max(initial=0.0))
     if not herm <= VALIDITY_ATOL:
         raise NotHermitian(f"max |m - m^dagger| = {herm:.3e} exceeds tolerance {VALIDITY_ATOL}")
     mh /= 2
@@ -80,27 +79,21 @@ def check_densities(m: np.ndarray) -> np.ndarray:
 def check_traces_and_positivity(m: np.ndarray, mh: np.ndarray | None = None) -> np.ndarray:
     """The traces of m, after check_densities' trace and positivity checks on m and mh = (m + m^dagger) / 2.
 
-    Without mh, m must be exactly Hermitian, as (u + u^dagger) / 2 is; a failing check then reruns as
-    check_densities(m), so a non-finite entry still raises NotHermitian. Positivity of a stack of GERSHGORIN_MIN_STACK
+    Without mh, m must be exactly Hermitian, as (u + u^dagger) / 2 is. Positivity of a stack of GERSHGORIN_MIN_STACK
     matrices or more is certified by the Gershgorin bound min_i (2 m_ii - sum_j |m_ij|) where it can, else by eigvalsh.
     """
     h = m if mh is None else mh
     traces = stack_sum(m.diagonal(0, -2, -1))
     trace_dev = float(np.abs(traces - 1.0).max(initial=0.0))
-    try:
-        if not trace_dev <= VALIDITY_ATOL:
-            raise BadTrace(f"trace deviates from 1 by {trace_dev:.3e}")
-        # The bound costs a few microseconds per call, which only a large stack repays.
-        if h.size < GERSHGORIN_MIN_STACK * h.shape[-1] ** 2 or not (
-            (2 * h.real.diagonal(0, -2, -1) - stack_sum(np.abs(h))).min(initial=np.inf) >= -VALIDITY_ATOL
-        ):
-            low = float(np.linalg.eigvalsh(h).min(initial=np.inf))
-            if not low >= -VALIDITY_ATOL:
-                raise NotPositive(f"minimum eigenvalue {low:.3e} is below -{VALIDITY_ATOL}")
-    except (BadTrace, NotPositive, np.linalg.LinAlgError):
-        if mh is None:
-            check_densities(m)
-        raise
+    if not trace_dev <= VALIDITY_ATOL:
+        raise BadTrace(f"trace deviates from 1 by {trace_dev:.3e}")
+    # The bound costs a few microseconds per call, which only a large stack repays.
+    if h.size < GERSHGORIN_MIN_STACK * h.shape[-1] ** 2 or not (
+        (2 * h.real.diagonal(0, -2, -1) - stack_sum(np.abs(h))).min(initial=np.inf) >= -VALIDITY_ATOL
+    ):
+        low = float(np.linalg.eigvalsh(h).min(initial=np.inf))
+        if not low >= -VALIDITY_ATOL:
+            raise NotPositive(f"minimum eigenvalue {low:.3e} is below -{VALIDITY_ATOL}")
     return traces
 
 
@@ -147,14 +140,12 @@ class BipartitePureState:
         return cls(*coeff.shape, coeff.reshape(-1))
 
 
-@np.errstate(over="ignore")
 def unit_amplitudes(amp: np.ndarray) -> np.ndarray:
     """Amplitude vectors (last axis) divided by their norms, by np.linalg.norm's formula for one axis.
 
-    Rejects non-finite entries and any vector whose norm is off 1 by more
-    than VALIDITY_ATOL; finite entries whose squares overflow give an infinite norm.
+    Rejects what require_bounded rejects, and any vector whose norm is off 1 by more than VALIDITY_ATOL.
     """
-    norm = np.sqrt(np.add.reduce((require_finite(amp, "amplitudes").conj() * amp).real, axis=-1, keepdims=True))
+    norm = np.sqrt(np.add.reduce((require_bounded(amp, "amplitudes").conj() * amp).real, axis=-1, keepdims=True))
     if not np.abs(norm - 1.0).max(initial=0.0) <= VALIDITY_ATOL:
         worst = float(norm.flat[np.argmax(np.abs(norm - 1.0))])
         raise ValueError(f"amplitude norm {worst:.12g} deviates from 1 beyond {VALIDITY_ATOL}")
@@ -170,6 +161,7 @@ def schmidt_coefficients(weights: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """
     if weights.shape[-1] < 1 or (weights < 0).any():
         raise ValueError("weights must be non-negative and non-empty")
+    # The weights are normalized here, so no entry bound applies: this sum keeps the package's one overflow guard.
     with np.errstate(over="ignore"):
         total = weights.sum(axis=-1, keepdims=True)
     if not np.isfinite(total).all():  # non-negative weights: an infinite or NaN weight, or an overflowing sum
@@ -179,7 +171,7 @@ def schmidt_coefficients(weights: np.ndarray, basis: np.ndarray) -> np.ndarray:
     k = weights.shape[-1]
     if basis.shape[-1] < k:
         raise ValueError(f"need {k} basis columns, got {basis.shape[-1]}")
-    cols = require_finite(basis, "basis_b")[..., :k]
+    cols = require_bounded(basis, "basis_b")[..., :k]
     require_orthonormal_columns(cols)
     return np.sqrt(weights / total)[..., None] * cols.swapaxes(-1, -2)
 
@@ -266,8 +258,8 @@ def _marginal_concurrence(rho_a: np.ndarray) -> np.ndarray:
 
 
 def operator_matrix(state) -> np.ndarray:
-    """Matrix of a DensityMatrix, or of a raw square matrix through as_complex_matrix (not validated)."""
-    m = state.matrix if isinstance(state, DensityMatrix) else as_complex_matrix(state)
+    """Matrix of a DensityMatrix, or of a raw square matrix through as_complex_matrix, bounded (not validated)."""
+    m = state.matrix if isinstance(state, DensityMatrix) else as_complex_matrix(state, bounded=True)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {m.shape}")
     return m

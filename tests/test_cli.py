@@ -275,6 +275,29 @@ class TestUnexpectedErrors:
         with pytest.raises(KeyboardInterrupt):
             main(["verify", "theorem1", "--samples", "1"])
 
+    def test_closed_stdout_pipe_exits_4_quietly(self):
+        # The read end closes before the child starts, so its first write fails, every time.
+        read, write = os.pipe()
+        os.close(read)
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(rcc_lab.__file__))}
+        try:
+            run = subprocess.run(
+                [sys.executable, "-W", "error", "-m", "rcc_lab.cli", "verify", "theorem4", "--samples", "4"],
+                stdout=write, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert run.returncode == 4
+        assert b"Traceback" not in run.stderr and b"Exception ignored" not in run.stderr
+        assert run.stderr == b""
+
+    def test_no_stdout_at_all_is_not_a_crash(self):
+        # Started with stdout closed, Python sets sys.stdout to None and print drops the output: exit 0, as before.
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(rcc_lab.__file__))}
+        command = 'exec "$0" -W error -m rcc_lab.cli verify theorem4 --samples 4 >&-'
+        run = subprocess.run(["sh", "-c", command, sys.executable], stderr=subprocess.PIPE, env=env, timeout=60)
+        assert (run.returncode, run.stderr) == (0, b"")
+
 
 # sha256 of the stdout of `rcc-lab verify <suite> --samples 40 --seed S`.
 # With no violation the report does not depend on the seed, so one digest
@@ -594,7 +617,7 @@ class TestComputeCommand:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("as_ensemble", [False, True])
     def test_overflowing_summary_is_a_usage_error(self, tmp_path, capsys, as_ensemble):
-        # F = diag(1e160, 0) is finite, but F^dagger F overflows: exit 2, no warning.
+        # F = diag(1e160, 0) is finite, but its entry lies above linalg.ENTRY_BOUND: exit 2, no warning.
         channel = kraus_operation_to_json(KrausOperation([np.eye(2)]))
         channel["kraus"][0]["entries"][0] = [1e160, 0.0]
         if as_ensemble:
@@ -602,17 +625,17 @@ class TestComputeCommand:
         path = write_json(tmp_path / "channel.json", channel)
         code = main(["compute", "--state", bell_file(tmp_path), "--channel", path])
         assert code == 2
-        assert "summary operator holds a non-finite entry" in capsys.readouterr().err
+        assert "matrix holds an entry of modulus 1.000e+160, above 2.0" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_amplitude_is_a_usage_error(self, tmp_path, capsys):
-        # The amplitude 1e160 is finite, but its square overflows: exit 2, no warning.
+        # The amplitude 1e160 is finite, but it lies above linalg.ENTRY_BOUND: exit 2, no warning.
         state = state_to_json(BipartitePureState(2, 2, [1, 0, 0, 0]))
         state["amplitudes"][0] = [1e160, 0.0]
         path = write_json(tmp_path / "state.json", state)
         code = main(["compute", "--state", path, "--channel", hadamard_measurement_file(tmp_path)])
         assert code == 2
-        assert "amplitude norm inf deviates from 1" in capsys.readouterr().err
+        assert "amplitudes holds an entry of modulus 1.000e+160, above 2.0" in capsys.readouterr().err
 
     def test_premise_violation_surfaces(self, tmp_path, capsys):
         coherent = BipartitePureState(2, 2, np.array([1, 0, 1, 0]) / np.sqrt(2))

@@ -42,7 +42,7 @@ def test_module_references_resolve():
 
 def test_tolerance_table_matches_the_constants():
     rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| ([^|]+?) \|", README.read_text(), re.M)
-    assert len(rows) == 12
+    assert len(rows) == 13
     for name, module, value in rows:
         constant = getattr(importlib.import_module(f"rcc_lab.{module}"), name)
         assert np.array_equal(constant, ast.literal_eval(value)), name

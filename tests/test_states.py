@@ -260,18 +260,18 @@ class TestPremisePass:
 
 class TestUnitAmplitudes:
     @pytest.mark.parametrize(
-        "amp, worst",
+        "amp, message",
         [
-            ([1.1, 0], "1.1"),
-            ([[1.02, 0], [0, 0.95], [1, 0]], "0.95"),
-            ([[1, 0], [0, 1.1]], "1.1"),
-            # Finite entries whose squares overflow give an infinite norm, without a warning.
-            ([1e160, 0], "inf"),
+            ([1.1, 0], "amplitude norm 1.1 deviates from 1 beyond 1e-09"),
+            ([[1.02, 0], [0, 0.95], [1, 0]], "amplitude norm 0.95 deviates from 1 beyond 1e-09"),
+            ([[1, 0], [0, 1.1]], "amplitude norm 1.1 deviates from 1 beyond 1e-09"),
+            # A finite entry whose square would overflow lies above linalg.ENTRY_BOUND, and no warning escapes.
+            ([1e160, 0], "amplitudes holds an entry of modulus 1.000e+160, above 2.0"),
         ],
     )
     @pytest.mark.filterwarnings("error")
-    def test_reports_the_worst_norm(self, amp, worst):
-        with pytest.raises(ValueError, match=f"^amplitude norm {worst} deviates from 1 beyond 1e-09$"):
+    def test_reports_the_worst_norm(self, amp, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             unit_amplitudes(np.array(amp, dtype=complex))
 
     def test_pure_state_keeps_no_view_of_its_input(self):
@@ -441,6 +441,16 @@ class TestNonFiniteEntries:
             BipartitePureState.from_schmidt([0.5, 0.5], with_entry(HADAMARD, bad))
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("weights", [[-0.5, 1.5], [0.5, -1e-300, 0.5], []])
+    def test_negative_or_no_weights(self, weights):
+        # A negative weight with a positive sum would reach the square root: it must be rejected first, by name.
+        message = "^weights must be non-negative and non-empty$"
+        with pytest.raises(ValueError, match=message):
+            schmidt_coefficients(np.array(weights, dtype=float), np.eye(3, dtype=complex))
+        with pytest.raises(ValueError, match=message):
+            BipartitePureState.from_schmidt(weights, np.eye(3))
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("weights", [[np.inf, 1.0], [1e308, 1e308], [np.nan, 1.0]])
     def test_from_schmidt_weights(self, weights):
         # A non-finite weight, or weights whose sum overflows, name the weights, with no warning on the way.
@@ -449,24 +459,24 @@ class TestNonFiniteEntries:
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_entries_are_rejected_without_a_warning(self):
-        # Finite entries whose squares overflow: the norm is infinite and the
-        # Gram matrix NaN, and both fail their check.
-        with pytest.raises(ValueError, match="^amplitude norm inf deviates from 1"):
+        # Finite entries whose squares would overflow lie above linalg.ENTRY_BOUND,
+        # and each is rejected before any arithmetic.
+        with pytest.raises(ValueError, match=r"^amplitudes holds an entry of modulus 1\.000e\+160, above 2\.0$"):
             BipartitePureState(2, 2, [1e160, 0, 0, 0])
         basis = HADAMARD.copy()
         basis[1, 1] = 1e160 + 1e160j
-        with pytest.raises(ValueError, match="^basis columns deviate from orthonormal by nan$"):
+        with pytest.raises(ValueError, match=r"^basis_b holds an entry of modulus 1\.414e\+160, above 2\.0$"):
             BipartitePureState.from_schmidt([0.5, 0.5], basis)
 
     def test_from_schmidt_checks_each_input_once(self, monkeypatch):
-        checked, require_finite = [], linalg.require_finite
+        checked, require_bounded = [], linalg.require_bounded
 
         def recording(arr, what):
             checked.append(what)
-            return require_finite(arr, what)
+            return require_bounded(arr, what)
 
-        monkeypatch.setattr(states, "require_finite", recording)
-        monkeypatch.setattr(linalg, "require_finite", recording)
+        monkeypatch.setattr(states, "require_bounded", recording)
+        monkeypatch.setattr(linalg, "require_bounded", recording)
         BipartitePureState.from_schmidt([0.9, 0.1], HADAMARD)
         assert checked == ["basis_b", "amplitudes"]
         with pytest.raises(ValueError, match="basis_b: expected a 2-D matrix"):

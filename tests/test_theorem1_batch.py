@@ -307,18 +307,19 @@ class TestStackedDensityCheck:
     @pytest.mark.parametrize("big", [1e200, 1e308])
     def test_entries_near_the_float_limit_are_not_positive(self, big):
         # Finite and Hermitian, with eigenvalues 0.5 +- big: no overflow on the way to NotPositive.
+        # DensityMatrix rejects the entry first: it lies above linalg.ENTRY_BOUND.
         m = np.array([[0.5, big], [big, 0.5]], dtype=complex)
-        message = re.escape(f"minimum eigenvalue {-big:.3e} is below")
-        with pytest.raises(NotPositive, match=message):
+        with pytest.raises(NotPositive, match=re.escape(f"minimum eigenvalue {-big:.3e} is below")):
             check_densities(m)
-        with pytest.raises(NotPositive, match=message):
+        with pytest.raises(ValueError, match=f"^matrix holds an entry of modulus {re.escape(f'{big:.3e}')}, above 2.0$"):
             DensityMatrix(m)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [[[np.nan, 0], [0, 1]], [[0.5, np.nan], [np.nan, 0.5]], [[np.inf, 0], [0, 1]]])
     def test_non_finite_stacks_fail_the_first_check(self, bad):
-        # Every comparison with NaN is False, so each test is written to fail on it.
-        with pytest.raises(NotHermitian, match="= nan exceeds"):
+        # Every comparison with NaN is False, so each test is written to fail on it. check_densities takes
+        # entries that DensityMatrix has bounded: an infinite one warns on the way, and only the error is tested.
+        with np.errstate(invalid="ignore"), pytest.raises(NotHermitian, match="= nan exceeds"):
             check_densities(np.array(GOOD + [bad], dtype=complex))
 
 
@@ -397,7 +398,7 @@ class TestGershgorinCertificate:
     def test_non_finite_entries_never_pass(self, bad):
         for stack in self.stacks():
             stack[len(stack) // 2, -1, -1] = bad
-            with pytest.raises(NotHermitian):
+            with np.errstate(invalid="ignore"), pytest.raises(NotHermitian):
                 check_densities(stack)
 
     def test_only_large_stacks_try_the_bound(self, monkeypatch):
