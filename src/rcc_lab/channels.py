@@ -22,6 +22,7 @@ from .linalg import (
     matrix_from_json,
     matrix_to_json,
     positive_int,
+    real_array,
     require_finite,
     require_orthonormal_columns,
 )
@@ -45,13 +46,13 @@ class KrausOperation:
     __slots__ = ("dim_b", "kraus", "label", "_factors", "_n", "_stack")
 
     def __init__(self, kraus, label: str = ""):
-        mats = [as_complex_matrix(f, bounded=True) for f in kraus]
+        mats = [as_complex_matrix(f, bounded=True, name=f"kraus[{k}]") for k, f in enumerate(kraus)]
         if not mats:
             raise ValueError("at least one Kraus operator is required")
         d = mats[0].shape[0]
-        for f in mats:
+        for k, f in enumerate(mats):
             if f.shape != (d, d):
-                raise ValueError(f"Kraus operators must all be {d}x{d}, got shape {f.shape}")
+                raise ValueError(f"kraus[{k}] has shape {f.shape}, expected ({d}, {d})")
         mats = np.array(mats)
         stack, n = branch_stacks(mats)
         for arr in (mats, stack, n):
@@ -282,13 +283,13 @@ def inert_operation(psi: BipartitePureState, n_values) -> KrausOperation:
     creates_coherence it requires a diagonal A-marginal (PremiseViolated
     otherwise).
     """
-    vals = converted("n_values", np.asarray, n_values, dtype=float).reshape(-1)
+    vals = real_array("n_values", n_values).reshape(-1)
     if np.isnan(vals).any():  # None converts to NaN
         raise ValueError(f"n_values must be numeric: got {n_values!r}")
     if vals.size == 0:
         raise ValueError("n_values must not be empty")
     if float(vals.min()) < 0.0 or float(vals.max()) > 1.0:
-        raise ValueError(f"all values must lie in [0, 1], got range [{vals.min()}, {vals.max()}]")
+        raise ValueError(f"n_values must lie in [0, 1], got range [{vals.min()}, {vals.max()}]")
     require_premises(psi.coefficient_matrix)
     rows, keep = schmidt_rows(psi.coefficient_matrix)
     pairs = rows[keep].T

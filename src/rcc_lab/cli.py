@@ -105,10 +105,8 @@ def _cmd_verify(args) -> int:
     from .experiments import run_verify
 
     report = run_verify(args.suite, args.samples, args.seed)
-    print(
-        f"suite={report.suite} checked={report.checked} violations={report.violations} "
-        f"excluded={report.excluded} max_violation={report.max_violation:.3e}"
-    )
+    print(f"suite={report.suite} checked={report.checked} violations={report.violations} "
+          f"excluded={report.excluded} max_violation={report.max_violation:.3e}")
     for note in report.notes:
         print(note)
     if report.worst_case is not None:

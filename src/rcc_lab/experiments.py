@@ -52,9 +52,8 @@ AMBIGUITY_BAND = (1e-9, 1e-6)  # theorem2: excluded inside, created above
 BOUND_ATOL = 1e-10  # lemma1, theorem3: allowed excess over a bound
 NOSIGNAL_ATOL = 1e-10  # nosignal: allowed entry change of A's marginal
 
-# Checks drawn and evaluated together by every verify sweep but theorem1's
-# forward half (THEOREM1_FORWARD_BLOCK); memory grows with it, never with
-# --samples. Even, so a sample's parity in its block is its parity in the sweep.
+# Checks drawn and evaluated together by every verify sweep (theorem1's forward half: states, each against all
+# its operations); memory grows with it, never with --samples. Even: a sample's parity in its block is that in the sweep.
 VERIFY_BLOCK = 256
 
 # Samples drawn and evaluated together by run_fig1. Memory per block grows
@@ -64,11 +63,6 @@ FIG1_BLOCK = 256
 
 # Random operations theorem1's forward half checks every block-diagonal state against.
 THEOREM1_OPERATIONS = 100
-
-# States theorem1's forward half draws and contracts at once, each against all its operations; memory grows with it,
-# never with --samples. Another value changes which states a seed draws. Against 8, verify_theorem1 took 17-23% longer
-# with 4, and 2-12% (16) or 7-20% (32) less, the larger figures at 1000 samples than at 32 (alternated, 2-vCPU VM).
-THEOREM1_FORWARD_BLOCK = 8
 
 
 @dataclass
@@ -324,12 +318,12 @@ class SuiteReport:
 def verify_theorem1(samples: int, seed: int) -> SuiteReport:
     """Block-diagonal states never hand A coherence; all others can.
 
-    Forward: random block-diagonal states against THEOREM1_OPERATIONS random operations
-    must keep A's post-operation coherence below FORWARD_COHERENCE_ATOL; blocks of
-    THEOREM1_FORWARD_BLOCK states, one draw_incoherent_quantum_block each, meet the
-    stack of all operations in one contraction. Converse: for random states failing
-    the block test, the converse witness must create coherence above
-    rcc.CONVERSE_COHERENCE_TARGET; one rcc.converse_witnesses per VERIFY_BLOCK states.
+    Forward: random block-diagonal states against THEOREM1_OPERATIONS random operations must keep A's
+    post-operation coherence below FORWARD_COHERENCE_ATOL; blocks of VERIFY_BLOCK states, one
+    draw_incoherent_quantum_block each, meet the stack of all operations in one contraction, which holds
+    VERIFY_BLOCK x THEOREM1_OPERATIONS conditional states. Converse: for random states failing the block
+    test, the converse witness must create coherence above rcc.CONVERSE_COHERENCE_TARGET; one
+    rcc.converse_witnesses per VERIFY_BLOCK states.
     """
     g = SeededRng(seed, 0).generator
     dim_a = dim_b = 2
@@ -337,18 +331,14 @@ def verify_theorem1(samples: int, seed: int) -> SuiteReport:
     forward_worst = 0.0
     ops = draw_kraus_block(dim_b, THEOREM1_OPERATIONS, g)
     stack = summary_operators_from_parts(ops[1])
-    for start in range(0, samples, THEOREM1_FORWARD_BLOCK):
-        states = incoherent_quantum_states_from_parts(*draw_incoherent_quantum_block(dim_a, dim_b, min(THEOREM1_FORWARD_BLOCK, samples - start), g))
+    for start in range(0, samples, VERIFY_BLOCK):
+        states = incoherent_quantum_states_from_parts(*draw_incoherent_quantum_block(dim_a, dim_b, min(VERIFY_BLOCK, samples - start), g))
         _, zero, states_a = rcc._conditional_states(rcc._mixed_branches(states.reshape(-1, dim_a, dim_b, dim_a, dim_b), stack))
         achieved = l1_coherences(states_a)
         forward_worst = max(forward_worst, float(achieved.max(initial=0.0)))
-
-        def replay(k, value):
-            state, op = divmod(k, THEOREM1_OPERATIONS)
-            channel = _operation_json(ops, op)
-            return {"direction": "forward", "state": matrix_to_json(states[state]), "channel": channel, "post_coherence": value}
-
-        _record(report, zero.size, np.flatnonzero(~zero), achieved, achieved >= FORWARD_COHERENCE_ATOL, replay)
+        _record(report, zero.size, np.flatnonzero(~zero), achieved, achieved >= FORWARD_COHERENCE_ATOL,
+                lambda k, value: {"direction": "forward", "state": matrix_to_json(states[k // THEOREM1_OPERATIONS]),
+                                  "channel": _operation_json(ops, k % THEOREM1_OPERATIONS), "post_coherence": value})
     exhausted = 0
     for start in range(0, samples, VERIFY_BLOCK):
         # The draw keeps only states that fail the block test, so no witness is masked.
@@ -522,10 +512,10 @@ def verify_theorem4(samples: int, seed: int) -> SuiteReport:
 def verify_nosignal(samples: int, seed: int) -> SuiteReport:
     """Without post-selection a trace-preserving channel leaves A's marginal alone.
 
-    Even samples are two-qubit, odd ones two-qutrit: a block draws the states
-    and then the channels of its qubit samples, then those of its qutrit
-    samples. The oracle, independent of rcc on purpose, traces B out of
-    (I (x) F) rho (I (x) F)^dagger for each Kraus operator F, one stack per dimension.
+    Even samples are two-qubit, odd ones two-qutrit: a block draws the states and then the channels of its
+    qubit samples, then those of its qutrit samples. The oracle, independent of rcc on purpose, traces B out of
+    (I (x) F) rho (I (x) F)^dagger for each Kraus operator F, one stack per dimension, with I (x) F built by
+    writing F into the diagonal blocks of a zero matrix (_lift_b).
     """
 
     def draw(_, n, g):
@@ -534,11 +524,9 @@ def verify_nosignal(samples: int, seed: int) -> SuiteReport:
     def evaluate(_, parts):
         devs = np.empty(sum(len(z) for z, _ in parts))
         for parity, (z, (_, iso)) in enumerate(parts):
-            d = iso.shape[-1]
-            rho = densities_from_parts(z)
-            kraus = isometry_kraus(iso)
-            branch_stacks(kraus)
-            big = np.kron(np.eye(d), kraus)
+            d, rho = iso.shape[-1], densities_from_parts(z)
+            branch_stacks(kraus := isometry_kraus(iso))  # checks 0 <= N <= I
+            big = _lift_b(kraus, d)
             after = _trace_b(big @ rho[:, None] @ big.conj().swapaxes(-1, -2), d).sum(axis=1)
             devs[parity::2] = np.abs(after - _trace_b(rho, d)).max(axis=(-2, -1))
         return np.arange(len(devs)), devs, devs >= NOSIGNAL_ATOL
@@ -549,6 +537,14 @@ def verify_nosignal(samples: int, seed: int) -> SuiteReport:
         return {"state": matrix_to_json(densities_from_parts(z[k // 2])), "channel": channel, "deviation": dev}
 
     return _sweep("nosignal", samples, seed, (None,), draw, evaluate, worst_case)
+
+
+def _lift_b(kraus: np.ndarray, d: int) -> np.ndarray:
+    # I (x) F of operators kraus (..., d, d) on B, as np.kron(np.eye(d), kraus) gives it, without its generic product.
+    big = np.zeros(kraus.shape[:-2] + (d, d, d, d), dtype=kraus.dtype)
+    for i in range(d):
+        big[..., i, :, i, :] = kraus
+    return big.reshape(kraus.shape[:-2] + (d * d, d * d))
 
 
 def _trace_b(m: np.ndarray, d: int) -> np.ndarray:

@@ -32,6 +32,13 @@ def converted(name: str, convert, value, **kwargs):
         raise ValueError(f"{name} must be numeric: {exc}") from exc
 
 
+def real_array(name: str, value) -> np.ndarray:
+    """value as a float array; a value that is not numeric, or is complex, is a ValueError that names name."""
+    if converted(name, np.asarray, value).dtype.kind == "c":
+        raise ValueError(f"{name} must be real, got a complex array")
+    return converted(name, np.asarray, value, dtype=float)
+
+
 def require_finite(arr: np.ndarray, what: str) -> np.ndarray:
     """arr, after a ValueError naming what if any entry is NaN or infinite."""
     if not np.isfinite(arr).all():
@@ -69,12 +76,11 @@ def stack_sum(x: np.ndarray) -> np.ndarray:
     return total
 
 
-def as_complex_matrix(m, *, bounded: bool = False) -> np.ndarray:
-    """Coerce input to a finite 2-D complex128 array; a bounded one also passes require_bounded."""
-    arr = np.asarray(m, dtype=np.complex128)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={arr.ndim}")
-    return (require_bounded if bounded else require_finite)(arr, "matrix")
+def as_complex_matrix(m, *, bounded: bool = False, name: str = "matrix") -> np.ndarray:
+    """Coerce input to a finite 2-D complex128 array; a bounded one also passes require_bounded. Errors name name."""
+    if (arr := converted(name, np.asarray, m, dtype=np.complex128)).ndim != 2:
+        raise ValueError(f"expected a 2-D {name}, got ndim={arr.ndim}")
+    return (require_bounded if bounded else require_finite)(arr, name)
 
 
 def partial_trace(m, dim_a: int, dim_b: int) -> np.ndarray:

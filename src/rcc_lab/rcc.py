@@ -18,7 +18,7 @@ import numpy as np
 from .channels import KrausOperation, channel_branches, check_summaries, identity_deviation
 from .coherence import block_diagonal_mask, l1_coherences
 from .errors import NotTracePreserving, SearchExhausted, WrongDimension, ZeroProbability
-from .linalg import VALIDITY_ATOL, complete_orthonormal_basis, matrix_to_json, require_bounded, stack_sum
+from .linalg import VALIDITY_ATOL, complete_orthonormal_basis, converted, matrix_to_json, require_bounded, stack_sum
 from .states import (
     SCHMIDT_WEIGHT_CUTOFF,
     BipartitePureState,
@@ -87,7 +87,7 @@ def _require_trace_preserving(stacks: np.ndarray) -> None:
 def _stacked(arr, name: str = "w", shape: str = "(n, dim_a, dim_b)") -> np.ndarray:
     # Argument name of a public stacked routine as a complex array through require_bounded, once it has the axes of shape.
     # The routine then runs its core, _<routine>; a scalar view calls the core, as its objects were checked when built.
-    if (arr := require_bounded(np.asarray(arr, dtype=np.complex128), name)).ndim != shape.count(",") + 1:
+    if (arr := require_bounded(converted(name, np.asarray, arr, dtype=np.complex128), name)).ndim != shape.count(",") + 1:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
     return arr
 

@@ -23,6 +23,7 @@ from .linalg import (
     matrix_to_json,
     partial_trace,
     positive_int,
+    real_array,
     require_bounded,
     require_orthonormal_columns,
     stack_sum,
@@ -134,9 +135,7 @@ class BipartitePureState:
         weights are normalized to unit sum; basis_b supplies one orthonormal
         column per weight (extra columns are ignored).
         """
-        if (basis := np.asarray(basis_b, dtype=np.complex128)).ndim != 2:
-            raise ValueError(f"basis_b: expected a 2-D matrix, got ndim={basis.ndim}")
-        coeff = schmidt_coefficients(converted("weights", np.asarray, weights, dtype=float).reshape(-1), basis)
+        coeff = schmidt_coefficients(real_array("weights", weights).reshape(-1), as_complex_matrix(basis_b, name="basis_b"))
         return cls(*coeff.shape, coeff.reshape(-1))
 
 

@@ -5,7 +5,9 @@ each data argument (a number, a string, an array, a list or a JSON mapping) of
 every name the rcc_lab root exports, of rcc's public stacked routines and of
 the three CLI commands. Each call must return or raise an RccLabError, a
 ValueError or a TypeError; a CLI call must exit 2, the bad-input code. Warnings
-are errors here, so an overflow inside the engine fails the test.
+are errors here, so an overflow inside the engine fails the test, and so does a
+complex value that numpy would cast to a real parameter. Where an argument's own
+entries or type are at fault, the ValueError names that argument.
 """
 
 import inspect
@@ -46,6 +48,12 @@ def array_cases(valid: np.ndarray, g: np.random.Generator) -> dict:
         cases[f"one {name} entry"] = one
         cases[f"all {name}"] = np.full(valid.shape, bad, dtype=valid.dtype)
     cases["bool array"] = valid != 0
+    if valid.dtype.kind != "c":
+        # A complex value for a real parameter must not lose its imaginary part on the way in.
+        one = valid.astype(complex)
+        one.flat[g.integers(valid.size)] += 0.5j
+        cases["one complex entry"] = one
+        cases["complex array"] = valid + 0.5j
     cases["string array"] = np.full(valid.shape, "x")
     cases["one axis fewer"] = valid[..., 0]
     cases["one axis more"] = valid[None]
@@ -152,6 +160,10 @@ STACKED_CALLS = {
 }
 
 
+# Valid positional arguments of the root classes' alternative constructors.
+METHOD_CALLS = {"from_schmidt": (np.array([0.5, 0.5]), HADAMARD)}
+
+
 def positions(calls):
     return [(name, i) for name, args in sorted(calls.items()) for i, arg in enumerate(args) if is_data(arg)]
 
@@ -165,10 +177,14 @@ def test_every_export_is_covered():
     assert set(ROOT_CALLS) == exported()
 
 
-@pytest.mark.parametrize("calls", [ROOT_CALLS, STACKED_CALLS], ids=["root", "stacked"])
-def test_valid_arguments_return(calls):
+OWNERS = {"root": (rcc_lab, ROOT_CALLS), "stacked": (rcc, STACKED_CALLS), "method": (rcc_lab.BipartitePureState, METHOD_CALLS)}
+
+
+@pytest.mark.parametrize("owner", OWNERS)
+def test_valid_arguments_return(owner):
+    module, calls = OWNERS[owner]
     for name, args in calls.items():
-        getattr(rcc_lab if calls is ROOT_CALLS else rcc, name)(*args)
+        getattr(module, name)(*args)
 
 
 def untyped_failures(fn, args, position) -> list:
@@ -193,6 +209,59 @@ def test_root_export(name, position):
 @pytest.mark.parametrize("name, position", positions(STACKED_CALLS))
 def test_stacked_routine(name, position):
     assert untyped_failures(getattr(rcc, name), STACKED_CALLS[name], position) == []
+
+
+@pytest.mark.parametrize("name, position", positions(METHOD_CALLS))
+def test_alternative_constructor(name, position):
+    assert untyped_failures(getattr(rcc_lab.BipartitePureState, name), METHOD_CALLS[name], position) == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda: rcc_lab.BipartitePureState.from_schmidt(np.array([0.5 + 1j, 0.5]), np.eye(2)),
+    lambda: rcc_lab.inert_operation(BELL, np.array([0.5 + 0.5j, 0.2])),
+], ids=["weights", "n_values"])
+def test_complex_values_for_real_parameters_are_rejected(call):
+    # Converted to float, the first would be the Bell state and the second diag(sqrt(0.5), sqrt(0.2)).
+    with pytest.raises(ValueError, match="^(weights|n_values) must be real, got a complex array$"):
+        call()
+
+
+# Cases whose defect lies in the argument itself, its type or its own entries, not in how it fits the other arguments.
+OWN_DEFECTS = ("nan", "inf", "1e308", "1e160", "string", "complex")
+# The names that the messages of each public stacked routine give its arguments.
+STACKED_NAMES = {
+    "branch_averages": ("w", "stacks"),
+    "maximally_entangled_partners": ("w",),
+    "outcome_coherence_bounds": ("w", "grams"),
+    "tight_average_bounds": ("w", "stacks"),
+    "average_coherence_bounds": ("w", "stacks"),
+}
+
+
+def with_second_factor(factor):
+    return rcc_lab.KrausOperation([DAMPING.kraus[0], factor])
+
+
+# (callable, valid arguments, position of the argument under test, the name its messages must carry)
+NAMED = {
+    **{f"{name} {arg}": (getattr(rcc, name), STACKED_CALLS[name], i, arg) for name, args in STACKED_NAMES.items() for i, arg in enumerate(args)},
+    "KrausOperation factor": (with_second_factor, (DAMPING.kraus[1],), 0, "kraus[1]"),
+    "from_schmidt weights": (rcc_lab.BipartitePureState.from_schmidt, METHOD_CALLS["from_schmidt"], 0, "weights"),
+    "inert_operation n_values": (rcc_lab.inert_operation, ROOT_CALLS["inert_operation"], 1, "n_values"),
+}
+
+
+@pytest.mark.parametrize("target", NAMED)
+def test_errors_name_their_argument(target):
+    fn, args, position, named = NAMED[target]
+    messages = {}
+    for case, bad in catalogue(args[position], np.random.default_rng([SEED, position])).items():
+        if any(word in case for word in OWN_DEFECTS):
+            try:
+                fn(*args[:position], bad, *args[position + 1 :])
+            except ValueError as exc:
+                messages[case] = str(exc)
+    assert messages and {case: text for case, text in messages.items() if named not in text} == {}
 
 
 def exit_code(argv) -> int:

@@ -76,7 +76,7 @@ class TestKrausOperation:
     def test_rejects_an_overflowing_summary(self, kraus):
         # Finite entries whose F^dagger F would overflow lie above linalg.ENTRY_BOUND:
         # the factor is rejected before any product, and no warning escapes.
-        with pytest.raises(ValueError, match=r"^matrix holds an entry of modulus 1\.000e\+160, above 2\.0$"):
+        with pytest.raises(ValueError, match=r"^kraus\[0\] holds an entry of modulus 1\.000e\+160, above 2\.0$"):
             KrausOperation(kraus)
 
     def test_rejects_mixed_shapes(self):

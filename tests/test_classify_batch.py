@@ -14,7 +14,7 @@ from rcc_lab import channels, experiments, rcc
 from rcc_lab.channels import KrausOperation, creates_coherence, creation_witnesses, kraus_operation_to_json
 from rcc_lab.coherence import l1_coherence
 from rcc_lab.errors import PremiseViolated, ZeroProbability
-from rcc_lab.experiments import THEOREM1_FORWARD_BLOCK, VERIFY_BLOCK, SuiteReport, run_verify
+from rcc_lab.experiments import VERIFY_BLOCK, SuiteReport, run_verify
 from rcc_lab.linalg import (
     SeededRng,
     complex_ginibre,
@@ -170,6 +170,16 @@ def test_nosignal_rejects_an_invalid_channel(monkeypatch):
         run_verify("nosignal", 4, 0)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_nosignal_lift_equals_the_kronecker_product(d):
+    # The oracle's I (x) F on a block's Kraus sets, zero-padded to the block's largest count; np.kron is the reference.
+    kraus = experiments.isometry_kraus(draw_tp_block(d, 64, SeededRng(20261022, d).generator)[1])
+    assert (np.abs(kraus).max(axis=(-2, -1)) == 0).any()
+    lifted = experiments._lift_b(kraus, d)
+    assert lifted.shape == kraus.shape[:-2] + (d * d, d * d)
+    assert np.array_equal(lifted, np.kron(np.eye(d), kraus))
+
+
 def test_theorem2_note_follows_the_ambiguity_band(monkeypatch):
     assert run_verify("theorem2", 4, 0).notes == ("excluded fraction 0.0000% (ambiguity band [1e-9, 1e-6])",)
     monkeypatch.setattr(experiments, "AMBIGUITY_BAND", (2.5e-8, 1e-5))
@@ -207,11 +217,11 @@ def test_memory_grows_with_the_block_not_with_samples(monkeypatch):
     monkeypatch.setattr(experiments, "THEOREM1_OPERATIONS", 3)
     experiments.verify_theorem1(samples, 0)
     # Two blocks for each of d = 2, 3; theorem1's forward half contracts
-    # THEOREM1_FORWARD_BLOCK states per block, each against 3 operations.
+    # VERIFY_BLOCK states per block, each against 3 operations.
     assert contracted == [VERIFY_BLOCK, 5] * 2
     forward = [size for ndim, size in mixed if ndim == 3]
     converse = [size for ndim, size in mixed if ndim == 4]
-    assert max(forward) == THEOREM1_FORWARD_BLOCK and sum(forward) == samples
+    assert max(forward) <= VERIFY_BLOCK and sum(forward) == samples
     assert max(converse) <= VERIFY_BLOCK and sum(converse) == samples
     assert max(criteria) <= VERIFY_BLOCK and max(oracle) <= VERIFY_BLOCK
     assert sum(oracle) == samples

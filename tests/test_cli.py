@@ -625,7 +625,7 @@ class TestComputeCommand:
         path = write_json(tmp_path / "channel.json", channel)
         code = main(["compute", "--state", bell_file(tmp_path), "--channel", path])
         assert code == 2
-        assert "matrix holds an entry of modulus 1.000e+160, above 2.0" in capsys.readouterr().err
+        assert "kraus[0] holds an entry of modulus 1.000e+160, above 2.0" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_amplitude_is_a_usage_error(self, tmp_path, capsys):

@@ -14,7 +14,7 @@ import pytest
 from rcc_lab import experiments, rcc
 from rcc_lab.coherence import l1_coherence, l1_coherences
 from rcc_lab.errors import BadTrace, NotHermitian, NotPositive
-from rcc_lab.experiments import THEOREM1_FORWARD_BLOCK, THEOREM1_OPERATIONS
+from rcc_lab.experiments import THEOREM1_OPERATIONS
 from rcc_lab.linalg import SeededRng, complex_ginibre, stack_sum
 from rcc_lab.sampling import (
     branch_stacks_from_parts,
@@ -125,10 +125,11 @@ def test_short_sums_start_from_positive_zero():
 def engine_outputs():
     # The stacked outputs of the routes that sum over the stack, on fixed blocks of the sweeps' draws.
     g = SeededRng(20261020, 0).generator
-    # theorem1: a forward block, the operations' N stack against block-diagonal states, then a converse block.
+    # theorem1: a forward block of 8 states, the operations' N stack against block-diagonal states, then a converse block.
+    # The size is fixed here, not the sweep's block, so the pinned digest follows the routes alone.
     stack = summary_operators_from_parts(draw_kraus_block(2, THEOREM1_OPERATIONS, g)[1])
     for dim_a in (2, 3):
-        states = incoherent_quantum_states_from_parts(*draw_incoherent_quantum_block(dim_a, 2, THEOREM1_FORWARD_BLOCK, g))
+        states = incoherent_quantum_states_from_parts(*draw_incoherent_quantum_block(dim_a, 2, 8, g))
         probs, zero, states_a = rcc._conditional_states(rcc._mixed_branches(states.reshape(-1, dim_a, 2, dim_a, 2), stack))
         yield from (probs, zero, states_a, l1_coherences(states_a))
     yield from rcc.converse_witnesses(draw_noncq_states(64, 2, 2, g), 2, 2)

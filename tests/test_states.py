@@ -479,5 +479,5 @@ class TestNonFiniteEntries:
         monkeypatch.setattr(linalg, "require_bounded", recording)
         BipartitePureState.from_schmidt([0.9, 0.1], HADAMARD)
         assert checked == ["basis_b", "amplitudes"]
-        with pytest.raises(ValueError, match="basis_b: expected a 2-D matrix"):
+        with pytest.raises(ValueError, match="^expected a 2-D basis_b, got ndim=1$"):
             BipartitePureState.from_schmidt([0.5, 0.5], HADAMARD[0])

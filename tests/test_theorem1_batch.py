@@ -7,7 +7,7 @@ from rcc_lab import coherence, experiments, rcc
 from rcc_lab.channels import ChannelEnsemble, KrausOperation, kraus_operation_to_json
 from rcc_lab.coherence import is_incoherent_quantum, l1_coherence
 from rcc_lab.errors import BadTrace, NotHermitian, NotPositive, SearchExhausted, ZeroProbability
-from rcc_lab.experiments import FORWARD_COHERENCE_ATOL, THEOREM1_FORWARD_BLOCK, VERIFY_BLOCK, SuiteReport, verify_theorem1
+from rcc_lab.experiments import FORWARD_COHERENCE_ATOL, VERIFY_BLOCK, SuiteReport, verify_theorem1
 from rcc_lab.linalg import (
     VALIDITY_ATOL,
     SeededRng,
@@ -41,8 +41,7 @@ def block_diagonal_states(n, g):
 
 def scalar_theorem1(samples, seed, operations_per_state, draw_states=block_diagonal_states, op_at=kraus_operation_from_parts):
     # Reference: the sweep's block draws (the operations, then the forward
-    # states per THEOREM1_FORWARD_BLOCK, then the converse states per
-    # VERIFY_BLOCK), evaluated with one
+    # states and then the converse states, each per VERIFY_BLOCK), evaluated with one
     # post_operation_state_a per (state, operation) and one
     # find_creating_operation per converse state. op_at(counts, mats, j)
     # builds operation j of the operations' block.
@@ -53,9 +52,8 @@ def scalar_theorem1(samples, seed, operations_per_state, draw_states=block_diago
     forward_worst = 0.0
     drawn = draw_kraus_block(2, operations_per_state, g)
     ops = [op_at(*drawn, j) for j in range(operations_per_state)]
-    block = THEOREM1_FORWARD_BLOCK
-    for start in range(0, samples, block):
-        for rho in draw_states(min(block, samples - start), g):
+    for start in range(0, samples, VERIFY_BLOCK):
+        for rho in draw_states(min(VERIFY_BLOCK, samples - start), g):
             state = DensityMatrix(rho, validate=False)
             for op in ops:
                 checked += 1
@@ -409,7 +407,7 @@ class TestGershgorinCertificate:
         # operations' N stack give diagonal conditional states.
         g = SeededRng(20261019, 8).generator
         stack = summary_operators_from_parts(draw_kraus_block(2, 100, g)[1])
-        states = block_diagonal_states(THEOREM1_FORWARD_BLOCK, g).reshape(-1, 2, 2, 2, 2)
+        states = block_diagonal_states(VERIFY_BLOCK, g).reshape(-1, 2, 2, 2, 2)
         calls.clear()
         _, zero, states_a = rcc._conditional_states(rcc._mixed_branches(states, stack))
         assert len(states_a) == zero.size >= GERSHGORIN_MIN_STACK and calls == []
